@@ -10,7 +10,8 @@ Two representation choices keep this exact and fast:
 * every stored matrix is frexp-normalized (max |entry| in [0.5, 1)) with the
   power-of-two exponent carried in an int64 side array, so rescaling is
   lossless and long products never over- or underflow;
-* within a level, bit-identical (matrix, exponent) rows are merged and their
+* every level is kept in a canonical order -- lexicographic in (exponent,
+  row-major mantissa entries) -- and rows equal under == are merged, their
   log-weights combined (power sums are linear in the weights), which
   collapses structured atom families -- repeated atoms, commuting diagonal
   parts -- to a handful of rows.  Budgets still meter the *nominal* word
@@ -89,30 +90,36 @@ def _normalize(mats):
 
 
 def _dedup_rows(mants, exps, logw, d):
-    # Merge bit-identical (exponent, matrix) rows; weights add (in log space).
-    # np.unique also fixes a canonical row order, making level contents
-    # independent of atom order and evaluation history.
+    # Merge rows equal under == in (exponent, matrix); weights add (in log
+    # space).  Rows come out in lexicographic (exponent, row-major entries)
+    # order, equal rows keeping their input order, so level contents do not
+    # depend on atom order or evaluation history.  One stable lexsort on
+    # (exponent, first entry) does most of the ordering; only runs tied on
+    # that pair are sorted again by their remaining entries.
     m = len(logw)
     if m == 0:
         return mants, exps, logw
-    key = np.concatenate(
-        [exps[:, None].astype(np.float64), mants.reshape(m, d * d)], axis=1
-    )
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    if len(uniq) == m:
-        return mants[order], exps[order], logw[order]
-    gid = inverse[order]
-    lw = logw[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(gid) > 0])
+    flat = mants.reshape(m, d * d)
+    order = np.lexsort((flat[:, 0], exps))
+    e0, f0 = exps[order], flat[order, 0]
+    tie = (e0[1:] == e0[:-1]) & (f0[1:] == f0[:-1])
+    run_id = np.cumsum(np.r_[True, ~tie])
+    pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+    sub = order[pos]
+    keys = [flat[sub, j] for j in range(d * d - 1, 0, -1)]
+    order[pos] = sub[np.lexsort(keys + [run_id[pos]])]
+    mants, exps, lw = mants[order], exps[order], logw[order]
+    flat = mants.reshape(m, d * d)
+    at = np.flatnonzero(tie)
+    same = np.zeros(m - 1, dtype=bool)
+    same[at] = np.all(flat[at + 1] == flat[at], axis=1)
+    if not same.any():
+        return mants, exps, lw
+    starts = np.flatnonzero(np.r_[True, ~same])
     gmax = np.maximum.reduceat(lw, starts)
     counts = np.diff(np.r_[starts, m])
     gsum = np.add.reduceat(np.exp(lw - np.repeat(gmax, counts)), starts)
-    logw_u = gmax + np.log(gsum)
-    mants_u = np.ascontiguousarray(uniq[:, 1:].reshape(-1, d, d))
-    exps_u = uniq[:, 0].astype(np.int64)
-    return mants_u, exps_u, logw_u
+    return mants[starts], exps[starts], gmax + np.log(gsum)
 
 
 class LevelCache:
@@ -143,7 +150,15 @@ class LevelCache:
         if len(lw) == 0 or len(rw) == 0:
             d = self.d
             return np.empty((0, d, d)), np.empty(0, dtype=np.int64), np.empty(0)
-        prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, self.d, self.d)
+        if self.d == 2:
+            # a sum of two products rounds the same in either order, so these
+            # closed-form entries equal einsum's bit for bit (up to the sign
+            # of an exact zero, which no sum or singular value sees)
+            prod = lm[:, None, :, 0:1] * rm[None, :, 0:1, :]
+            prod += lm[:, None, :, 1:2] * rm[None, :, 1:2, :]
+            prod = prod.reshape(-1, 2, 2)
+        else:
+            prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, self.d, self.d)
         exps = (le[:, None] + re[None, :]).ravel()
         logw = (lw[:, None] + rw[None, :]).ravel()
         mants, e2, nonzero = _normalize(prod)
@@ -152,16 +167,21 @@ class LevelCache:
             return _dedup_rows(mants[nonzero], exps[nonzero], logw[nonzero], self.d)
         return mants, exps, logw
 
-    def ensure(self, n):
-        """Build levels toward n while the next level fits the row cap."""
+    def ensure(self, n, clock=None):
+        """Build levels toward n while the next level fits the row cap.
+
+        ``clock`` (a RunClock) is checked before each level is built.
+        """
         base = max(self.rows(1), 1)
         while self.top < n and self.rows(self.top) * base <= self.row_cap:
+            if clock is not None:
+                clock.check()
             self.levels[self.top + 1] = self._combine(self.levels[self.top], self.levels[1])
             self.top += 1
         return min(self.top, n)
 
-    def parts_for(self, n):
-        b = self.ensure(n)
+    def parts_for(self, n, clock=None):
+        b = self.ensure(n, clock)
         parts = [b] * (n // b)
         if n % b:
             parts.append(n % b)
@@ -368,7 +388,7 @@ def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1):
             [_stats_to_log(_sum_stats(_kernel_logs(logsig, logw, kind, s, cache.d)))
              for s in s_list]
         )
-    parts = cache.parts_for(n)
+    parts = cache.parts_for(n, clock)
     units = _plan_units(cache, parts)
     if len(parts) == 1 and 0 < cache.rows(n) <= _SIG_CACHE_ROWS:
         mats, exps, logw = cache.levels[n]
@@ -408,7 +428,7 @@ def max_norm_word(ms, n, budget, clock=None, workers=1):
         clock = RunClock(budget.wall_clock_cap)
     clock.check()
     cache = _cache_for(ms, dedup=False)
-    parts = cache.parts_for(n)
+    parts = cache.parts_for(n, clock)
     units = _plan_units(cache, parts)
     best = -math.inf
     best_at = None

@@ -1,15 +1,37 @@
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from matpress import FiniteMatrixMeasure
+from matpress import FiniteMatrixMeasure, _engine
 from matpress.linalg import phi
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Process counts of the worker pools the engine starts in one test."""
+    sizes = []
+    real_get_context = multiprocessing.get_context
+
+    class SpyContext:
+        def __init__(self, ctx):
+            self.ctx = ctx
+
+        def Pool(self, processes=None, **kwargs):
+            sizes.append(processes)
+            return self.ctx.Pool(processes, **kwargs)
+
+    monkeypatch.setattr(
+        _engine.multiprocessing, "get_context",
+        lambda method=None: SpyContext(real_get_context(method)),
+    )
+    return sizes
 
 
 def word_products(mats, n):

@@ -224,7 +224,7 @@ def test_criterion_13_p_radius():
     _pass(13, "contains 0.3, upper endpoint exact")
 
 
-def test_criterion_14_worker_determinism(tmp_path, capsys):
+def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes):
     diag_doc = tmp_path / "diag.json"
     diag_doc.write_text(cli.emit_input(DIAG_PAIR))
     moran_doc = tmp_path / "moran.json"
@@ -253,4 +253,21 @@ def test_criterion_14_worker_determinism(tmp_path, capsys):
     for key in ("lower", "upper"):
         a, b = (r["interval"][key] for r in per_workers)
         assert abs(a - b) <= 1e-10
+
+    # The runs above never pass the engine's row cap, so they stay serial.
+    # Three 3x3 atoms do at n=12: the bracket needs that sum for its lower
+    # bound at n=4 (width 1.96; 2.60 at n=3), the sum is split into three
+    # units, and --workers 4 runs them in a pool of three processes.
+    rng = np.random.default_rng(14)
+    dense = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)])
+    dense_doc = tmp_path / "dense.json"
+    dense_doc.write_text(cli.emit_input(dense))
+    assert pool_sizes == []
+    per_workers = [
+        run(["pressure", str(dense_doc), "--s", "1", "--eps", "2.2",
+             "--workers", w, "--format", "json"])
+        for w in ("1", "4")
+    ]
+    assert pool_sizes == [3]
+    assert per_workers[0]["bracket"] == per_workers[1]["bracket"]
     _pass(14, "workers 1 and 4 agree on every endpoint")
