@@ -18,8 +18,13 @@ Two representation choices keep this exact and fast:
   count N^n.
 
 Evaluation splits into units (one suffix combination, or a row slice of the
-single batch) whose partial statistics are reduced sequentially in a fixed
-unit order, so results are bit-identical for every worker count.
+single batch).  Each unit produces a log-sigma table chunk: the scaled log
+singular values of its products as contiguous (d, rows) columns, plus its
+log-weights.  One reduction turns a chunk into partial statistics for every
+exponent, and the partials are merged sequentially in a fixed unit order, so
+results are bit-identical for every worker count.  A caller that passes
+``tables`` keeps the chunks of each length it evaluates and can reduce them
+again at other exponents without enumerating the words a second time.
 """
 
 import math
@@ -198,57 +203,93 @@ def _cache_for(obj, dedup):
     return cache
 
 
-def _log_sigmas(mats, d):
-    """Log singular values, descending, row-wise; -inf encodes zero."""
+def _sigma_cols(mats, exps, d):
+    """Log singular values plus the power-of-two scale, as (d, rows) columns.
+
+    Column j holds log sigma_{j+1} of every row's product; -inf encodes zero.
+    """
     m = len(mats)
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 1:
-            return np.log(np.abs(mats.reshape(m, 1)))
-        if d == 2:
+            cols = np.log(np.abs(mats.reshape(1, m)))
+        elif d == 2:
             a = mats[:, 0, 0]
             b = mats[:, 0, 1]
             c = mats[:, 1, 0]
             e = mats[:, 1, 1]
             t = a * a + b * b + c * c + e * e
             det = a * e - b * c
-            disc = np.maximum(t * t - 4.0 * det * det, 0.0)
-            s1sq = 0.5 * (t + np.sqrt(disc))
-            out = np.empty((m, 2))
-            out[:, 0] = 0.5 * np.log(s1sq)
+            s1sq = 0.5 * (t + np.sqrt(np.maximum(t * t - 4.0 * det * det, 0.0)))
+            cols = np.empty((2, m))
+            np.log(s1sq, out=cols[0])
+            cols[0] *= 0.5
             # sigma1 * sigma2 = |det| exactly, so the small value comes from
             # the quotient rather than the cancellation-prone quadratic root
-            out[:, 1] = np.log(np.abs(det)) - out[:, 0]
+            np.log(np.abs(det, out=det), out=cols[1])
+            cols[1] -= cols[0]
             zero = s1sq == 0.0
             if np.any(zero):
-                out[zero, :] = -np.inf
-            return out
-        sig = np.linalg.svd(mats, compute_uv=False)
-        return np.log(sig)
+                cols[:, zero] = -np.inf
+        else:
+            cols = np.ascontiguousarray(np.linalg.svd(mats, compute_uv=False).T)
+            np.log(cols, out=cols)
+    cols += exps * LN2
+    return cols
 
 
-def _kernel_logs(logsig, logw, kind, s, d):
-    # logsig already includes the power-of-two scale
-    if kind == "norm":
-        return logw + s * logsig[:, 0]
-    if kind != "phi":
+def _row_sums(cols, k):
+    """l_1 + ... + l_k per row, rounded as np.sum(axis=1) over (rows, d) rows:
+    from 0.0 left to right below eight terms, pairwise from eight on."""
+    if k >= 8:
+        return np.sum(cols[:k].T.copy(), axis=1)
+    out = np.zeros(cols.shape[1])
+    for j in range(k):
+        out += cols[j]
+    return out
+
+
+def _chunk_stats(chunk, kind, s_list, d):
+    """(max, scaled sum) of the kernel's log values over one chunk, per exponent.
+
+    A chunk is (log-sigma columns, log-weights, shift): its rows' log-weights
+    are ``logw + shift``, or ``logw`` when shift is None.  Each value rounds
+    as ``logw + s*l1`` (norm), ``logw + (S_k + frac*l_{k+1})`` (phi, s < d)
+    or ``logw + (s/d)*S_d`` (phi, s >= d), S_k as in _row_sums; one
+    row-sized buffer serves every exponent.
+    """
+    if kind not in ("norm", "phi"):
         raise ValueError(f"unknown kernel kind {kind!r}")
-    if s >= d:
-        return logw + (s / d) * np.sum(logsig, axis=1)
-    k = int(s)
-    vals = np.sum(logsig[:, :k], axis=1) if k else np.zeros(len(logw))
-    frac = s - k
-    if frac > 0.0:
-        vals = vals + frac * logsig[:, k]
-    return logw + vals
-
-
-def _sum_stats(vals):
-    if len(vals) == 0:
-        return (-math.inf, 0.0)
-    m = float(np.max(vals))
-    if m == -math.inf:
-        return (-math.inf, 0.0)
-    return (m, float(np.sum(np.exp(vals - m))))
+    cols, logw, shift = chunk
+    if cols.shape[1] == 0:
+        return [(-math.inf, 0.0)] * len(s_list)
+    if shift is not None:
+        logw = logw + shift
+    sums = {}
+    if kind == "phi":
+        sums = {k: _row_sums(cols, k) for k in {min(int(s), d) for s in s_list}}
+    buf = np.empty(cols.shape[1])
+    out = []
+    for s in s_list:
+        k = int(s)
+        frac = s - k
+        if kind == "norm":
+            np.multiply(cols[0], s, out=buf)
+        elif s >= d:
+            np.multiply(sums[d], s / d, out=buf)
+        elif frac > 0.0:
+            np.multiply(cols[k], frac, out=buf)
+            buf += sums[k]
+        else:
+            np.copyto(buf, sums[k])
+        buf += logw
+        top = float(np.max(buf))
+        if top == -math.inf:
+            out.append((-math.inf, 0.0))
+            continue
+        buf -= top
+        np.exp(buf, out=buf)
+        out.append((top, float(np.sum(buf))))
+    return out
 
 
 def _merge_stats(acc, new):
@@ -271,48 +312,39 @@ def _stats_to_log(stats):
 
 
 def _unit_arrays(cache, parts, unit):
-    """Materialize the scaled products for one evaluation unit."""
+    """(log-sigma columns, log-weight shift) of one evaluation unit.
+
+    The unit's log-weights are the batch level's rows r0:r1 plus ``shift``,
+    the suffix combination's summed log-weight (None without a suffix).
+    Products are formed _SLICE_ROWS rows at a time, which bounds the memory
+    they hold and leaves every row's bits unchanged.
+    """
     combo, r0, r1 = unit
-    bm, be, bw = cache.levels[parts[0]]
-    mats = bm[r0:r1]
-    exps = be[r0:r1]
-    logw = bw[r0:r1]
-    if combo:
-        sfx = None
-        se = 0
-        slw = 0.0
-        for part, idx in zip(parts[1:], combo):
-            m, e, w = cache.levels[part]
-            se += int(e[idx])
-            slw += float(w[idx])
-            if sfx is None:
-                sfx = m[idx]
-            else:
-                sfx = sfx @ m[idx]
-                top = np.max(np.abs(sfx))
-                if top > 0.0:
-                    _, ee = np.frexp(top)
-                    sfx = np.ldexp(sfx, -int(ee))
-                    se += int(ee)
-        mats = mats @ sfx
-        exps = exps + se
-        logw = logw + slw
-    return mats, exps, logw
-
-
-def _eval_sum_unit(cache, parts, unit, kind, s_list):
-    mats, exps, logw = _unit_arrays(cache, parts, unit)
-    logsig = _log_sigmas(mats, cache.d) + (exps * LN2)[:, None]
-    return [_sum_stats(_kernel_logs(logsig, logw, kind, s, cache.d)) for s in s_list]
-
-
-def _eval_max_unit(cache, parts, unit):
-    mats, exps, _ = _unit_arrays(cache, parts, unit)
-    if len(mats) == 0:
-        return (-math.inf, 0)
-    logs = _log_sigmas(mats, cache.d)[:, 0] + exps * LN2
-    idx = int(np.argmax(logs))
-    return (float(logs[idx]), idx)
+    bm, be, _ = cache.levels[parts[0]]
+    sfx = None
+    se = 0
+    slw = 0.0
+    for part, idx in zip(parts[1:], combo):
+        m, e, w = cache.levels[part]
+        se += int(e[idx])
+        slw += float(w[idx])
+        if sfx is None:
+            sfx = m[idx]
+        else:
+            sfx = sfx @ m[idx]
+            top = np.max(np.abs(sfx))
+            if top > 0.0:
+                _, ee = np.frexp(top)
+                sfx = np.ldexp(sfx, -int(ee))
+                se += int(ee)
+    cols = np.empty((cache.d, r1 - r0))
+    for a in range(r0, r1, _SLICE_ROWS):
+        b = min(a + _SLICE_ROWS, r1)
+        mats, exps = bm[a:b], be[a:b]
+        if sfx is not None:
+            mats, exps = mats @ sfx, exps + se
+        cols[:, a - r0:b - r0] = _sigma_cols(mats, exps, cache.d)
+    return cols, (slw if combo else None)
 
 
 def _plan_units(cache, parts):
@@ -335,76 +367,68 @@ def _plan_units(cache, parts):
 _FORK_STATE = None
 
 
-def _sum_worker(i):
-    cache, parts, units, kind, s_list = _FORK_STATE
-    return _eval_sum_unit(cache, parts, units[i], kind, s_list)
-
-
-def _max_worker(i):
+def _chunk_worker(i):
     cache, parts, units = _FORK_STATE
-    return _eval_max_unit(cache, parts, units[i])
+    return _unit_arrays(cache, parts, units[i])
 
 
-def _run_units(units, serial_fn, worker_fn, state, workers, clock):
-    """Yield unit results in unit order, optionally via a fork pool."""
+def _run_units(cache, parts, units, workers, clock):
+    """Yield each unit's _unit_arrays in unit order, optionally via a fork pool."""
     global _FORK_STATE
     workers = max(1, int(workers))
     if workers == 1 or len(units) <= 1:
         for unit in units:
-            if clock is not None:
-                clock.check()
-            yield serial_fn(unit)
+            clock.check()
+            yield _unit_arrays(cache, parts, unit)
         return
-    _FORK_STATE = state
+    _FORK_STATE = (cache, parts, units)
     try:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(workers, len(units))) as pool:
-            for res in pool.imap(worker_fn, range(len(units)), chunksize=1):
-                if clock is not None:
-                    clock.check()
+            for res in pool.imap(_chunk_worker, range(len(units)), chunksize=1):
+                clock.check()
                 yield res
     finally:
         _FORK_STATE = None
 
 
-def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1):
+def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=None):
     """Log power sums of ``mu`` at length ``n`` for every exponent in s_values.
 
     One shared enumeration serves all exponents.  Returns a float array
     aligned with ``s_values``; -inf entries mean every word product is zero.
+    ``tables`` (a dict owned by the caller) keeps each enumerated length's
+    log-sigma chunks, so a later call at that length with other exponents
+    reduces the held chunks instead of enumerating the words again.
     """
     check_budget(budget, n, mu.n_atoms)
     if clock is None:
         clock = RunClock(budget.wall_clock_cap)
-    # cache hits below return without touching _run_units, so the deadline
-    # must be consulted here or a cached call could outlive the cap
+    # a held table skips _run_units and its per-unit checks, so the deadline
+    # is consulted here and before each held chunk is reduced
     clock.check()
     s_list = [float(s) for s in s_values]
     cache = _cache_for(mu, dedup=True)
-    cached = cache.sig_cache.get(n)
-    if cached is not None:
-        logsig, logw = cached
-        return np.array(
-            [_stats_to_log(_sum_stats(_kernel_logs(logsig, logw, kind, s, cache.d)))
-             for s in s_list]
+    chunks = cache.sig_cache.get(n, (tables or {}).get(n))
+    if chunks is None:
+        parts = cache.parts_for(n, clock)
+        units = _plan_units(cache, parts)
+        logw = cache.levels[parts[0]][2]
+        chunks = (
+            (cols, logw[r0:r1], shift)
+            for (cols, shift), (_, r0, r1)
+            in zip(_run_units(cache, parts, units, workers, clock), units)
         )
-    parts = cache.parts_for(n, clock)
-    units = _plan_units(cache, parts)
-    if len(parts) == 1 and 0 < cache.rows(n) <= _SIG_CACHE_ROWS:
-        mats, exps, logw = cache.levels[n]
-        logsig = _log_sigmas(mats, cache.d) + (exps * LN2)[:, None]
-        cache.sig_cache[n] = (logsig, logw)
-        return np.array(
-            [_stats_to_log(_sum_stats(_kernel_logs(logsig, logw, kind, s, cache.d)))
-             for s in s_list]
-        )
+        store = tables
+        if len(parts) == 1 and 0 < cache.rows(n) <= _SIG_CACHE_ROWS:
+            store = cache.sig_cache
+        if store is not None:
+            chunks = store[n] = list(chunks)
     acc = [(-math.inf, 0.0)] * len(s_list)
-    state = (cache, parts, units, kind, s_list)
-    for res in _run_units(
-        units, lambda u: _eval_sum_unit(cache, parts, u, kind, s_list),
-        _sum_worker, state, workers, clock,
-    ):
-        acc = [_merge_stats(a, r) for a, r in zip(acc, res)]
+    for chunk in chunks:
+        clock.check()
+        stats = _chunk_stats(chunk, kind, s_list, cache.d)
+        acc = [_merge_stats(a, r) for a, r in zip(acc, stats)]
     return np.array([_stats_to_log(a) for a in acc])
 
 
@@ -432,12 +456,9 @@ def max_norm_word(ms, n, budget, clock=None, workers=1):
     units = _plan_units(cache, parts)
     best = -math.inf
     best_at = None
-    state = (cache, parts, units)
-    for pos, res in enumerate(
-        _run_units(units, lambda u: _eval_max_unit(cache, parts, u),
-                   _max_worker, state, workers, clock)
-    ):
-        val, local = res
+    for pos, (cols, _) in enumerate(_run_units(cache, parts, units, workers, clock)):
+        local = int(np.argmax(cols[0]))
+        val = float(cols[0, local])
         if val > best:
             best = val
             best_at = (pos, local)

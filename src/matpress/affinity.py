@@ -65,7 +65,10 @@ class AffinityResult:
     arithmetic in the evaluated power sums); certified additionally means
     its width is at most the requested eps.  steps counts interval
     refinements (bisection halvings or probe-test fires), history the
-    interval after each completed refinement round.
+    interval after each completed refinement round.  words_evaluated sums
+    the nominal word count N^n of every power-sum pass at length n, passes
+    answered from a held log-sigma table included, so it does not fall
+    when a table saves the enumeration.
     """
 
     interval: tuple
@@ -187,8 +190,11 @@ def _lower_test_params(d, t, q_cap, dim_cap):
 class _PhiCache:
     """Shared phi^t power-sum evaluations keyed by (exponent, word length).
 
-    Batches all exponents needed at one length into a single enumeration
-    pass; nominal word counts accumulate per pass.
+    Batches all exponents needed at one length into one engine call.  The
+    engine keeps each length's log-sigma table in ``tables``, so the words
+    of a length are enumerated once per run however many rounds of probes
+    reach it; the tables are freed with this object when the run returns.
+    Nominal word counts accumulate per call, table hits included.
     """
 
     def __init__(self, mu, budget, clock, workers):
@@ -197,6 +203,7 @@ class _PhiCache:
         self.clock = clock
         self.workers = workers
         self.vals = {}
+        self.tables = {}
         self.words = 0
 
     def fetch(self, pairs):
@@ -208,7 +215,7 @@ class _PhiCache:
             ts = sorted(by_len[length])
             out = _engine.weighted_sums(
                 self.mu, length, "phi", ts, self.budget,
-                clock=self.clock, workers=self.workers,
+                clock=self.clock, workers=self.workers, tables=self.tables,
             )
             self.words += _engine.nominal_words(length, self.mu.n_atoms)
             for tf, v in zip(ts, out):

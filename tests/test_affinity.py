@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from matpress import _engine
 from matpress.affinity import (
     AffinityResult,
     affinity_dimension,
@@ -186,3 +187,41 @@ class TestAffinityDimension:
         res = AffinityResult((1.0, 2.0), "trisection", 3, "certified")
         assert res.width == 1.0
         assert res.midpoint == 1.5
+
+
+def test_each_length_is_enumerated_once_per_run(monkeypatch):
+    # the ROADMAP's planar triple; rounds of probes revisit lengths up to 10,
+    # and 3^10 rows pass the small-level cache, so length 10 needs the
+    # run's own table
+    mu = FiniteMatrixMeasure([
+        (1.0, np.array([[0.6, 0.2], [0.1, 0.4]])),
+        (1.0, np.array([[0.3, -0.2], [0.25, 0.5]])),
+        (1.0, np.array([[0.45, 0.0], [0.3, 0.2]])),
+    ])
+    built = []
+    real = _engine._unit_arrays
+
+    def spy(cache, parts, unit):
+        built.append((sum(parts), unit))
+        return real(cache, parts, unit)
+
+    monkeypatch.setattr(_engine, "_unit_arrays", spy)
+    res = affinity_dimension(mu, 0.05, budget=WordBudget(max_words=3**10))
+    assert len(built) == len(set(built))
+    assert max(n for n, _ in built) == 10
+    # bits of the run before the lengths' tables were kept
+    h = float.fromhex
+    assert res.status == "budget_exhausted" and res.steps == 14
+    assert res.interval == (h("0x1.55c8p-1"), h("0x1.64c0p+0"))
+    assert res.history == (
+        (0.0, 1.5),
+        (0.5, h("0x1.74p+0")),
+        (h("0x1.3dp-1"), h("0x1.64c0p+0")),
+        (h("0x1.55c8p-1"), h("0x1.64c0p+0")),
+        (h("0x1.55c8p-1"), h("0x1.64c0p+0")),
+    )
+    assert res.words_evaluated == 273138
+    # only small levels stay on the measure once the run returns
+    for cache in mu._engine_caches.values():
+        for chunks in cache.sig_cache.values():
+            assert sum(cols.shape[1] for cols, _, _ in chunks) <= _engine._SIG_CACHE_ROWS

@@ -1,10 +1,21 @@
+import math
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matpress._engine import LevelCache, RunClock, _dedup_rows, _normalize
+from matpress import FiniteMatrixMeasure, WordBudget
+from matpress._engine import (
+    LN2,
+    LevelCache,
+    RunClock,
+    _chunk_stats,
+    _dedup_rows,
+    _normalize,
+    _sigma_cols,
+    weighted_sums,
+)
 from matpress.errors import BudgetExhaustedError
 
 
@@ -153,3 +164,149 @@ def test_expired_clock_stops_level_building():
     with pytest.raises(BudgetExhaustedError):
         cache.ensure(10, CountdownClock(3))
     assert sorted(cache.levels) == [1, 2, 3, 4] and cache.top == 4
+
+
+def reference_log_sigmas(mats, d):
+    """Row-wise (rows, d) log singular values, the layout the columns replaced."""
+    m = len(mats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 1:
+            return np.log(np.abs(mats.reshape(m, 1)))
+        if d == 2:
+            a = mats[:, 0, 0]
+            b = mats[:, 0, 1]
+            c = mats[:, 1, 0]
+            e = mats[:, 1, 1]
+            t = a * a + b * b + c * c + e * e
+            det = a * e - b * c
+            disc = np.maximum(t * t - 4.0 * det * det, 0.0)
+            s1sq = 0.5 * (t + np.sqrt(disc))
+            out = np.empty((m, 2))
+            out[:, 0] = 0.5 * np.log(s1sq)
+            out[:, 1] = np.log(np.abs(det)) - out[:, 0]
+            zero = s1sq == 0.0
+            if np.any(zero):
+                out[zero, :] = -np.inf
+            return out
+        return np.log(np.linalg.svd(mats, compute_uv=False))
+
+
+def reference_kernel_logs(logsig, logw, kind, s, d):
+    """Per-row log kernel values from (rows, d) log singular values."""
+    if kind == "norm":
+        return logw + s * logsig[:, 0]
+    if s >= d:
+        return logw + (s / d) * np.sum(logsig, axis=1)
+    k = int(s)
+    vals = np.sum(logsig[:, :k], axis=1) if k else np.zeros(len(logw))
+    frac = s - k
+    if frac > 0.0:
+        vals = vals + frac * logsig[:, k]
+    return logw + vals
+
+
+def reference_sum_stats(vals):
+    if len(vals) == 0:
+        return (-math.inf, 0.0)
+    m = float(np.max(vals))
+    if m == -math.inf:
+        return (-math.inf, 0.0)
+    return (m, float(np.sum(np.exp(vals - m))))
+
+
+def same_floats(a, b):
+    return np.array_equal(np.asarray(a, float).view(np.int64), np.asarray(b, float).view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 9]),
+    st.sampled_from([0, 1, 7, 300]),
+    st.sampled_from(["random", "zero_rows", "signed_zeros"]),
+    st.one_of(st.none(), st.floats(-3.0, 3.0)),
+)
+def test_chunk_stats_match_row_reference(seed, d, m, kind, shift):
+    rng = np.random.default_rng(seed)
+    logsig = np.sort(rng.normal(-2.0, 3.0, (m, d)), axis=1)[:, ::-1].copy()
+    logw = rng.normal(0.0, 1.0, m)
+    if kind == "zero_rows":
+        logsig[rng.random(m) < 0.5] = -np.inf
+    elif kind == "signed_zeros":
+        # non-positive values, so rows holding -0.0 are often the maximum
+        logsig = -np.abs(logsig)
+        logsig[rng.random((m, d)) < 0.3] = -0.0
+        logw = -np.abs(logw)
+        logw[rng.random(m) < 0.3] = -0.0
+        if shift is not None:
+            shift = -0.0
+    cols = np.ascontiguousarray(logsig.T)
+    # below 1, integer, k + frac and at or above d
+    s_list = [0.3, 1.0, 1.0 + rng.random(), float(d), d + 0.5, 2.5 * d]
+    s_list += [k + 0.25 for k in range(d)] + [float(k) for k in range(2, d)]
+    full_logw = logw if shift is None else logw + shift
+    for kern in ("norm", "phi"):
+        got = _chunk_stats((cols, logw, shift), kern, s_list, d)
+        for s, stats in zip(s_list, got):
+            want = reference_sum_stats(reference_kernel_logs(logsig, full_logw, kern, s, d))
+            assert same_floats(stats, want), (kern, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4]), st.booleans())
+def test_sigma_cols_match_row_reference(seed, d, dyadic):
+    rng = np.random.default_rng(seed)
+    m = 200
+    mats = rng.uniform(-1.0, 1.0, (m, d, d))
+    if dyadic:
+        mats = np.round(mats * 2.0) / 2.0  # zero and singular products
+    exps = rng.integers(-40, 40, m)
+    want = reference_log_sigmas(mats, d) + (exps * LN2)[:, None]
+    got = _sigma_cols(mats, exps, d)
+    assert got.shape == (d, m) and got.flags.c_contiguous
+    assert same_floats(got, want.T)
+
+
+def planar_triple():
+    return FiniteMatrixMeasure([
+        (1.0, np.array([[0.6, 0.2], [0.1, 0.4]])),
+        (1.0, np.array([[0.3, -0.2], [0.25, 0.5]])),
+        (1.0, np.array([[0.45, 0.0], [0.3, 0.2]])),
+    ])
+
+
+def test_table_hits_keep_bits_and_budget_rules():
+    # 3^10 rows pass the small-level cache, so length 10 lands in the table
+    budget = WordBudget(max_words=3**10)
+    mu = planar_triple()
+    tables = {}
+    first = weighted_sums(mu, 10, "phi", [0.5, 1.25], budget, tables=tables)
+    assert sorted(tables) == [10]
+    hit = weighted_sums(mu, 10, "phi", [1.25, 1.7], budget, tables=tables)
+    fresh = weighted_sums(planar_triple(), 10, "phi", [1.25, 1.7], budget)
+    assert same_floats(hit, fresh) and hit[0] == first[1]
+
+    clock = RunClock(600.0)
+    clock.deadline = time.monotonic() - 1.0
+    with pytest.raises(BudgetExhaustedError) as err:
+        weighted_sums(mu, 10, "phi", [1.5], budget, clock=clock, tables=tables)
+    assert err.value.reason == "wall_clock"
+    with pytest.raises(BudgetExhaustedError) as err:
+        weighted_sums(mu, 10, "phi", [1.5], WordBudget(max_words=3**9), tables=tables)
+    assert err.value.reason == "max_words"
+
+
+def test_pool_builds_the_serial_table(pool_sizes):
+    # three 3x3 atoms at n=12: level 11 times each atom, three units
+    rng = np.random.default_rng(20260817)
+    mu = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)])
+    budget = WordBudget()
+    serial, pooled = {}, {}
+    a = weighted_sums(mu, 12, "phi", [1.3], budget, tables=serial)
+    assert pool_sizes == []
+    b = weighted_sums(mu, 12, "phi", [1.3], budget, workers=3, tables=pooled)
+    assert pool_sizes == [3]
+    assert same_floats(a, b)
+    assert len(serial[12]) == len(pooled[12]) == 3
+    for (sc, sw, ss), (pc, pw, ps) in zip(serial[12], pooled[12]):
+        assert same_floats(sc, pc) and same_floats(sw, pw) and ss == ps
