@@ -125,21 +125,21 @@ def _spectral_floor(mats, cap):
     Depth is additionally capped at log2(cap) so one-matrix alphabets
     terminate; non-finite products (overflow in a long power) are skipped.
     """
-    n_atoms = len(mats)
-    d = mats[0].shape[0]
+    atoms = np.stack(mats)
+    n_atoms, d = atoms.shape[:2]
     best = 0.0
-    prods = [np.eye(d)]
+    prods = np.eye(d)[None]
     length = 0
     depth_cap = max(1, int(math.log2(cap))) if cap >= 1 else 0
     while length < depth_cap and n_atoms ** (length + 1) <= cap:
         length += 1
-        prods = [p @ m for p in prods for m in mats]
-        for prod in prods:
-            if not np.all(np.isfinite(prod)):
-                continue
-            rho = float(np.max(np.abs(np.linalg.eigvals(prod))))
-            if rho > 0.0:
-                best = max(best, rho ** (1.0 / length))
+        prods = np.matmul(prods[:, None], atoms[None]).reshape(-1, d, d)
+        finite = prods[np.all(np.isfinite(prods), axis=(1, 2))]
+        if len(finite) == 0:
+            continue
+        rho = float(np.max(np.abs(np.linalg.eigvals(finite))))
+        if rho > 0.0:
+            best = max(best, rho ** (1.0 / length))
     return best
 
 

@@ -1,17 +1,19 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matpress import FiniteMatrixMeasure, WordBudget
+from matpress import FiniteMatrixMeasure, WordBudget, _engine
 from matpress._engine import (
     LN2,
     LevelCache,
     RunClock,
     _chunk_stats,
     _dedup_rows,
+    _jacobi_sigmas,
     _normalize,
     _sigma_cols,
     weighted_sums,
@@ -139,6 +141,23 @@ def test_planar_levels_match_einsum_build(seed, n_atoms, dyadic, dedup):
         assert_same_rows(cache.levels[m], want[m], signed_zeros=dyadic)
 
 
+def test_level_build_peak_memory():
+    # a 2^16-row 2x2 level is 2 MiB of products; normalised in place and not
+    # filtered (no zero rows), the build peaks at 8.7 MiB, against 13.6 MiB
+    # with a normalised copy and a filtered copy of the level
+    mats = np.random.default_rng(20260817).uniform(-0.9, 0.9, (2, 2, 2))
+    cache = LevelCache([1.0, 1.0], mats, True)
+    cache.ensure(15)
+    tracemalloc.start()
+    try:
+        cache.ensure(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache.rows(16) == 2**16
+    assert peak < 11 * 2**20
+
+
 class CountdownClock:
     """Stands in for RunClock: the check after ``ticks`` passes raises."""
 
@@ -261,10 +280,129 @@ def test_sigma_cols_match_row_reference(seed, d, dyadic):
     if dyadic:
         mats = np.round(mats * 2.0) / 2.0  # zero and singular products
     exps = rng.integers(-40, 40, m)
-    want = reference_log_sigmas(mats, d) + (exps * LN2)[:, None]
     got = _sigma_cols(mats, exps, d)
     assert got.shape == (d, m) and got.flags.c_contiguous
+    if d == 3:
+        # Jacobi singular values: within the bound of the exact ones, not
+        # LAPACK's bits
+        sig = _jacobi_sigmas(mats)
+        assert_within_jacobi_bound(sig[:, :16], exact_sigmas(mats[:16]))
+        with np.errstate(divide="ignore"):
+            want = np.log(sig.T) + (exps * LN2)[:, None]
+    else:
+        want = reference_log_sigmas(mats, d) + (exps * LN2)[:, None]
     assert same_floats(got, want.T)
+
+
+U = 2.0 ** -53  # unit roundoff of float64
+
+
+def exact_sigmas(mats):
+    """(3, rows) singular values from a 50-digit SVD, rounded to float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        rows = [
+            sorted(
+                (float(v) for v in mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)),
+                reverse=True,
+            )
+            for a in mats
+        ]
+    return np.array(rows).reshape(-1, 3).T
+
+
+def assert_within_jacobi_bound(sig, exact):
+    err = np.abs(sig - exact)
+    assert np.all(err <= 16.0 * U * exact[0]), np.max(err / (U * exact[0]))
+
+
+def random_orthogonal(rng, m):
+    q, _ = np.linalg.qr(rng.standard_normal((m, 3, 3)))
+    return q
+
+
+def draw_3x3(seed, kind, m):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, (m, 3, 3))
+    if kind == "dominated":
+        # products of up to eight atoms diag(1, .05, .01) U, stored as the
+        # engine stores them (max |entry| in [0.5, 1))
+        out = np.empty((m, 3, 3))
+        for r in range(m):
+            prod = np.eye(3)
+            for _ in range(rng.integers(1, 9)):
+                prod = prod @ (np.diag([1.0, 0.05, 0.01]) @ rng.uniform(-1.0, 1.0, (3, 3)))
+            out[r] = prod
+        return _normalize(out)[0]
+    if kind == "near_degenerate":
+        # top pair 0.9, 0.9 (1 - delta) with delta down to exactly 0
+        delta = np.where(rng.random(m) < 0.3, 0.0, 10.0 ** -rng.uniform(0.0, 16.0, m))
+        diag = np.zeros((m, 3, 3))
+        diag[:, 0, 0] = 0.9
+        diag[:, 1, 1] = 0.9 * (1.0 - delta)
+        diag[:, 2, 2] = 0.9 * rng.uniform(-1.0, 1.0, m)
+        return random_orthogonal(rng, m) @ diag @ random_orthogonal(rng, m)
+    if kind in ("rank1", "rank2"):
+        r = int(kind[-1])
+        return rng.uniform(-1.0, 1.0, (m, 3, r)) @ rng.uniform(-1.0, 1.0, (m, r, 3))
+    if kind == "zeros":
+        # zero rows, zero columns and all-zero matrices
+        mats = rng.uniform(-1.0, 1.0, (m, 3, 3))
+        mats[rng.random((m, 3)) < 0.3] = 0.0
+        mats.transpose(0, 2, 1)[rng.random((m, 3)) < 0.3] = 0.0
+        mats[rng.random(m) < 0.2] = 0.0
+        return mats
+    if kind == "orthogonal":
+        return random_orthogonal(rng, m) * rng.uniform(0.1, 4.0, (m, 1, 1))
+    # signed zeros among random entries
+    mats = rng.uniform(-1.0, 1.0, (m, 3, 3))
+    zero = rng.random((m, 3, 3)) < 0.4
+    mats[zero] = np.where(rng.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([
+        "random", "dominated", "near_degenerate", "rank1", "rank2", "zeros",
+        "orthogonal", "signed_zeros",
+    ]),
+)
+def test_jacobi_sigmas_match_exact_svd(seed, kind):
+    m = 16
+    mats = draw_3x3(seed, kind, m)
+    sig = _jacobi_sigmas(mats)
+    assert_within_jacobi_bound(sig, exact_sigmas(mats))
+
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(-40, 40, m)
+    cols = _sigma_cols(mats, exps, 3)
+    assert not np.any(np.isnan(cols))
+    assert np.all(cols[:-1] >= cols[1:])
+    assert np.array_equal(cols == -np.inf, sig == 0.0)
+
+    # each row alone, and at random places in a 10,000-row batch that spans
+    # several Jacobi blocks: the same bits
+    batch = rng.uniform(-1.0, 1.0, (10_000, 3, 3))
+    batch_exps = rng.integers(-40, 40, 10_000)
+    at = rng.choice(10_000, m, replace=False)
+    batch[at], batch_exps[at] = mats, exps
+    in_batch = _sigma_cols(batch, batch_exps, 3)[:, at]
+    alone = np.concatenate(
+        [_sigma_cols(mats[r:r + 1], exps[r:r + 1], 3) for r in range(m)], axis=1
+    )
+    assert same_floats(alone, in_batch) and same_floats(alone, cols)
+
+
+def test_jacobi_sweep_cap_falls_back_to_lapack(monkeypatch):
+    mats = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3, 3))
+    lapack = np.linalg.svd(mats, compute_uv=False).T
+    assert not same_floats(_jacobi_sigmas(mats), lapack)
+    # every random row still rotates after one sweep
+    monkeypatch.setattr(_engine, "_JACOBI_SWEEPS", 1)
+    assert same_floats(_jacobi_sigmas(mats), lapack)
 
 
 def planar_triple():

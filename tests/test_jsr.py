@@ -8,6 +8,7 @@ from matpress.errors import InvalidInputError
 from matpress.jsr import (
     MatrixSet,
     ScanPoint,
+    _spectral_floor,
     jsr_bracket,
     jsr_lower_bochi,
     jsr_upper,
@@ -104,6 +105,51 @@ class TestLowerBochi:
                 lo = jsr_lower_bochi(mats, n)
                 for m in (1, 2, 3):
                     assert lo <= jsr_upper(mats, m)[0] + 1e-9
+
+
+def reference_spectral_floor(mats, cap):
+    """The spectral floor word by word, one eigvals call per product."""
+    n_atoms = len(mats)
+    d = mats[0].shape[0]
+    best = 0.0
+    prods = [np.eye(d)]
+    length = 0
+    depth_cap = max(1, int(math.log2(cap))) if cap >= 1 else 0
+    while length < depth_cap and n_atoms ** (length + 1) <= cap:
+        length += 1
+        prods = [p @ m for p in prods for m in mats]
+        for prod in prods:
+            if not np.all(np.isfinite(prod)):
+                continue
+            rho = float(np.max(np.abs(np.linalg.eigvals(prod))))
+            if rho > 0.0:
+                best = max(best, rho ** (1.0 / length))
+    return best
+
+
+class TestSpectralFloor:
+    @pytest.mark.parametrize(
+        "mats",
+        [
+            list(np.random.default_rng(7).standard_normal((2, 3, 3))),
+            list(np.random.default_rng(11).uniform(-1.0, 1.0, (3, 3, 3))),
+            [np.array([[0.0, 1.0], [0.5, 0.0]])],
+            [np.zeros((3, 3)), np.zeros((3, 3))],
+            [np.zeros((2, 2)), np.array([[0.6, 0.2], [0.1, 0.4]])],
+            # long powers overflow to inf, and inf * 0 to nan
+            [np.array([[1e120, 1e120], [0.0, 1e120]]), np.diag([1e-3, 0.0])],
+            [NILPOTENT],
+        ],
+        ids=["w4", "uniform3", "one_atom", "zero", "zero_and_planar", "overflow",
+             "nilpotent"],
+    )
+    @pytest.mark.parametrize("cap", [1, 64, 4096])
+    def test_batched_floor_matches_per_word_loop(self, mats, cap):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _spectral_floor(mats, cap)
+            want = reference_spectral_floor(mats, cap)
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
 
 class TestBracket:
