@@ -35,6 +35,9 @@ slice, block or worker it is evaluated in.  Each sigma_j is within a small
 multiple of u * sigma_1 of the exact value (Jacobi within 16 u sigma_1, as
 tested against a 50-digit SVD): absolute accuracy, so the small singular
 values of ill-conditioned products carry only that many correct digits.
+Jacobi rows with a singular value below about 2^-106 sigma_1, or a column
+cancelled to zero, take LAPACK's values, which stay relatively accurate on
+diagonal and triangular products.
 """
 
 import math
@@ -226,10 +229,13 @@ _JACOBI_SWEEPS = 10
 # compared squared, so no square root is taken
 _JACOBI_TOL2 = (8.0 * np.finfo(np.float64).eps) ** 2
 # and a column at most 2^-106 times as long as its partner is not rotated:
-# dropping it moves no singular value by more than u^2 sigma_1, and in a
-# rank-deficient row its rotations would only shuffle rounding noise for a
-# dozen more sweeps
+# in a rank-deficient row its rotations would only shuffle rounding noise
+# for a dozen more sweeps
 _NEGLIGIBLE2 = 2.0 ** -212
+# squared column norms of at least 2^-400 keep every square, product and
+# comparison of a sweep far from underflow (the engine's products, with
+# entries below 3 in magnitude, never come near overflow)
+_NRM2_LO = 2.0 ** -400
 
 
 def _jacobi_sigmas(mats):
@@ -241,20 +247,31 @@ def _jacobi_sigmas(mats):
     A row's rotations depend on its own entries only -- a row that needs no
     rotation is multiplied by the identity -- and a sweep that rotates
     nothing leaves it unchanged, so its bits do not depend on the other rows.
-    Rows still rotating after _JACOBI_SWEEPS sweeps take LAPACK's values.
+    The column norms are the singular values only once the columns are
+    pairwise orthogonal.  A row takes LAPACK's values instead when, after
+    the last sweep, a pair is still not orthogonal (the row still rotates at
+    _JACOBI_SWEEPS sweeps, or it kept a negligible column that is not
+    orthogonal to its partner, as a rank-deficient or strongly graded row
+    does), or a column that is nonzero in the input ends with a squared norm
+    below _NRM2_LO.  In the engine, whose products have max |entry| near 1,
+    that is a row with some sigma_j below about 2^-106 sigma_1 or cancelled
+    to exactly zero: there LAPACK keeps the relative accuracy of triangular
+    and diagonal products, and the only zeros Jacobi itself returns are the
+    norms of zero input columns.
     """
     m = len(mats)
     x = mats.transpose(2, 1, 0).copy()  # x[j, k]: entry k of column j
     nrm = np.add.reduce(x * x, axis=1)
-    moved = np.ones(m, dtype=bool)
     for _ in range(_JACOBI_SWEEPS):
         moved = np.zeros(m, dtype=bool)
+        skew = np.zeros(m, dtype=bool)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             xi, xj = x[i], x[j]
             ni, nj = nrm[i], nrm[j]
             g = np.add.reduce(xi * xj, axis=0)
-            rot = g * g > (_JACOBI_TOL2 * ni) * nj
-            rot &= np.minimum(ni, nj) > _NEGLIGIBLE2 * np.maximum(ni, nj)
+            pair_skew = g * g > (_JACOBI_TOL2 * ni) * nj
+            skew |= pair_skew
+            rot = pair_skew & (np.minimum(ni, nj) > _NEGLIGIBLE2 * np.maximum(ni, nj))
             if not rot.any():
                 continue
             moved |= rot
@@ -274,7 +291,18 @@ def _jacobi_sigmas(mats):
             nrm[j] = np.add.reduce(xj * xj, axis=0)
         if not moved.any():
             break
+    # a pair rotated in the last sweep counts as skew, and a row that did not
+    # rotate in it has its final columns, so skew now flags every row whose
+    # final columns are not certified orthogonal
+    small = nrm < _NRM2_LO
+    if small.any():
+        # a zero input column stays zero and is exact; any other column this
+        # small may have been squared or cancelled into zero
+        small &= np.any(mats != 0.0, axis=1).T
+        skew |= np.any(small, axis=0)
     sig = np.sqrt(nrm)
+    # a sorting network: np.sort along the short axis costs about 0.07 us a
+    # row, a tenth of the sweeps
     lo = np.minimum(sig[0], sig[1])
     hi = np.maximum(sig[0], sig[1])
     mid = np.minimum(hi, sig[2])
@@ -282,8 +310,8 @@ def _jacobi_sigmas(mats):
     np.maximum(hi, sig[2], out=out[0])
     np.maximum(lo, mid, out=out[1])
     np.minimum(lo, mid, out=out[2])
-    if moved.any():
-        out[:, moved] = np.linalg.svd(mats[moved], compute_uv=False).T
+    if skew.any():
+        out[:, skew] = np.linalg.svd(mats[skew], compute_uv=False).T
     return out
 
 

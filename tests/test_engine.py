@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,10 +298,10 @@ def test_sigma_cols_match_row_reference(seed, d, dyadic):
 U = 2.0 ** -53  # unit roundoff of float64
 
 
-def exact_sigmas(mats):
-    """(3, rows) singular values from a 50-digit SVD, rounded to float."""
+def exact_sigmas(mats, digits=50):
+    """(3, rows) singular values from a ``digits``-digit SVD, rounded to float."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
+    with mpmath.workdps(digits):
         rows = [
             sorted(
                 (float(v) for v in mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)),
@@ -314,6 +315,23 @@ def exact_sigmas(mats):
 def assert_within_jacobi_bound(sig, exact):
     err = np.abs(sig - exact)
     assert np.all(err <= 16.0 * U * exact[0]), np.max(err / (U * exact[0]))
+
+
+def exact_rank(a):
+    """Rank of a 3x3 float matrix in exact rational arithmetic."""
+    f = [[Fraction(float(v)) for v in row] for row in a]
+    minors = [
+        f[i][k] * f[j][l] - f[i][l] * f[j][k]
+        for i, j in ((0, 1), (0, 2), (1, 2))
+        for k, l in ((0, 1), (0, 2), (1, 2))
+    ]
+    # minors[8 - k]: rows 1 and 2 without column k
+    det = sum((-1) ** k * f[0][k] * minors[8 - k] for k in range(3))
+    if det != 0:
+        return 3
+    if any(minors):
+        return 2
+    return int(any(v != 0 for row in f for v in row))
 
 
 def random_orthogonal(rng, m):
@@ -382,6 +400,9 @@ def test_jacobi_sigmas_match_exact_svd(seed, kind):
     assert not np.any(np.isnan(cols))
     assert np.all(cols[:-1] >= cols[1:])
     assert np.array_equal(cols == -np.inf, sig == 0.0)
+    # a singular value of a matrix of exact rank r > j is never taken as zero
+    for r in range(m):
+        assert np.all(sig[:exact_rank(mats[r]), r] > 0.0)
 
     # each row alone, and at random places in a 10,000-row batch that spans
     # several Jacobi blocks: the same bits
@@ -403,6 +424,38 @@ def test_jacobi_sweep_cap_falls_back_to_lapack(monkeypatch):
     # every random row still rotates after one sweep
     monkeypatch.setattr(_engine, "_JACOBI_SWEEPS", 1)
     assert same_floats(_jacobi_sigmas(mats), lapack)
+
+
+def graded_3x3():
+    """Rows whose smallest singular value is 2^-100 to 2^-600 of the largest."""
+    tri = np.array([[1.0, 0.5, 0.3], [0.0, 0.5, 0.2], [0.0, 0.0, 1e-9]])
+    mats = np.array([
+        np.diag([1.0, 1.0, 2.0 ** -600]),
+        [[1.0, 0.5, 0.3], [0.0, 1.0, 0.2], [0.0, 0.0, 2.0 ** -600]],
+        [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.3, 0.2, 2.0 ** -600]],
+        [[1.0, 0.5, 0.3], [0.0, 1.0, 0.2], [0.0, 0.0, 2.0 ** -100]],
+        np.linalg.matrix_power(tri, 18),
+        np.linalg.matrix_power(np.diag([1.0, 0.5, 1e-9]), 18),
+    ])
+    return _normalize(mats)[0]
+
+
+def test_jacobi_sigmas_relative_on_graded_rows():
+    # squared, the smallest column norms of these rows underflow or fall far
+    # below the rounding noise of the largest: each singular value must still
+    # come out to a few units of its own size, as LAPACK gives it
+    mats = graded_3x3()
+    sig = _jacobi_sigmas(mats)
+    exact = exact_sigmas(mats, digits=400)
+    assert np.all(np.abs(sig - exact) <= 16.0 * U * exact), np.max(np.abs(sig / exact - 1.0) / U)
+
+    rng = np.random.default_rng(11)
+    batch = rng.uniform(-1.0, 1.0, (5000, 3, 3))
+    at = rng.choice(5000, len(mats), replace=False)
+    batch[at] = mats
+    assert same_floats(_jacobi_sigmas(batch)[:, at], sig)
+    exps = np.zeros(len(mats), dtype=np.int64)
+    assert np.all(np.isfinite(_sigma_cols(mats, exps, 3)))
 
 
 def planar_triple():

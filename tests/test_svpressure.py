@@ -276,6 +276,15 @@ class TestBracketDispatch:
         res = bracket(FiniteMatrixMeasure([(1.0, shift)]), Fraction(3, 2), 0.5)
         assert res.status == "minus_infinity"
 
+    @pytest.mark.parametrize("s", [Fraction(5, 2), 2.5])
+    def test_lift_graded_atom_is_not_minus_infinity(self, s):
+        # every word up to length 3 has sigma_3 >= 1e-300 > 0, so neither the
+        # lift route nor the irrational route may call the pressure -inf
+        mu = FiniteMatrixMeasure([(1.0, np.diag([1.0, 1.0, 1e-100]))])
+        res = bracket(mu, s, 1e-3, budget=WordBudget(max_word_length=3))
+        assert res.status != "minus_infinity"
+        assert contains_to_rounding(res, 0.5 * math.log(1e-100))
+
     def test_irrational_exponent_certifies_with_near_rational(self):
         s = 1.5 + 1e-4
         res = bracket(SCALAR_3D, s, 1.5)
