@@ -2,8 +2,11 @@
 
 Words of length n over N atoms are enumerated as concatenations of subwords
 whose lengths form a fixed composition of n.  The products for each subword
-length m (a "level") are materialized once per measure and cached; a full
-evaluation then batches one level against the combinations of the others.
+length m (a "level") are materialized once per measure and cached, up to
+2^15 rows a level (fewer for large d); a longer length is evaluated as the
+largest cached level times each combination of suffix rows, one batched
+product each, and those products are never normalized, deduplicated or
+stored.
 
 Two representation choices keep this exact and fast:
 
@@ -17,12 +20,12 @@ Two representation choices keep this exact and fast:
   parts -- to a handful of rows.  Budgets still meter the *nominal* word
   count N^n.
 
-Evaluation splits into units (one suffix combination, or a row slice of the
-single batch).  Each unit produces a log-sigma table chunk: the scaled log
-singular values of its products as contiguous (d, rows) columns, plus its
-log-weights.  One reduction turns a chunk into partial statistics for every
-exponent, and the partials are merged sequentially in a fixed unit order, so
-results are bit-identical for every worker count.  A caller that passes
+Evaluation splits into units, one per suffix combination.  Each unit
+produces a log-sigma table chunk: the scaled log singular values of its
+products as contiguous (d, rows) columns, plus its log-weights.  One
+reduction turns a chunk into partial statistics for every exponent, and the
+partials are merged sequentially in a fixed unit order, so results are
+bit-identical for every worker count.  A caller that passes
 ``tables`` keeps the chunks of each length it evaluates and can reduce them
 again at other exponents without enumerating the words a second time.
 
@@ -31,13 +34,14 @@ closed form (sigma_1 from trace and determinant of the Gram matrix, sigma_2
 = |det| / sigma_1), d=3 a batched one-sided Jacobi iteration, and d >= 4 --
 such as the 9x9 products of measure.lifted_measure -- LAPACK's SVD.  Every
 route computes each row on its own, so a row's bits do not depend on the
-slice, block or worker it is evaluated in.  Each sigma_j is within a small
-multiple of u * sigma_1 of the exact value (Jacobi within 16 u sigma_1, as
-tested against a 50-digit SVD): absolute accuracy, so the small singular
-values of ill-conditioned products carry only that many correct digits.
-Jacobi rows with a singular value below about 2^-106 sigma_1, or a column
-cancelled to zero, take LAPACK's values, which stay relatively accurate on
-diagonal and triangular products.
+batch, block or worker it is evaluated in; 2x2 rows too small to square
+without underflow are rescaled by a power of two first.  Each sigma_j is
+within a small multiple of u * sigma_1 of the exact value (Jacobi within
+16 u sigma_1, as tested against a 50-digit SVD): absolute accuracy, so the
+small singular values of ill-conditioned products carry only that many
+correct digits.  Jacobi rows with a singular value below about 2^-106
+sigma_1, or a column cancelled to zero, take LAPACK's values, which stay
+relatively accurate on diagonal and triangular products.
 """
 
 import math
@@ -50,13 +54,13 @@ from .errors import BudgetExhaustedError
 
 LN2 = math.log(2.0)
 
-_SIG_CACHE_ROWS = 1 << 15
-_SLICE_ROWS = 1 << 16
+_LEVEL_ROWS = 1 << 15
 
 
 def _row_cap(d):
-    # ~32MB of float64 per materialized level at the cap
-    return max(256, (1 << 22) // (d * d))
+    # _LEVEL_ROWS rows, or fewer for large d so that a level stays under
+    # ~32MB of float64; longer words are evaluated as level x suffix units
+    return max(256, min(_LEVEL_ROWS, (1 << 22) // (d * d)))
 
 
 class RunClock:
@@ -253,11 +257,15 @@ def _jacobi_sigmas(mats):
     _JACOBI_SWEEPS sweeps, or it kept a negligible column that is not
     orthogonal to its partner, as a rank-deficient or strongly graded row
     does), or a column that is nonzero in the input ends with a squared norm
-    below _NRM2_LO.  In the engine, whose products have max |entry| near 1,
-    that is a row with some sigma_j below about 2^-106 sigma_1 or cancelled
-    to exactly zero: there LAPACK keeps the relative accuracy of triangular
-    and diagonal products, and the only zeros Jacobi itself returns are the
-    norms of zero input columns.
+    below _NRM2_LO.  For a row with max |entry| near 1 (every level row is
+    normalised to [0.5, 1)) that is a row with some sigma_j below about
+    2^-106 sigma_1 or cancelled to exactly zero: there LAPACK keeps the
+    relative accuracy of triangular and diagonal products, and the only
+    zeros Jacobi itself returns are the norms of zero input columns.  Unit
+    products (a level row times a suffix, not normalised) have entries below
+    3 but may have every entry far below 1 when the factors nearly cancel;
+    once a nonzero column of such a row falls under _NRM2_LO the row takes
+    LAPACK's values, which LAPACK computes after rescaling the matrix.
     """
     m = len(mats)
     x = mats.transpose(2, 1, 0).copy()  # x[j, k]: entry k of column j
@@ -315,6 +323,11 @@ def _jacobi_sigmas(mats):
     return out
 
 
+# the closed 2x2 form squares t, the sum of squared entries: from here down
+# t*t and det*det lose bits to underflow
+_GRAM_LO = 2.0 ** -500
+
+
 def _sigma_cols(mats, exps, d):
     """Log singular values plus the power-of-two scale, as (d, rows) columns.
 
@@ -343,9 +356,14 @@ def _sigma_cols(mats, exps, d):
             # the quotient rather than the cancellation-prone quadratic root
             np.log(np.abs(det, out=det), out=cols[1])
             cols[1] -= cols[0]
-            zero = s1sq == 0.0
-            if np.any(zero):
-                cols[:, zero] = -np.inf
+            # unit products are not normalised, so a row can be this small:
+            # a zero row is -inf, any other is exact again once rescaled by a
+            # power of two
+            tiny = np.flatnonzero(t < _GRAM_LO)
+            if len(tiny):
+                sub, e, nonzero = _normalize(mats[tiny])
+                cols[:, tiny] = -np.inf
+                cols[:, tiny[nonzero]] = _sigma_cols(sub[nonzero], e[nonzero], 2)
         elif d == 3:
             cols = np.empty((3, m))
             for a in range(0, m, _JACOBI_ROWS):
@@ -432,16 +450,15 @@ def _stats_to_log(stats):
     return m + math.log(s)
 
 
-def _unit_arrays(cache, parts, unit):
+def _unit_arrays(cache, parts, combo):
     """(log-sigma columns, log-weight shift) of one evaluation unit.
 
-    The unit's log-weights are the batch level's rows r0:r1 plus ``shift``,
-    the suffix combination's summed log-weight (None without a suffix).
-    Products are formed _SLICE_ROWS rows at a time, which bounds the memory
-    they hold and leaves every row's bits unchanged.
+    A unit is the batch level times one suffix combination, one row index
+    per later part.  Its products are not normalised; its log-weights are
+    the batch level's plus ``shift``, the suffix's summed log-weight (None
+    without a suffix).
     """
-    combo, r0, r1 = unit
-    bm, be, _ = cache.levels[parts[0]]
+    mats, exps, _ = cache.levels[parts[0]]
     sfx = None
     se = 0
     slw = 0.0
@@ -458,29 +475,16 @@ def _unit_arrays(cache, parts, unit):
                 _, ee = np.frexp(top)
                 sfx = np.ldexp(sfx, -int(ee))
                 se += int(ee)
-    cols = np.empty((cache.d, r1 - r0))
-    for a in range(r0, r1, _SLICE_ROWS):
-        b = min(a + _SLICE_ROWS, r1)
-        mats, exps = bm[a:b], be[a:b]
-        if sfx is not None:
-            mats, exps = mats @ sfx, exps + se
-        cols[:, a - r0:b - r0] = _sigma_cols(mats, exps, cache.d)
-    return cols, (slw if combo else None)
+    if sfx is None:
+        return _sigma_cols(mats, exps, cache.d), None
+    return _sigma_cols(mats @ sfx, exps + se, cache.d), slw
 
 
 def _plan_units(cache, parts):
-    sizes = [cache.rows(p) for p in parts[1:]]
-    batch_rows = cache.rows(parts[0])
-    if batch_rows == 0 or any(sz == 0 for sz in sizes):
+    sizes = [cache.rows(p) for p in parts]
+    if 0 in sizes:
         return []
-    combos = list(np.ndindex(*sizes)) if sizes else [()]
-    if len(combos) == 1:
-        c0 = combos[0]
-        return [
-            (c0, start, min(start + _SLICE_ROWS, batch_rows))
-            for start in range(0, batch_rows, _SLICE_ROWS)
-        ]
-    return [(c, 0, batch_rows) for c in combos]
+    return list(np.ndindex(*sizes[1:]))
 
 
 # Fork-inherited state for worker processes; only the parent mutates it, and
@@ -533,16 +537,10 @@ def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=N
     chunks = cache.sig_cache.get(n, (tables or {}).get(n))
     if chunks is None:
         parts = cache.parts_for(n, clock)
-        units = _plan_units(cache, parts)
+        arrays = _run_units(cache, parts, _plan_units(cache, parts), workers, clock)
         logw = cache.levels[parts[0]][2]
-        chunks = (
-            (cols, logw[r0:r1], shift)
-            for (cols, shift), (_, r0, r1)
-            in zip(_run_units(cache, parts, units, workers, clock), units)
-        )
-        store = tables
-        if len(parts) == 1 and 0 < cache.rows(n) <= _SIG_CACHE_ROWS:
-            store = cache.sig_cache
+        chunks = ((cols, logw, shift) for cols, shift in arrays)
+        store = cache.sig_cache if len(parts) == 1 else tables
         if store is not None:
             chunks = store[n] = list(chunks)
     acc = [(-math.inf, 0.0)] * len(s_list)
@@ -585,9 +583,8 @@ def max_norm_word(ms, n, budget, clock=None, workers=1):
             best_at = (pos, local)
     if best_at is None or best == -math.inf:
         return -math.inf, None
-    combo, r0, _ = units[best_at[0]]
     base = ms.n_atoms
-    word = _digits(r0 + best_at[1], parts[0], base)
-    for part, idx in zip(parts[1:], combo):
+    word = _digits(best_at[1], parts[0], base)
+    for part, idx in zip(parts[1:], units[best_at[0]]):
         word = word + _digits(idx, part, base)
     return best, word

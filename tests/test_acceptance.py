@@ -256,8 +256,9 @@ def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes):
 
     # The runs above never pass the engine's row cap, so they stay serial.
     # Three 3x3 atoms do at n=12: the bracket needs that sum for its lower
-    # bound at n=4 (width 1.96; 2.60 at n=3), the sum is split into three
-    # units, and --workers 4 runs them in a pool of three processes.
+    # bound at n=4 (width 1.96; 2.60 at n=3), the sum is split into 27
+    # units (level 9 times each length-3 suffix), and --workers 4 runs them
+    # in a pool of four processes.
     rng = np.random.default_rng(14)
     dense = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)])
     dense_doc = tmp_path / "dense.json"
@@ -268,6 +269,6 @@ def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes):
              "--workers", w, "--format", "json"])
         for w in ("1", "4")
     ]
-    assert pool_sizes == [3]
+    assert pool_sizes == [4]
     assert per_workers[0]["bracket"] == per_workers[1]["bracket"]
     _pass(14, "workers 1 and 4 agree on every endpoint")

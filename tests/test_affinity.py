@@ -224,4 +224,4 @@ def test_each_length_is_enumerated_once_per_run(monkeypatch):
     # only small levels stay on the measure once the run returns
     for cache in mu._engine_caches.values():
         for chunks in cache.sig_cache.values():
-            assert sum(cols.shape[1] for cols, _, _ in chunks) <= _engine._SIG_CACHE_ROWS
+            assert sum(cols.shape[1] for cols, _, _ in chunks) <= _engine._LEVEL_ROWS

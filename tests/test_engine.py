@@ -143,20 +143,39 @@ def test_planar_levels_match_einsum_build(seed, n_atoms, dyadic, dedup):
 
 
 def test_level_build_peak_memory():
-    # a 2^16-row 2x2 level is 2 MiB of products; normalised in place and not
-    # filtered (no zero rows), the build peaks at 8.7 MiB, against 13.6 MiB
-    # with a normalised copy and a filtered copy of the level
+    # the largest 2x2 level the row cap allows, 2^15 rows, is 1 MiB of
+    # products; normalised in place and not filtered (no zero rows), the
+    # build peaks at 4.35 MiB, against 6.8 MiB with a normalised copy and a
+    # filtered copy of the level
     mats = np.random.default_rng(20260817).uniform(-0.9, 0.9, (2, 2, 2))
     cache = LevelCache([1.0, 1.0], mats, True)
-    cache.ensure(15)
+    cache.ensure(14)
     tracemalloc.start()
     try:
         cache.ensure(16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cache.rows(16) == 2**16
-    assert peak < 11 * 2**20
+    assert cache.top == 15 and cache.rows(15) == 2**15 == cache.row_cap
+    assert peak < 5.5 * 2**20
+
+
+def test_long_words_build_no_level_above_the_cap():
+    # n=20 over two 2x2 atoms: level 15 times each length-5 suffix, so the
+    # sum peaks at 6.4 MiB of traced memory; materializing levels up to 2^20
+    # rows, as a 2^22 / d^2 cap did, peaked at 187 MiB
+    rng = np.random.default_rng(20260817)
+    mu = FiniteMatrixMeasure([(1.0, rng.uniform(-0.9, 0.9, (2, 2))) for _ in range(2)])
+    tracemalloc.start()
+    try:
+        weighted_sums(mu, 20, "norm", [1.0], WordBudget())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (cache,) = mu._engine_caches.values()
+    assert cache.top == 15
+    assert max(cache.rows(m) for m in cache.levels) <= cache.row_cap == 2**15
+    assert peak < 16 * 2**20
 
 
 class CountdownClock:
@@ -293,6 +312,23 @@ def test_sigma_cols_match_row_reference(seed, d, dyadic):
     else:
         want = reference_log_sigmas(mats, d) + (exps * LN2)[:, None]
     assert same_floats(got, want.T)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sigma_cols_of_small_unnormalised_rows(d):
+    # unit products are not normalised: a row scaled by 2^-600 must give the
+    # singular values of the row at scale 1, where the closed 2x2 form would
+    # square it into underflow (d=3 such rows take LAPACK's values)
+    rng = np.random.default_rng(20260817)
+    mats = rng.uniform(-1.0, 1.0, (64, d, d))
+    mats[1] = 0.0
+    exps = rng.integers(-40, 40, 64)
+    want = _sigma_cols(mats, exps, d)
+    got = _sigma_cols(mats * 2.0**-600, exps + 600, d)
+    assert np.all(np.isneginf(got[:, 1])) and np.all(np.isneginf(want[:, 1]))
+    rows = np.arange(64) != 1
+    assert np.all(np.isfinite(got[:, rows]))
+    np.testing.assert_allclose(got[:, rows], want[:, rows], rtol=0.0, atol=1e-12)
 
 
 U = 2.0 ** -53  # unit roundoff of float64
@@ -488,7 +524,7 @@ def test_table_hits_keep_bits_and_budget_rules():
 
 
 def test_pool_builds_the_serial_table(pool_sizes):
-    # three 3x3 atoms at n=12: level 11 times each atom, three units
+    # three 3x3 atoms at n=12: level 9 times each length-3 suffix, 27 units
     rng = np.random.default_rng(20260817)
     mu = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)])
     budget = WordBudget()
@@ -498,6 +534,97 @@ def test_pool_builds_the_serial_table(pool_sizes):
     b = weighted_sums(mu, 12, "phi", [1.3], budget, workers=3, tables=pooled)
     assert pool_sizes == [3]
     assert same_floats(a, b)
-    assert len(serial[12]) == len(pooled[12]) == 3
+    assert len(serial[12]) == len(pooled[12]) == 27
     for (sc, sw, ss), (pc, pw, ps) in zip(serial[12], pooled[12]):
         assert same_floats(sc, pc) and same_floats(sw, pw) and ss == ps
+
+
+def draw_family(seed, d, kind, n_atoms):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        mats = rng.uniform(-1.0, 1.0, (n_atoms, d, d))
+    elif kind == "dominated":
+        mats = np.diag([1.0, 0.05, 0.01][:d]) @ rng.uniform(-1.0, 1.0, (n_atoms, d, d))
+    elif kind == "repeated_atom":
+        mats = rng.uniform(-1.0, 1.0, (2, d, d))[rng.permutation([0, 0, 1][:n_atoms])]
+    else:  # dyadic diagonal: commuting products that dedup collapses
+        mats = np.zeros((n_atoms, d, d))
+        mats[:, range(d), range(d)] = rng.integers(-3, 4, (n_atoms, d)) / 4.0
+    return FiniteMatrixMeasure(list(zip(rng.uniform(0.5, 1.5, n_atoms), mats)))
+
+
+def assert_close_logs(a, b):
+    for x, y in zip(a, b):
+        assert (x == y == -math.inf) or math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def word_table(mu, n):
+    """Every length-n word's log singular values as (d, N^n) columns in word
+    order, read from the undeduplicated cache's evaluation units."""
+    cache = _engine._cache_for(mu, dedup=False)
+    parts = cache.parts_for(n)
+    units = _engine._plan_units(cache, parts)
+    cols = [_engine._unit_arrays(cache, parts, u)[0] for u in units]
+    # unit u holds the words (batch row)(suffix u): index row * len(units) + u
+    return np.stack(cols, axis=2).reshape(cache.d, -1)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["random", "dominated", "repeated_atom", "dyadic_diagonal"]),
+    st.sampled_from([2, 3]),
+    st.integers(7, 9),
+)
+def test_unit_evaluation_matches_level_evaluation(seed, d, kind, n_atoms, n):
+    # with a 64-row cap these lengths are evaluated as level x suffix units
+    # of unnormalised products (the deduplicated dyadic levels may stay
+    # small enough not to be); the default cap evaluates each as one level
+    # of normalised products
+    budget = WordBudget()
+    s_sigma1 = [0.4, 1.0, 1.7, 3.2]
+    full = draw_family(seed, d, kind, n_atoms)
+    want = [weighted_sums(full, n, "norm", s_sigma1, budget),
+            weighted_sums(full, n, "phi", [0.3, 0.8, 1.0], budget)]
+    want_max = _engine.max_norm_word(full, n, budget)[0]
+    want_table = word_table(full, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_row_cap", lambda d: 64)
+        mu = draw_family(seed, d, kind, n_atoms)
+        tables = {}
+        got = [weighted_sums(mu, n, "norm", s_sigma1, budget, tables=tables),
+               weighted_sums(mu, n, "phi", [0.3, 0.8, 1.0], budget)]
+        got_max, word = _engine.max_norm_word(mu, n, budget)
+        got_table = word_table(mu, n)
+        for cache in mu._engine_caches.values():
+            assert max(cache.rows(m) for m in cache.levels if m > 1) <= 64
+        # a held table (the run's, or the measure's for a single level, as
+        # when dedup collapses the family) reduces to the bits of a fresh
+        # enumeration
+        assert n in tables or n in _engine._cache_for(mu, dedup=True).sig_cache
+        fresh = draw_family(seed, d, kind, n_atoms)
+        assert same_floats(
+            weighted_sums(mu, n, "phi", [1.3, 2.7], budget, tables=tables),
+            weighted_sums(fresh, n, "phi", [1.3, 2.7], budget),
+        )
+    # sums of sigma_1 powers agree to rounding
+    for g, w in zip(got, want):
+        assert_close_logs(g, w)
+    assert_close_logs([got_max], [want_max])
+    if word is not None:
+        prod = np.linalg.multi_dot([mu.matrices[i] for i in word])
+        assert_close_logs([got_max], [math.log(np.linalg.norm(prod, 2))])
+    # every sigma_j of every word agrees to the engine's absolute accuracy:
+    # the two products differ by rounding of order n d u prod_i |A_i|_F, and
+    # each route's sigma_j is within 16 u sigma_1 of its product's (phi sums
+    # at s > 1 weigh the small sigma_j relatively and can differ by far more
+    # than 1e-12 between the routes on dominated families)
+    with np.errstate(divide="ignore"):
+        log_f = np.log(np.linalg.norm(mu.matrices, axis=(1, 2)))
+    scale = np.zeros(1)
+    for _ in range(n):
+        scale = np.add.outer(scale, log_f).ravel()
+    scale[scale == -np.inf] = 0.0  # zero products: both tables -inf
+    tol = 4 * (n * d + 16) * U
+    assert np.all(np.abs(np.exp(got_table - scale) - np.exp(want_table - scale)) <= tol)

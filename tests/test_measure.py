@@ -261,8 +261,8 @@ def test_workers_do_not_change_bits(rng, pool_sizes):
     a = weighted_power_sum(mu, 9, norm_kernel(1.3), workers=1).log
     b = weighted_power_sum(mu, 9, norm_kernel(1.3), workers=3).log
     assert a == b
-    # three 3x3 atoms: level 12 would pass the row cap, so n=12 is evaluated
-    # as level 11 times each of the three atoms, three units for the pool
+    # three 3x3 atoms: level 10 would pass the row cap, so n=12 is evaluated
+    # as level 9 times each length-3 suffix, 27 units for the pool
     mu = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)])
     a = weighted_power_sum(mu, 12, norm_kernel(1.3), workers=1).log
     assert pool_sizes == []
