@@ -29,21 +29,21 @@ bit-identical for every worker count.  A caller that passes
 ``tables`` keeps the chunks of each length it evaluates and can reduce them
 again at other exponents without enumerating the words a second time.
 
-Singular values take one route per dimension: d=1 the entry itself, d=2 a
-closed form (sigma_1 from trace and determinant of the Gram matrix, sigma_2
-= |det| / sigma_1), d=3 a batched one-sided Jacobi iteration, and d >= 4 --
-such as the 9x9 products of measure.lifted_measure -- LAPACK's SVD.  Every
-route computes each row on its own, so a row's bits do not depend on the
-batch, block or worker it is evaluated in; 2x2 rows too small to square
-without underflow are rescaled by a power of two first.  Each sigma_j is
-within a small multiple of u * sigma_1 of the exact value (Jacobi within
-16 u sigma_1, as tested against a 50-digit SVD): absolute accuracy, so the
-small singular values of ill-conditioned products carry only that many
-correct digits.  Jacobi rows with a singular value below about 2^-106
-sigma_1, or a column cancelled to zero, take LAPACK's values, which stay
-relatively accurate on diagonal and triangular products.
+Singular values take one route per dimension, each row computed on its own,
+so its bits do not depend on the batch, block or worker: d=1 the entry, d=2
+sigma_1 from the Gram matrix's trace and determinant and sigma_2 = |det| /
+sigma_1, d >= 4 (such as the 9x9 lifted products) LAPACK's SVD, and d=3
+(_sigma3) sigma_1 of A and of its 2x2 minors, which is sigma_1 sigma_2, by a
+closed-form top eigenvalue, with sigma_3 = |det| / (sigma_1 sigma_2) from
+``ldet``, log|det| of the exact product, which every level row carries,
+summed from the atoms like the log-weights.  d=3 rows where a closed form
+cannot keep its bound take LAPACK's sigma_1 and sigma_2.  Each sigma_j is
+within a small multiple of u * sigma_1 of the exact value (16 u for d=3,
+against a 50-digit SVD), and the d=3 sigma_3 is as accurate relative to
+itself as sigma_1 sigma_2.
 """
 
+import functools
 import math
 import multiprocessing
 import time
@@ -111,16 +111,20 @@ def _normalize(mats):
     return mats, e, nonzero
 
 
-def _dedup_rows(mants, exps, logw, d):
+def _dedup_rows(mants, exps, logw, ldet, d):
     # Merge rows equal under == in (exponent, matrix); weights add (in log
     # space).  Rows come out in lexicographic (exponent, row-major entries)
     # order, equal rows keeping their input order, so level contents do not
     # depend on atom order or evaluation history.  One stable lexsort on
     # (exponent, first entry) does most of the ordering; only runs tied on
-    # that pair are sorted again by their remaining entries.
+    # that pair are sorted again by their remaining entries.  A group keeps
+    # its first row's ldet (a key would split dyadic levels whose log sums
+    # differ in rounding): its rows are equal products, so for exact families
+    # their determinants are equal, and otherwise the kept one is, to first
+    # order, as close as any to the shared rounded product's.
     m = len(logw)
     if m == 0:
-        return mants, exps, logw
+        return mants, exps, logw, ldet
     flat = mants.reshape(m, d * d)
     order = np.lexsort((flat[:, 0], exps))
     e0, f0 = exps[order], flat[order, 0]
@@ -130,18 +134,18 @@ def _dedup_rows(mants, exps, logw, d):
     sub = order[pos]
     keys = [flat[sub, j] for j in range(d * d - 1, 0, -1)]
     order[pos] = sub[np.lexsort(keys + [run_id[pos]])]
-    mants, exps, lw = mants[order], exps[order], logw[order]
+    mants, exps, lw, ldet = mants[order], exps[order], logw[order], ldet[order]
     flat = mants.reshape(m, d * d)
     at = np.flatnonzero(tie)
     same = np.zeros(m - 1, dtype=bool)
     same[at] = np.all(flat[at + 1] == flat[at], axis=1)
     if not same.any():
-        return mants, exps, lw
+        return mants, exps, lw, ldet
     starts = np.flatnonzero(np.r_[True, ~same])
     gmax = np.maximum.reduceat(lw, starts)
     counts = np.diff(np.r_[starts, m])
     gsum = np.add.reduceat(np.exp(lw - np.repeat(gmax, counts)), starts)
-    return mants[starts], exps[starts], gmax + np.log(gsum)
+    return mants[starts], exps[starts], gmax + np.log(gsum), ldet[starts]
 
 
 def _drop_zero_rows(nonzero, *arrays):
@@ -159,14 +163,16 @@ class LevelCache:
         self.n_atoms = int(mats.shape[0])
         self.dedup = bool(dedup)
         self.row_cap = _row_cap(self.d)
+        # log|det| of each row's exact product, summed like the log-weights
+        ldet = np.linalg.slogdet(mats)[1]
         with np.errstate(divide="ignore"):
             logw = np.log(np.asarray(weights, dtype=np.float64))
         mants, exps, nonzero = _normalize(np.array(mats, dtype=np.float64))
         if dedup:
-            mants, exps, logw = _dedup_rows(
-                *_drop_zero_rows(nonzero, mants, exps, logw), self.d
+            mants, exps, logw, ldet = _dedup_rows(
+                *_drop_zero_rows(nonzero, mants, exps, logw, ldet), self.d
             )
-        self.levels = {1: (mants, exps, logw)}
+        self.levels = {1: (mants, exps, logw, ldet)}
         self.top = 1
         self.sig_cache = {}
 
@@ -174,11 +180,11 @@ class LevelCache:
         return len(self.levels[m][2])
 
     def _combine(self, left, right):
-        lm, le, lw = left
-        rm, re, rw = right
+        lm, le, lw, ld = left
+        rm, re, rw, rd = right
         if len(lw) == 0 or len(rw) == 0:
             d = self.d
-            return np.empty((0, d, d)), np.empty(0, dtype=np.int64), np.empty(0)
+            return np.empty((0, d, d)), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
         if self.d == 2:
             # a sum of two products rounds the same in either order, so these
             # closed-form entries equal einsum's bit for bit (up to the sign
@@ -190,11 +196,12 @@ class LevelCache:
             prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, self.d, self.d)
         exps = (le[:, None] + re[None, :]).ravel()
         logw = (lw[:, None] + rw[None, :]).ravel()
+        ldet = (ld[:, None] + rd[None, :]).ravel()
         mants, e2, nonzero = _normalize(prod)
         exps += e2
         if self.dedup:
-            return _dedup_rows(*_drop_zero_rows(nonzero, mants, exps, logw), self.d)
-        return mants, exps, logw
+            return _dedup_rows(*_drop_zero_rows(nonzero, mants, exps, logw, ldet), self.d)
+        return mants, exps, logw, ldet
 
     def ensure(self, n, clock=None):
         """Build levels toward n while the next level fits the row cap.
@@ -227,100 +234,85 @@ def _cache_for(obj, dedup):
     return cache
 
 
-_JACOBI_ROWS = 4096
-_JACOBI_SWEEPS = 10
-# a column pair counts as orthogonal once |a_i.a_j| <= 8 eps |a_i| |a_j|;
-# compared squared, so no square root is taken
-_JACOBI_TOL2 = (8.0 * np.finfo(np.float64).eps) ** 2
-# and a column at most 2^-106 times as long as its partner is not rotated:
-# in a rank-deficient row its rotations would only shuffle rounding noise
-# for a dozen more sweeps
-_NEGLIGIBLE2 = 2.0 ** -212
-# squared column norms of at least 2^-400 keep every square, product and
-# comparison of a sweep far from underflow (the engine's products, with
-# entries below 3 in magnitude, never come near overflow)
-_NRM2_LO = 2.0 ** -400
+_BLOCK_ROWS = 2048
+# _top_eig flags 1 + r < _PAIR_GAP (a near-degenerate top pair) unless p <=
+# _SCALAR q, where q is the eigenvalue to 16 u whatever r is.  On rows
+# Q diag(.9, .9 (1 - delta), .9 x) Q', sigma_1 and sigma_2 were within 3.4 u
+# sigma_1 of a 50-digit SVD at 1 + r >= 0.1, 11 u at 1e-3 and 3.7e7 u below
+# 1e-12; near-scalar rows needed no rule (4.5 u at any p / q, 1 + r >= 0.1).
+_PAIR_GAP = 0.1
+_SCALAR = 16.0 * 2.0 ** -53
+# the 2x2 minors x_i x_j - x_k x_l of a row-major 3x3 matrix over row and
+# column pairs (0,1), (0,2), (1,2): its second exterior power up to signs
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_MINORS = [(3 * i + k, 3 * j + l, 3 * i + l, 3 * j + k) for i, j in _PAIRS for k, l in _PAIRS]
 
 
-def _jacobi_sigmas(mats):
-    """Singular values of 3x3 matrices as (3, rows) columns, descending.
+def _top_eig(x):
+    """(exponents, top eigenvalue of X^T X, flagged rows) of a (9, rows) stack
+    of row-major 3x3 matrices X, each first scaled in place by the power of
+    two that puts its max |entry| in [0.5, 1), so no square over- or
+    underflows; the eigenvalue, the scaled X's, is the trigonometric root of
+    the cubic, flagged where it cannot keep its bound."""
+    e = np.frexp(np.maximum(np.max(x, axis=0), -np.min(x, axis=0)))[1]
+    np.ldexp(x, -e, out=x)
+    a, b, c, d, f, g, h, i, j = x
+    g00 = a * a + d * d + h * h
+    g11 = b * b + f * f + i * i
+    g22 = c * c + g * g + j * j
+    g01 = a * b + d * f + h * i
+    g02 = a * c + d * g + h * j
+    g12 = b * c + f * g + i * j
+    q = (g00 + g11 + g22) / 3.0
+    g00, g11, g22 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((g00 * g00 + g11 * g11 + g22 * g22
+                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+           + g02 * (g01 * g12 - g11 * g02))
+    r = det / (2.0 * p * p * p)
+    # (G - qI) / p has eigenvalues 2 cos(phi + 2 pi k / 3), cos(3 phi) = r;
+    # fmax maps the 0/0 of a scalar G (p = 0) to r = -1
+    r = np.fmin(np.fmax(r, -1.0), 1.0)
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    return e, lam, (r < _PAIR_GAP - 1.0) & (p > _SCALAR * q)
 
-    Cyclic one-sided (Hestenes) Jacobi over all rows at once: each sweep
-    rotates the column pairs (0,1), (0,2), (1,2) of every row whose pair is
-    not yet orthogonal, and the singular values are the final column norms.
-    A row's rotations depend on its own entries only -- a row that needs no
-    rotation is multiplied by the identity -- and a sweep that rotates
-    nothing leaves it unchanged, so its bits do not depend on the other rows.
-    The column norms are the singular values only once the columns are
-    pairwise orthogonal.  A row takes LAPACK's values instead when, after
-    the last sweep, a pair is still not orthogonal (the row still rotates at
-    _JACOBI_SWEEPS sweeps, or it kept a negligible column that is not
-    orthogonal to its partner, as a rank-deficient or strongly graded row
-    does), or a column that is nonzero in the input ends with a squared norm
-    below _NRM2_LO.  For a row with max |entry| near 1 (every level row is
-    normalised to [0.5, 1)) that is a row with some sigma_j below about
-    2^-106 sigma_1 or cancelled to exactly zero: there LAPACK keeps the
-    relative accuracy of triangular and diagonal products, and the only
-    zeros Jacobi itself returns are the norms of zero input columns.  Unit
-    products (a level row times a suffix, not normalised) have entries below
-    3 but may have every entry far below 1 when the factors nearly cancel;
-    once a nonzero column of such a row falls under _NRM2_LO the row takes
-    LAPACK's values, which LAPACK computes after rescaling the matrix.
+
+def _sigma3(mats, exps, ldet, top_only):
+    """(log-sigma columns, LAPACK mask) of the 3x3 rows 2^exps * mats.
+
+    Column 0 is log sigma_1(A); column 1 log sigma_1(C) - column 0, at most
+    column 0, C the 2x2 minors of A (sigma_1(C) = sigma_1 sigma_2); column 2
+    min(ldet - log sigma_1(C), column 1).  Mask row 0 marks where _top_eig
+    flags A and column 0 is LAPACK's; row 1 where it flags A or C, or C
+    cancels to zero while A does not, and LAPACK's sigma_1 sigma_2 is used.
+    ``top_only``: column 0 and mask row 0 alone.
     """
-    m = len(mats)
-    x = mats.transpose(2, 1, 0).copy()  # x[j, k]: entry k of column j
-    nrm = np.add.reduce(x * x, axis=1)
-    for _ in range(_JACOBI_SWEEPS):
-        moved = np.zeros(m, dtype=bool)
-        skew = np.zeros(m, dtype=bool)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            xi, xj = x[i], x[j]
-            ni, nj = nrm[i], nrm[j]
-            g = np.add.reduce(xi * xj, axis=0)
-            pair_skew = g * g > (_JACOBI_TOL2 * ni) * nj
-            skew |= pair_skew
-            rot = pair_skew & (np.minimum(ni, nj) > _NEGLIGIBLE2 * np.maximum(ni, nj))
-            if not rot.any():
-                continue
-            moved |= rot
-            # tangent of the rotation angle, the root of t^2 + 2 zeta t = 1
-            # of smaller magnitude; rows that keep their pair get t = 0
-            with np.errstate(all="ignore"):
-                zeta = (nj - ni) / (2.0 * g)
-                t = 1.0 / (zeta + np.copysign(np.sqrt(1.0 + zeta * zeta), zeta))
-            t = np.where(rot, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            xi_new = c * xi - s * xj
-            xj *= c
-            xj += s * xi
-            xi[...] = xi_new
-            nrm[i] = np.add.reduce(xi * xi, axis=0)
-            nrm[j] = np.add.reduce(xj * xj, axis=0)
-        if not moved.any():
-            break
-    # a pair rotated in the last sweep counts as skew, and a row that did not
-    # rotate in it has its final columns, so skew now flags every row whose
-    # final columns are not certified orthogonal
-    small = nrm < _NRM2_LO
-    if small.any():
-        # a zero input column stays zero and is exact; any other column this
-        # small may have been squared or cancelled into zero
-        small &= np.any(mats != 0.0, axis=1).T
-        skew |= np.any(small, axis=0)
-    sig = np.sqrt(nrm)
-    # a sorting network: np.sort along the short axis costs about 0.07 us a
-    # row, a tenth of the sweeps
-    lo = np.minimum(sig[0], sig[1])
-    hi = np.maximum(sig[0], sig[1])
-    mid = np.minimum(hi, sig[2])
-    out = np.empty((3, m))
-    np.maximum(hi, sig[2], out=out[0])
-    np.maximum(lo, mid, out=out[1])
-    np.minimum(lo, mid, out=out[2])
-    if skew.any():
-        out[:, skew] = np.linalg.svd(mats[skew], compute_uv=False).T
-    return out
+    x = mats.reshape(-1, 9).T.copy()  # a copy even for one row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ea, lam, bad = _top_eig(x)
+        t = ea + exps
+        l1 = 0.5 * np.log(lam)
+        if top_only:
+            cols, bad = (l1 + t * LN2)[None], bad[None]
+        else:
+            mnr = np.stack([x[i] * x[j] - x[k] * x[l] for i, j, k, l in _MINORS])
+            ec, lam_c, bad_c = _top_eig(mnr)
+            if ldet is None:
+                ldet = np.linalg.slogdet(mats)[1] + (3.0 * LN2) * exps
+            l12 = 0.5 * np.log(lam_c)
+            # column 2 holds log sigma_1(C) until sigma_3 replaces it
+            cols = np.stack([l1 + t * LN2, l12 - l1 + (ec + t) * LN2, l12 + (ec + 2 * t) * LN2])
+            bad = np.stack([bad, bad | bad_c | ((lam > 0.0) & (lam_c == 0.0))])
+        rows = bad[-1]
+        sv = np.log(np.linalg.svd(mats[rows], compute_uv=False).T) + exps[rows] * LN2
+        cols[0, bad[0]] = sv[0, bad[0][rows]]
+        if not top_only:
+            cols[1:, rows] = sv[1], sv[0] + sv[1]
+            # sigma_3 <= sigma_2 <= sigma_1 (equal ones may round apart); fmin
+            # also takes -inf over the nan of -inf - (-inf) where A or C is 0
+            np.fmin(cols[1], cols[0], out=cols[1])
+            np.fmin(ldet - cols[2], cols[1], out=cols[2])
+    return cols, bad
 
 
 # the closed 2x2 form squares t, the sum of squared entries: from here down
@@ -328,16 +320,22 @@ def _jacobi_sigmas(mats):
 _GRAM_LO = 2.0 ** -500
 
 
-def _sigma_cols(mats, exps, d):
+def _sigma_cols(mats, exps, d, ldet=None, top_only=False):
     """Log singular values plus the power-of-two scale, as (d, rows) columns.
 
     Column j holds log sigma_{j+1} of every row's product; -inf encodes zero.
-    d=1 and d=2 use closed forms, d=3 _jacobi_sigmas in blocks of
-    _JACOBI_ROWS rows, d >= 4 LAPACK; each sigma_j is within a small multiple
-    of u * sigma_1 (16 for d=3) of the exact value, and every row is computed
-    independently of the others.
+    d=3 runs _sigma3 in blocks of _BLOCK_ROWS rows, its sigma_3 from ``ldet``
+    (None: the rows' own determinants); the other routes are the module's.
+    ``top_only``: column 0 is all the caller reads, which spares d=3 the rest.
     """
     m = len(mats)
+    if d == 3:
+        cols = np.empty((1 if top_only else 3, m))
+        for a in range(0, m, _BLOCK_ROWS):
+            blk = slice(a, a + _BLOCK_ROWS)
+            blk_ldet = None if ldet is None else ldet[blk]
+            cols[:, blk] = _sigma3(mats[blk], exps[blk], blk_ldet, top_only)[0]
+        return cols
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 1:
             cols = np.log(np.abs(mats.reshape(1, m)))
@@ -364,11 +362,6 @@ def _sigma_cols(mats, exps, d):
                 sub, e, nonzero = _normalize(mats[tiny])
                 cols[:, tiny] = -np.inf
                 cols[:, tiny[nonzero]] = _sigma_cols(sub[nonzero], e[nonzero], 2)
-        elif d == 3:
-            cols = np.empty((3, m))
-            for a in range(0, m, _JACOBI_ROWS):
-                cols[:, a:a + _JACOBI_ROWS] = _jacobi_sigmas(mats[a:a + _JACOBI_ROWS])
-            np.log(cols, out=cols)
         else:
             cols = np.ascontiguousarray(np.linalg.svd(mats, compute_uv=False).T)
             np.log(cols, out=cols)
@@ -450,22 +443,24 @@ def _stats_to_log(stats):
     return m + math.log(s)
 
 
-def _unit_arrays(cache, parts, combo):
+def _unit_arrays(cache, parts, combo, top_only=False):
     """(log-sigma columns, log-weight shift) of one evaluation unit.
 
     A unit is the batch level times one suffix combination, one row index
     per later part.  Its products are not normalised; its log-weights are
     the batch level's plus ``shift``, the suffix's summed log-weight (None
-    without a suffix).
+    without a suffix); its log|det| (read by d=3 only) adds the suffix's.
     """
-    mats, exps, _ = cache.levels[parts[0]]
+    mats, exps, _, ldet = cache.levels[parts[0]]
     sfx = None
     se = 0
     slw = 0.0
+    sld = 0.0
     for part, idx in zip(parts[1:], combo):
-        m, e, w = cache.levels[part]
+        m, e, w, ld = cache.levels[part]
         se += int(e[idx])
         slw += float(w[idx])
+        sld += float(ld[idx])
         if sfx is None:
             sfx = m[idx]
         else:
@@ -475,9 +470,10 @@ def _unit_arrays(cache, parts, combo):
                 _, ee = np.frexp(top)
                 sfx = np.ldexp(sfx, -int(ee))
                 se += int(ee)
+    ldet = None if top_only or cache.d != 3 else ldet + sld
     if sfx is None:
-        return _sigma_cols(mats, exps, cache.d), None
-    return _sigma_cols(mats @ sfx, exps + se, cache.d), slw
+        return _sigma_cols(mats, exps, cache.d, ldet, top_only), None
+    return _sigma_cols(mats @ sfx, exps + se, cache.d, ldet, top_only), slw
 
 
 def _plan_units(cache, parts):
@@ -493,20 +489,21 @@ _FORK_STATE = None
 
 
 def _chunk_worker(i):
-    cache, parts, units = _FORK_STATE
-    return _unit_arrays(cache, parts, units[i])
+    unit_arrays, cache, parts, units = _FORK_STATE
+    return unit_arrays(cache, parts, units[i])
 
 
-def _run_units(cache, parts, units, workers, clock):
+def _run_units(cache, parts, units, workers, clock, top_only=False):
     """Yield each unit's _unit_arrays in unit order, optionally via a fork pool."""
     global _FORK_STATE
+    unit_arrays = functools.partial(_unit_arrays, top_only=True) if top_only else _unit_arrays
     workers = max(1, int(workers))
     if workers == 1 or len(units) <= 1:
         for unit in units:
             clock.check()
-            yield _unit_arrays(cache, parts, unit)
+            yield unit_arrays(cache, parts, unit)
         return
-    _FORK_STATE = (cache, parts, units)
+    _FORK_STATE = (unit_arrays, cache, parts, units)
     try:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(workers, len(units))) as pool:
@@ -575,7 +572,8 @@ def max_norm_word(ms, n, budget, clock=None, workers=1):
     units = _plan_units(cache, parts)
     best = -math.inf
     best_at = None
-    for pos, (cols, _) in enumerate(_run_units(cache, parts, units, workers, clock)):
+    runs = _run_units(cache, parts, units, workers, clock, top_only=True)
+    for pos, (cols, _) in enumerate(runs):
         local = int(np.argmax(cols[0]))
         val = float(cols[0, local])
         if val > best:

@@ -14,19 +14,20 @@ from matpress._engine import (
     RunClock,
     _chunk_stats,
     _dedup_rows,
-    _jacobi_sigmas,
     _normalize,
+    _sigma3,
     _sigma_cols,
     weighted_sums,
 )
 from matpress.errors import BudgetExhaustedError
 
 
-def reference_dedup(mants, exps, logw, d):
-    """Row dedup through np.unique(axis=0), kept as the reference order."""
+def reference_dedup(mants, exps, logw, ldet, d):
+    """Row dedup through np.unique(axis=0), kept as the reference order; a
+    merged group keeps the ldet of its first row."""
     m = len(logw)
     if m == 0:
-        return mants, exps, logw
+        return mants, exps, logw, ldet
     key = np.concatenate(
         [exps[:, None].astype(np.float64), mants.reshape(m, d * d)], axis=1
     )
@@ -34,7 +35,7 @@ def reference_dedup(mants, exps, logw, d):
     inverse = inverse.reshape(-1)
     order = np.argsort(inverse, kind="stable")
     if len(uniq) == m:
-        return mants[order], exps[order], logw[order]
+        return mants[order], exps[order], logw[order], ldet[order]
     gid = inverse[order]
     lw = logw[order]
     starts = np.flatnonzero(np.r_[True, np.diff(gid) > 0])
@@ -44,36 +45,41 @@ def reference_dedup(mants, exps, logw, d):
     logw_u = gmax + np.log(gsum)
     mants_u = np.ascontiguousarray(uniq[:, 1:].reshape(-1, d, d))
     exps_u = uniq[:, 0].astype(np.int64)
-    return mants_u, exps_u, logw_u
+    return mants_u, exps_u, logw_u, ldet[order][starts]
 
 
 def reference_levels(weights, mats, top, dedup):
-    """Levels 1..top built with einsum products and the reference dedup."""
+    """Levels 1..top built with einsum products and the reference dedup; each
+    row's ldet is the sum of its atoms' slogdet, left to right."""
     d = mats.shape[1]
+    ldet = np.array([np.linalg.slogdet(a)[1] for a in mats])
     mants, exps, nonzero = _normalize(np.array(mats, dtype=np.float64))
     logw = np.log(np.asarray(weights, dtype=np.float64))
     if dedup:
-        mants, exps, logw = reference_dedup(mants[nonzero], exps[nonzero], logw[nonzero], d)
-    levels = {1: (mants, exps, logw)}
+        mants, exps, logw, ldet = reference_dedup(
+            mants[nonzero], exps[nonzero], logw[nonzero], ldet[nonzero], d
+        )
+    levels = {1: (mants, exps, logw, ldet)}
     for m in range(2, top + 1):
-        lm, le, lw = levels[m - 1]
-        rm, re, rw = levels[1]
+        lm, le, lw, ld = levels[m - 1]
+        rm, re, rw, rd = levels[1]
         prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, d, d)
         mants, e2, nonzero = _normalize(prod)
         exps = (le[:, None] + re[None, :]).ravel() + e2
         logw = (lw[:, None] + rw[None, :]).ravel()
+        ldet = np.array([a + b for a in ld for b in rd])
         if dedup:
-            mants, exps, logw = reference_dedup(
-                mants[nonzero], exps[nonzero], logw[nonzero], d
+            mants, exps, logw, ldet = reference_dedup(
+                mants[nonzero], exps[nonzero], logw[nonzero], ldet[nonzero], d
             )
-        levels[m] = (mants, exps, logw)
+        levels[m] = (mants, exps, logw, ldet)
     return levels
 
 
 def assert_same_rows(got, want, signed_zeros):
     # Exact bits everywhere, except that a merged group of rows equal under
     # == may be represented by a member differing only in signs of zeros.
-    (gm, ge, gw), (wm, we, ww) = got, want
+    (gm, ge, gw, gd), (wm, we, ww, wd) = got, want
     assert gm.shape == wm.shape
     if signed_zeros:
         assert np.array_equal(gm, wm)
@@ -81,13 +87,16 @@ def assert_same_rows(got, want, signed_zeros):
         assert np.array_equal(gm.view(np.int64), wm.view(np.int64))
     assert np.array_equal(ge, we)
     assert np.array_equal(gw.view(np.int64), ww.view(np.int64))
+    assert np.array_equal(gd.view(np.int64), wd.view(np.int64))
 
 
 def draw_rows(seed, d, m, kind):
     rng = np.random.default_rng(seed)
     logw = rng.standard_normal(m)
+    # a distinct ldet a row, so a merged group shows which row's it kept
+    ldet = rng.standard_normal(m)
     if kind == "random":
-        return rng.uniform(-1.0, 1.0, (m, d, d)), rng.integers(-2, 3, m), logw
+        return rng.uniform(-1.0, 1.0, (m, d, d)), rng.integers(-2, 3, m), logw, ldet
     if kind == "tied_first_entry":
         # every row shares its exponent and first entry with many others;
         # a few are exact repeats
@@ -95,13 +104,13 @@ def draw_rows(seed, d, m, kind):
         mants[:, 0, 0] = rng.choice([0.5, -0.75], m)
         rep = rng.integers(0, m, m // 4)
         mants[rng.integers(0, m, len(rep))] = mants[rep]
-        return mants, rng.integers(0, 2, m), logw
+        return mants, rng.integers(0, 2, m), logw, ldet
     # dyadic entries from a small set: many exact duplicates
     mants = rng.integers(-2, 3, (m, d, d)) / 4.0
     if kind == "signed_zeros":
         flip = (mants == 0.0) & (rng.random((m, d, d)) < 0.5)
         mants[flip] = -0.0
-    return mants, rng.integers(0, 2, m), logw
+    return mants, rng.integers(0, 2, m), logw, ldet
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,18 +121,18 @@ def draw_rows(seed, d, m, kind):
     st.sampled_from(["random", "dyadic", "tied_first_entry", "signed_zeros"]),
 )
 def test_dedup_matches_np_unique_reference(seed, d, m, kind):
-    mants, exps, logw = draw_rows(seed, d, m, kind)
-    got = _dedup_rows(mants, exps, logw, d)
-    want = reference_dedup(mants, exps, logw, d)
+    rows = draw_rows(seed, d, m, kind)
+    got = _dedup_rows(*rows, d)
+    want = reference_dedup(*rows, d)
     assert_same_rows(got, want, signed_zeros=kind == "signed_zeros")
 
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("m", [0, 1])
 def test_dedup_empty_and_single_row(d, m):
-    mants, exps, logw = np.full((m, d, d), 0.5), np.full(m, 3), np.full(m, -0.25)
-    got = _dedup_rows(mants, exps, logw, d)
-    assert_same_rows(got, reference_dedup(mants, exps, logw, d), signed_zeros=False)
+    rows = np.full((m, d, d), 0.5), np.full(m, 3), np.full(m, -0.25), np.full(m, 1.5)
+    got = _dedup_rows(*rows, d)
+    assert_same_rows(got, reference_dedup(*rows, d), signed_zeros=False)
 
 
 @settings(max_examples=20, deadline=None)
@@ -303,12 +312,13 @@ def test_sigma_cols_match_row_reference(seed, d, dyadic):
     got = _sigma_cols(mats, exps, d)
     assert got.shape == (d, m) and got.flags.c_contiguous
     if d == 3:
-        # Jacobi singular values: within the bound of the exact ones, not
-        # LAPACK's bits
-        sig = _jacobi_sigmas(mats)
-        assert_within_jacobi_bound(sig[:, :16], exact_sigmas(mats[:16]))
-        with np.errstate(divide="ignore"):
-            want = np.log(sig.T) + (exps * LN2)[:, None]
+        # closed forms, not LAPACK's bits: within the bound of the exact
+        # singular values, and _sigma_cols is the kernel with the scale
+        # applied (sigma_3 from the rows' own determinant by default)
+        zero = np.zeros(16, dtype=np.int64)
+        sig = np.exp(_sigma3(mats[:16], zero, exact_ldet(mats[:16]), False)[0])
+        assert_within_bound(sig, exact_sigmas(mats[:16]))
+        want = _sigma3(mats, exps, None, False)[0].T
     else:
         want = reference_log_sigmas(mats, d) + (exps * LN2)[:, None]
     assert same_floats(got, want.T)
@@ -348,13 +358,13 @@ def exact_sigmas(mats, digits=50):
     return np.array(rows).reshape(-1, 3).T
 
 
-def assert_within_jacobi_bound(sig, exact):
+def assert_within_bound(sig, exact):
     err = np.abs(sig - exact)
     assert np.all(err <= 16.0 * U * exact[0]), np.max(err / (U * exact[0]))
 
 
-def exact_rank(a):
-    """Rank of a 3x3 float matrix in exact rational arithmetic."""
+def exact_minors(a):
+    """The 2x2 minors and the determinant of a 3x3 float matrix, exactly."""
     f = [[Fraction(float(v)) for v in row] for row in a]
     minors = [
         f[i][k] * f[j][l] - f[i][l] * f[j][k]
@@ -363,11 +373,29 @@ def exact_rank(a):
     ]
     # minors[8 - k]: rows 1 and 2 without column k
     det = sum((-1) ** k * f[0][k] * minors[8 - k] for k in range(3))
+    return minors, det
+
+
+def exact_ldet(mats):
+    """log|det| of each 3x3 row from its exact rational determinant."""
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    with mpmath.workdps(50):
+        for a in mats:
+            det = abs(exact_minors(a)[1])
+            out.append(-math.inf if det == 0 else float(
+                mpmath.log(mpmath.mpf(det.numerator) / det.denominator)))
+    return np.array(out)
+
+
+def exact_rank(a):
+    """Rank of a 3x3 float matrix in exact rational arithmetic."""
+    minors, det = exact_minors(a)
     if det != 0:
         return 3
     if any(minors):
         return 2
-    return int(any(v != 0 for row in f for v in row))
+    return int(any(v != 0 for row in a for v in row))
 
 
 def random_orthogonal(rng, m):
@@ -424,42 +452,46 @@ def draw_3x3(seed, kind, m):
         "orthogonal", "signed_zeros",
     ]),
 )
-def test_jacobi_sigmas_match_exact_svd(seed, kind):
+def test_closed_form_sigmas_match_exact_svd(seed, kind):
     m = 16
     mats = draw_3x3(seed, kind, m)
-    sig = _jacobi_sigmas(mats)
-    assert_within_jacobi_bound(sig, exact_sigmas(mats))
-
-    rng = np.random.default_rng(seed)
-    exps = rng.integers(-40, 40, m)
-    cols = _sigma_cols(mats, exps, 3)
-    assert not np.any(np.isnan(cols))
+    ldet = exact_ldet(mats)
+    exact = exact_sigmas(mats)
+    cols, flagged = _sigma3(mats, np.zeros(m, dtype=np.int64), ldet, False)
+    assert flagged.shape == (2, m) and not np.any(np.isnan(cols))
     assert np.all(cols[:-1] >= cols[1:])
-    assert np.array_equal(cols == -np.inf, sig == 0.0)
+    # rows the closed forms keep: every sigma_j within 16 u sigma_1
+    kept = ~flagged[1]
+    assert_within_bound(np.exp(cols[:, kept]), exact[:, kept])
+    # flagged columns carry LAPACK's values, which are not held to 16 u
+    # (LAPACK is 22-30 u off on some near-degenerate rows)
+    with np.errstate(divide="ignore"):
+        lapack = np.log(np.linalg.svd(mats, compute_uv=False).T)
+    for j in range(2):
+        assert same_floats(cols[j, flagged[j]], lapack[j, flagged[j]])
     # a singular value of a matrix of exact rank r > j is never taken as zero
     for r in range(m):
-        assert np.all(sig[:exact_rank(mats[r]), r] > 0.0)
+        assert np.all(cols[:exact_rank(mats[r]), r] > -np.inf)
 
     # each row alone, and at random places in a 10,000-row batch that spans
-    # several Jacobi blocks: the same bits
+    # several blocks: the same bits; the sigma_1-only call gives column 0
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(-40, 40, m)
+    full = _sigma_cols(mats, exps, 3, ldet)
     batch = rng.uniform(-1.0, 1.0, (10_000, 3, 3))
     batch_exps = rng.integers(-40, 40, 10_000)
+    batch_ldet = rng.normal(0.0, 3.0, 10_000)
     at = rng.choice(10_000, m, replace=False)
-    batch[at], batch_exps[at] = mats, exps
-    in_batch = _sigma_cols(batch, batch_exps, 3)[:, at]
+    batch[at], batch_exps[at], batch_ldet[at] = mats, exps, ldet
+    in_batch = _sigma_cols(batch, batch_exps, 3, batch_ldet)[:, at]
     alone = np.concatenate(
-        [_sigma_cols(mats[r:r + 1], exps[r:r + 1], 3) for r in range(m)], axis=1
+        [_sigma_cols(mats[r:r + 1], exps[r:r + 1], 3, ldet[r:r + 1]) for r in range(m)],
+        axis=1,
     )
-    assert same_floats(alone, in_batch) and same_floats(alone, cols)
-
-
-def test_jacobi_sweep_cap_falls_back_to_lapack(monkeypatch):
-    mats = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3, 3))
-    lapack = np.linalg.svd(mats, compute_uv=False).T
-    assert not same_floats(_jacobi_sigmas(mats), lapack)
-    # every random row still rotates after one sweep
-    monkeypatch.setattr(_engine, "_JACOBI_SWEEPS", 1)
-    assert same_floats(_jacobi_sigmas(mats), lapack)
+    assert same_floats(alone, in_batch) and same_floats(alone, full)
+    top = _sigma_cols(batch, batch_exps, 3, top_only=True)
+    assert top.shape == (1, 10_000)
+    assert same_floats(top[0, at], full[0])
 
 
 def graded_3x3():
@@ -476,22 +508,34 @@ def graded_3x3():
     return _normalize(mats)[0]
 
 
-def test_jacobi_sigmas_relative_on_graded_rows():
-    # squared, the smallest column norms of these rows underflow or fall far
-    # below the rounding noise of the largest: each singular value must still
-    # come out to a few units of its own size, as LAPACK gives it
+def test_closed_form_sigmas_relative_on_graded_rows():
+    # squared, the smallest singular values of these rows underflow or fall
+    # far below the rounding noise of the largest: with the exact log|det|
+    # each sigma_j must still come out to 16 u of its own size, beyond the
+    # rounding of a logarithm that large (u |log sigma_j| for each of the
+    # two roundings of sigma_3's)
+    mpmath = pytest.importorskip("mpmath")
     mats = graded_3x3()
-    sig = _jacobi_sigmas(mats)
-    exact = exact_sigmas(mats, digits=400)
-    assert np.all(np.abs(sig - exact) <= 16.0 * U * exact), np.max(np.abs(sig / exact - 1.0) / U)
+    ldet = exact_ldet(mats)
+    exps = np.zeros(len(mats), dtype=np.int64)
+    cols, flagged = _sigma3(mats, exps, ldet, False)
+    assert flagged[:, 0].all()  # diag(1, 1, 2^-600): a degenerate top pair
+    with mpmath.workdps(400):
+        for r, a in enumerate(mats):
+            exact = sorted(mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False), reverse=True)
+            for j in range(3):
+                log_exact = mpmath.log(exact[j])
+                err = abs(float(cols[j, r] - log_exact))
+                assert err <= 16.0 * U + 2.0 * U * abs(float(log_exact)), (r, j, err / U)
 
     rng = np.random.default_rng(11)
     batch = rng.uniform(-1.0, 1.0, (5000, 3, 3))
+    batch_ldet = rng.normal(0.0, 3.0, 5000)
     at = rng.choice(5000, len(mats), replace=False)
-    batch[at] = mats
-    assert same_floats(_jacobi_sigmas(batch)[:, at], sig)
-    exps = np.zeros(len(mats), dtype=np.int64)
-    assert np.all(np.isfinite(_sigma_cols(mats, exps, 3)))
+    batch[at], batch_ldet[at] = mats, ldet
+    got = _sigma_cols(batch, np.zeros(5000, dtype=np.int64), 3, batch_ldet)
+    assert same_floats(got[:, at], cols)
+    assert np.all(np.isfinite(_sigma_cols(mats, exps, 3, ldet)))
 
 
 def planar_triple():

@@ -285,6 +285,16 @@ class TestBracketDispatch:
         assert res.status != "minus_infinity"
         assert contains_to_rounding(res, 0.5 * math.log(1e-100))
 
+    @pytest.mark.parametrize("s", [Fraction(5, 2), 2.5])
+    def test_graded_atom_keeps_sigma_3_past_underflow(self, s):
+        # length-4 products have sigma_3 / sigma_1 = 1e-400, below the range
+        # of a scaled float matrix; sigma_3 from the carried log|det| keeps
+        # the upper endpoint finite, where it was -inf below a finite lower
+        mu = FiniteMatrixMeasure([(1.0, np.diag([1.0, 1.0, 1e-100]))])
+        res = bracket(mu, s, 0.05)
+        assert math.isfinite(res.upper) and res.lower <= res.upper
+        assert contains_to_rounding(res, 0.5 * math.log(1e-100))
+
     def test_irrational_exponent_certifies_with_near_rational(self):
         s = 1.5 + 1e-4
         res = bracket(SCALAR_3D, s, 1.5)
