@@ -20,6 +20,7 @@ from .errors import (
     BudgetExhaustedError,
     DimensionCapError,
     InvalidInputError,
+    InvertedIntervalError,
     ToleranceNotMetError,
 )
 from .measure import (
@@ -82,6 +83,7 @@ __all__ = [
     "BudgetExhaustedError",
     "DimensionCapError",
     "InvalidInputError",
+    "InvertedIntervalError",
     "ToleranceNotMetError",
     "FiniteMatrixMeasure",
     "Kernel",

@@ -397,8 +397,8 @@ def _chunk_stats(chunk, kind, s_list, d):
     if shift is not None:
         logw = logw + shift
     sums = {}
-    if kind == "phi":
-        sums = {k: _row_sums(cols, k) for k in {min(int(s), d) for s in s_list}}
+    if kind == "phi":  # S_0 is all zeros: formed only for s = 0
+        sums = {k: _row_sums(cols, k) for k in {min(int(s), d) for s in s_list if not 0 < s < 1}}
     buf = np.empty(cols.shape[1])
     out = []
     for s in s_list:
@@ -410,11 +410,14 @@ def _chunk_stats(chunk, kind, s_list, d):
             np.multiply(sums[d], s / d, out=buf)
         elif frac > 0.0:
             np.multiply(cols[k], frac, out=buf)
-            buf += sums[k]
+            if k:
+                buf += sums[k]
         else:
             np.copyto(buf, sums[k])
         buf += logw
         top = float(np.max(buf))
+        if kind == "phi" and k == 0 and top == 0.0:
+            top = 0.0  # adding S_0 would have turned a -0.0 row into +0.0
         if top == -math.inf:
             out.append((-math.inf, 0.0))
             continue

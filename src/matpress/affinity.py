@@ -7,10 +7,10 @@ pressure.  Two finite-step certification routes exist:
 * determinant branch: when sum w_i |det A_i| >= 1 the crossing happens at
   s >= d, where P equals the exact one-step determinant pressure and the
   defining equation is solved by bisecting a strictly decreasing function;
-* interval refinement: otherwise the crossing lies in [0, d] and is
-  squeezed by one-sided tests at interior probe exponents t: an upper test
-  (some phi^t power sum drops below 1, certifying P(t) < 0, so the
-  dimension is at most t) and a lower test (a quantified
+* interval refinement: otherwise the crossing lies in [0, d], and one
+  sweep over word lengths walks each end by regula falsi on a one-sided
+  test: an upper test (a phi^t power sum below 1 certifies P(t) < 0, so
+  the dimension is at most t) and a lower test (a quantified
   supermultiplicativity defect certifies P(t) > 0, so it is at least t).
 
 Both tests are sound at every word length; only their firing time is
@@ -25,8 +25,9 @@ from fractions import Fraction
 
 from . import _engine, linalg
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
-from .measure import FiniteMatrixMeasure, WordBudget
-from .pressure import log_norm_constant
+from .errors import InvertedIntervalError
+from .measure import WordBudget
+from .pressure import _validate_mu, log_norm_constant
 from .svpressure import det_pressure, lift_params, log_planar_constant
 
 __all__ = [
@@ -37,38 +38,32 @@ __all__ = [
     "affinity_dimension",
 ]
 
-# Probe placement within the current interval, one round of refinement.
-# Dense near the edges so one-sided fires can trim hard; 1/3 and 2/3 keep
-# the classical trisection points in play.
-_GRID = (
-    Fraction(1, 32),
-    Fraction(1, 16),
-    Fraction(1, 8),
-    Fraction(1, 4),
-    Fraction(1, 3),
-    Fraction(1, 2),
-    Fraction(2, 3),
-    Fraction(3, 4),
-    Fraction(7, 8),
-    Fraction(15, 16),
-    Fraction(31, 32),
-)
-
-_MAX_ROUNDS = 256
+# Rounding allowance of a log sum L = log sum_r exp(v_r) over R rows reduced
+# at word length m.  Each v_r = log w + sum_j c_j l_j adds at most d + 2
+# rounded terms (the l_j <= 0 share a sign, every norm being below 1), so is
+# off by at most (d + 3) u M_r, u = 2^-53, M_r = |log w| + |log phi^s|.
+# Under p_r = exp(v_r - L), |v_r| <= |L| - log p_r gives the mean of M_r at
+# most |L| + H(p) + 2 m W <= |L| + m (log N + 2 W), W the largest |log w_i|
+# of the N atoms; the shift, exp, sums, per-unit merges and log add at most
+# (log2 R + 4 units + 8) u relative.  _ROUNDING (|L| + m (log N + 2 W) + 1)
+# exceeds both for d < 2^18 and under 2^17 units.  The rounding of the word
+# products themselves is the engine's to bound.
+_ROUNDING = 2.0 ** -32
 
 
 @dataclass(frozen=True)
 class AffinityResult:
     """Outcome of an affinity-dimension run.
 
-    interval always contains the affinity dimension (up to floating
-    arithmetic in the evaluated power sums); certified additionally means
-    its width is at most the requested eps.  steps counts interval
-    refinements (bisection halvings or probe-test fires), history the
-    interval after each completed refinement round.  words_evaluated sums
-    the nominal word count N^n of every power-sum pass at length n, passes
-    answered from a held log-sigma table included, so it does not fall
-    when a table saves the enumeration.
+    interval always contains the affinity dimension (up to the rounding of
+    the word products; the power sums' own rounding is allowed for); certified
+    additionally means its width is at most the requested eps.  steps counts
+    endpoint moves: bisection halvings on the determinant branch, otherwise
+    test fires that moved an end.  history holds the interval after each word
+    length of the sweep.  words_evaluated sums the nominal word count N^n of
+    every power-sum pass at length n, one pass per evaluated exponent, passes
+    answered from a held log-sigma table included, so it does not fall when
+    a table saves the enumeration.
     """
 
     interval: tuple
@@ -94,12 +89,8 @@ def meets_ambient_dimension(mu):
     Decides the branch: above the threshold the affinity dimension is >= d
     and the determinant equation pins it down exactly.
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
-    total = math.fsum(
-        w * abs(linalg._det(m)) for w, m in zip(mu._weights, mu._mats)
-    )
-    return total >= 1.0
+    _validate_mu(mu)
+    return math.fsum(w * abs(linalg._det(m)) for w, m in zip(mu._weights, mu._mats)) >= 1.0
 
 
 def _det_bisect(mu, tol):
@@ -149,8 +140,7 @@ def solve_determinant_dimension(mu, tol=1e-9):
 
     Preconditions: every |det A_i| < 1 and meets_ambient_dimension(mu).
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
+    _validate_mu(mu)
     tol = float(tol)
     if not (tol > 0.0):
         raise InvalidInputError(f"tol must be positive, got {tol}")
@@ -173,7 +163,8 @@ def _lower_test_params(d, t, q_cap, dim_cap):
     """(block length multiplier, log constant) of the lower test at exponent t.
 
     Returns None when no product inequality is available at t (lift
-    dimension above cap).  t is a Fraction strictly between 0 and d.
+    dimension above cap).  0 < t <= d; t is a Fraction where the lift is
+    needed (d >= 3 and t > 1).
     """
     tf = float(t)
     if t <= 1:
@@ -190,53 +181,128 @@ def _lower_test_params(d, t, q_cap, dim_cap):
 class _PhiCache:
     """Shared phi^t power-sum evaluations keyed by (exponent, word length).
 
-    Batches all exponents needed at one length into one engine call.  The
-    engine keeps each length's log-sigma table in ``tables``, so the words
-    of a length are enumerated once per run however many rounds of probes
+    The engine keeps each length's log-sigma table in ``tables``, so the
+    words of a length are enumerated once per run however many exponents
     reach it; the tables are freed with this object when the run returns.
     Nominal word counts accumulate per call, table hits included.
     """
 
     def __init__(self, mu, budget, clock, workers):
-        self.mu = mu
-        self.budget = budget
-        self.clock = clock
-        self.workers = workers
-        self.vals = {}
-        self.tables = {}
-        self.words = 0
+        self.mu, self.budget, self.clock, self.workers = mu, budget, clock, workers
+        self.vals, self.tables, self.words = {}, {}, 0
+        # log N + 2 W of the _ROUNDING bound
+        self.per_letter = math.log(mu.n_atoms) + 2.0 * max(abs(math.log(w)) for w in mu._weights)
 
-    def fetch(self, pairs):
-        by_len = {}
-        for tf, length in pairs:
-            if (tf, length) not in self.vals:
-                by_len.setdefault(length, set()).add(tf)
-        for length in sorted(by_len):
-            ts = sorted(by_len[length])
+    def value(self, tf, length):
+        if (tf, length) not in self.vals:
             out = _engine.weighted_sums(
-                self.mu, length, "phi", ts, self.budget,
+                self.mu, length, "phi", [tf], self.budget,
                 clock=self.clock, workers=self.workers, tables=self.tables,
             )
             self.words += _engine.nominal_words(length, self.mu.n_atoms)
-            for tf, v in zip(ts, out):
-                self.vals[(tf, length)] = float(v)
-
-    def get(self, tf, length):
+            self.vals[(tf, length)] = float(out[0])
         return self.vals[(tf, length)]
 
+    def slack(self, value, length):
+        """_ROUNDING bound of a log sum ``value`` at word length ``length``."""
+        size = abs(value) if value > -math.inf else 0.0
+        return _ROUNDING * (size + length * self.per_letter + 1.0)
 
-def _upper_fires(cache, tf, n):
-    # power sum below 1 at any single length certifies P(t) < 0
-    return cache.get(tf, n) < 0.0
+
+def _upper_margin(cache, n, s):
+    # > 0 where log Phi_n(s) < -slack: the power sum is below 1, P(s) < 0
+    u = cache.value(s, n)
+    return -u - cache.slack(u, n)
 
 
-def _lower_fires(cache, tf, n, d_t, log_m):
-    # quantified supermultiplicativity: Phi_{n d_t} > M * Phi_n^(d_t - 1)
-    # certifies P(t) > 0 at any single length
-    phi_nd = cache.get(tf, n * d_t)
-    if phi_nd == -math.inf:
-        return False
-    return phi_nd > log_m + (d_t - 1) * cache.get(tf, n)
+def _lower_margin(cache, n, s, block, log_k):
+    # > 0 where log Phi_{n b}(s) - log K - (b - 1) log Phi_n(s) > slack: the
+    # quantified supermultiplicativity defect certifies P(s) > 0
+    ub = cache.value(s, n * block)
+    if ub == -math.inf:
+        return -math.inf
+    u = cache.value(s, n)
+    slack = cache.slack(ub, n * block) + (block - 1) * cache.slack(u, n) + _ROUNDING * abs(log_k)
+    return ub - log_k - (block - 1) * u - slack
+
+
+def _illinois(margin, fire, m_fire, miss, m_miss, tol):
+    """(last firing point, fires) of a safeguarded regula falsi on margin.
+
+    ``fire`` is where the test fires (m_fire > 0; None: an a priori end),
+    ``miss`` where it does not; each probe replaces the end on its side
+    until they are within tol.  The Illinois rule halves the margin of an
+    end kept twice in a row; probes lie tol/2 or more inside the ends, and a
+    bracket that did not halve over two probes is bisected, so the walk
+    takes O(log(width / tol)) probes whatever the margin's shape.
+    """
+    fires, kept, widths = 0, 0, [math.inf, math.inf]  # kept: side moved last
+    while (width := abs(miss - fire)) > tol:
+        c = 0.5 * (fire + miss)
+        if m_fire is not None and math.isfinite(m_fire - m_miss) and width <= 0.5 * widths[-2]:
+            c = fire + (miss - fire) * (m_fire / (m_fire - m_miss))
+        widths.append(width)
+        c = min(max(c, min(fire, miss) + 0.5 * tol), max(fire, miss) - 0.5 * tol)
+        m = margin(c)
+        if m > 0.0:
+            fire, m_fire, fires = c, m, fires + 1
+            if kept == 1:
+                m_miss *= 0.5
+            kept = 1
+        else:
+            miss, m_miss = c, m
+            if kept == -1 and m_fire is not None:
+                m_fire *= 0.5
+            kept = -1
+    return fire, fires
+
+
+def _upper_end(cache, n, lo, hi, tol):
+    """(hi, fires): the lowest point of [lo, hi] where the upper test fires
+    at length n, to within tol."""
+    m_hi = _upper_margin(cache, n, hi)
+    if not m_hi > 0.0:
+        return hi, 0  # the margin increases with s, so nothing below fires
+    m_lo = _upper_margin(cache, n, lo)
+    if m_lo > 0.0:
+        if lo > 0.0:
+            raise InvertedIntervalError(f"upper test fires at the certified lower end {lo!r}")
+        return lo, 1  # P(0) < 0: the dimension is 0
+    return _illinois(lambda s: _upper_margin(cache, n, s), hi, m_hi, lo, m_lo, tol)
+
+
+def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
+    """(lo, fires): the highest point of [lo, hi] found where the lower test
+    fires at length n.
+
+    Where the product-inequality constant is explicit in s (s <= 1 with
+    block d, and 1 < s < 2 for d = 2) the test is walked continuously, to
+    within tol.  For d >= 3 above 1 only the lift rationals with
+    denominator <= q_cap have a constant: the largest that fires wins.
+    """
+    mu, budget, d = cache.mu, cache.budget, cache.mu.dimension
+    lifts = {Fraction(a, q) for q in range(1, q_cap + 1) for a in range(q + 1, d * q)}
+    for t in sorted((t for t in lifts if lo < t < hi), reverse=True) if d >= 3 else ():
+        params = _lower_test_params(d, t, q_cap, dim_cap)
+        if (params is not None and _engine.feasible(budget, n * params[0], mu.n_atoms)
+                and _lower_margin(cache, n, float(t), *params) > 0.0):
+            return float(t), 1
+    top = hi if d <= 2 else min(hi, 1.0)
+    if top <= lo or not _engine.feasible(budget, n * d, mu.n_atoms):
+        return lo, 0
+
+    def margin(s):
+        return _lower_margin(cache, n, s, *_lower_test_params(d, s, q_cap, dim_cap))
+
+    m_top = margin(top)
+    if m_top > 0.0:
+        if top == hi:
+            raise InvertedIntervalError(f"lower test fires at the certified upper end {hi!r}")
+        return top, 1
+    m_lo = margin(lo) if lo > 0.0 else None  # no constant at s = 0
+    if m_lo is not None and not m_lo > 0.0:
+        return lo, 0
+    return _illinois(margin, lo, m_lo, top, m_top, tol)
 
 
 def trisect_step(interval, mu, budget=None, q_cap=6, dim_cap=256, workers=1):
@@ -250,8 +316,7 @@ def trisect_step(interval, mu, budget=None, q_cap=6, dim_cap=256, workers=1):
     ~3/4 of the input width.  Returns None when the budget runs out before
     any test fires.
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
+    _validate_mu(mu)
     if budget is None:
         budget = WordBudget()
     s1, s2 = (Fraction(x) for x in interval)
@@ -274,50 +339,31 @@ def trisect_step(interval, mu, budget=None, q_cap=6, dim_cap=256, workers=1):
     clock = _engine.RunClock(budget.wall_clock_cap)
     cache = _PhiCache(mu, budget, clock, workers)
 
-    def tests_at(n):
-        # (kind, t, extra) in firing-priority order; None entries dropped
-        order = []
-        for kind, t in (("upper", t1), ("lower", t2), ("upper", t2), ("lower", t1)):
-            if t is None:
-                continue
-            if kind == "upper":
-                if _engine.feasible(budget, n, mu.n_atoms):
-                    order.append((kind, t, None))
-            elif t >= d:
-                if n == 1:  # exact one-step determinant pressure decides
-                    order.append((kind, t, "det"))
-            else:
-                params = _lower_test_params(d, t, q_cap, dim_cap)
-                if params is not None and _engine.feasible(budget, n * params[0], mu.n_atoms):
-                    order.append((kind, t, params))
-        return order
-
     n = 1
     try:
         while True:
             clock.check()
-            order = tests_at(n)
-            if not order:
-                return None
-            needed = []
-            for kind, t, extra in order:
+            live = False  # some test is feasible at this length
+            for kind, t in (("upper", t1), ("lower", t2), ("upper", t2), ("lower", t1)):
+                if t is None:
+                    continue
                 if kind == "upper":
-                    needed.append((float(t), n))
-                elif extra != "det":
-                    needed.append((float(t), n))
-                    needed.append((float(t), n * extra[0]))
-            cache.fetch(needed)
-            for kind, t, extra in order:
-                tf = float(t)
-                if kind == "upper":
-                    if _upper_fires(cache, tf, n):
-                        return (s1, t)
-                elif extra == "det":
-                    if det_pressure(mu, tf) > 0.0:
+                    if _engine.feasible(budget, n, mu.n_atoms):
+                        live = True
+                        if _upper_margin(cache, n, float(t)) > 0.0:
+                            return (s1, t)
+                elif t >= d:  # the exact one-step determinant pressure decides
+                    live |= n == 1
+                    if n == 1 and det_pressure(mu, float(t)) > 0.0:
                         return (t, s2)
                 else:
-                    if _lower_fires(cache, tf, n, extra[0], extra[1]):
-                        return (t, s2)
+                    params = _lower_test_params(d, t, q_cap, dim_cap)
+                    if params is not None and _engine.feasible(budget, n * params[0], mu.n_atoms):
+                        live = True
+                        if _lower_margin(cache, n, float(t), *params) > 0.0:
+                            return (t, s2)
+            if not live:
+                return None
             n += 1
     except BudgetExhaustedError:
         return None
@@ -329,13 +375,15 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     Requires every atom's operator norm strictly below 1 (this makes the
     pressure strictly decreasing where finite, so one-sided tests localize
     the crossing).  Dispatches to the determinant branch when
-    meets_ambient_dimension holds; otherwise refines [0, d] in rounds,
-    testing a grid of interior probes at growing word lengths and keeping
-    every fire.  Rounds re-probe the surviving interval, so the returned
-    interval is always a valid containment even on budget exhaustion.
+    meets_ambient_dimension holds; otherwise sweeps word lengths n = 1, 2,
+    ... once, and at each moves the upper end of [0, d] down and then the
+    lower end up by a safeguarded regula falsi on the tests' margins,
+    reducing the held tables at one exponent per probe.  Every endpoint is
+    a point where its test fired, so the interval is a valid containment
+    even on budget exhaustion.  Raises InvertedIntervalError if a test
+    fires at or beyond the opposite end.
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
+    _validate_mu(mu)
     eps = float(eps)
     if not (eps > 0.0):
         raise InvalidInputError(f"eps must be positive, got {eps}")
@@ -350,78 +398,26 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
 
     if meets_ambient_dimension(mu):
         lo, hi, steps = _det_bisect(mu, min(eps, 1e-9))
-        return AffinityResult(
-            (lo, hi), "determinant", steps, "certified",
-            ((lo, hi),), 0, time.monotonic() - t0,
-        )
+        return AffinityResult((lo, hi), "determinant", steps, "certified",
+                              ((lo, hi),), 0, time.monotonic() - t0)
 
-    d = mu.dimension
     clock = _engine.RunClock(budget.wall_clock_cap)
     cache = _PhiCache(mu, budget, clock, workers)
-    lo, hi = Fraction(0), Fraction(d)
-    steps = 0
-    history = []
-    status = "budget_exhausted"
+    tol = eps / 64.0
+    lo, hi = 0.0, float(mu.dimension)
+    steps, history, n = 0, [], 1
     try:
-        for _ in range(_MAX_ROUNDS):
-            width = hi - lo
-            if float(width) <= eps:
-                status = "certified"
-                break
-            target = max(eps, 0.75 * float(width))
-            probes = []
-            for f in _GRID:
-                t = lo + f * width
-                if d >= 3 and 1 < t < d and t.denominator > q_cap:
-                    t = _snap_rational(t, q_cap, width / 12)
-                if t is None or not (lo < t < hi):
-                    continue
-                if t not in probes:
-                    probes.append(t)
-            probes.sort()
-            live = []
-            for t in probes:
-                params = _lower_test_params(d, t, q_cap, dim_cap) if t < d else None
-                live.append((t, float(t), params))
-            fired = False
-            n = 1
-            while live and _engine.feasible(budget, n, mu.n_atoms):
-                clock.check()
-                needed = [(tf, n) for _, tf, _ in live]
-                for _, tf, params in live:
-                    if params is not None and _engine.feasible(
-                        budget, n * params[0], mu.n_atoms
-                    ):
-                        needed.append((tf, n * params[0]))
-                cache.fetch(needed)
-                for t, tf, params in live:
-                    if lo < t < hi and _upper_fires(cache, tf, n):
-                        hi = t
-                        steps += 1
-                        fired = True
-                for t, tf, params in live:
-                    if (
-                        lo < t < hi
-                        and params is not None
-                        and _engine.feasible(budget, n * params[0], mu.n_atoms)
-                        and _lower_fires(cache, tf, n, params[0], params[1])
-                    ):
-                        lo = t
-                        steps += 1
-                        fired = True
-                live = [rec for rec in live if lo < rec[0] < hi]
-                if float(hi - lo) <= target:
-                    break
-                n += 1
-            history.append((float(lo), float(hi)))
-            if float(hi - lo) <= eps:
-                status = "certified"
-                break
-            if not fired:
-                break  # a full sweep to the feasibility limit moved nothing
+        while hi - lo > eps and _engine.feasible(budget, n, mu.n_atoms):
+            clock.check()
+            hi, fires = _upper_end(cache, n, lo, hi, tol)
+            steps += fires
+            if hi - lo > eps:
+                lo, fires = _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap)
+                steps += fires
+            history.append((lo, hi))
+            n += 1
     except BudgetExhaustedError:
-        history.append((float(lo), float(hi)))
-    return AffinityResult(
-        (float(lo), float(hi)), "trisection", steps, status,
-        tuple(history), cache.words, time.monotonic() - t0,
-    )
+        history.append((lo, hi))
+    status = "certified" if hi - lo <= eps else "budget_exhausted"
+    return AffinityResult((lo, hi), "trisection", steps, status,
+                          tuple(history), cache.words, time.monotonic() - t0)

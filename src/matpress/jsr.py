@@ -9,7 +9,6 @@ provenance tag.  The zero-temperature scan maps norm-pressure brackets
 through x -> exp(x/s), whose s -> inf limit is the joint spectral radius.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -242,8 +241,7 @@ def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=1):
     norm-pressure bracket at tolerance eps, mapped through x -> exp(x/s);
     per-point statuses are preserved.
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
+    pressure._validate_mu(mu)
     if s_list is None:
         s_list = _DEFAULT_SCAN_GRID
     s_values = [float(s) for s in s_list]

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import _engine, linalg, pressure
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
-from .measure import FiniteMatrixMeasure, WordBudget, scale_measure, restrict_invertible
+from .measure import WordBudget, scale_measure, restrict_invertible
 from .pressure import PressureBracket, log_norm_constant
 
 __all__ = [
@@ -201,8 +201,7 @@ def det_pressure(mu, s):
     phi^s is multiplicative there, so the one-step sum already equals P.
     Returns -inf when every atom is singular.
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
+    pressure._validate_mu(mu)
     s = float(s)
     d = mu.dimension
     if not (s >= d):
@@ -247,8 +246,7 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     route for d >= 3.  Statuses follow pressure.bracket; provenance records
     which inequality produced the lower bound.
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
+    pressure._validate_mu(mu)
     s_float = float(s)
     if not (s_float > 0.0 and math.isfinite(s_float)):
         raise InvalidInputError(f"exponent s must be positive and finite, got {s}")
@@ -439,8 +437,7 @@ def continuity_at_one(mu, eps, budget=None, workers=1):
     provably sit in one interval of width < eps, "inconclusive" on budget
     exhaustion.  An empty invertible part counts as P(mu0, 1) = -inf.
     """
-    if not isinstance(mu, FiniteMatrixMeasure):
-        raise InvalidInputError("expected a FiniteMatrixMeasure")
+    pressure._validate_mu(mu)
     if mu.dimension != 2:
         raise InvalidInputError("the continuity diagnostic is 2D only")
     eps = float(eps)

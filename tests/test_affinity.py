@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from matpress import _engine
 from matpress.affinity import (
@@ -12,7 +14,7 @@ from matpress.affinity import (
     solve_determinant_dimension,
     trisect_step,
 )
-from matpress.errors import InvalidInputError
+from matpress.errors import InvalidInputError, InvertedIntervalError
 from matpress.measure import FiniteMatrixMeasure, WordBudget
 
 
@@ -190,9 +192,9 @@ class TestAffinityDimension:
 
 
 def test_each_length_is_enumerated_once_per_run(monkeypatch):
-    # the ROADMAP's planar triple; rounds of probes revisit lengths up to 10,
-    # and 3^10 rows pass the small-level cache, so length 10 needs the
-    # run's own table
+    # the ROADMAP's planar triple; the sweep evaluates many exponents at
+    # lengths up to 10, and 3^10 rows pass the small-level cache, so length
+    # 10 needs the run's own table
     mu = FiniteMatrixMeasure([
         (1.0, np.array([[0.6, 0.2], [0.1, 0.4]])),
         (1.0, np.array([[0.3, -0.2], [0.25, 0.5]])),
@@ -209,19 +211,205 @@ def test_each_length_is_enumerated_once_per_run(monkeypatch):
     res = affinity_dimension(mu, 0.05, budget=WordBudget(max_words=3**10))
     assert len(built) == len(set(built))
     assert max(n for n, _ in built) == 10
-    # bits of the run before the lengths' tables were kept
+    # bits of the depth sweep
     h = float.fromhex
-    assert res.status == "budget_exhausted" and res.steps == 14
-    assert res.interval == (h("0x1.55c8p-1"), h("0x1.64c0p+0"))
+    assert res.status == "budget_exhausted" and res.steps == 16
+    assert res.interval == (h("0x1.5f5a4558ce9e1p-1"), h("0x1.60ed232c0df04p+0"))
     assert res.history == (
-        (0.0, 1.5),
-        (0.5, h("0x1.74p+0")),
-        (h("0x1.3dp-1"), h("0x1.64c0p+0")),
-        (h("0x1.55c8p-1"), h("0x1.64c0p+0")),
-        (h("0x1.55c8p-1"), h("0x1.64c0p+0")),
+        (0.0, h("0x1.74bafb14bfdb7p+0")),
+        (h("0x1.5b3000c96eecap-5"), h("0x1.6dd34d7a3c375p+0")),
+        (h("0x1.628953b815210p-2"), h("0x1.6ab1221a5de93p+0")),
+        (h("0x1.16a699761dd80p-1"), h("0x1.68765f958f5cdp+0")),
+        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.66a0808f46ac0p+0")),
+        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.650b2c7e36fbfp+0")),
+        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.63b87c351ecccp+0")),
+        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.629c4ae92d15ap+0")),
+        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.61b058f31d474p+0")),
+        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.60ed232c0df04p+0")),
     )
-    assert res.words_evaluated == 273138
+    assert res.words_evaluated == 659202
+    # inside the interval of the 11-probe grid this sweep replaced
+    assert h("0x1.55c8p-1") < res.interval[0] and res.interval[1] < h("0x1.64c0p+0")
     # only small levels stay on the measure once the run returns
     for cache in mu._engine_caches.values():
         for chunks in cache.sig_cache.values():
             assert sum(cols.shape[1] for cols, _, _ in chunks) <= _engine._LEVEL_ROWS
+
+
+@pytest.mark.parametrize("fake, where", [
+    # every sum far above 1 and supermultiplicative: the lower test fires
+    # at the a priori upper end d
+    (lambda s, m: 10.0 * m, "upper end"),
+    # lengths 1-2 fire the lower test below 0.7 and the upper above 1;
+    # from length 3 on every sum is below 1, so the upper test fires at the
+    # certified lower end
+    (lambda s, m: 10.0 * m * (1.0 - s) if m <= 2 else -1.0 * m, "lower end"),
+])
+def test_contradictory_sums_raise_instead_of_certifying(monkeypatch, fake, where):
+    def sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=None):
+        return np.array([fake(float(s), n) for s in s_values])
+
+    monkeypatch.setattr(_engine, "weighted_sums", sums)
+    with pytest.raises(InvertedIntervalError, match=where):
+        affinity_dimension(THREE_HALVES, 0.01)
+
+
+CARPET = FiniteMatrixMeasure([
+    (1.0, np.diag([0.5, 0.25])),
+    (1.0, np.diag([-0.5, 0.25])),
+    (1.0, np.diag([0.5, 1.0 / 16.0])),
+    (1.0, np.diag([0.5, -1.0 / 16.0])),
+])
+
+
+def _moran_dimension(mp, count, ratio):
+    return mp.log(count) / mp.log(1 / mp.mpf(ratio))
+
+
+@pytest.mark.parametrize("mu, exact, eps, budget", [
+    # MORAN3 of the benchmark: every power sum is exact, and its upper root
+    # is the dimension itself
+    (THREE_HALVES, lambda mp: _moran_dimension(mp, 3, 0.5), 0.2,
+     WordBudget(max_word_length=48, max_words=3**48)),
+    (THREE_HALVES, lambda mp: _moran_dimension(mp, 3, 0.5), 1e-3,
+     WordBudget(max_word_length=48, max_words=3**48)),
+    (THREE_HALVES, lambda mp: _moran_dimension(mp, 3, 0.5), 1.2, None),
+    (THREE_HALVES, lambda mp: _moran_dimension(mp, 3, 0.5), 0.05, None),
+    (TWO_THIRDS, lambda mp: _moran_dimension(mp, 2, 1.0 / 3.0), 1.0, None),
+    (TWO_THIRDS, lambda mp: _moran_dimension(mp, 2, 1.0 / 3.0), 0.05, None),
+    (PAIR_3D, lambda mp: _moran_dimension(mp, 2, 0.4), 0.8, None),
+    (PAIR_3D, lambda mp: _moran_dimension(mp, 2, 0.4), 0.05, None),
+    (CARPET, lambda mp: 1 + mp.log((1 + mp.sqrt(5)) / 2) / mp.log(4), 0.01,
+     WordBudget(max_word_length=48, max_words=4**48)),
+], ids=["moran3", "moran3_1e-3", "halves_1.2", "halves_0.05", "thirds_1.0", "thirds_0.05",
+        "pair3d_0.8", "pair3d_0.05", "carpet"])
+def test_interval_contains_exact_dimension_without_slack(mu, exact, eps, budget):
+    mpmath = pytest.importorskip("mpmath")
+    res = affinity_dimension(mu, eps, budget=budget)
+    assert res.branch == "trisection"
+    with mpmath.workdps(40):
+        value = exact(mpmath)
+        lo, hi = (mpmath.mpf(x) for x in res.interval)  # floats convert exactly
+        assert lo <= value <= hi, (res.interval, value)
+
+
+def compound(a, j):
+    """j-th compound matrix: the j x j minors of a, subsets in lexicographic order."""
+    subsets = list(itertools.combinations(range(a.shape[0]), j))
+    return np.array([[np.linalg.det(a[np.ix_(r, c)]) for c in subsets] for r in subsets])
+
+
+def brute_log_phi_sum(weights, mats, n, s):
+    """log sum_w w * phi^s(A_w) over every length-n word, by plain numpy.
+
+    phi^s = ||C_k(A_w)||^(1 - f) ||C_(k+1)(A_w)||^f with k = floor(s),
+    f = s - k and C_j the j-th compound (C_0 = 1, C_d = det).  Each C_j(A_w)
+    is the product of the atoms' C_j, so small singular values keep their
+    relative accuracy, which an SVD of the product A_w would not.
+    """
+    d = mats.shape[1]
+    k = min(int(s), d)
+    terms = [(d, s / d)] if s >= d else [(k, 1.0 - (s - k)), (k + 1, s - k)]
+    logw = np.log(weights)
+    vals = logw
+    for _ in range(n - 1):
+        vals = (vals[:, None] + logw[None, :]).ravel()
+    for j, power in terms:
+        if j == 0 or power == 0.0:
+            continue
+        atoms = np.array([compound(m, j) for m in mats])
+        prods = atoms
+        for _ in range(n - 1):
+            prods = np.einsum("aij,bjk->abik", prods, atoms).reshape(-1, *atoms.shape[1:])
+        with np.errstate(divide="ignore"):
+            vals = vals + power * np.log(np.linalg.svd(prods, compute_uv=False)[:, 0])
+    top = float(np.max(vals))
+    if top == -math.inf:
+        return -math.inf
+    return top + math.log(float(np.sum(np.exp(vals - top))))
+
+
+def lower_test_constant(d, s):
+    """(block, log K) of the lower test at s, written out from the formulas."""
+    if s <= 1.0:
+        return d, (2.0 + (d + 1) * s + max(1.0 - s, 0.0)) * math.log(d)
+    if d == 2:
+        return 2, (7.0 - 2.0 * s) * math.log(2.0)
+    t = Fraction(s).limit_denominator(6)
+    assert float(t) == s, "a d >= 3 lower end above 1 is a lift rational"
+    k, rem = int(t), t - int(t)
+    p, q = rem.numerator, rem.denominator
+    dp = math.comb(d, k) ** (q - p) * math.comb(d, k + 1) ** p
+    return dp, (2.0 + (dp + 1) / q) * math.log(dp) + ((q - 1) / q) * math.log(dp + 1)
+
+
+def recertifies(weights, mats, lo, hi, max_words):
+    """The lower and upper tests, by numpy enumeration and without slack,
+    fire at each endpoint strictly inside (0, d) at some feasible length."""
+    n_atoms, d = mats.shape[:2]
+    lengths = [n for n in range(1, 64) if n_atoms**n <= max_words]
+    ok = True
+    if 0.0 < hi < d:
+        ok &= any(brute_log_phi_sum(weights, mats, n, hi) < 0.0 for n in lengths)
+    if 0.0 < lo < d:
+        block, log_k = lower_test_constant(d, lo)
+
+        def fires(n):
+            big = brute_log_phi_sum(weights, mats, n * block, lo)
+            small = brute_log_phi_sum(weights, mats, n, lo)
+            return big - log_k - (block - 1) * small > 0.0
+
+        ok &= any(fires(n) for n in lengths if n * block in lengths)
+    return ok
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from([2, 3]),
+    st.sampled_from([3**4, 3**6, 3**8]),
+    st.sampled_from([0.02, 0.2]),
+)
+def test_sweep_endpoints_recertify_by_enumeration(seed, d, n_atoms, max_words, eps):
+    # atoms Q1 diag(sigma) Q2 with every sigma_j at least 0.05 sigma_1: the
+    # engine computes sigma_2 of a 2x2 word from the rounded product, which
+    # near-singular atoms defeat (the reproducer below)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(n_atoms):
+        q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+        top = rng.uniform(0.3, 0.95)
+        sigma = np.sort(top * rng.uniform(0.05, 1.0, d))[::-1]
+        sigma[0] = top
+        mats.append(q1 @ np.diag(sigma) @ q2)
+    mats = np.array(mats)
+    weights = rng.uniform(0.5, 1.5, n_atoms)
+    mu = FiniteMatrixMeasure(zip(weights, mats))
+    assume(not meets_ambient_dimension(mu))
+    res = affinity_dimension(mu, eps, budget=WordBudget(max_words=max_words))
+    lo, hi = res.interval
+    assert 0.0 <= lo <= hi <= d
+    prev = (0.0, float(d))
+    for pair in res.history:
+        assert prev[0] <= pair[0] <= pair[1] <= prev[1]
+        prev = pair
+    assert prev == res.interval
+    assert recertifies(weights, mats, lo, hi, max_words)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="sigma_2 of a 2x2 word from the rounded product")
+def test_near_singular_planar_atom_upper_end_recertifies():
+    # sigma_2 / sigma_1 = 0.01 for the second atom: the engine's sigma_2 =
+    # |det| / sigma_1 of the rounded 12-letter products puts log Phi_12 at
+    # the upper end 1.09 at -1.1e-5, while the exact compound products give
+    # +3.3e-4, and no shorter length fires there
+    rng = np.random.default_rng(35518)
+    mats = rng.uniform(-1.0, 1.0, (2, 2, 2))
+    mats *= rng.uniform(0.3, 0.95, 2)[:, None, None] / np.linalg.norm(
+        mats, 2, axis=(1, 2))[:, None, None]
+    weights = rng.uniform(0.5, 1.5, 2)
+    mu = FiniteMatrixMeasure(zip(weights, mats))
+    res = affinity_dimension(mu, 0.02, budget=WordBudget(max_words=3**8))
+    assert recertifies(weights, mats, *res.interval, 3**8)

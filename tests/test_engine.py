@@ -300,6 +300,29 @@ def test_chunk_stats_match_row_reference(seed, d, m, kind, shift):
             assert same_floats(stats, want), (kern, s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1, 9, 300]),
+    st.one_of(st.none(), st.sampled_from([0.0, -0.0, -1.5])),
+)
+def test_phi_stats_below_one_keep_the_zero_row_bits(seed, d, m, shift):
+    # S_0 is no longer formed for 0 < s < 1; the reference still adds it
+    rng = np.random.default_rng(seed)
+    logsig = -np.abs(rng.normal(0.0, 2.0, (m, d)))
+    logsig[rng.random((m, d)) < 0.3] = -0.0
+    logsig[rng.random((m, d)) < 0.2] = -np.inf
+    logw = -np.abs(rng.normal(0.0, 1.0, m))
+    logw[rng.random(m) < 0.3] = -0.0
+    s_list = [0.0, 0.5, float(rng.random()), 2.0**-60]
+    full_logw = logw if shift is None else logw + shift
+    got = _chunk_stats((np.ascontiguousarray(logsig.T), logw, shift), "phi", s_list, d)
+    for s, stats in zip(s_list, got):
+        want = reference_sum_stats(reference_kernel_logs(logsig, full_logw, "phi", s, d))
+        assert same_floats(stats, want), s
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4]), st.booleans())
 def test_sigma_cols_match_row_reference(seed, d, dyadic):
