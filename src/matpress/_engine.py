@@ -4,9 +4,9 @@ Words of length n over N atoms are enumerated as concatenations of subwords
 whose lengths form a fixed composition of n.  The products for each subword
 length m (a "level") are materialized once per measure and cached, up to
 2^15 rows a level (fewer for large d); a longer length is evaluated as the
-largest cached level times each combination of suffix rows, one batched
-product each, and those products are never normalized, deduplicated or
-stored.
+largest cached level times each combination of suffix rows, one GEMM over
+the level's stacked rows each (bits independent of batch and thread count),
+and those products are never normalized, deduplicated or stored.
 
 Two representation choices keep this exact and fast:
 
@@ -32,15 +32,15 @@ again at other exponents without enumerating the words a second time.
 Singular values take one route per dimension, each row computed on its own,
 so its bits do not depend on the batch, block or worker: d=1 the entry, d=2
 sigma_1 from the Gram matrix's trace and determinant and sigma_2 = |det| /
-sigma_1, d >= 4 (such as the 9x9 lifted products) LAPACK's SVD, and d=3
-(_sigma3) sigma_1 of A and of its 2x2 minors, which is sigma_1 sigma_2, by a
-closed-form top eigenvalue, with sigma_3 = |det| / (sigma_1 sigma_2) from
-``ldet``, log|det| of the exact product, which every level row carries,
-summed from the atoms like the log-weights.  d=3 rows where a closed form
-cannot keep its bound take LAPACK's sigma_1 and sigma_2.  Each sigma_j is
-within a small multiple of u * sigma_1 of the exact value (16 u for d=3,
-against a 50-digit SVD), and the d=3 sigma_3 is as accurate relative to
-itself as sigma_1 sigma_2.
+sigma_1 (|det| from ``ldet`` where the rounded one underflows to 0), d >= 4
+(such as the 9x9 lifted products) LAPACK's SVD, and d=3 (_sigma3) sigma_1 of
+A and of its 2x2 minors, which is sigma_1 sigma_2, by a closed-form top
+eigenvalue, with sigma_3 = |det| / (sigma_1 sigma_2) from ``ldet``, log|det|
+of the exact product, which every level row carries, summed from the atoms
+like the log-weights.  d=3 rows where a closed form cannot keep its bound
+take LAPACK's sigma_1 and sigma_2.  Each sigma_j is within a small multiple
+of u * sigma_1 of the exact value (16 u for d=3, against a 50-digit SVD),
+and the d=3 sigma_3 is as accurate relative to itself as sigma_1 sigma_2.
 """
 
 import functools
@@ -318,14 +318,18 @@ def _sigma3(mats, exps, ldet, top_only):
 # the closed 2x2 form squares t, the sum of squared entries: from here down
 # t*t and det*det lose bits to underflow
 _GRAM_LO = 2.0 ** -500
+# log 2^-1022 (least normal): fl(a e) - fl(b c) is within u (|a e| + |b c|)
+# + 2^-1074 of det, so a det above this rounds to 0 only by cancellation
+# (ROADMAP item 1); below it, its products or entries can underflow to 0
+_DET_LO = -1022.0 * LN2
 
 
 def _sigma_cols(mats, exps, d, ldet=None, top_only=False):
     """Log singular values plus the power-of-two scale, as (d, rows) columns.
 
     Column j holds log sigma_{j+1} of every row's product; -inf encodes zero.
-    d=3 runs _sigma3 in blocks of _BLOCK_ROWS rows, its sigma_3 from ``ldet``
-    (None: the rows' own determinants); the other routes are the module's.
+    ``ldet`` gives d=3's sigma_3 (None: the rows' own determinants) and d=2's
+    underflowed sigma_2; d=3 runs _sigma3 in blocks of _BLOCK_ROWS rows.
     ``top_only``: column 0 is all the caller reads, which spares d=3 the rest.
     """
     m = len(mats)
@@ -362,6 +366,13 @@ def _sigma_cols(mats, exps, d, ldet=None, top_only=False):
                 sub, e, nonzero = _normalize(mats[tiny])
                 cols[:, tiny] = -np.inf
                 cols[:, tiny[nonzero]] = _sigma_cols(sub[nonzero], e[nonzero], 2)
+            if ldet is not None:
+                # a det rounded to 0 (here or once rescaled) where the exact
+                # log|det| at these rows' scale is below _DET_LO underflowed
+                low = np.flatnonzero(cols[1] == -np.inf)
+                lds = ldet[low] - (2.0 * LN2) * exps[low]
+                low, lds = low[lds < _DET_LO], lds[lds < _DET_LO]
+                cols[1, low] = np.fmin(lds - cols[0, low], cols[0, low])
         else:
             cols = np.ascontiguousarray(np.linalg.svd(mats, compute_uv=False).T)
             np.log(cols, out=cols)
@@ -450,9 +461,10 @@ def _unit_arrays(cache, parts, combo, top_only=False):
     """(log-sigma columns, log-weight shift) of one evaluation unit.
 
     A unit is the batch level times one suffix combination, one row index
-    per later part.  Its products are not normalised; its log-weights are
-    the batch level's plus ``shift``, the suffix's summed log-weight (None
-    without a suffix); its log|det| (read by d=3 only) adds the suffix's.
+    per later part, its products one GEMM of the level's (rows * d, d) stack
+    by the suffix.  They are not normalised; its log-weights are the batch
+    level's plus ``shift``, the suffix's summed log-weight (None without a
+    suffix); its log|det| (read by d=2 and 3) adds the suffix's.
     """
     mats, exps, _, ldet = cache.levels[parts[0]]
     sfx = None
@@ -473,10 +485,11 @@ def _unit_arrays(cache, parts, combo, top_only=False):
                 _, ee = np.frexp(top)
                 sfx = np.ldexp(sfx, -int(ee))
                 se += int(ee)
-    ldet = None if top_only or cache.d != 3 else ldet + sld
+    ldet = None if top_only or cache.d not in (2, 3) else ldet + sld
     if sfx is None:
         return _sigma_cols(mats, exps, cache.d, ldet, top_only), None
-    return _sigma_cols(mats @ sfx, exps + se, cache.d, ldet, top_only), slw
+    prod = (mats.reshape(-1, cache.d) @ sfx).reshape(mats.shape)
+    return _sigma_cols(prod, exps + se, cache.d, ldet, top_only), slw
 
 
 def _plan_units(cache, parts):

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from matpress._engine import (
     _normalize,
     _sigma3,
     _sigma_cols,
+    _unit_arrays,
     weighted_sums,
 )
 from matpress.errors import BudgetExhaustedError
@@ -364,6 +366,41 @@ def test_sigma_cols_of_small_unnormalised_rows(d):
     np.testing.assert_allclose(got[:, rows], want[:, rows], rtol=0.0, atol=1e-12)
 
 
+
+def test_sigma_cols_planar_sigma_2_from_ldet_past_underflow():
+    # diag(1, 2^-600)^k has sigma_2 = 2^-600k: from k = 2 on its float matrix
+    # holds 0 there and its det rounds to 0, so sigma_2 comes from the carried
+    # log|det|, in the level rows, in unnormalised unit products, and in rows
+    # small enough for the rescaled closed form
+    cache = LevelCache([1.0], np.diag([1.0, 2.0**-600])[None], dedup=True)
+    cache.ensure(4)
+    for k in range(1, 5):
+        want = np.array([[0.0], [-600.0 * k * LN2]])
+        mats, exps, _, ldet = cache.levels[k]
+        got = [_sigma_cols(mats, exps, 2, ldet),
+               _sigma_cols(mats * 2.0**-600, exps + 600, 2, ldet)]
+        if k > 1:
+            got.append(_unit_arrays(cache, (k - 1, 1), (0,))[0])
+        for cols in got:
+            np.testing.assert_allclose(cols, want, rtol=1e-14, atol=1e-14)
+    # without ldet the underflowed sigma_2 stays -inf, as before
+    assert _sigma_cols(*cache.levels[2][:2], 2)[1, 0] == -math.inf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sigma_cols_planar_ldet_leaves_other_rows_alone(seed):
+    # a det that rounds to 0 by cancellation (dyadic rows here, with an ldet
+    # that says the exact det is not tiny) keeps its -inf: only an exact
+    # log|det| below the double range replaces the rounded det
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(-1.0, 1.0, (300, 2, 2))
+    mats[::2] = np.round(mats[::2] * 2.0) / 2.0
+    mats[5] *= 2.0**-600
+    exps = rng.integers(-40, 40, 300)
+    ldet = rng.normal(0.0, 3.0, 300)
+    assert same_floats(_sigma_cols(mats, exps, 2, ldet), _sigma_cols(mats, exps, 2))
+
+
 U = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -695,3 +732,72 @@ def test_unit_evaluation_matches_level_evaluation(seed, d, kind, n_atoms, n):
     scale[scale == -np.inf] = 0.0  # zero products: both tables -inf
     tol = 4 * (n * d + 16) * U
     assert np.all(np.abs(np.exp(got_table - scale) - np.exp(want_table - scale)) <= tol)
+
+
+def unit_cache(level, suffixes):
+    """A stand-in LevelCache whose level 2 is ``level`` and level 1
+    ``suffixes``: unit (2, 1), (i,) is the level times suffix row i."""
+    return types.SimpleNamespace(d=level[0].shape[1], levels={2: level, 1: suffixes})
+
+
+def draw_unit_rows(rng, d, m):
+    """(mats, exps, logw, ldet) rows: random entries with zero rows, -0.0
+    entries and rows scaled by 2^-600 mixed in, none normalised."""
+    mats = rng.uniform(-1.0, 1.0, (m, d, d))
+    kind = rng.integers(0, 4, m)
+    mats[kind == 1] = 0.0
+    mats[(kind == 2)[:, None, None] & (mats < 0.0)] = -0.0
+    mats[kind == 3] *= 2.0**-600
+    return mats, rng.integers(-40, 40, m), rng.standard_normal(m), rng.normal(0.0, 3.0, m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 19_683, 1 << 15])
+def test_unit_products_match_the_stacked_matmul(monkeypatch, d, m):
+    # each unit is one (m d, d) @ (d, d) GEMM: every entry is the same
+    # d-term dot product as in the stacked (m, d, d) @ (d, d) matmul, so the
+    # products equal its own and their columns keep its bits (the larger
+    # products are big enough for OpenBLAS to split their rows over threads)
+    rng = np.random.default_rng(100 * d + m)
+    level = draw_unit_rows(rng, d, m)
+    suffixes = draw_unit_rows(rng, d, 3)
+    suffixes[0][0] = 0.0
+    products = []
+    sigma_cols = _engine._sigma_cols
+    monkeypatch.setattr(
+        _engine, "_sigma_cols", lambda mats, *a: products.append(mats) or sigma_cols(mats, *a)
+    )
+    mats, exps, _, ldet = level
+    for i in range(3):
+        products.clear()  # the first is the unit's (d=2 may rescale some rows)
+        got, shift = _unit_arrays(unit_cache(level, suffixes), (2, 1), (i,))
+        prod = products[0]
+        stacked = mats @ suffixes[0][i]
+        # equal up to the sign of an exact zero (a zero row or suffix),
+        # which no singular value sees
+        assert np.array_equal(prod, stacked)
+        assert same_floats(prod[prod != 0.0], stacked[stacked != 0.0])
+        want_ldet = ldet + suffixes[3][i] if d in (2, 3) else None
+        want = sigma_cols(stacked, exps + suffixes[1][i], d, want_ldet)
+        assert same_floats(got, want) and shift == suffixes[2][i]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+def test_unit_columns_do_not_depend_on_the_batch(d):
+    # sixteen rows alone, as a 16-row level, and at random places in a full
+    # level (GEMM blocking and threads split rows, never a dot product)
+    rng = np.random.default_rng(d)
+    rows = draw_unit_rows(rng, d, 16)
+    suffixes = draw_unit_rows(rng, d, 2)
+    full = draw_unit_rows(rng, d, 1 << 15)
+    at = rng.choice(1 << 15, 16, replace=False)
+    for a, r in zip(full, rows):
+        a[at] = r
+    for i in range(2):
+        batch = _unit_arrays(unit_cache(rows, suffixes), (2, 1), (i,))[0]
+        level = _unit_arrays(unit_cache(full, suffixes), (2, 1), (i,))[0]
+        assert same_floats(level[:, at], batch)
+        for j in range(16):
+            alone = tuple(a[j:j + 1] for a in rows)
+            assert same_floats(_unit_arrays(unit_cache(alone, suffixes), (2, 1), (i,))[0],
+                               batch[:, j:j + 1])

@@ -295,6 +295,19 @@ class TestBracketDispatch:
         assert math.isfinite(res.upper) and res.lower <= res.upper
         assert contains_to_rounding(res, 0.5 * math.log(1e-100))
 
+    @pytest.mark.parametrize("tiny", [1e-100, 1e-200])
+    def test_graded_planar_atom_keeps_sigma_2_past_underflow(self, tiny):
+        # sigma_2 / sigma_1 of a length-n word is tiny^n, which leaves the
+        # double range at n = 4 (1e-100) or n = 2 (1e-200); sigma_2 from the
+        # carried log|det| keeps the upper end finite, where it was -inf
+        # ("certified" below a finite lower end, or "minus_infinity")
+        mu = FiniteMatrixMeasure([(1.0, np.diag([1.0, tiny]))])
+        res = bracket(mu, 1.5, 0.05)
+        assert math.isfinite(res.upper) and res.lower <= res.upper
+        assert res.status != "minus_infinity"
+        assert res.status != "certified" or math.isfinite(res.lower)
+        assert contains_to_rounding(res, 0.5 * math.log(tiny))
+
     def test_irrational_exponent_certifies_with_near_rational(self):
         s = 1.5 + 1e-4
         res = bracket(SCALAR_3D, s, 1.5)
