@@ -182,25 +182,25 @@ class LevelCache:
     def _combine(self, left, right):
         lm, le, lw, ld = left
         rm, re, rw, rd = right
-        if len(lw) == 0 or len(rw) == 0:
-            d = self.d
-            return np.empty((0, d, d)), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
-        if self.d == 2:
-            # a sum of two products rounds the same in either order, so these
-            # closed-form entries equal einsum's bit for bit (up to the sign
-            # of an exact zero, which no sum or singular value sees)
+        d = self.d
+        if d <= 3:
+            # entries summed over j left to right, as einsum sums them: equal
+            # bit for bit up to the sign of an exact zero, which nothing sees.
+            # Not past d=3: at d=9 (lifts) a 16,384 x 2 level takes 105 ms to
+            # einsum's 46 (6.1 to 8.8 at d=3), with twice its 21 MB transient
             prod = lm[:, None, :, 0:1] * rm[None, :, 0:1, :]
-            prod += lm[:, None, :, 1:2] * rm[None, :, 1:2, :]
-            prod = prod.reshape(-1, 2, 2)
+            for j in range(1, d):
+                prod += lm[:, None, :, j:j + 1] * rm[None, :, j:j + 1, :]
+            prod = prod.reshape(-1, d, d)
         else:
-            prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, self.d, self.d)
+            prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, d, d)
         exps = (le[:, None] + re[None, :]).ravel()
         logw = (lw[:, None] + rw[None, :]).ravel()
         ldet = (ld[:, None] + rd[None, :]).ravel()
         mants, e2, nonzero = _normalize(prod)
         exps += e2
         if self.dedup:
-            return _dedup_rows(*_drop_zero_rows(nonzero, mants, exps, logw, ldet), self.d)
+            return _dedup_rows(*_drop_zero_rows(nonzero, mants, exps, logw, ldet), d)
         return mants, exps, logw, ldet
 
     def ensure(self, n, clock=None):
@@ -234,7 +234,11 @@ def _cache_for(obj, dedup):
     return cache
 
 
-_BLOCK_ROWS = 2048
+# d=3 rows per _sigma3 call, ~200 numpy calls: their fixed cost against cache,
+# set end to end (one kernel call barely tells sizes apart).  dense3's calls
+# took 0.64 s at 2048 rows, 0.57 at 4096, 0.53 at 8192, 0.52 at 16,384 and
+# 0.60 at 32,768 (one process, 2-vCPU VM); no bit depends on the block
+_BLOCK_ROWS = 8192
 # _top_eig flags 1 + r < _PAIR_GAP (a near-degenerate top pair) unless p <=
 # _SCALAR q, where q is the eigenvalue to 16 u whatever r is.  On rows
 # Q diag(.9, .9 (1 - delta), .9 x) Q', sigma_1 and sigma_2 were within 3.4 u
@@ -565,12 +569,7 @@ def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=N
 
 
 def _digits(row, length, base):
-    if base == 1:
-        return (0,) * length
-    out = []
-    for pos in range(length - 1, -1, -1):
-        out.append((row // base ** pos) % base)
-    return tuple(out)
+    return tuple((row // base ** pos) % base for pos in range(length - 1, -1, -1))
 
 
 def max_norm_word(ms, n, budget, clock=None, workers=1):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matpress import FiniteMatrixMeasure, WordBudget, _engine
 from matpress._engine import (
@@ -137,15 +137,23 @@ def test_dedup_empty_and_single_row(d, m):
     assert_same_rows(got, reference_dedup(*rows, d), signed_zeros=False)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans())
-def test_planar_levels_match_einsum_build(seed, n_atoms, dyadic, dedup):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.sampled_from([1, 2, 3]))
+@example(1, 3, False, False, 3)
+@example(2, 3, False, True, 3)
+@example(3, 3, True, False, 3)
+@example(4, 3, True, True, 3)
+@example(0, 1, True, True, 1)
+def test_planar_levels_match_einsum_build(seed, n_atoms, dyadic, dedup, d):
+    # levels of d <= 3 all come from the same j-loop product; (0, 1, True,
+    # True, 1) draws one zero atom, so dedup leaves every level empty
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, n_atoms)
     if dyadic:
-        mats = rng.integers(-2, 3, (n_atoms, 2, 2)) / 4.0
+        mats = rng.integers(-2, 3, (n_atoms, d, d)) / 4.0
     else:
-        mats = rng.uniform(-0.9, 0.9, (n_atoms, 2, 2))
+        mats = rng.uniform(-0.9, 0.9, (n_atoms, d, d))
     cache = LevelCache(weights, mats, dedup)
     assert cache.ensure(8) == 8
     want = reference_levels(weights, mats, 8, dedup)
@@ -533,15 +541,16 @@ def test_closed_form_sigmas_match_exact_svd(seed, kind):
     for r in range(m):
         assert np.all(cols[:exact_rank(mats[r]), r] > -np.inf)
 
-    # each row alone, and at random places in a 10,000-row batch that spans
-    # several blocks: the same bits; the sigma_1-only call gives column 0
+    # each row alone, and at random places in a batch that spans three
+    # blocks: the same bits; the sigma_1-only call gives column 0
     rng = np.random.default_rng(seed)
     exps = rng.integers(-40, 40, m)
     full = _sigma_cols(mats, exps, 3, ldet)
-    batch = rng.uniform(-1.0, 1.0, (10_000, 3, 3))
-    batch_exps = rng.integers(-40, 40, 10_000)
-    batch_ldet = rng.normal(0.0, 3.0, 10_000)
-    at = rng.choice(10_000, m, replace=False)
+    big = 5 * _engine._BLOCK_ROWS // 2
+    batch = rng.uniform(-1.0, 1.0, (big, 3, 3))
+    batch_exps = rng.integers(-40, 40, big)
+    batch_ldet = rng.normal(0.0, 3.0, big)
+    at = rng.choice(big, m, replace=False)
     batch[at], batch_exps[at], batch_ldet[at] = mats, exps, ldet
     in_batch = _sigma_cols(batch, batch_exps, 3, batch_ldet)[:, at]
     alone = np.concatenate(
@@ -550,7 +559,7 @@ def test_closed_form_sigmas_match_exact_svd(seed, kind):
     )
     assert same_floats(alone, in_batch) and same_floats(alone, full)
     top = _sigma_cols(batch, batch_exps, 3, top_only=True)
-    assert top.shape == (1, 10_000)
+    assert top.shape == (1, big)
     assert same_floats(top[0, at], full[0])
 
 
@@ -596,6 +605,33 @@ def test_closed_form_sigmas_relative_on_graded_rows():
     got = _sigma_cols(batch, np.zeros(5000, dtype=np.int64), 3, batch_ldet)
     assert same_floats(got[:, at], cols)
     assert np.all(np.isfinite(_sigma_cols(mats, exps, 3, ldet)))
+
+
+def test_sigma_cols_bits_do_not_depend_on_the_block(monkeypatch):
+    # random, graded, zero and near-degenerate rows shuffled together: cut
+    # into blocks of 5 rows, with LAPACK-flagged rows in many blocks, every
+    # column keeps the bits of the default single block
+    rng = np.random.default_rng(5)
+    mats = np.concatenate([
+        draw_3x3(1, "random", 40), graded_3x3(), draw_3x3(2, "zeros", 40),
+        draw_3x3(3, "near_degenerate", 40),
+    ])
+    mats = mats[rng.permutation(len(mats))]
+    exps = rng.integers(-40, 40, len(mats))
+    ldet = np.linalg.slogdet(mats)[1]
+    flagged = _sigma3(mats, exps, ldet, False)[1]
+    for j in range(2):
+        assert len(np.unique(np.flatnonzero(flagged[j]) // 5)) > 3
+    assert len(mats) <= _engine._BLOCK_ROWS
+
+    def all_cols():
+        return [_sigma_cols(mats, exps, 3, ldet), _sigma_cols(mats, exps, 3),
+                _sigma_cols(mats, exps, 3, top_only=True)]
+
+    want = all_cols()
+    monkeypatch.setattr(_engine, "_BLOCK_ROWS", 5)
+    for got, w in zip(all_cols(), want):
+        assert same_floats(got, w)
 
 
 def planar_triple():
