@@ -25,9 +25,13 @@ produces a log-sigma table chunk: the scaled log singular values of its
 products as contiguous (d, rows) columns, plus its log-weights.  One
 reduction turns a chunk into partial statistics for every exponent, and the
 partials are merged sequentially in a fixed unit order, so results are
-bit-identical for every worker count.  A caller that passes
-``tables`` keeps the chunks of each length it evaluates and can reduce them
-again at other exponents without enumerating the words a second time.
+bit-identical for every worker count.  Single-level lengths keep their
+chunks on the measure.  A caller that passes ``tables`` gets, for each
+longer length, a phi^s slope sketch built in the same pass: per unit
+interval k <= s <= k + 1 of the exponent, the rows' weights bucketed by the
+slope l_{k+1}, a few kilobytes from which held_phi_bounds answers any other
+exponent at that length with a certified lower and upper bound, without
+enumerating the words a second time.
 
 Singular values take one route per dimension, each row computed on its own,
 so its bits do not depend on the batch, block or worker: d=1 the entry, d=2
@@ -328,12 +332,13 @@ _GRAM_LO = 2.0 ** -500
 _DET_LO = -1022.0 * LN2
 
 
-def _sigma_cols(mats, exps, d, ldet=None, top_only=False):
+def _sigma_cols(mats, exps, d, ldet=None, top_only=False, ldet_shift=0.0):
     """Log singular values plus the power-of-two scale, as (d, rows) columns.
 
     Column j holds log sigma_{j+1} of every row's product; -inf encodes zero.
-    ``ldet`` gives d=3's sigma_3 (None: the rows' own determinants) and d=2's
-    underflowed sigma_2; d=3 runs _sigma3 in blocks of _BLOCK_ROWS rows.
+    ``ldet + ldet_shift`` gives d=3's sigma_3 (None: the rows' own
+    determinants) and d=2's underflowed sigma_2, the shift added only on the
+    rows that read it; d=3 runs _sigma3 in blocks of _BLOCK_ROWS rows.
     ``top_only``: column 0 is all the caller reads, which spares d=3 the rest.
     """
     m = len(mats)
@@ -341,7 +346,7 @@ def _sigma_cols(mats, exps, d, ldet=None, top_only=False):
         cols = np.empty((1 if top_only else 3, m))
         for a in range(0, m, _BLOCK_ROWS):
             blk = slice(a, a + _BLOCK_ROWS)
-            blk_ldet = None if ldet is None else ldet[blk]
+            blk_ldet = None if ldet is None else ldet[blk] + ldet_shift
             cols[:, blk] = _sigma3(mats[blk], exps[blk], blk_ldet, top_only)[0]
         return cols
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -364,17 +369,18 @@ def _sigma_cols(mats, exps, d, ldet=None, top_only=False):
             cols[1] -= cols[0]
             # unit products are not normalised, so a row can be this small:
             # a zero row is -inf, any other is exact again once rescaled by a
-            # power of two
-            tiny = np.flatnonzero(t < _GRAM_LO)
-            if len(tiny):
+            # power of two.  One min guards each row scan (a nan falls
+            # through to it)
+            if m and not np.min(t) >= _GRAM_LO:
+                tiny = np.flatnonzero(t < _GRAM_LO)
                 sub, e, nonzero = _normalize(mats[tiny])
                 cols[:, tiny] = -np.inf
                 cols[:, tiny[nonzero]] = _sigma_cols(sub[nonzero], e[nonzero], 2)
-            if ldet is not None:
+            if m and ldet is not None and not np.min(cols[1]) > -np.inf:
                 # a det rounded to 0 (here or once rescaled) where the exact
                 # log|det| at these rows' scale is below _DET_LO underflowed
                 low = np.flatnonzero(cols[1] == -np.inf)
-                lds = ldet[low] - (2.0 * LN2) * exps[low]
+                lds = (ldet[low] + ldet_shift) - (2.0 * LN2) * exps[low]
                 low, lds = low[lds < _DET_LO], lds[lds < _DET_LO]
                 cols[1, low] = np.fmin(lds - cols[0, low], cols[0, low])
         else:
@@ -385,12 +391,15 @@ def _sigma_cols(mats, exps, d, ldet=None, top_only=False):
 
 
 def _row_sums(cols, k):
-    """l_1 + ... + l_k per row, rounded as np.sum(axis=1) over (rows, d) rows:
-    from 0.0 left to right below eight terms, pairwise from eight on."""
+    """l_1 + ... + l_k per row, rounded as np.sum(axis=1) over (rows, d) rows
+    up to the sign of a zero sum: left to right below eight terms, pairwise
+    from eight on.  S_1 is column 0 itself, not a copy."""
     if k >= 8:
         return np.sum(cols[:k].T.copy(), axis=1)
-    out = np.zeros(cols.shape[1])
-    for j in range(k):
+    if k <= 1:
+        return cols[0] if k else np.zeros(cols.shape[1])
+    out = cols[0] + cols[1]
+    for j in range(2, k):
         out += cols[j]
     return out
 
@@ -431,8 +440,8 @@ def _chunk_stats(chunk, kind, s_list, d):
             np.copyto(buf, sums[k])
         buf += logw
         top = float(np.max(buf))
-        if kind == "phi" and k == 0 and top == 0.0:
-            top = 0.0  # adding S_0 would have turned a -0.0 row into +0.0
+        if kind == "phi" and top == 0.0:
+            top = 0.0  # np.sum from 0.0 would have turned a -0.0 row into +0.0
         if top == -math.inf:
             out.append((-math.inf, 0.0))
             continue
@@ -459,6 +468,98 @@ def _stats_to_log(stats):
     if m == -math.inf or s == 0.0:
         return -math.inf
     return m + math.log(s)
+
+
+# Width h of the slope sketch's buckets, a power of two: b / h and the bucket
+# starts j h are exact.  At h = 2^-6 the chord and Jensen bounds of a bucket
+# are at most t^2 h^2 / 8 <= 2^-15 apart in log (Hoeffding's lemma), and
+# the length-14 segments of the benchmark's planar triple fill 601 and 745
+# buckets.
+_SKETCH_H = 2.0 ** -6
+# a segment no row reaches: (top, first bucket id, E, G, e_inf)
+_NO_SEGMENT = (-math.inf, 0, np.zeros(0), np.zeros(0), 0.0)
+
+
+def _segment(a, b):
+    """Slope-sketch segment of rows whose log-kernel is a + t b, 0 <= t <= 1.
+
+    Rows are bucketed by j = floor(b / h); bucket j keeps E = sum e^(a - top)
+    and G = sum e^(a - top) (b - j h) / h, the offset moment in units of h,
+    exact per row (b / h - j is).  Rows with b = -inf count only at t = 0
+    (e_inf) and rows with a = -inf never.  Returns (top, first bucket id,
+    E and G of the buckets from there on, e_inf).
+    """
+    top = float(np.max(a)) if len(a) else -math.inf
+    if top == -math.inf:
+        return _NO_SEGMENT
+    p = a - top
+    np.exp(p, out=p)
+    e_inf = 0.0
+    low = np.min(b)
+    if not low > -np.inf:
+        fin = b > -np.inf
+        e_inf = float(np.sum(p[~fin]))
+        p, b = p[fin], b[fin]
+        if len(b) == 0:
+            return top, 0, _NO_SEGMENT[2], _NO_SEGMENT[3], e_inf
+        low = np.min(b)
+    first = math.floor(low * (1.0 / _SKETCH_H))
+    q = b * (1.0 / _SKETCH_H)
+    j = np.floor(q)
+    q -= j
+    q *= p
+    j -= first
+    idx = j.astype(np.intp)
+    return top, first, np.bincount(idx, p), np.bincount(idx, q), e_inf
+
+
+def _sketch_chunk(chunk, d):
+    """The d segments of one chunk: segment k holds s = k + t, its rows'
+    a = log w + l_1 + ... + l_k and b = l_{k+1}."""
+    cols, logw, shift = chunk
+    a = logw if shift is None else logw + shift
+    out = []
+    for k in range(d):
+        if k:
+            a = a + cols[k - 1]
+        out.append(_segment(a, cols[k]))
+    return out
+
+
+def _merge_segment(acc, new):
+    """acc then new, both rescaled to the larger top, bucket by bucket over
+    the union of their bucket ranges."""
+    if new[0] == -math.inf:
+        return acc
+    if acc[0] == -math.inf:
+        return new
+    top = max(acc[0], new[0])
+    both = ((acc, math.exp(acc[0] - top)), (new, math.exp(new[0] - top)))
+    spans = [(seg[1], seg[1] + len(seg[2])) for seg, _ in both if len(seg[2])]
+    first = min((lo for lo, _ in spans), default=0)
+    e = np.zeros(max((hi for _, hi in spans), default=0) - first)
+    g = np.zeros(len(e))
+    for seg, f in both:
+        at = slice(seg[1] - first, seg[1] - first + len(seg[2]))
+        e[at] += seg[2] * f
+        g[at] += seg[3] * f
+    return top, first, e, g, sum(seg[4] * f for seg, f in both)
+
+
+def _finish_segment(seg):
+    """(top, bucket starts, E, w = G / E, e_inf), buckets with E = 0 dropped."""
+    top, first, e, g, e_inf = seg
+    ids = np.flatnonzero(e)
+    e = e[ids]
+    return top, (ids + first) * _SKETCH_H, e, g[ids] / e, e_inf
+
+
+def _log_exp_sum(top, e, v):
+    # top + log sum e_j exp(v_j), every e_j > 0
+    if len(e) == 0:
+        return -math.inf
+    m = float(np.max(v))
+    return top + m + math.log(float(np.sum(e * np.exp(v - m))))
 
 
 def _unit_arrays(cache, parts, combo, top_only=False):
@@ -489,11 +590,11 @@ def _unit_arrays(cache, parts, combo, top_only=False):
                 _, ee = np.frexp(top)
                 sfx = np.ldexp(sfx, -int(ee))
                 se += int(ee)
-    ldet = None if top_only or cache.d not in (2, 3) else ldet + sld
+    ldet = None if top_only or cache.d not in (2, 3) else ldet
     if sfx is None:
-        return _sigma_cols(mats, exps, cache.d, ldet, top_only), None
+        return _sigma_cols(mats, exps, cache.d, ldet, top_only, sld), None
     prod = (mats.reshape(-1, cache.d) @ sfx).reshape(mats.shape)
-    return _sigma_cols(prod, exps + se, cache.d, ldet, top_only), slw
+    return _sigma_cols(prod, exps + se, cache.d, ldet, top_only, sld), slw
 
 
 def _plan_units(cache, parts):
@@ -539,33 +640,69 @@ def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=N
 
     One shared enumeration serves all exponents.  Returns a float array
     aligned with ``s_values``; -inf entries mean every word product is zero.
-    ``tables`` (a dict owned by the caller) keeps each enumerated length's
-    log-sigma chunks, so a later call at that length with other exponents
-    reduces the held chunks instead of enumerating the words again.
+    ``tables`` (a dict owned by the caller) receives the phi^s slope sketch
+    of each length this call enumerates as level x suffix units, built in the
+    same pass, from which held_phi_bounds answers other exponents at that
+    length without enumerating the words again.
     """
     check_budget(budget, n, mu.n_atoms)
     if clock is None:
         clock = RunClock(budget.wall_clock_cap)
-    # a held table skips _run_units and its per-unit checks, so the deadline
-    # is consulted here and before each held chunk is reduced
+    # held single-level chunks skip _run_units and its per-unit checks, so
+    # the deadline is consulted here and before each chunk is reduced
     clock.check()
     s_list = [float(s) for s in s_values]
     cache = _cache_for(mu, dedup=True)
-    chunks = cache.sig_cache.get(n, (tables or {}).get(n))
+    chunks = cache.sig_cache.get(n)
+    sketch = None
     if chunks is None:
         parts = cache.parts_for(n, clock)
         arrays = _run_units(cache, parts, _plan_units(cache, parts), workers, clock)
         logw = cache.levels[parts[0]][2]
         chunks = ((cols, logw, shift) for cols, shift in arrays)
-        store = cache.sig_cache if len(parts) == 1 else tables
-        if store is not None:
-            chunks = store[n] = list(chunks)
+        if len(parts) == 1:
+            chunks = cache.sig_cache[n] = list(chunks)
+        elif tables is not None:
+            sketch = [_NO_SEGMENT] * cache.d
     acc = [(-math.inf, 0.0)] * len(s_list)
     for chunk in chunks:
         clock.check()
         stats = _chunk_stats(chunk, kind, s_list, cache.d)
         acc = [_merge_stats(a, r) for a, r in zip(acc, stats)]
+        if sketch is not None:
+            sketch = [_merge_segment(a, r) for a, r in zip(sketch, _sketch_chunk(chunk, cache.d))]
+    if sketch is not None:
+        tables[n] = tuple(_finish_segment(seg) for seg in sketch)
     return np.array([_stats_to_log(a) for a in acc])
+
+
+def held_phi_bounds(mu, n, s, budget, clock, tables):
+    """(lower, upper) log phi^s power sum of ``mu`` at length ``n``, 0 <= s <= d,
+    from the slope sketch that weighted_sums left in ``tables[n]``.
+
+    Budget and deadline are checked as for an enumeration at that length.
+    s = k + t (s = d is k = d - 1, t = 1).  A bucket starting at beta gives
+    E exp(t (beta + h w)), w = G / E, below its rows' sum by Jensen, and
+    E ((1 - w) exp(t beta) + w exp(t (beta + h))) above it by the chord of
+    exp on [beta, beta + h]; at t = 0 both are E, exact.
+    """
+    check_budget(budget, n, mu.n_atoms)
+    clock.check()
+    sketch, s = tables[n], float(s)
+    d = len(sketch)
+    if not 0.0 <= s <= d:
+        raise ValueError(f"a sketch answers 0 <= s <= {d}, got {s}")
+    k = min(int(s), d - 1)
+    t = s - k
+    top, beta, e, w, e_inf = sketch[k]
+    if top == -math.inf:
+        return -math.inf, -math.inf
+    if t == 0.0:
+        total = float(np.sum(e)) + e_inf
+        return (top + math.log(total),) * 2
+    lower = _log_exp_sum(top, e, t * (beta + _SKETCH_H * w))
+    upper = _log_exp_sum(top, e, t * beta + np.log1p(w * math.expm1(t * _SKETCH_H)))
+    return lower, upper
 
 
 def _digits(row, length, base):

@@ -45,9 +45,15 @@ __all__ = [
 # Under p_r = exp(v_r - L), |v_r| <= |L| - log p_r gives the mean of M_r at
 # most |L| + H(p) + 2 m W <= |L| + m (log N + 2 W), W the largest |log w_i|
 # of the N atoms; the shift, exp, sums, per-unit merges and log add at most
-# (log2 R + 4 units + 8) u relative.  _ROUNDING (|L| + m (log N + 2 W) + 1)
-# exceeds both for d < 2^18 and under 2^17 units.  The rounding of the word
-# products themselves is the engine's to bound.
+# (log2 R + 4 units + 8) u relative.  A slope sketch's own sums are
+# per-chunk bincounts of at most 2^15 rows and a sequential merge over units,
+# at most (2^15 + units) u relative, and its bucket offsets are exact; a
+# probe rounds each bucket's t beta as a row's value is rounded, and its
+# exps, logs and bucket sum add (log2 buckets + 8) u.  Its bounds enclose
+# the sum of the rounded row values (the bucket width sets only their
+# gap).  _ROUNDING (|L| + m (log N + 2 W) + 1) exceeds all of these for
+# d < 2^18 and under 2^17 units.  The rounding of the word products
+# themselves is the engine's to bound.
 _ROUNDING = 2.0 ** -32
 
 
@@ -61,9 +67,9 @@ class AffinityResult:
     endpoint moves: bisection halvings on the determinant branch, otherwise
     test fires that moved an end.  history holds the interval after each word
     length of the sweep.  words_evaluated sums the nominal word count N^n of
-    every power-sum pass at length n, one pass per evaluated exponent, passes
-    answered from a held log-sigma table included, so it does not fall when
-    a table saves the enumeration.
+    every evaluated exponent at length n, exponents answered from a length's
+    slope sketch included, so it does not fall when a sketch saves the
+    enumeration.
     """
 
     interval: tuple
@@ -178,13 +184,22 @@ def _lower_test_params(d, t, q_cap, dim_cap):
     return spec.d_prime, spec.log_constant
 
 
+# which bound of a sketched power sum a test reads: _PhiCache.value's side
+_LOWER, _UPPER = 0, 1
+
+
 class _PhiCache:
     """Shared phi^t power-sum evaluations keyed by (exponent, word length).
 
-    The engine keeps each length's log-sigma table in ``tables``, so the
-    words of a length are enumerated once per run however many exponents
-    reach it; the tables are freed with this object when the run returns.
-    Nominal word counts accumulate per call, table hits included.
+    The first exponent at a length is reduced exactly.  A length the engine
+    enumerates as level x suffix units also leaves its slope sketch in
+    ``tables`` (a few kilobytes), which answers every later exponent there
+    as a lower and an upper bound, so the words of a length are enumerated
+    once per run however many exponents reach it; each test reads the side
+    that keeps it conservative.  Single-level lengths stay exact (the
+    engine holds them).  The sketches are freed with this object when the
+    run returns.  Nominal word counts accumulate per evaluated exponent,
+    sketch probes included.
     """
 
     def __init__(self, mu, budget, clock, workers):
@@ -193,15 +208,21 @@ class _PhiCache:
         # log N + 2 W of the _ROUNDING bound
         self.per_letter = math.log(mu.n_atoms) + 2.0 * max(abs(math.log(w)) for w in mu._weights)
 
-    def value(self, tf, length):
-        if (tf, length) not in self.vals:
-            out = _engine.weighted_sums(
-                self.mu, length, "phi", [tf], self.budget,
-                clock=self.clock, workers=self.workers, tables=self.tables,
-            )
+    def value(self, tf, length, side):
+        """The ``side`` (_LOWER or _UPPER) bound of log Phi_length(tf)."""
+        key = (tf, length)
+        if key not in self.vals:
+            if length in self.tables:
+                self.vals[key] = _engine.held_phi_bounds(
+                    self.mu, length, tf, self.budget, self.clock, self.tables)
+            else:
+                out = _engine.weighted_sums(
+                    self.mu, length, "phi", [tf], self.budget,
+                    clock=self.clock, workers=self.workers, tables=self.tables,
+                )
+                self.vals[key] = (float(out[0]),) * 2
             self.words += _engine.nominal_words(length, self.mu.n_atoms)
-            self.vals[(tf, length)] = float(out[0])
-        return self.vals[(tf, length)]
+        return self.vals[key][side]
 
     def slack(self, value, length):
         """_ROUNDING bound of a log sum ``value`` at word length ``length``."""
@@ -211,17 +232,17 @@ class _PhiCache:
 
 def _upper_margin(cache, n, s):
     # > 0 where log Phi_n(s) < -slack: the power sum is below 1, P(s) < 0
-    u = cache.value(s, n)
+    u = cache.value(s, n, _UPPER)
     return -u - cache.slack(u, n)
 
 
 def _lower_margin(cache, n, s, block, log_k):
     # > 0 where log Phi_{n b}(s) - log K - (b - 1) log Phi_n(s) > slack: the
     # quantified supermultiplicativity defect certifies P(s) > 0
-    ub = cache.value(s, n * block)
+    ub = cache.value(s, n * block, _LOWER)
     if ub == -math.inf:
         return -math.inf
-    u = cache.value(s, n)
+    u = cache.value(s, n, _UPPER)
     slack = cache.slack(ub, n * block) + (block - 1) * cache.slack(u, n) + _ROUNDING * abs(log_k)
     return ub - log_k - (block - 1) * u - slack
 
@@ -377,11 +398,12 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     the crossing).  Dispatches to the determinant branch when
     meets_ambient_dimension holds; otherwise sweeps word lengths n = 1, 2,
     ... once, and at each moves the upper end of [0, d] down and then the
-    lower end up by a safeguarded regula falsi on the tests' margins,
-    reducing the held tables at one exponent per probe.  Every endpoint is
-    a point where its test fired, so the interval is a valid containment
-    even on budget exhaustion.  Raises InvertedIntervalError if a test
-    fires at or beyond the opposite end.
+    lower end up by a safeguarded regula falsi on the tests' margins.  Each
+    length is enumerated once: later probes there read the side of its
+    slope sketch's bounds that keeps their test conservative.  Every
+    endpoint is a point where its test fired, so the interval is a valid
+    containment even on budget exhaustion.  Raises InvertedIntervalError if
+    a test fires at or beyond the opposite end.
     """
     _validate_mu(mu)
     eps = float(eps)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from matpress import _engine
 from matpress.affinity import (
+    _ROUNDING,
     AffinityResult,
+    _PhiCache,
+    _lower_margin,
+    _upper_margin,
     affinity_dimension,
     meets_ambient_dimension,
     solve_determinant_dimension,
@@ -191,15 +196,20 @@ class TestAffinityDimension:
         assert res.midpoint == 1.5
 
 
-def test_each_length_is_enumerated_once_per_run(monkeypatch):
-    # the ROADMAP's planar triple; the sweep evaluates many exponents at
-    # lengths up to 10, and 3^10 rows pass the small-level cache, so length
-    # 10 needs the run's own table
-    mu = FiniteMatrixMeasure([
+def planar_triple():
+    """The ROADMAP's planar triple, W3 of the benchmark."""
+    return FiniteMatrixMeasure([
         (1.0, np.array([[0.6, 0.2], [0.1, 0.4]])),
         (1.0, np.array([[0.3, -0.2], [0.25, 0.5]])),
         (1.0, np.array([[0.45, 0.0], [0.3, 0.2]])),
     ])
+
+
+def test_each_length_is_enumerated_once_per_run(monkeypatch):
+    # the sweep evaluates many exponents at lengths up to 10, and 3^10 rows
+    # pass the small-level cache, so later exponents at length 10 come from
+    # the run's slope sketch
+    mu = planar_triple()
     built = []
     real = _engine._unit_arrays
 
@@ -214,18 +224,18 @@ def test_each_length_is_enumerated_once_per_run(monkeypatch):
     # bits of the depth sweep
     h = float.fromhex
     assert res.status == "budget_exhausted" and res.steps == 16
-    assert res.interval == (h("0x1.5f5a4558ce9e1p-1"), h("0x1.60ed232c0df04p+0"))
+    assert res.interval == (h("0x1.5f5a23b8888a8p-1"), h("0x1.60ed277f5ff70p+0"))
     assert res.history == (
         (0.0, h("0x1.74bafb14bfdb7p+0")),
         (h("0x1.5b3000c96eecap-5"), h("0x1.6dd34d7a3c375p+0")),
         (h("0x1.628953b815210p-2"), h("0x1.6ab1221a5de93p+0")),
         (h("0x1.16a699761dd80p-1"), h("0x1.68765f958f5cdp+0")),
-        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.66a0808f46ac0p+0")),
-        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.650b2c7e36fbfp+0")),
-        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.63b87c351ecccp+0")),
-        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.629c4ae92d15ap+0")),
-        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.61b058f31d474p+0")),
-        (h("0x1.5f5a4558ce9e1p-1"), h("0x1.60ed232c0df04p+0")),
+        (h("0x1.5f5a23b8888a8p-1"), h("0x1.66a0808f46ac0p+0")),
+        (h("0x1.5f5a23b8888a8p-1"), h("0x1.650b2c7e3873ep+0")),
+        (h("0x1.5f5a23b8888a8p-1"), h("0x1.63b87c351fd7bp+0")),
+        (h("0x1.5f5a23b8888a8p-1"), h("0x1.629c4ae92dd4fp+0")),
+        (h("0x1.5f5a23b8888a8p-1"), h("0x1.61b058f31dcd5p+0")),
+        (h("0x1.5f5a23b8888a8p-1"), h("0x1.60ed277f5ff70p+0")),
     )
     assert res.words_evaluated == 659202
     # inside the interval of the 11-probe grid this sweep replaced
@@ -363,6 +373,21 @@ def recertifies(weights, mats, lo, hi, max_words):
     return ok
 
 
+def conditioned_atoms(seed, d, n_atoms):
+    """(weights, atoms Q1 diag(sigma) Q2) with every sigma_j at least 0.05
+    sigma_1: the engine computes sigma_2 of a 2x2 word from the rounded
+    product, which near-singular atoms defeat (the reproducer below)."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(n_atoms):
+        q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+        top = rng.uniform(0.3, 0.95)
+        sigma = np.sort(top * rng.uniform(0.05, 1.0, d))[::-1]
+        sigma[0] = top
+        mats.append(q1 @ np.diag(sigma) @ q2)
+    return rng.uniform(0.5, 1.5, n_atoms), np.array(mats)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     st.integers(0, 2**32 - 1),
@@ -372,19 +397,7 @@ def recertifies(weights, mats, lo, hi, max_words):
     st.sampled_from([0.02, 0.2]),
 )
 def test_sweep_endpoints_recertify_by_enumeration(seed, d, n_atoms, max_words, eps):
-    # atoms Q1 diag(sigma) Q2 with every sigma_j at least 0.05 sigma_1: the
-    # engine computes sigma_2 of a 2x2 word from the rounded product, which
-    # near-singular atoms defeat (the reproducer below)
-    rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(n_atoms):
-        q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
-        top = rng.uniform(0.3, 0.95)
-        sigma = np.sort(top * rng.uniform(0.05, 1.0, d))[::-1]
-        sigma[0] = top
-        mats.append(q1 @ np.diag(sigma) @ q2)
-    mats = np.array(mats)
-    weights = rng.uniform(0.5, 1.5, n_atoms)
+    weights, mats = conditioned_atoms(seed, d, n_atoms)
     mu = FiniteMatrixMeasure(zip(weights, mats))
     assume(not meets_ambient_dimension(mu))
     res = affinity_dimension(mu, eps, budget=WordBudget(max_words=max_words))
@@ -396,6 +409,63 @@ def test_sweep_endpoints_recertify_by_enumeration(seed, d, n_atoms, max_words, e
         prev = pair
     assert prev == res.interval
     assert recertifies(weights, mats, lo, hi, max_words)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from([3**6, 3**8]),
+    st.sampled_from([0.02, 0.2]),
+)
+def test_sketched_sweep_endpoints_recertify_by_enumeration(seed, d, max_words, eps):
+    # a 16-row cap: every length past the first two or three is enumerated
+    # as level x suffix units, and its later exponents come from the slope
+    # sketch
+    weights, mats = conditioned_atoms(seed, d, 3)
+    probes = []
+    real = _engine.held_phi_bounds
+
+    def spy(mu, n, s, budget, clock, tables):
+        probes.append((n, s))
+        return real(mu, n, s, budget, clock, tables)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_row_cap", lambda d: 16)
+        mp.setattr(_engine, "held_phi_bounds", spy)
+        mu = FiniteMatrixMeasure(zip(weights, mats))
+        assume(not meets_ambient_dimension(mu))
+        res = affinity_dimension(mu, eps, budget=WordBudget(max_words=max_words))
+    assert probes
+    lo, hi = res.interval
+    assert 0.0 <= lo <= hi <= d
+    assert recertifies(weights, mats, lo, hi, max_words)
+
+
+def test_tests_read_the_conservative_side_of_a_sketch():
+    # held values with a lower bound 1 below the upper: the upper test must
+    # read Phi_n's upper bound, the lower test Phi_{n b}'s lower bound and
+    # Phi_n's upper bound
+    cache = _PhiCache(THREE_HALVES, WordBudget(), _engine.RunClock(600.0), 1)
+    cache.vals = {(0.5, 4): (-3.0, -2.0), (0.5, 8): (5.0, 6.0)}
+    assert _upper_margin(cache, 4, 0.5) == 2.0 - cache.slack(-2.0, 4)
+    slack = cache.slack(5.0, 8) + cache.slack(-2.0, 4) + _ROUNDING * 0.25
+    assert _lower_margin(cache, 4, 0.5, 2, 0.25) == 5.0 - 0.25 + 2.0 - slack
+
+
+def test_affinity_run_memory_stays_small():
+    # the planar triple to length 12 (27 units of 3^9 rows): the run holds
+    # its levels, the single-level lengths and a sketch per longer length,
+    # not a table of every evaluated word
+    mu = planar_triple()
+    tracemalloc.start()
+    try:
+        res = affinity_dimension(mu, 0.05, budget=WordBudget(max_words=3**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.history) == 12  # one entry per length
+    assert peak <= 8 * 2**20, peak / 2**20
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from matpress._engine import (
     _sigma3,
     _sigma_cols,
     _unit_arrays,
+    held_phi_bounds,
     weighted_sums,
 )
 from matpress.errors import BudgetExhaustedError
@@ -643,23 +645,31 @@ def planar_triple():
 
 
 def test_table_hits_keep_bits_and_budget_rules():
-    # 3^10 rows pass the small-level cache, so length 10 lands in the table
+    # 3^10 rows pass the small-level cache, so length 10 is enumerated as
+    # level x suffix units and leaves its slope sketch in the table
     budget = WordBudget(max_words=3**10)
     mu = planar_triple()
     tables = {}
     first = weighted_sums(mu, 10, "phi", [0.5, 1.25], budget, tables=tables)
     assert sorted(tables) == [10]
-    hit = weighted_sums(mu, 10, "phi", [1.25, 1.7], budget, tables=tables)
-    fresh = weighted_sums(planar_triple(), 10, "phi", [1.25, 1.7], budget)
-    assert same_floats(hit, fresh) and hit[0] == first[1]
+    # the pass that builds the sketch keeps the bits of one that does not
+    assert same_floats(first, weighted_sums(planar_triple(), 10, "phi", [0.5, 1.25], budget))
+    # a hit brackets the exact sum within Hoeffding's t^2 h^2 / 8, and is
+    # exact at an integer exponent, from a few hundred buckets per segment
+    lo, hi = held_phi_bounds(mu, 10, 1.25, budget, RunClock(600.0), tables)
+    assert lo < first[1] < hi and hi - lo <= 0.25**2 * _engine._SKETCH_H**2 / 8
+    lo, hi = held_phi_bounds(mu, 10, 1.0, budget, RunClock(600.0), tables)
+    assert lo == hi and math.isclose(lo, weighted_sums(mu, 10, "phi", [1.0], budget)[0],
+                                     rel_tol=1e-13)
+    assert all(len(seg[2]) < 3**10 // 20 for seg in tables[10])
 
     clock = RunClock(600.0)
     clock.deadline = time.monotonic() - 1.0
     with pytest.raises(BudgetExhaustedError) as err:
-        weighted_sums(mu, 10, "phi", [1.5], budget, clock=clock, tables=tables)
+        held_phi_bounds(mu, 10, 1.5, budget, clock, tables)
     assert err.value.reason == "wall_clock"
     with pytest.raises(BudgetExhaustedError) as err:
-        weighted_sums(mu, 10, "phi", [1.5], WordBudget(max_words=3**9), tables=tables)
+        held_phi_bounds(mu, 10, 1.5, WordBudget(max_words=3**9), RunClock(600.0), tables)
     assert err.value.reason == "max_words"
 
 
@@ -674,9 +684,97 @@ def test_pool_builds_the_serial_table(pool_sizes):
     b = weighted_sums(mu, 12, "phi", [1.3], budget, workers=3, tables=pooled)
     assert pool_sizes == [3]
     assert same_floats(a, b)
-    assert len(serial[12]) == len(pooled[12]) == 27
-    for (sc, sw, ss), (pc, pw, ps) in zip(serial[12], pooled[12]):
-        assert same_floats(sc, pc) and same_floats(sw, pw) and ss == ps
+    assert sorted(serial) == sorted(pooled) == [12]
+    # one segment per unit interval of s, every field bit for bit
+    assert len(serial[12]) == len(pooled[12]) == 3
+    for seg, pooled_seg in zip(serial[12], pooled[12]):
+        assert all(same_floats(x, y) for x, y in zip(seg, pooled_seg))
+
+
+def sketch_family(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(-1.0, 1.0, (3, d, d))
+    if kind == "graded":
+        mats = np.diag([1.0, 1e-3, 1e-6][:d]) @ mats
+    elif kind == "dyadic":  # diagonal, zero entries included: dedup merges
+        mats = np.zeros((3, d, d))
+        mats[:, range(d), range(d)] = rng.integers(-3, 4, (3, d)) / 4.0
+    elif kind == "zero_rows":  # a rank-deficient atom and a zero atom
+        mats[0, -1] = 0.0
+        mats[1] = 0.0
+    return FiniteMatrixMeasure(list(zip(rng.uniform(0.5, 1.5, 3), mats)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["random", "graded", "dyadic", "zero_rows"]),
+    st.sampled_from([3, 5]),
+    st.sampled_from([2, 16]),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+def test_sketch_bounds_bracket_exact_sums(seed, d, kind, n, cap, fracs):
+    # with a small row cap these short lengths are evaluated as level x
+    # suffix units, which a call given ``tables`` sketches
+    budget = WordBudget()
+    s_list = [d * f for f in fracs] + [float(k) for k in range(d + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_row_cap", lambda d: cap)
+        mu = sketch_family(seed, d, kind)
+        tables = {}
+        weighted_sums(mu, n, "phi", [0.5], budget, tables=tables)
+        if n not in tables:  # dedup kept every level under the cap
+            assert _engine._cache_for(mu, dedup=True).parts_for(n) == [n]
+            return
+        want = weighted_sums(sketch_family(seed, d, kind), n, "phi", s_list, budget)
+        for s, v in zip(s_list, want):
+            lo, hi = held_phi_bounds(mu, n, s, budget, RunClock(600.0), tables)
+            if v == -math.inf:
+                assert lo == hi == -math.inf
+                continue
+            # the two reductions round each row's value apart by a few u
+            tol = 1e-12 * (1.0 + abs(v))
+            assert lo - tol <= v <= hi + tol, (s, lo, v, hi)
+            t = s - min(int(s), d - 1)
+            assert hi - lo <= t * t * _engine._SKETCH_H**2 / 8 + tol
+            if s < d and s == int(s):
+                assert lo == hi
+
+
+def test_sketch_bounds_bracket_50_digit_sums(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    # a 4-row cap: length 4 is level 1 times the 27 length-3 suffixes
+    monkeypatch.setattr(_engine, "_row_cap", lambda d: 4)
+    rng = np.random.default_rng(20261019)
+    for d in (2, 3):
+        mats = []
+        for _ in range(3):
+            q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+            mats.append(q1 @ np.diag(np.sort(rng.uniform(0.2, 0.9, d))[::-1]) @ q2)
+        weights = rng.uniform(0.5, 1.5, 3)
+        mu = FiniteMatrixMeasure(zip(weights, mats))
+        tables = {}
+        weighted_sums(mu, 4, "phi", [0.0], WordBudget(), tables=tables)
+        assert sorted(tables) == [4]
+        s_list = [0.37, 1.0, 1.61, d - 0.2, float(d)]
+        with mpmath.workdps(50):
+            atoms = [mpmath.matrix(m.tolist()) for m in mats]
+            sigmas, ws = [], []
+            for word in itertools.product(range(3), repeat=4):
+                prod = mpmath.eye(d)
+                for i in word:
+                    prod = prod * atoms[i]
+                sv = sorted(mpmath.svd_r(prod, compute_uv=False), reverse=True)
+                sigmas.append(sv)
+                ws.append(mpmath.fprod(mpmath.mpf(weights[i]) for i in word))
+            for s in s_list:
+                k = min(int(s), d - 1)
+                exact = mpmath.log(mpmath.fsum(
+                    w * mpmath.fprod(sv[:k]) * sv[k] ** (mpmath.mpf(s) - k)
+                    for w, sv in zip(ws, sigmas)))
+                lo, hi = held_phi_bounds(mu, 4, s, WordBudget(), RunClock(600.0), tables)
+                assert lo - 1e-12 <= exact <= hi + 1e-12, (d, s, lo, exact, hi)
 
 
 def draw_family(seed, d, kind, n_atoms):
@@ -739,15 +837,19 @@ def test_unit_evaluation_matches_level_evaluation(seed, d, kind, n_atoms, n):
         got_table = word_table(mu, n)
         for cache in mu._engine_caches.values():
             assert max(cache.rows(m) for m in cache.levels if m > 1) <= 64
-        # a held table (the run's, or the measure's for a single level, as
-        # when dedup collapses the family) reduces to the bits of a fresh
-        # enumeration
-        assert n in tables or n in _engine._cache_for(mu, dedup=True).sig_cache
+        # a length of level x suffix units leaves its slope sketch in the
+        # table, which brackets a fresh enumeration; a single level (as when
+        # dedup collapses the family) stays on the measure and reduces to
+        # the bits of one
         fresh = draw_family(seed, d, kind, n_atoms)
-        assert same_floats(
-            weighted_sums(mu, n, "phi", [1.3, 2.7], budget, tables=tables),
-            weighted_sums(fresh, n, "phi", [1.3, 2.7], budget),
-        )
+        want_phi = weighted_sums(fresh, n, "phi", [1.3, 2.7], budget)
+        if n in tables:
+            lo, hi = held_phi_bounds(mu, n, 1.3, budget, RunClock(600.0), tables)
+            tol = 1e-12 * (1.0 + abs(want_phi[0]))
+            assert lo - tol <= want_phi[0] <= hi + tol
+        else:
+            assert n in _engine._cache_for(mu, dedup=True).sig_cache
+            assert same_floats(weighted_sums(mu, n, "phi", [1.3, 2.7], budget), want_phi)
     # sums of sigma_1 powers agree to rounding
     for g, w in zip(got, want):
         assert_close_logs(g, w)
