@@ -49,7 +49,6 @@ and the d=3 sigma_3 is as accurate relative to itself as sigma_1 sigma_2.
 
 import functools
 import math
-import multiprocessing
 import time
 
 import numpy as np
@@ -105,8 +104,14 @@ def feasible(budget, n, n_atoms):
 
 def _normalize(mats):
     # Power-of-two row rescaling, in place: exact, and keeps every stored
-    # mantissa matrix with max |entry| in [0.5, 1).
-    scale = np.max(np.abs(mats), axis=(1, 2))
+    # mantissa matrix with max |entry| in [0.5, 1).  The max is a running
+    # maximum over the d*d entry columns: 0.05 ms against np.max over axes
+    # (1, 2)'s 0.98 at 12,808 2x2 rows, 1.05 against 2.3 at 32,768 3x3 rows.
+    m, d = len(mats), mats.shape[1]
+    flat = mats.reshape(m, d * d)  # not -1: an empty level has no rows to infer it
+    scale = np.abs(flat[:, 0])
+    for j in range(1, d * d):
+        np.maximum(scale, np.abs(flat[:, j]), out=scale)
     _, e = np.frexp(scale)
     e = e.astype(np.int64)
     nonzero = scale > 0.0
@@ -121,7 +126,10 @@ def _dedup_rows(mants, exps, logw, ldet, d):
     # order, equal rows keeping their input order, so level contents do not
     # depend on atom order or evaluation history.  One stable lexsort on
     # (exponent, first entry) does most of the ordering; only runs tied on
-    # that pair are sorted again by their remaining entries.  A group keeps
+    # that pair are sorted again by their remaining entries (one 5-key
+    # lexsort of every row is no faster on dyadic levels and slower on
+    # generic ones).  Equal neighbours are found column by column on shifted
+    # slices, and no step indexes with np.r_ (~20 us a call).  A group keeps
     # its first row's ldet (a key would split dyadic levels whose log sums
     # differ in rounding): its rows are equal products, so for exact families
     # their determinants are equal, and otherwise the kept one is, to first
@@ -132,22 +140,24 @@ def _dedup_rows(mants, exps, logw, ldet, d):
     flat = mants.reshape(m, d * d)
     order = np.lexsort((flat[:, 0], exps))
     e0, f0 = exps[order], flat[order, 0]
-    tie = (e0[1:] == e0[:-1]) & (f0[1:] == f0[:-1])
-    run_id = np.cumsum(np.r_[True, ~tie])
-    pos = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
-    sub = order[pos]
-    keys = [flat[sub, j] for j in range(d * d - 1, 0, -1)]
-    order[pos] = sub[np.lexsort(keys + [run_id[pos]])]
+    # same[i]: row i of the sorted level equals row i - 1 (so far on the
+    # exponent and first entry; same[0] and same[m] stay False)
+    same = np.zeros(m + 1, dtype=bool)
+    same[1:m] = (e0[1:] == e0[:-1]) & (f0[1:] == f0[:-1])
+    pos = np.flatnonzero(same[1:] | same[:-1])
+    if len(pos):
+        sub = order[pos]
+        keys = [flat[sub, j] for j in range(d * d - 1, 0, -1)]
+        order[pos] = sub[np.lexsort(keys + [np.cumsum(~same[pos])])]
     mants, exps, lw, ldet = mants[order], exps[order], logw[order], ldet[order]
     flat = mants.reshape(m, d * d)
-    at = np.flatnonzero(tie)
-    same = np.zeros(m - 1, dtype=bool)
-    same[at] = np.all(flat[at + 1] == flat[at], axis=1)
+    for j in range(1, d * d):
+        same[1:m] &= flat[1:, j] == flat[:-1, j]
     if not same.any():
         return mants, exps, lw, ldet
-    starts = np.flatnonzero(np.r_[True, ~same])
+    starts = np.flatnonzero(~same[:m])
     gmax = np.maximum.reduceat(lw, starts)
-    counts = np.diff(np.r_[starts, m])
+    counts = np.diff(starts, append=m)
     gsum = np.add.reduceat(np.exp(lw - np.repeat(gmax, counts)), starts)
     return mants[starts], exps[starts], gmax + np.log(gsum), ldet[starts]
 
@@ -187,17 +197,27 @@ class LevelCache:
         lm, le, lw, ld = left
         rm, re, rw, rd = right
         d = self.d
-        if d <= 3:
-            # entries summed over j left to right, as einsum sums them: equal
-            # bit for bit up to the sign of an exact zero, which nothing sees.
-            # Not past d=3: at d=9 (lifts) a 16,384 x 2 level takes 105 ms to
-            # einsum's 46 (6.1 to 8.8 at d=3), with twice its 21 MB transient
+        if d == 2:
+            # entry (i, k) as two outer products summed left to right, as
+            # einsum sums them: equal bit for bit up to the sign of an exact
+            # zero, which nothing sees.  1.58 -> 0.78 ms (3,202 x 4 rows) and
+            # 4.3 -> 2.7 ms (16,384 x 2) against the j-loop below
+            prod = np.empty((len(lm), len(rm), 2, 2))
+            for i in range(2):
+                for k in range(2):
+                    np.add(np.multiply.outer(lm[:, i, 0], rm[:, 0, k]),
+                           np.multiply.outer(lm[:, i, 1], rm[:, 1, k]), out=prod[:, :, i, k])
+        elif d <= 3:
+            # the same sum as a broadcast j-loop: at d=3 the outer form
+            # measured 0.59-1.04x its speed.  Not past d=3: at d=9 (lifts) a
+            # 16,384 x 2 level took 135 ms to einsum's 69 (7.1 to 12.4 at
+            # d=3), with twice its 21 MB transient
             prod = lm[:, None, :, 0:1] * rm[None, :, 0:1, :]
             for j in range(1, d):
                 prod += lm[:, None, :, j:j + 1] * rm[None, :, j:j + 1, :]
-            prod = prod.reshape(-1, d, d)
         else:
-            prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, d, d)
+            prod = np.einsum("aij,bjk->abik", lm, rm)
+        prod = prod.reshape(-1, d, d)
         exps = (le[:, None] + re[None, :]).ravel()
         logw = (lw[:, None] + rw[None, :]).ravel()
         ldet = (ld[:, None] + rd[None, :]).ravel()
@@ -624,6 +644,7 @@ def _run_units(cache, parts, units, workers, clock, top_only=False):
             clock.check()
             yield unit_arrays(cache, parts, unit)
         return
+    import multiprocessing  # ~10 ms, paid only by a run that starts a pool
     _FORK_STATE = (unit_arrays, cache, parts, units)
     try:
         ctx = multiprocessing.get_context("fork")

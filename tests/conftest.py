@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from matpress import FiniteMatrixMeasure, _engine
+from matpress import FiniteMatrixMeasure
 from matpress.linalg import phi
 
 
@@ -27,8 +27,10 @@ def pool_sizes(monkeypatch):
             sizes.append(processes)
             return self.ctx.Pool(processes, **kwargs)
 
+    # the engine imports multiprocessing when it starts a pool, so the spy
+    # sits on the module itself
     monkeypatch.setattr(
-        _engine.multiprocessing, "get_context",
+        multiprocessing, "get_context",
         lambda method=None: SpyContext(real_get_context(method)),
     )
     return sizes

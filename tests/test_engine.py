@@ -1,14 +1,18 @@
 import itertools
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import matpress
 from matpress import FiniteMatrixMeasure, WordBudget, _engine
 from matpress._engine import (
     LN2,
@@ -52,12 +56,23 @@ def reference_dedup(mants, exps, logw, ldet, d):
     return mants_u, exps_u, logw_u, ldet[order][starts]
 
 
+def reference_normalize(mats):
+    """Power-of-two row rescaling of a copy of ``mats``, each row's scale
+    taken by np.max over axes (1, 2): (mantissas, exponents, nonzero rows)."""
+    scale = np.max(np.abs(mats), axis=(1, 2))
+    e = np.frexp(scale)[1].astype(np.int64)
+    nonzero = scale > 0.0
+    e[~nonzero] = 0
+    return np.ldexp(mats, (-e)[:, None, None]), e, nonzero
+
+
 def reference_levels(weights, mats, top, dedup):
-    """Levels 1..top built with einsum products and the reference dedup; each
-    row's ldet is the sum of its atoms' slogdet, left to right."""
+    """Levels 1..top built with einsum products, the reference rescaling and
+    the reference dedup; each row's ldet is the sum of its atoms' slogdet,
+    left to right."""
     d = mats.shape[1]
     ldet = np.array([np.linalg.slogdet(a)[1] for a in mats])
-    mants, exps, nonzero = _normalize(np.array(mats, dtype=np.float64))
+    mants, exps, nonzero = reference_normalize(np.array(mats, dtype=np.float64))
     logw = np.log(np.asarray(weights, dtype=np.float64))
     if dedup:
         mants, exps, logw, ldet = reference_dedup(
@@ -68,7 +83,7 @@ def reference_levels(weights, mats, top, dedup):
         lm, le, lw, ld = levels[m - 1]
         rm, re, rw, rd = levels[1]
         prod = np.einsum("aij,bjk->abik", lm, rm).reshape(-1, d, d)
-        mants, e2, nonzero = _normalize(prod)
+        mants, e2, nonzero = reference_normalize(prod)
         exps = (le[:, None] + re[None, :]).ravel() + e2
         logw = (lw[:, None] + rw[None, :]).ravel()
         ldet = np.array([a + b for a in ld for b in rd])
@@ -101,6 +116,14 @@ def draw_rows(seed, d, m, kind):
     ldet = rng.standard_normal(m)
     if kind == "random":
         return rng.uniform(-1.0, 1.0, (m, d, d)), rng.integers(-2, 3, m), logw, ldet
+    if kind == "diagonal_dyadic":
+        # normalised products of dyadic diagonal atoms, as DYADIC4's levels
+        # hold: every row ties with others on (exponent, first entry) 0.5
+        mants = np.zeros((m, d, d))
+        diag = np.einsum("aii->ai", mants)
+        diag[:] = 2.0 ** -rng.integers(1, 6, (m, d))
+        diag[:, 0] = 0.5
+        return mants, rng.integers(0, 2, m), logw, ldet
     if kind == "tied_first_entry":
         # every row shares its exponent and first entry with many others;
         # a few are exact repeats
@@ -122,9 +145,11 @@ def draw_rows(seed, d, m, kind):
     st.integers(0, 2**32 - 1),
     st.sampled_from([2, 3]),
     st.integers(0, 400),
-    st.sampled_from(["random", "dyadic", "tied_first_entry", "signed_zeros"]),
+    st.sampled_from(["random", "dyadic", "tied_first_entry", "signed_zeros", "diagonal_dyadic"]),
 )
 def test_dedup_matches_np_unique_reference(seed, d, m, kind):
+    if kind == "diagonal_dyadic":
+        m += 4097  # a tied run's sub-sort then reorders nearly every row of a large level
     rows = draw_rows(seed, d, m, kind)
     got = _dedup_rows(*rows, d)
     want = reference_dedup(*rows, d)
@@ -141,15 +166,20 @@ def test_dedup_empty_and_single_row(d, m):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.booleans(),
-       st.sampled_from([1, 2, 3]))
+       st.sampled_from([1, 2, 3, 4]))
 @example(1, 3, False, False, 3)
 @example(2, 3, False, True, 3)
 @example(3, 3, True, False, 3)
 @example(4, 3, True, True, 3)
+@example(5, 3, False, False, 4)
+@example(6, 3, True, True, 4)
+@example(7, 3, False, False, 1)
+@example(8, 3, True, True, 1)
 @example(0, 1, True, True, 1)
 def test_planar_levels_match_einsum_build(seed, n_atoms, dyadic, dedup, d):
-    # levels of d <= 3 all come from the same j-loop product; (0, 1, True,
-    # True, 1) draws one zero atom, so dedup leaves every level empty
+    # d=2 levels come from outer products, d=1 and 3 from a j-loop and d=4
+    # from einsum; (0, 1, True, True, 1) draws one zero atom, so dedup leaves
+    # every level empty
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, n_atoms)
     if dyadic:
@@ -161,6 +191,28 @@ def test_planar_levels_match_einsum_build(seed, n_atoms, dyadic, dedup, d):
     want = reference_levels(weights, mats, 8, dedup)
     for m in range(2, 9):
         assert_same_rows(cache.levels[m], want[m], signed_zeros=dyadic)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+def test_normalize_matches_axis_max_formula(d):
+    rng = np.random.default_rng(d)
+    mats = rng.uniform(-1.0, 1.0, (64, d, d)) * 2.0 ** rng.integers(-60, 61, (64, 1, 1))
+    mats[0] = 0.0
+    mats[1] = -0.0
+    mats[2].flat[1::2] = -0.0  # negative zeros beside nonzero entries
+    mats[3] = rng.uniform(-1.0, 1.0, (d, d)) * 2.0 ** -1040  # subnormal entries
+    mats[4] = 5e-324 * rng.integers(-3, 4, (d, d))
+    mats[4, 0, 0] = -5e-324  # a nonzero row of the least subnormals
+    mats[5] = np.abs(mats[5])
+    mats[5, -1, -1] = -2.0  # the max |entry| is a negative entry
+    mats[6] = -np.abs(mats[6])
+    for rows in (mats[:0], mats):
+        got = _normalize(rows.copy())
+        want = reference_normalize(rows.copy())
+        assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+    assert list(got[2][:5]) == [False, False, True, True, True]
 
 
 def test_level_build_peak_memory():
@@ -671,6 +723,15 @@ def test_table_hits_keep_bits_and_budget_rules():
     with pytest.raises(BudgetExhaustedError) as err:
         held_phi_bounds(mu, 10, 1.5, WordBudget(max_words=3**9), RunClock(600.0), tables)
     assert err.value.reason == "max_words"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool's module is imported when a pool starts, not by every CLI run
+    code = "import sys, matpress; from matpress import cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(matpress.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_pool_builds_the_serial_table(pool_sizes):
