@@ -27,8 +27,8 @@ from . import _engine, linalg
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
-from .pressure import _validate_mu, log_norm_constant
-from .svpressure import det_pressure, lift_params, log_planar_constant
+from .pressure import _validate_mu
+from .svpressure import _route, det_pressure
 
 __all__ = [
     "AffinityResult",
@@ -172,16 +172,10 @@ def _lower_test_params(d, t, q_cap, dim_cap):
     dimension above cap).  0 < t <= d; t is a Fraction where the lift is
     needed (d >= 3 and t > 1).
     """
-    tf = float(t)
-    if t <= 1:
-        return d, log_norm_constant(d, tf)
-    if d == 2:
-        return 2, log_planar_constant(tf)
     try:
-        spec = lift_params(d, t, q_cap=q_cap, dim_cap=dim_cap)
+        return _route(d, t, q_cap, dim_cap)[:2]
     except (InvalidInputError, DimensionCapError):
         return None
-    return spec.d_prime, spec.log_constant
 
 
 # which bound of a sketched power sum a test reads: _PhiCache.value's side

@@ -10,6 +10,9 @@ inequality with the explicit constant K(d, s) = d^(2+(d+1)s) * max(d^(1-s), 1)
 turns the pair (S_n, S_{n d}) into a lower bound.  Running the two families
 over increasing n yields a monotone sandwich that certifies M to any
 requested width, or detects M = -inf exactly from the length-d sum.
+
+That sandwich and its power-sum cache live here once (_sandwich, _Sums) for
+any block b and constant K; svpressure's planar and lift routes reuse them.
 """
 
 import math
@@ -150,6 +153,65 @@ def detect_minus_infinity(mu, s=1.0, budget=None, workers=1):
     return sd == -math.inf
 
 
+class _Sums:
+    """Log power sums of one run, keyed by (measure, kind, exponent, length).
+
+    ``words`` adds the nominal word count N^n of every key evaluated.
+    """
+
+    def __init__(self, budget, clock, workers):
+        self.budget, self.clock, self.workers = budget, clock, workers
+        self.store, self.words = {}, 0
+
+    def get(self, mu, kind, s, n):
+        key = (id(mu), kind, float(s), n)
+        if key not in self.store:
+            self.store[key] = float(_engine.weighted_sums(
+                mu, n, kind, [float(s)], self.budget, clock=self.clock, workers=self.workers
+            )[0])
+            self.words += _engine.nominal_words(n, mu.n_atoms)
+        return self.store[key]
+
+
+def _sandwich(mu, kind, s, block, log_k, sums):
+    """Yield (n, lower, upper) for n = 1, 2, ... while length n*block is feasible:
+    the running min of (1/n) log S_n and the running max, where S_nb > 0, of
+    (1/n) [log S_nb - log K - (b-1) log S_n], b = block, log K = log_k.
+    """
+    lo, up, n = -math.inf, math.inf, 1
+    while _engine.feasible(sums.budget, n * block, mu.n_atoms):
+        sums.clock.check()
+        sn = sums.get(mu, kind, s, n)
+        snb = sums.get(mu, kind, s, n * block)
+        up = min(up, sn / n)
+        if snb > -math.inf:
+            lo = max(lo, (snb - log_k - (block - 1) * sn) / n)
+        yield n, lo, up
+        n += 1
+
+
+def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance):
+    """One route's sandwich to width < eps, within the budget; a vanishing
+    length-block sum is the exact minus_infinity verdict.
+    """
+    t0 = time.monotonic()
+    sums = _Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
+    lo, up, n_used, status = -math.inf, math.inf, 0, _EXHAUSTED
+    try:
+        feasible = _engine.feasible(budget, block, mu.n_atoms)
+        if feasible and sums.get(mu, kind, s, block) == -math.inf:
+            lo = up = -math.inf
+            n_used, status = block, _MINUS_INF
+        else:
+            for n_used, lo, up in _sandwich(mu, kind, s, block, log_k, sums):
+                if up - lo < eps:
+                    status = _CERTIFIED
+                    break
+    except BudgetExhaustedError:
+        pass
+    return PressureBracket(lo, up, n_used, status, sums.words, time.monotonic() - t0, provenance)
+
+
 def bracket(mu, s, eps, budget=None, workers=1):
     """Certified bracket for M(mu,s) to width < eps, within the budget.
 
@@ -165,49 +227,8 @@ def bracket(mu, s, eps, budget=None, workers=1):
         raise InvalidInputError(f"eps must be positive, got {eps}")
     if budget is None:
         budget = WordBudget()
-    t0 = time.monotonic()
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    d = mu.dimension
-    n_atoms = mu.n_atoms
-    log_k = log_norm_constant(d, s)
-    sums = {}
-    words = 0
-
-    def get(n):
-        nonlocal words
-        if n not in sums:
-            sums[n] = float(
-                _engine.weighted_sums(mu, n, "norm", [s], budget, clock=clock, workers=workers)[0]
-            )
-            words += _engine.nominal_words(n, n_atoms)
-        return sums[n]
-
-    lo = -math.inf
-    up = math.inf
-    n_used = 0
-    status = _EXHAUSTED
-    try:
-        if get(d) == -math.inf:
-            return PressureBracket(
-                -math.inf, -math.inf, d, _MINUS_INF, words,
-                time.monotonic() - t0, PROVENANCE_NORM,
-            )
-        n = 1
-        while _engine.feasible(budget, n * d, n_atoms):
-            clock.check()
-            sn = get(n)
-            snd = get(n * d)
-            up = min(up, sn / n)
-            if snd > -math.inf:
-                lo = max(lo, (snd - log_k - (d - 1) * sn) / n)
-            n_used = n
-            if up - lo < eps:
-                status = _CERTIFIED
-                break
-            n += 1
-    except BudgetExhaustedError:
-        pass
-    return PressureBracket(lo, up, n_used, status, words, time.monotonic() - t0, PROVENANCE_NORM)
+    d, log_k = mu.dimension, log_norm_constant(mu.dimension, s)
+    return _bracket(mu, "norm", s, d, log_k, eps, budget, workers, PROVENANCE_NORM)
 
 
 def p_radius_bracket(source, p, eps, budget=None, workers=1):

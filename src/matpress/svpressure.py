@@ -16,10 +16,14 @@ phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
 * d >= 3, irrational s: upper bounds directly at s; lower bounds at the
   nearest feasible rational s+ >= s after rescaling atoms into the unit
   ball, where phi-monotonicity in s makes the transfer sound.
+
+The norm, planar and lift rows live in one route table, _route, read by
+bracket and by affinity's lower test; those rows run pressure's one sandwich.
 """
 
 import math
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _engine, linalg, pressure
@@ -47,9 +51,6 @@ PROVENANCE_DET = "determinant-branch"
 CONTINUOUS = "continuous_at_1"
 DISCONTINUOUS = "discontinuous_at_1"
 INCONCLUSIVE = "inconclusive"
-
-
-from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,20 @@ def lift_params(d, s, q_cap=6, dim_cap=256):
     return LiftSpec(k=k, p=p, q=q, d_prime=d_prime, log_constant=log_constant)
 
 
-def _phi_sum(mu, s, n, budget, clock=None, workers=1):
-    return float(
-        _engine.weighted_sums(mu, n, "phi", [float(s)], budget, clock=clock, workers=workers)[0]
-    )
+def _route(d, s, q_cap, dim_cap):
+    """(block b, log K, provenance) of the product inequality at 0 < s < d:
+    norm for s <= 1, planar for d = 2, else the lift (raises where none exists).
+    """
+    if s <= 1:
+        return d, log_norm_constant(d, float(s)), pressure.PROVENANCE_NORM
+    if d == 2:
+        return 2, log_planar_constant(float(s)), PROVENANCE_PLANAR
+    spec = lift_params(d, s, q_cap=q_cap, dim_cap=dim_cap)
+    return spec.d_prime, spec.log_constant, PROVENANCE_LIFT
+
+
+def _phi_sum(mu, s, n, budget, workers=1):
+    return float(_engine.weighted_sums(mu, n, "phi", [float(s)], budget, workers=workers)[0])
 
 
 def upper_bound(mu, s, n, budget=None, workers=1):
@@ -187,7 +198,7 @@ def lower_bound_lift(mu, s, n, budget=None, q_cap=6, dim_cap=256, workers=1):
     if budget is None:
         budget = WordBudget()
     spec = lift_params(mu.dimension, s, q_cap=q_cap, dim_cap=dim_cap)
-    s_val = float(spec.k) + spec.p / spec.q
+    s_val = float(spec.k + Fraction(spec.p, spec.q))  # the lift constant holds at this rational
     phi_nd = _phi_sum(mu, s_val, n * spec.d_prime, budget, workers=workers)
     if phi_nd == -math.inf:
         return -math.inf
@@ -217,26 +228,6 @@ def det_pressure(mu, s):
     if best == -math.inf:
         return -math.inf
     return best + math.log(sum(math.exp(v - best) for v in vals))
-
-
-class _SumCounter:
-    """Per-driver cache of phi sums with nominal word accounting."""
-
-    def __init__(self, budget, clock, workers):
-        self.budget = budget
-        self.clock = clock
-        self.workers = workers
-        self.store = {}
-        self.words = 0
-
-    def get(self, mu, s, n):
-        key = (id(mu), float(s), n)
-        if key not in self.store:
-            self.store[key] = _phi_sum(
-                mu, s, n, self.budget, clock=self.clock, workers=self.workers
-            )
-            self.words += _engine.nominal_words(n, mu.n_atoms)
-        return self.store[key]
 
 
 def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
@@ -269,83 +260,12 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
         # phi^s = ||.||^s below exponent 1, so P = M with the same brackets
         return pressure.bracket(mu, s_float, eps, budget=budget, workers=workers)
 
-    if d == 2:
-        return _bracket_planar(mu, s_float, eps, budget, workers)
-
-    s_frac = _exact_fraction(s, q_cap)
-    if s_frac is not None:
-        spec = lift_params(d, s_frac, q_cap=q_cap, dim_cap=dim_cap)
-        return _bracket_lift(mu, float(s_frac), spec, eps, budget, workers)
-    return _bracket_irrational(mu, s_float, eps, budget, q_cap, dim_cap, workers)
-
-
-def _bracket_planar(mu, s, eps, budget, workers):
-    t0 = time.monotonic()
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    sums = _SumCounter(budget, clock, workers)
-    log_kt = log_planar_constant(s)
-    lo, up = -math.inf, math.inf
-    n_used = 0
-    status = "budget_exhausted"
-    try:
-        # Phi is submultiplicative, so a vanishing length-2 sum forces P = -inf;
-        # conversely the tilted-measure identity makes Phi_2 > 0 propagate.
-        if sums.get(mu, s, 2) == -math.inf:
-            return PressureBracket(
-                -math.inf, -math.inf, 2, "minus_infinity",
-                sums.words, time.monotonic() - t0, PROVENANCE_PLANAR,
-            )
-        n = 1
-        while _engine.feasible(budget, 2 * n, mu.n_atoms):
-            clock.check()
-            phi_n = sums.get(mu, s, n)
-            phi_2n = sums.get(mu, s, 2 * n)
-            up = min(up, phi_n / n)
-            if phi_2n > -math.inf:
-                lo = max(lo, (phi_2n - log_kt - phi_n) / n)
-            n_used = n
-            if up - lo < eps:
-                status = "certified"
-                break
-            n += 1
-    except BudgetExhaustedError:
-        pass
-    return PressureBracket(
-        lo, up, n_used, status, sums.words, time.monotonic() - t0, PROVENANCE_PLANAR
-    )
-
-
-def _bracket_lift(mu, s_val, spec, eps, budget, workers):
-    t0 = time.monotonic()
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    sums = _SumCounter(budget, clock, workers)
-    dp = spec.d_prime
-    lo, up = -math.inf, math.inf
-    n_used = 0
-    status = "budget_exhausted"
-    try:
-        if _engine.feasible(budget, dp, mu.n_atoms) and sums.get(mu, s_val, dp) == -math.inf:
-            return PressureBracket(
-                -math.inf, -math.inf, dp, "minus_infinity",
-                sums.words, time.monotonic() - t0, PROVENANCE_LIFT,
-            )
-        n = 1
-        while _engine.feasible(budget, n * dp, mu.n_atoms):
-            clock.check()
-            phi_n = sums.get(mu, s_val, n)
-            phi_nd = sums.get(mu, s_val, n * dp)
-            up = min(up, phi_n / n)
-            if phi_nd > -math.inf:
-                lo = max(lo, (phi_nd - spec.log_constant - (dp - 1) * phi_n) / n)
-            n_used = n
-            if up - lo < eps:
-                status = "certified"
-                break
-            n += 1
-    except BudgetExhaustedError:
-        pass
-    return PressureBracket(
-        lo, up, n_used, status, sums.words, time.monotonic() - t0, PROVENANCE_LIFT
+    s_exact = s_float if d == 2 else _exact_fraction(s, q_cap)
+    if s_exact is None:
+        return _bracket_irrational(mu, s_float, eps, budget, q_cap, dim_cap, workers)
+    block, log_k, provenance = _route(d, s_exact, q_cap, dim_cap)
+    return pressure._bracket(
+        mu, "phi", float(s_exact), block, log_k, eps, budget, workers, provenance
     )
 
 
@@ -355,7 +275,6 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
     # ball where phi-monotonicity in the exponent holds; the scaling shifts
     # P by exactly s*log(c) and is undone on the way out.
     t0 = time.monotonic()
-    clock = _engine.RunClock(budget.wall_clock_cap)
     d = mu.dimension
     max_norm = max(linalg.operator_norm(m) for m in mu._mats)
     if max_norm > 1.0:
@@ -390,7 +309,7 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
     ]
     s_plus, spec = min(workable or candidates, key=lambda item: item[0])
 
-    sums = _SumCounter(budget, clock, workers)
+    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
     lo, up = -math.inf, math.inf
     n_used = 0
     status = "budget_exhausted"
@@ -402,16 +321,16 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
                 lo = v - shift
         n = 1
         while _engine.feasible(budget, n, mu.n_atoms):
-            clock.check()
-            up = min(up, sums.get(mu, s, n) / n)
+            sums.clock.check()
+            up = min(up, sums.get(mu, "phi", s, n) / n)
             if up == -math.inf:
                 return PressureBracket(
                     -math.inf, -math.inf, n, "minus_infinity",
                     sums.words, time.monotonic() - t0, PROVENANCE_LIFT,
                 )
             if spec is not None and _engine.feasible(budget, n * spec.d_prime, mu.n_atoms):
-                phi_n = sums.get(mu_c, float(s_plus), n)
-                phi_nd = sums.get(mu_c, float(s_plus), n * spec.d_prime)
+                phi_n = sums.get(mu_c, "phi", s_plus, n)
+                phi_nd = sums.get(mu_c, "phi", s_plus, n * spec.d_prime)
                 if phi_nd > -math.inf:
                     lb = (phi_nd - spec.log_constant - (spec.d_prime - 1) * phi_n) / n
                     lo = max(lo, lb - shift)
@@ -446,40 +365,21 @@ def continuity_at_one(mu, eps, budget=None, workers=1):
     if budget is None:
         budget = WordBudget()
     mu0 = restrict_invertible(mu)
-    if mu0 is None:
-        # P(mu0,1) = -inf: the jump exists unless P(mu,1) = -inf as well
-        if pressure.detect_minus_infinity(mu, 1.0, budget=budget, workers=workers):
-            return CONTINUOUS
-        return DISCONTINUOUS
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    log_k = log_norm_constant(2, 1.0)
-    caches = ({}, {})
-
-    def endpoints(which, m, n):
-        store = caches[which]
-        if n not in store:
-            store[n] = float(
-                _engine.weighted_sums(m, n, "norm", [1.0], budget, clock=clock, workers=workers)[0]
-            )
-        return store[n]
-
-    up_mu = up_0 = math.inf
-    lo_mu = lo_0 = -math.inf
     try:
-        n = 1
-        while _engine.feasible(budget, 2 * n, mu.n_atoms):
-            clock.check()
-            s_mu, s2_mu = endpoints(0, mu, n), endpoints(0, mu, 2 * n)
-            s_0, s2_0 = endpoints(1, mu0, n), endpoints(1, mu0, 2 * n)
-            up_mu = min(up_mu, s_mu / n)
-            lo_mu = max(lo_mu, (s2_mu - log_k - s_mu) / n)
-            up_0 = min(up_0, s_0 / n)
-            lo_0 = max(lo_0, (s2_0 - log_k - s_0) / n)
+        if mu0 is None:
+            # P(mu0,1) = -inf: the jump exists unless P(mu,1) = -inf as well
+            if pressure.detect_minus_infinity(mu, 1.0, budget=budget, workers=workers):
+                return CONTINUOUS
+            return DISCONTINUOUS
+        sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
+        log_k = log_norm_constant(2, 1.0)
+        # mu0 has no more atoms than mu, so mu's sweep is the one that stops
+        sweeps = [pressure._sandwich(m, "norm", 1.0, 2, log_k, sums) for m in (mu, mu0)]
+        for (_, lo_mu, up_mu), (_, lo_0, up_0) in zip(*sweeps):
             if lo_mu > up_0:
                 return DISCONTINUOUS
             if max(up_mu, up_0) - min(lo_mu, lo_0) < eps:
                 return CONTINUOUS
-            n += 1
     except BudgetExhaustedError:
         pass
     return INCONCLUSIVE

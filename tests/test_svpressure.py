@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_phi_sum, random_measure
-from matpress import pressure
+from matpress import _engine, pressure
 from matpress.errors import DimensionCapError, InvalidInputError
 from matpress.measure import (
     FiniteMatrixMeasure,
@@ -211,6 +211,22 @@ class TestBounds:
         for n in (1, 2):
             assert lo <= upper_bound(mu, 1.5, n) + 1e-9
 
+    def test_lift_lower_evaluates_at_the_nearest_double(self, monkeypatch):
+        # k + p/q in floats is 1 + 0.6666666666666666, one ulp below
+        # float(5/3); the lift constant holds at the exact rational
+        exponents = []
+        real = _engine.weighted_sums
+
+        def spy(mu, n, kind, s_values, *args, **kwargs):
+            exponents.extend(s_values)
+            return real(mu, n, kind, s_values, *args, **kwargs)
+
+        monkeypatch.setattr(_engine, "weighted_sums", spy)
+        mu = FiniteMatrixMeasure([(1.0, [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]])])
+        assert lift_params(3, Fraction(5, 3)).d_prime == 27
+        assert math.isfinite(lower_bound_lift(mu, Fraction(5, 3), 1))
+        assert exponents and all(s == float(Fraction(5, 3)) for s in exponents)
+
 
 class TestBracketDispatch:
     def test_determinant_branch_is_exact_and_instant(self):
@@ -353,6 +369,12 @@ class TestContinuityAtOne:
     def test_tiny_budget_is_inconclusive(self):
         mu = FiniteMatrixMeasure([(1.0, np.eye(2)), (1.0, [[1.0, 0.0], [0.0, 0.0]])])
         verdict = continuity_at_one(mu, 0.6, budget=WordBudget(max_word_length=2))
+        assert verdict == INCONCLUSIVE
+
+    def test_all_singular_measure_under_short_budget_is_inconclusive(self):
+        # the -inf test needs length 2, which the budget forbids
+        mu = FiniteMatrixMeasure([(1.0, [[0.5, 0.0], [0.0, 0.0]]), (1.0, [[0.0, 0.3], [0.0, 0.0]])])
+        verdict = continuity_at_one(mu, 0.1, budget=WordBudget(max_word_length=1))
         assert verdict == INCONCLUSIVE
 
     def test_rejects_non_planar_input(self):
