@@ -43,7 +43,6 @@ from .linalg import (
     operator_norm,
     phi,
     singular_values,
-    spectral_radius,
 )
 from .pressure import (
     PressureBracket,
@@ -65,7 +64,6 @@ from .affinity import (
     affinity_dimension,
     meets_ambient_dimension,
     solve_determinant_dimension,
-    trisect_step,
 )
 from .jsr import (
     MatrixSet,
@@ -102,7 +100,6 @@ __all__ = [
     "operator_norm",
     "phi",
     "singular_values",
-    "spectral_radius",
     "PressureBracket",
     "pressure_bracket",
     "detect_minus_infinity",
@@ -118,7 +115,6 @@ __all__ = [
     "affinity_dimension",
     "meets_ambient_dimension",
     "solve_determinant_dimension",
-    "trisect_step",
     "MatrixSet",
     "ScanPoint",
     "ScanResult",

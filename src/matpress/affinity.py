@@ -7,6 +7,10 @@ pressure.  Two finite-step certification routes exist:
 * determinant branch: when sum w_i |det A_i| >= 1 the crossing happens at
   s >= d, where P equals the exact one-step determinant pressure and the
   defining equation is solved by bisecting a strictly decreasing function;
+* triangular branch: when one coordinate order makes every atom upper
+  triangular, P has a closed form in the diagonal entries (see
+  pressure._triangular_bounds), and its root is bisected the same way,
+  each end at a point where the rounding-widened closed form has its sign;
 * interval refinement: otherwise the crossing lies in [0, d], and one
   sweep over word lengths walks each end by regula falsi on a one-sided
   test: an upper test (a phi^t power sum below 1 certifies P(t) < 0, so
@@ -23,38 +27,19 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _engine, linalg
+from . import _engine, linalg, pressure
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
-from .pressure import _validate_mu
+from .pressure import _ROUNDING, _triangular_bounds, _validate_mu
 from .svpressure import _route, det_pressure
 
 __all__ = [
     "AffinityResult",
     "meets_ambient_dimension",
     "solve_determinant_dimension",
-    "trisect_step",
     "affinity_dimension",
 ]
-
-# Rounding allowance of a log sum L = log sum_r exp(v_r) over R rows reduced
-# at word length m.  Each v_r = log w + sum_j c_j l_j adds at most d + 2
-# rounded terms (the l_j <= 0 share a sign, every norm being below 1), so is
-# off by at most (d + 3) u M_r, u = 2^-53, M_r = |log w| + |log phi^s|.
-# Under p_r = exp(v_r - L), |v_r| <= |L| - log p_r gives the mean of M_r at
-# most |L| + H(p) + 2 m W <= |L| + m (log N + 2 W), W the largest |log w_i|
-# of the N atoms; the shift, exp, sums, per-unit merges and log add at most
-# (log2 R + 4 units + 8) u relative.  A slope sketch's own sums are
-# per-chunk bincounts of at most 2^15 rows and a sequential merge over units,
-# at most (2^15 + units) u relative, and its bucket offsets are exact; a
-# probe rounds each bucket's t beta as a row's value is rounded, and its
-# exps, logs and bucket sum add (log2 buckets + 8) u.  Its bounds enclose
-# the sum of the rounded row values (the bucket width sets only their
-# gap).  _ROUNDING (|L| + m (log N + 2 W) + 1) exceeds all of these for
-# d < 2^18 and under 2^17 units.  The rounding of the word products
-# themselves is the engine's to bound.
-_ROUNDING = 2.0 ** -32
 
 
 @dataclass(frozen=True)
@@ -64,16 +49,16 @@ class AffinityResult:
     interval always contains the affinity dimension (up to the rounding of
     the word products; the power sums' own rounding is allowed for); certified
     additionally means its width is at most the requested eps.  steps counts
-    endpoint moves: bisection halvings on the determinant branch, otherwise
-    test fires that moved an end.  history holds the interval after each word
-    length of the sweep.  words_evaluated sums the nominal word count N^n of
-    every evaluated exponent at length n, exponents answered from a length's
-    slope sketch included, so it does not fall when a sketch saves the
-    enumeration.
+    endpoint moves: bisection halvings on the determinant branch, closed-form
+    probes on the triangular branch, otherwise test fires that moved an end.
+    history holds the interval after each word length of the sweep.
+    words_evaluated sums the nominal word count N^n of every evaluated
+    exponent at length n, exponents answered from a length's slope sketch
+    included, so it does not fall when a sketch saves the enumeration.
     """
 
     interval: tuple
-    branch: str  # "trisection" | "determinant"
+    branch: str  # "trisection" | "determinant" | "triangular"
     steps: int
     status: str  # "certified" | "budget_exhausted"
     history: tuple = ()
@@ -152,17 +137,6 @@ def solve_determinant_dimension(mu, tol=1e-9):
         raise InvalidInputError(f"tol must be positive, got {tol}")
     lo, hi, _ = _det_bisect(mu, tol)
     return 0.5 * (lo + hi)
-
-
-def _snap_rational(t, q_cap, slack):
-    """Nearest fraction with denominator <= q_cap within slack of t, or None."""
-    best = None
-    for q in range(1, q_cap + 1):
-        cand = Fraction(round(t * q), q)
-        err = abs(cand - t)
-        if err <= slack and (best is None or err < abs(best - t)):
-            best = cand
-    return best
 
 
 def _lower_test_params(d, t, q_cap, dim_cap):
@@ -320,68 +294,40 @@ def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
     return _illinois(margin, lo, m_lo, top, m_top, tol)
 
 
-def trisect_step(interval, mu, budget=None, q_cap=6, dim_cap=256, workers=1):
-    """One classical refinement step on an interval containing the dimension.
+def _bisect(fires, fire, miss, tol):
+    """The last point where ``fires`` held, bisecting from fire towards miss
+    until they are within tol."""
+    while abs(miss - fire) > tol and (mid := 0.5 * (fire + miss)) not in (fire, miss):
+        fire, miss = (mid, miss) if fires(mid) else (fire, mid)
+    return fire
 
-    Probes the two interior third-points t1 < t2 of the interval (snapped
-    to denominators <= q_cap for d >= 3 where the lift constant is needed,
-    at most w/12 away).  At each word length n = 1, 2, ... the tests run in
-    the order upper@t1, lower@t2, upper@t2, lower@t1; the first to fire
-    returns the refined interval as a (Fraction, Fraction) pair — at most
-    ~3/4 of the input width.  Returns None when the budget runs out before
-    any test fires.
+
+def _triangular_root(mu, diag, tol):
+    """(lo, hi, probes): P >= 0 at lo and P < 0 at hi by the closed form of a
+    triangular family, bisected from [0, d] to within tol.
+
+    Each probe reads the closed form's rounding-widened enclosure.  Where it
+    straddles 0, each end is walked towards that probe on its own test.
     """
-    _validate_mu(mu)
-    if budget is None:
-        budget = WordBudget()
-    s1, s2 = (Fraction(x) for x in interval)
-    if not (0 <= s1 < s2):
-        raise InvalidInputError(f"need 0 <= s1 < s2, got [{s1}, {s2}]")
-    d = mu.dimension
-    width = s2 - s1
-    t1 = s1 + width / 3
-    t2 = s2 - width / 3
-    if d >= 3:
-        slack = width / 12
-        snapped = []
-        for t in (t1, t2):
-            if 1 < t < d and t.denominator > q_cap:
-                t = _snap_rational(t, q_cap, slack)
-                if t is not None and not (s1 < t < s2):
-                    t = None
-            snapped.append(t)
-        t1, t2 = snapped
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    cache = _PhiCache(mu, budget, clock, workers)
+    probes = 0
 
-    n = 1
-    try:
-        while True:
-            clock.check()
-            live = False  # some test is feasible at this length
-            for kind, t in (("upper", t1), ("lower", t2), ("upper", t2), ("lower", t1)):
-                if t is None:
-                    continue
-                if kind == "upper":
-                    if _engine.feasible(budget, n, mu.n_atoms):
-                        live = True
-                        if _upper_margin(cache, n, float(t)) > 0.0:
-                            return (s1, t)
-                elif t >= d:  # the exact one-step determinant pressure decides
-                    live |= n == 1
-                    if n == 1 and det_pressure(mu, float(t)) > 0.0:
-                        return (t, s2)
-                else:
-                    params = _lower_test_params(d, t, q_cap, dim_cap)
-                    if params is not None and _engine.feasible(budget, n * params[0], mu.n_atoms):
-                        live = True
-                        if _lower_margin(cache, n, float(t), *params) > 0.0:
-                            return (t, s2)
-            if not live:
-                return None
-            n += 1
-    except BudgetExhaustedError:
-        return None
+    def bounds(s):
+        nonlocal probes
+        probes += 1
+        return _triangular_bounds(mu._weights, diag, s, int(s))
+
+    lo, hi = 0.0, float(mu.dimension)
+    while hi - lo > tol and (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lower, upper = bounds(mid)
+        if lower >= 0.0:
+            lo = mid
+        elif upper < 0.0:
+            hi = mid
+        else:
+            lo = _bisect(lambda s: bounds(s)[0] >= 0.0, lo, mid, tol / 4.0)
+            hi = _bisect(lambda s: bounds(s)[1] < 0.0, hi, mid, tol / 4.0)
+            break
+    return lo, hi, probes
 
 
 def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
@@ -390,7 +336,9 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     Requires every atom's operator norm strictly below 1 (this makes the
     pressure strictly decreasing where finite, so one-sided tests localize
     the crossing).  Dispatches to the determinant branch when
-    meets_ambient_dimension holds; otherwise sweeps word lengths n = 1, 2,
+    meets_ambient_dimension holds, then to the triangular branch when one
+    coordinate order makes every atom upper triangular (both bisect to
+    min(eps, 1e-9)); otherwise sweeps word lengths n = 1, 2,
     ... once, and at each moves the upper end of [0, d] down and then the
     lower end up by a safeguarded regula falsi on the tests' margins.  Each
     length is enumerated once: later probes there read the side of its
@@ -416,7 +364,18 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
         lo, hi, steps = _det_bisect(mu, min(eps, 1e-9))
         return AffinityResult((lo, hi), "determinant", steps, "certified",
                               ((lo, hi),), 0, time.monotonic() - t0)
+    diag = pressure._triangular_diagonals(mu._mats)
+    if diag is not None:
+        lo, hi, steps = _triangular_root(mu, diag, min(eps, 1e-9))
+        status = "certified" if hi - lo <= eps else "budget_exhausted"
+        return AffinityResult((lo, hi), "triangular", steps, status,
+                              ((lo, hi),), 0, time.monotonic() - t0)
+    return _sweep(mu, eps, budget, q_cap, dim_cap, workers)
 
+
+def _sweep(mu, eps, budget, q_cap, dim_cap, workers):
+    """The interval-refinement route of affinity_dimension, on any family."""
+    t0 = time.monotonic()
     clock = _engine.RunClock(budget.wall_clock_cap)
     cache = _PhiCache(mu, budget, clock, workers)
     tol = eps / 64.0

@@ -5,8 +5,11 @@ words is valid for every n.  Lower bounds come from the quantified gap
 between the maxima at lengths n*d and n (constant d^(d+1)), optionally
 sharpened by the classical spectral-radius floor max rho(A_w)^(1/n) —
 standard theory rather than a power-sum inequality, so it carries its own
-provenance tag.  The zero-temperature scan maps norm-pressure brackets
-through x -> exp(x/s), whose s -> inf limit is the joint spectral radius.
+provenance tag.  A family that one coordinate order makes upper triangular
+has the exact radius max |a_i,jj| (Jungers, The Joint Spectral Radius, 2009,
+Prop. 1.5), returned without enumeration.  The zero-temperature scan maps
+norm-pressure brackets through x -> exp(x/s), whose s -> inf limit is the
+joint spectral radius.
 """
 
 import math
@@ -151,13 +154,26 @@ def jsr_bracket(
     keeping the best upper and lower bounds seen.  certified when the
     endpoints coincide exactly or the gap reaches eps (when given);
     budget_exhausted otherwise — the bracket is still valid.  provenance
-    names the source of the final lower endpoint.
+    names the source of the final lower endpoint.  A triangular family (one
+    coordinate order makes every matrix upper triangular) gets the exact
+    [r, r], r = max |a_i,jj|, with provenance "triangular".
     """
     ms = _coerce_set(source)
     if budget is None:
         budget = WordBudget()
     if eps is not None and not (float(eps) > 0.0):
         raise InvalidInputError(f"eps must be positive when given, got {eps}")
+    t0 = time.monotonic()
+    diag = pressure._triangular_diagonals(ms._mats)
+    if diag is None:
+        return _sweep(ms, eps, budget, use_spectral_floor, floor_cap, workers)
+    r = float(np.max(diag))  # abs and max round nothing
+    return PressureBracket(r, r, 1, "certified", ms.n_atoms, time.monotonic() - t0,
+                           pressure.PROVENANCE_TRIANGULAR)
+
+
+def _sweep(ms, eps, budget, use_spectral_floor, floor_cap, workers):
+    """jsr_bracket's enumeration route, on any family."""
     t0 = time.monotonic()
     d = ms.dimension
     n_atoms = ms.n_atoms

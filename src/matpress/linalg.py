@@ -1,5 +1,5 @@
 """Dense small-matrix primitives: singular values, singular-value functions,
-exterior powers, Kronecker lifts, spectral radius.
+exterior powers, Kronecker lifts.
 
 Everything here works on plain float64 numpy arrays.  Matrices are small
 (ambient dimension is a few dozen at most even after lifting), so the
@@ -12,13 +12,12 @@ import math
 
 import numpy as np
 
-from .errors import DimensionCapError, InvalidInputError, ToleranceNotMetError
+from .errors import DimensionCapError, InvalidInputError
 
 __all__ = [
     "as_matrix",
     "singular_values",
     "operator_norm",
-    "spectral_radius",
     "phi",
     "exterior_power",
     "kronecker",
@@ -94,40 +93,6 @@ def singular_values(a):
 def operator_norm(a):
     """Spectral norm (largest singular value)."""
     return float(singular_values(a)[0])
-
-
-def spectral_radius(a, rel_tol=1e-10, max_squarings=64):
-    """Spectral radius via scaled repeated squaring of the matrix.
-
-    Tracks log ||A^(2^m)|| / 2^m, which decreases to log rho(A); stops when
-    two consecutive estimates agree to ``rel_tol`` (log scale, i.e. relative
-    agreement of the radius).  Exact zero is returned as soon as a power
-    vanishes, which happens at m <= ceil(log2 d) for nilpotent input.
-    """
-    a = as_matrix(a)
-    if a.shape[0] == 1:
-        return abs(float(a[0, 0]))
-    nrm = float(np.linalg.norm(a))
-    if nrm == 0.0:
-        return 0.0
-    b = a / nrm
-    log_scale = math.log(nrm)
-    est = log_scale
-    for m in range(1, max_squarings + 1):
-        b = b @ b
-        nrm = float(np.linalg.norm(b))
-        if nrm == 0.0:
-            return 0.0
-        b /= nrm
-        log_scale = 2.0 * log_scale + math.log(nrm)
-        new_est = log_scale / (1 << m)
-        done = abs(new_est - est) <= rel_tol
-        est = new_est
-        if done:
-            return math.exp(est)
-    raise ToleranceNotMetError(
-        f"spectral radius did not stabilise to {rel_tol} within {max_squarings} squarings"
-    )
 
 
 def phi(a, s):

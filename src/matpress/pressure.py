@@ -13,11 +13,20 @@ requested width, or detects M = -inf exactly from the length-d sum.
 
 That sandwich and its power-sum cache live here once (_sandwich, _Sums) for
 any block b and constant K; svpressure's planar and lift routes reuse them.
+
+One route needs no enumeration: when one coordinate order makes every atom
+upper triangular, M, the singular-value pressure P and the joint spectral
+radius have closed forms in the diagonal entries (_triangular_diagonals,
+_triangular_bracket), which pressure, svpressure, affinity and jsr try
+before their enumeration routes.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _engine
 from .errors import BudgetExhaustedError, InvalidInputError
@@ -35,10 +44,42 @@ __all__ = [
 ]
 
 PROVENANCE_NORM = "norm-power-bound"
+PROVENANCE_TRIANGULAR = "triangular"
 
 _CERTIFIED = "certified"
 _MINUS_INF = "minus_infinity"
 _EXHAUSTED = "budget_exhausted"
+
+# Rounding allowance of a log sum L = log sum_r exp(v_r) over R rows reduced
+# at word length m.  Each v_r = log w + sum_j c_j l_j adds at most d + 2
+# rounded terms (the l_j <= 0 share a sign, every norm being below 1), so is
+# off by at most (d + 3) u M_r, u = 2^-53, M_r = |log w| + |log phi^s|.
+# Under p_r = exp(v_r - L), |v_r| <= |L| - log p_r gives the mean of M_r at
+# most |L| + H(p) + 2 m W <= |L| + m (log N + 2 W), W the largest |log w_i|
+# of the N atoms; the shift, exp, sums, per-unit merges and log add at most
+# (log2 R + 4 units + 8) u relative.  A slope sketch's own sums are
+# per-chunk bincounts of at most 2^15 rows and a sequential merge over units,
+# at most (2^15 + units) u relative, and its bucket offsets are exact; a
+# probe rounds each bucket's t beta as a row's value is rounded, and its
+# exps, logs and bucket sum add (log2 buckets + 8) u.  Its bounds enclose
+# the sum of the rounded row values (the bucket width sets only their
+# gap).  _ROUNDING (|L| + m (log N + 2 W) + 1) exceeds all of these for
+# d < 2^18 and under 2^17 units.  The rounding of the word products
+# themselves is the engine's to bound.  Affinity's one-sided tests use it.
+_ROUNDING = 2.0 ** -32
+
+# Rounding radius of a triangular closed form: one log sum
+# L = log sum_i exp(v_i) over the N atoms, v_i = log w_i + sum_m c_m l_im,
+# l_im = log|a_i,mm|, with at most d + 1 addends and c_m in {1, t, s}
+# (t = s - floor(s) is exact).  numpy's log and exp are within 4 ulp (8u).
+# With T = max_i |log w_i| + s max |l_im| over the finite l_im (a zero
+# entry's -inf term is exact, and sum_m c_m <= s), v_i is off by at most
+# (d + 10) u T.  Shifting by the largest v_i (|shift| <= T: a rounding of
+# x costs a term e^-x u x <= u/e relative), the exps, the N-term sum and
+# its log add u (2N + 10 log N + 8) to a sum >= 1, and adding the shift
+# back u (T + log N).  So |dL| <= u ((d + 11) T + 2N + 10 log N + 8),
+# which is below _TRIANGULAR_ROUNDING (1 + N + d T).
+_TRIANGULAR_ROUNDING = 2.0 ** -49
 
 
 @dataclass(frozen=True)
@@ -212,10 +253,78 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance):
     return PressureBracket(lo, up, n_used, status, sums.words, time.monotonic() - t0, provenance)
 
 
+def _triangular_diagonals(mats):
+    """|a_i,jj| as an (N, d) array when one order of the coordinates makes
+    every matrix upper triangular, else None.
+
+    Such an order exists iff the graph with an edge r -> c for every
+    off-diagonal entry (r, c) that is nonzero in some matrix has no cycle.
+    The zero test is exact (-0.0 counts as zero), so the detection is too.
+    """
+    d = mats.shape[1]
+    edges = np.any(mats != 0.0, axis=0) & ~np.eye(d, dtype=bool)
+    alive = np.ones(d, dtype=bool)
+    while alive.any():
+        sources = alive & ~edges[alive].any(axis=0)  # no edge from a live node
+        if not sources.any():
+            return None
+        alive &= ~sources
+    return np.abs(np.diagonal(mats, axis1=1, axis2=2))
+
+
+def _triangular_bounds(weights, diag, s, k):
+    """(lower, upper) around the max over a k-set S and an index j not in S
+    of log sum_i w_i prod_{m in S} |a_i,mm| |a_i,jj|^(s-k), widened by the
+    rounding radius; None where a term overflows.
+
+    With k = 0 it is M(mu, s) of a triangular family; with k = floor(s) < d
+    it is P(mu, s) (Falconer & Miao, Fractals 15, 2007: the max over the
+    orderings of the diagonal, of which only S and j matter).
+    """
+    n_atoms, d = diag.shape
+    t = s - k
+    with np.errstate(divide="ignore"):
+        logs, logw = np.log(diag), np.log(weights)
+    pairs = [(S, j) for S in itertools.combinations(range(d), k)
+             for j in ([None] if t == 0.0 else [j for j in range(d) if j not in S])]
+    v = logw[:, None] + np.stack(
+        [logs[:, list(S)].sum(axis=1) + (0.0 if j is None else t * logs[:, j])
+         for S, j in pairs], axis=1)
+    finite = logs[np.isfinite(logs)]
+    size = float(np.max(np.abs(logw))) + s * float(np.max(np.abs(finite), initial=0.0))
+    radius = _TRIANGULAR_ROUNDING * (1.0 + n_atoms + d * size)
+    top = v.max(axis=0)
+    v, top = v[:, top > -np.inf], top[top > -np.inf]
+    if not top.size:
+        return -math.inf, -math.inf
+    value = float(np.max(top + np.log(np.sum(np.exp(v - top), axis=0))))
+    if not math.isfinite(radius + value):
+        return None
+    return value - radius, value + radius
+
+
+def _triangular_bracket(mu, s, k, eps):
+    """The closed-form bracket of _triangular_bounds as a PressureBracket,
+    or None when mu is not triangular in any coordinate order."""
+    t0 = time.monotonic()
+    diag = _triangular_diagonals(mu._mats)
+    bounds = None if diag is None else _triangular_bounds(mu._weights, diag, s, k)
+    if bounds is None:
+        return None
+    lo, up = bounds
+    status = _MINUS_INF if up == -math.inf else _CERTIFIED if up - lo < eps else _EXHAUSTED
+    return PressureBracket(
+        lo, up, 1, status, mu.n_atoms, time.monotonic() - t0, PROVENANCE_TRIANGULAR
+    )
+
+
 def bracket(mu, s, eps, budget=None, workers=1):
     """Certified bracket for M(mu,s) to width < eps, within the budget.
 
-    Evaluates the length-d sum first: if it vanishes, returns the exact
+    A family that is upper triangular in one coordinate order gets the
+    closed form max_j log sum_i w_i |a_i,jj|^s, widened by its rounding
+    radius, with provenance "triangular".  Otherwise evaluates the
+    length-d sum first: if it vanishes, returns the exact
     minus_infinity verdict at cost N^d words.  Otherwise runs the sandwich
     over n = 1, 2, ... keeping the running min of the upper family and the
     running max of the lower family, so the bracket only ever shrinks.
@@ -228,7 +337,8 @@ def bracket(mu, s, eps, budget=None, workers=1):
     if budget is None:
         budget = WordBudget()
     d, log_k = mu.dimension, log_norm_constant(mu.dimension, s)
-    return _bracket(mu, "norm", s, d, log_k, eps, budget, workers, PROVENANCE_NORM)
+    return _triangular_bracket(mu, s, 0, eps) or _bracket(
+        mu, "norm", s, d, log_k, eps, budget, workers, PROVENANCE_NORM)
 
 
 def p_radius_bracket(source, p, eps, budget=None, workers=1):

@@ -6,6 +6,9 @@ phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
 * s >= d: phi^s = |det|^(s/d) is multiplicative, so P equals the exact
   one-step value log sum w_i |det A_i|^(s/d) (determinant branch);
 * s <= 1: phi^s = ||.||^s, so the norm-pressure machinery applies verbatim;
+* triangular families (one coordinate order makes every atom upper
+  triangular), 1 < s < d: P is the closed form of pressure._triangular_bounds
+  in the diagonal entries, with no enumeration, rational s or not;
 * d = 2, 1 < s < 2: a planar product inequality with the piecewise constant
   planar_constant(s) plays the role the norm inequality plays for M.  It is
   proved by passing to the determinant-tilted companion measure
@@ -235,7 +238,9 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
 
     ``s`` may be a float, int, or Fraction; exact rationals unlock the lift
     route for d >= 3.  Statuses follow pressure.bracket; provenance records
-    which inequality produced the lower bound.
+    which inequality produced the lower bound.  Below d, a family that one
+    coordinate order makes upper triangular gets the closed form of
+    pressure._triangular_bounds instead, for any s (provenance "triangular").
     """
     pressure._validate_mu(mu)
     s_float = float(s)
@@ -259,6 +264,9 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     if s_float <= 1.0:
         # phi^s = ||.||^s below exponent 1, so P = M with the same brackets
         return pressure.bracket(mu, s_float, eps, budget=budget, workers=workers)
+    triangular = pressure._triangular_bracket(mu, s_float, int(s_float), eps)
+    if triangular is not None:
+        return triangular
 
     s_exact = s_float if d == 2 else _exact_fraction(s, q_cap)
     if s_exact is None:

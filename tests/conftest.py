@@ -1,10 +1,11 @@
+import collections
 import itertools
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from matpress import FiniteMatrixMeasure
+from matpress import FiniteMatrixMeasure, WordBudget, _engine, pressure
 from matpress.linalg import phi
 
 
@@ -34,6 +35,35 @@ def pool_sizes(monkeypatch):
         lambda method=None: SpyContext(real_get_context(method)),
     )
     return sizes
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Calls of the engine's enumeration entries in one test, by name, so a
+    test can assert that it reached the engine and not a closed form."""
+    counts = collections.Counter()
+    for name in ("weighted_sums", "max_norm_word"):
+        def spy(*args, _name=name, _real=getattr(_engine, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(_engine, name, spy)
+    return counts
+
+
+@pytest.fixture
+def enumeration_only(monkeypatch, engine_calls):
+    """Public calls in one test skip the triangular closed form and take
+    their enumeration routes; returns the engine_calls counter."""
+    monkeypatch.setattr(pressure, "_triangular_diagonals", lambda mats: None)
+    return engine_calls
+
+
+def engine_norm_bracket(mu, s, eps, budget=None):
+    """pressure.bracket's enumeration route, whatever the family."""
+    d = mu.dimension
+    return pressure._bracket(mu, "norm", s, d, pressure.log_norm_constant(d, s), eps,
+                             budget or WordBudget(), 1, pressure.PROVENANCE_NORM)
 
 
 def word_products(mats, n):

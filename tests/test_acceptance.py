@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_norm_sum
+from conftest import brute_norm_sum, engine_norm_bracket
 from matpress import affinity, cli, jsr, pressure, svpressure
 from matpress.linalg import lift, operator_norm, phi
 from matpress.measure import FiniteMatrixMeasure, WordBudget
@@ -35,7 +35,7 @@ def _pass(num, detail=""):
     print(f"[criterion {num:02d}] PASS" + (f"  ({detail})" if detail else ""))
 
 
-def test_criterion_01_diagonal_closed_form():
+def test_criterion_01_diagonal_closed_form(engine_calls):
     # commuting diagonal atoms: growth rate = log of the largest column sum
     cols = [0.5 + 0.25, 1.0 / 3.0 + 0.5]
     target = math.log(max(cols))
@@ -47,7 +47,9 @@ def test_criterion_01_diagonal_closed_form():
         brute = math.log(brute_norm_sum([1.0, 1.0], mats, n, 1.0)) / n
         assert pressure.upper_bound(DIAG_PAIR, 1.0, n) == pytest.approx(brute, rel=1e-10)
 
-    br = pressure.bracket(DIAG_PAIR, 1.0, 0.75)
+    engine_calls.clear()
+    br = engine_norm_bracket(DIAG_PAIR, 1.0, 0.75)
+    assert engine_calls["weighted_sums"] > 0
     assert br.status == "certified"
     assert br.upper - br.lower <= 0.75
     assert br.lower - 1e-9 <= target <= br.upper + 1e-9
@@ -65,20 +67,21 @@ def test_criterion_02_scalar_exactness():
         l1 = pressure.lower_bound(SCALAR_HALF, s, 1)
         assert abs(u1 - target) <= 1e-12
         assert abs(l1 - (target - math.log(pressure.norm_constant(2, s)))) <= 1e-12
-        br = pressure.bracket(SCALAR_HALF, s, 1.0)
+        br = pressure.bracket(SCALAR_HALF, s, 1.0)  # triangular: the closed form
         assert br.status == "certified"
         assert br.lower - 1e-12 <= target <= br.upper + 1e-12
     _pass(2, "U1 and L1 exact at s in {0.5, 1, 2}")
 
 
-def test_criterion_03_minus_infinity_detection():
+def test_criterion_03_minus_infinity_detection(engine_calls):
     mu = FiniteMatrixMeasure(
         [
             (1.0, [[0.0, 1.0], [0.0, 0.0]]),
             (1.0, [[0.0, 3.0], [0.0, 0.0]]),
         ]
     )
-    br = pressure.bracket(mu, 1.0, 0.5)
+    br = engine_norm_bracket(mu, 1.0, 0.5)
+    assert engine_calls["weighted_sums"] == 1
     assert br.status == "minus_infinity"
     assert br.lower == br.upper == -math.inf
     assert br.words_evaluated == 4  # exactly the N^2 length-2 products
@@ -131,7 +134,7 @@ def test_criterion_06_planar_bracket_validity():
 
 def test_criterion_07_similarity_pressure():
     target = math.log(3.0 * 2.0 ** (-1.5))
-    br = svpressure.bracket(MORAN3, 1.5, 0.5)
+    br = svpressure.bracket(MORAN3, 1.5, 0.5)  # triangular: the closed form
     assert br.status == "certified"
     assert br.lower - 1e-9 <= target <= br.upper + 1e-9
     _pass(7, f"contains log(3/2^1.5) = {target:.7f}")
@@ -139,6 +142,7 @@ def test_criterion_07_similarity_pressure():
 
 def test_criterion_08_affinity_moran():
     target = math.log(3.0) / math.log(2.0)
+    # MORAN3 is triangular: this checks the closed form's branch
     res = affinity.affinity_dimension(
         MORAN3, 0.7, budget=WordBudget(max_words=10**8, wall_clock_cap=240.0)
     )
@@ -179,7 +183,7 @@ def test_criterion_10_continuity_diagnostic():
     _pass(10, "jump detected, nilpotent companion stays continuous")
 
 
-def test_criterion_11_block_triangular_invariance():
+def test_criterion_11_block_triangular_invariance(engine_calls):
     rng = np.random.default_rng(42)
     for _ in range(20):
         tri_atoms, diag_atoms = [], []
@@ -187,14 +191,16 @@ def test_criterion_11_block_triangular_invariance():
             a = np.triu(rng.uniform(-0.9, 0.9, (2, 2)))
             tri_atoms.append((1.0, a))
             diag_atoms.append((1.0, np.diag(np.diag(a))))
-        br_tri = pressure.bracket(FiniteMatrixMeasure(tri_atoms), 1.0, 1.0)
-        br_diag = pressure.bracket(FiniteMatrixMeasure(diag_atoms), 1.0, 1.0)
+        br_tri = engine_norm_bracket(FiniteMatrixMeasure(tri_atoms), 1.0, 1.0)
+        br_diag = engine_norm_bracket(FiniteMatrixMeasure(diag_atoms), 1.0, 1.0)
         assert br_tri.status == br_diag.status == "certified"
         assert max(br_tri.lower, br_diag.lower) <= min(br_tri.upper, br_diag.upper) + 1e-9
+    assert engine_calls["weighted_sums"] > 0
     _pass(11, "20 triangular/diagonal bracket pairs intersect")
 
 
 def test_criterion_12_jsr_and_zero_temperature():
+    # DIAG_PAIR is triangular: the JSR and every scan point are closed forms
     br = jsr.jsr_bracket(DIAG_PAIR)
     assert br.lower - 1e-12 <= 0.5 <= br.upper + 1e-12
 
@@ -217,14 +223,16 @@ def test_criterion_13_p_radius():
             (1.0, [[0.3, 0.0], [0.0, 0.3]]),
         ]
     )
-    br = pressure.p_radius_bracket(mu, 2.0, 1.0)
+    br = pressure.p_radius_bracket(mu, 2.0, 1.0)  # triangular: the closed form
     assert br.status == "certified"
     assert br.lower - 1e-9 <= 0.3 <= br.upper + 1e-9
     assert abs(br.upper - 0.3) <= 1e-12  # the n=1 average is already exact
     _pass(13, "contains 0.3, upper endpoint exact")
 
 
-def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes):
+def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes, enumeration_only):
+    # DIAG_PAIR and MORAN3 are triangular: with the closed form off they
+    # take the enumeration routes whose worker counts this compares
     diag_doc = tmp_path / "diag.json"
     diag_doc.write_text(cli.emit_input(DIAG_PAIR))
     moran_doc = tmp_path / "moran.json"
@@ -253,6 +261,7 @@ def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes):
     for key in ("lower", "upper"):
         a, b = (r["interval"][key] for r in per_workers)
         assert abs(a - b) <= 1e-10
+    assert enumeration_only["weighted_sums"] > 0
 
     # The runs above never pass the engine's row cap, so they stay serial.
     # Three 3x3 atoms do at n=12: the bracket needs that sum for its lower

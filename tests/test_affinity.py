@@ -13,11 +13,11 @@ from matpress.affinity import (
     AffinityResult,
     _PhiCache,
     _lower_margin,
+    _sweep,
     _upper_margin,
     affinity_dimension,
     meets_ambient_dimension,
     solve_determinant_dimension,
-    trisect_step,
 )
 from matpress.errors import InvalidInputError, InvertedIntervalError
 from matpress.measure import FiniteMatrixMeasure, WordBudget
@@ -35,6 +35,11 @@ PAIR_3D = moran_measure(2, 0.4, d=3)  # dimension log 2 / log 2.5
 DIM_THREE_HALVES = math.log(3.0) / math.log(2.0)
 DIM_TWO_THIRDS = math.log(2.0) / math.log(3.0)
 DIM_PAIR_3D = math.log(2.0) / math.log(2.5)
+
+
+def sweep(mu, eps, budget=None):
+    """affinity_dimension's interval-refinement route, whatever the family."""
+    return _sweep(mu, eps, budget or WordBudget(), 6, 256, 1)
 
 
 class TestMeetsAmbientDimension:
@@ -83,84 +88,42 @@ class TestSolveDeterminantDimension:
             solve_determinant_dimension(moran_measure(4, 0.8), tol=0.0)
 
 
-class TestTrisectStep:
-    def test_lower_test_fires_on_moran_triple(self):
-        # both interior points are left of log3/log2, so only the lower
-        # test at t1 = 2/3 can fire
-        out = trisect_step((0, 2), THREE_HALVES)
-        assert out == (Fraction(2, 3), Fraction(2))
-        assert isinstance(out[0], Fraction) and isinstance(out[1], Fraction)
-
-    def test_upper_test_fires_at_exact_thirds(self):
-        out = trisect_step((Fraction(6, 5), Fraction(489, 250)), THREE_HALVES)
-        assert out == (Fraction(6, 5), Fraction(213, 125))
-        assert float(out[1]) == 1.704  # exact thirds, no drift
-
-    def test_iterated_steps_nest_and_shrink(self):
-        interval = (Fraction(0), Fraction(2))
-        for _ in range(3):
-            out = trisect_step(interval, TWO_THIRDS)
-            assert out is not None
-            assert interval[0] <= out[0] < out[1] <= interval[1]
-            assert out[1] - out[0] <= Fraction(3, 4) * (interval[1] - interval[0])
-            assert out[0] < Fraction(DIM_TWO_THIRDS).limit_denominator(10**6) < out[1]
-            interval = out
-
-    def test_snaps_awkward_probe_for_3d(self):
-        # t2 = 41/30 needs the lift constant, whose denominator cap forces
-        # the probe onto 4/3; the returned endpoint shows the snap
-        out = trisect_step((Fraction(1, 10), Fraction(2)), PAIR_3D)
-        assert out == (Fraction(1, 10), Fraction(4, 3))
-
-    def test_upper_fires_at_integer_probe_for_3d(self):
-        out = trisect_step((0, 3), PAIR_3D)
-        assert out == (Fraction(0), Fraction(1))
-
-    def test_budget_too_small_returns_none(self):
-        assert trisect_step((0, 2), THREE_HALVES, budget=WordBudget(max_words=1)) is None
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(InvalidInputError):
-            trisect_step((-1, 2), THREE_HALVES)
-        with pytest.raises(InvalidInputError):
-            trisect_step((1, 1), THREE_HALVES)
-        with pytest.raises(InvalidInputError):
-            trisect_step((0, 2), "not a measure")
-
-
 class TestAffinityDimension:
-    def test_moran_pair_certifies_quickly(self):
-        res = affinity_dimension(TWO_THIRDS, 1.0)
+    def test_moran_pair_certifies_quickly(self, engine_calls):
+        res = sweep(TWO_THIRDS, 1.0)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.branch == "trisection"
         assert res.width <= 1.0
         assert res.interval[0] <= DIM_TWO_THIRDS <= res.interval[1]
 
-    def test_moran_triple_certifies_at_moderate_eps(self):
-        res = affinity_dimension(THREE_HALVES, 1.2)
+    def test_moran_triple_certifies_at_moderate_eps(self, engine_calls):
+        res = sweep(THREE_HALVES, 1.2)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.width <= 1.2
         assert res.interval[0] <= DIM_THREE_HALVES <= res.interval[1]
         assert res.steps >= 1
         assert res.words_evaluated > 0
 
-    def test_3d_moran_pair(self):
-        res = affinity_dimension(PAIR_3D, 0.8)
+    def test_3d_moran_pair(self, engine_calls):
+        res = sweep(PAIR_3D, 0.8)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.width <= 0.8
         assert res.interval[0] <= DIM_PAIR_3D <= res.interval[1]
 
-    def test_history_intervals_nest(self):
-        res = affinity_dimension(THREE_HALVES, 1.2)
+    def test_history_intervals_nest(self, engine_calls):
+        res = sweep(THREE_HALVES, 1.2)
+        assert engine_calls["weighted_sums"] > 0
         lo_prev, hi_prev = 0.0, 2.0
         for lo, hi in res.history:
             assert lo >= lo_prev and hi <= hi_prev
             lo_prev, hi_prev = lo, hi
 
-    def test_budget_exhaustion_keeps_containment(self):
-        res = affinity_dimension(
-            THREE_HALVES, 0.05, budget=WordBudget(max_words=100_000)
-        )
+    def test_budget_exhaustion_keeps_containment(self, engine_calls):
+        res = sweep(THREE_HALVES, 0.05, budget=WordBudget(max_words=100_000))
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "budget_exhausted"
         assert res.interval[0] <= DIM_THREE_HALVES <= res.interval[1]
         assert res.history  # at least one completed round was recorded
@@ -261,7 +224,7 @@ def test_contradictory_sums_raise_instead_of_certifying(monkeypatch, fake, where
 
     monkeypatch.setattr(_engine, "weighted_sums", sums)
     with pytest.raises(InvertedIntervalError, match=where):
-        affinity_dimension(THREE_HALVES, 0.01)
+        sweep(THREE_HALVES, 0.01)
 
 
 CARPET = FiniteMatrixMeasure([
@@ -276,7 +239,7 @@ def _moran_dimension(mp, count, ratio):
     return mp.log(count) / mp.log(1 / mp.mpf(ratio))
 
 
-@pytest.mark.parametrize("mu, exact, eps, budget", [
+EXACT_DIMENSIONS = [
     # MORAN3 of the benchmark: every power sum is exact, and its upper root
     # is the dimension itself
     (THREE_HALVES, lambda mp: _moran_dimension(mp, 3, 0.5), 0.2,
@@ -291,15 +254,35 @@ def _moran_dimension(mp, count, ratio):
     (PAIR_3D, lambda mp: _moran_dimension(mp, 2, 0.4), 0.05, None),
     (CARPET, lambda mp: 1 + mp.log((1 + mp.sqrt(5)) / 2) / mp.log(4), 0.01,
      WordBudget(max_word_length=48, max_words=4**48)),
-], ids=["moran3", "moran3_1e-3", "halves_1.2", "halves_0.05", "thirds_1.0", "thirds_0.05",
-        "pair3d_0.8", "pair3d_0.05", "carpet"])
-def test_interval_contains_exact_dimension_without_slack(mu, exact, eps, budget):
+]
+EXACT_IDS = ["moran3", "moran3_1e-3", "halves_1.2", "halves_0.05", "thirds_1.0", "thirds_0.05",
+             "pair3d_0.8", "pair3d_0.05", "carpet"]
+
+
+@pytest.mark.parametrize("mu, exact, eps, budget", EXACT_DIMENSIONS, ids=EXACT_IDS)
+def test_interval_contains_exact_dimension_without_slack(mu, exact, eps, budget, engine_calls):
     mpmath = pytest.importorskip("mpmath")
-    res = affinity_dimension(mu, eps, budget=budget)
+    res = sweep(mu, eps, budget=budget)
+    assert engine_calls["weighted_sums"] > 0
     assert res.branch == "trisection"
     with mpmath.workdps(40):
         value = exact(mpmath)
         lo, hi = (mpmath.mpf(x) for x in res.interval)  # floats convert exactly
+        assert lo <= value <= hi, (res.interval, value)
+
+
+@pytest.mark.parametrize("mu, exact, eps, budget", EXACT_DIMENSIONS, ids=EXACT_IDS)
+def test_triangular_interval_contains_exact_dimension_without_slack(
+        mu, exact, eps, budget, engine_calls):
+    # the same diagonal families through the public call: the closed form
+    mpmath = pytest.importorskip("mpmath")
+    res = affinity_dimension(mu, eps, budget=budget)
+    assert engine_calls["weighted_sums"] == 0
+    assert res.branch == "triangular" and res.status == "certified"
+    assert 0.0 < res.width <= min(eps, 1e-9)
+    with mpmath.workdps(40):
+        value = exact(mpmath)
+        lo, hi = (mpmath.mpf(x) for x in res.interval)
         assert lo <= value <= hi, (res.interval, value)
 
 

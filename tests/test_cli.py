@@ -148,6 +148,8 @@ class TestParseInput:
 
 
 class TestPressureCommand:
+    # DIAG_PAIR and the nilpotent atom are triangular: the library answers
+    # them in closed form, except where a test turns that route off.
     def test_json_report_matches_library_bitwise(self, tmp_path, capsys):
         path = write_doc(tmp_path, DIAG_PAIR_DOC)
         code = cli.main(["pressure", path, "--s", "1", "--eps", "0.75",
@@ -162,7 +164,7 @@ class TestPressureCommand:
         assert data["bracket"]["upper"] == br.upper
         assert data["n_used"] == br.n_used
         assert data["words_evaluated"] == br.words_evaluated
-        assert data["provenance"] == br.provenance == "norm-power-bound"
+        assert data["provenance"] == br.provenance == "triangular"
         assert data["input"]["d"] == 2
         assert data["input"]["budget"]["max_word_length"] == 64
 
@@ -175,11 +177,12 @@ class TestPressureCommand:
         assert data["bracket"]["lower"] == "-inf"
         assert data["bracket"]["upper"] == "-inf"
 
-    def test_budget_exhaustion_exits_two_with_report(self, tmp_path, capsys):
+    def test_budget_exhaustion_exits_two_with_report(self, tmp_path, capsys, enumeration_only):
         path = write_doc(tmp_path, DIAG_PAIR_DOC)
         code = cli.main(["pressure", path, "--s", "1", "--max-n", "3",
                          "--format", "json"])
         data = json.loads(capsys.readouterr().out)
+        assert enumeration_only["weighted_sums"] > 0
         assert code == 2
         assert data["status"] == "budget_exhausted"
         assert data["bracket"]["lower"] < data["bracket"]["upper"]
@@ -193,11 +196,12 @@ class TestPressureCommand:
         assert "command: pressure" in out
         assert "bracket: [" in out
         assert "status: certified" in out
-        assert "provenance: norm-power-bound" in out
+        assert "provenance: triangular" in out
 
 
 class TestPradiusCommand:
     def test_matches_library_and_contains_value(self, tmp_path, capsys):
+        # a triangular family: CLI and library agree on the closed form
         # two atoms 0.3*I, p = 1: the radius is (1/2) * 2 * 0.3 = 0.3
         path = write_doc(tmp_path, TENTH_SCALE_DOC)
         code = cli.main(["pradius", path, "--p", "1", "--eps", "0.75",
@@ -224,7 +228,7 @@ class TestPradiusCommand:
 
 
 class TestSvpressureCommand:
-    def test_planar_route_matches_library(self, tmp_path, capsys):
+    def test_planar_route_matches_library(self, tmp_path, capsys, enumeration_only):
         doc = {"d": 2, "atoms": [{"weight": 1.0, "matrix": [[0.4, 0.0], [0.0, 0.4]]}]}
         path = write_doc(tmp_path, doc)
         code = cli.main(["svpressure", path, "--s", "3/2", "--eps", "0.5",
@@ -234,6 +238,7 @@ class TestSvpressureCommand:
             cli.parse_input(path), Fraction(3, 2), 0.5,
             budget=cli_default_budget(), q_cap=6,
         )
+        assert enumeration_only["weighted_sums"] > 0
         assert code == 0
         assert data["parameters"]["s"] == "3/2"
         assert data["provenance"] == br.provenance == "planar-sv-bound"
@@ -243,7 +248,8 @@ class TestSvpressureCommand:
         target = 1.5 * math.log(0.4)
         assert data["bracket"]["lower"] - 1e-9 <= target <= data["bracket"]["upper"] + 1e-9
 
-    def test_lift_dimension_cap_exits_one(self, tmp_path, capsys):
+    def test_lift_dimension_cap_exits_one(self, tmp_path, capsys, enumeration_only):
+        # a diagonal atom is answered in closed form; the lift route raises
         eye6 = [[0.5 if i == j else 0.0 for j in range(6)] for i in range(6)]
         doc = {"d": 6, "atoms": [{"weight": 1.0, "matrix": eye6}]}
         code = cli.main(["svpressure", write_doc(tmp_path, doc), "--s", "2+1/2"])
@@ -254,6 +260,7 @@ class TestSvpressureCommand:
 
 class TestAffdimCommand:
     def test_text_report_certifies(self, tmp_path, capsys):
+        # MORAN3 is triangular: this reports the closed form's interval
         path = write_doc(tmp_path, MORAN3_DOC)
         code = cli.main(["affdim", path, "--eps", "1.2"])
         out = capsys.readouterr().out
@@ -277,6 +284,7 @@ class TestAffdimCommand:
 
 class TestJsrCommand:
     def test_exact_bracket_default_eps(self, tmp_path, capsys):
+        # DIAG_PAIR is triangular: the radius is exactly its largest diagonal entry
         path = write_doc(tmp_path, DIAG_PAIR_DOC)
         code = cli.main(["jsr", path, "--format", "json"])
         data = json.loads(capsys.readouterr().out)
@@ -284,9 +292,9 @@ class TestJsrCommand:
         assert data["bracket"]["lower"] == 0.5
         assert data["bracket"]["upper"] == 0.5
         assert data["status"] == "certified"
-        assert data["provenance"] == "spectral-floor"
+        assert data["provenance"] == "triangular"
 
-    def test_no_spectral_floor_flag(self, tmp_path, capsys):
+    def test_no_spectral_floor_flag(self, tmp_path, capsys, enumeration_only):
         path = write_doc(tmp_path, DIAG_PAIR_DOC)
         code = cli.main(["jsr", path, "--no-spectral-floor", "--eps", "0.2",
                          "--format", "json"])
@@ -295,6 +303,7 @@ class TestJsrCommand:
             cli.parse_input(path), eps=0.2, budget=cli_default_budget(),
             use_spectral_floor=False,
         )
+        assert enumeration_only["max_norm_word"] > 0
         assert code == 0
         assert data["provenance"] == br.provenance == "bochi-lower-bound"
         assert data["bracket"]["lower"] == br.lower < 0.5
@@ -303,6 +312,7 @@ class TestJsrCommand:
 
 class TestScanCommand:
     def test_csv_shape_and_values(self, tmp_path, capsys):
+        # a scalar atom is triangular: the rows are the closed form's
         path = write_doc(tmp_path, SCALAR_HALF_DOC)
         code = cli.main(["scan", path, "--s", "1,2,4"])
         lines = capsys.readouterr().out.strip().splitlines()
@@ -318,11 +328,12 @@ class TestScanCommand:
             assert float(row[3]) <= float(row[4]) + 1e-12
         assert code == 0
 
-    def test_json_points_and_exhaustion_exit(self, tmp_path, capsys):
+    def test_json_points_and_exhaustion_exit(self, tmp_path, capsys, enumeration_only):
         path = write_doc(tmp_path, SCALAR_HALF_DOC)
         code = cli.main(["scan", path, "--s", "8", "--max-n", "4",
                          "--format", "json"])
         data = json.loads(capsys.readouterr().out)
+        assert enumeration_only["weighted_sums"] > 0
         assert code == 2
         (point,) = data["points"]
         assert point["s"] == 8.0

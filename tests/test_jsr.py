@@ -9,12 +9,13 @@ from matpress.jsr import (
     MatrixSet,
     ScanPoint,
     _spectral_floor,
+    _sweep,
     jsr_bracket,
     jsr_lower_bochi,
     jsr_upper,
     zero_temperature_scan,
 )
-from matpress.linalg import operator_norm, spectral_radius
+from matpress.linalg import operator_norm
 from matpress.measure import FiniteMatrixMeasure, WordBudget
 
 
@@ -23,6 +24,11 @@ DIAG_MATS = [
     np.diag([0.25, 0.5]),
 ]
 NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
+
+
+def engine_jsr(mats, eps=None, budget=None, use_spectral_floor=True):
+    """jsr_bracket's enumeration route, whatever the family."""
+    return _sweep(MatrixSet(mats), eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
 
 
 class TestMatrixSet:
@@ -153,31 +159,32 @@ class TestSpectralFloor:
 
 
 class TestBracket:
-    def test_diag_pair_is_pinned_by_the_spectral_floor(self):
-        res = jsr_bracket(DIAG_MATS)
+    def test_diag_pair_is_pinned_by_the_spectral_floor(self, engine_calls):
+        res = engine_jsr(DIAG_MATS)
+        assert engine_calls["max_norm_word"] > 0
         assert res.status == "certified"
         assert res.lower == res.upper == 0.5
         assert res.provenance == "spectral-floor"
 
-    def test_bochi_only_still_certifies_at_loose_eps(self):
-        res = jsr_bracket(DIAG_MATS, eps=0.2, use_spectral_floor=False)
+    def test_bochi_only_still_certifies_at_loose_eps(self, engine_calls):
+        res = engine_jsr(DIAG_MATS, eps=0.2, use_spectral_floor=False)
+        assert engine_calls["max_norm_word"] > 0
         assert res.status == "certified"
         assert res.provenance == "bochi-lower-bound"
         assert res.lower < 0.5 <= res.upper
         assert res.upper - res.lower <= 0.2
 
-    def test_nilpotent_singleton_is_exactly_zero(self):
-        res = jsr_bracket([NILPOTENT])
+    def test_nilpotent_singleton_is_exactly_zero(self, engine_calls):
+        res = engine_jsr([NILPOTENT])
+        assert engine_calls["max_norm_word"] > 0
         assert res.status == "certified"
         assert res.lower == res.upper == 0.0
 
     def test_single_matrix_contains_spectral_radius(self):
-        # rho([[0,1],[1/2,0]]) = sqrt(1/2); the iterative spectral_radius
-        # oracle is only 1e-10-accurate, so compare the closed form
+        # rho([[0,1],[1/2,0]]) = sqrt(1/2)
         a = np.array([[0.0, 1.0], [0.5, 0.0]])
         res = jsr_bracket([a], eps=1e-6)
         assert res.lower - 1e-12 <= math.sqrt(0.5) <= res.upper + 1e-12
-        assert spectral_radius(a) == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_rotation_keeps_endpoints_ordered(self):
         # the floor comes from eigenvalues, the upper from norms; on an
@@ -193,6 +200,7 @@ class TestBracket:
         assert res.upper == pytest.approx(1.0, abs=1e-9)
 
     def test_accepts_measure_input(self):
+        # the family is triangular: the bracket is the closed form's
         mu = FiniteMatrixMeasure([(1.0, m) for m in DIAG_MATS])
         res = jsr_bracket(mu)
         assert res.lower <= 0.5 <= res.upper
@@ -201,14 +209,19 @@ class TestBracket:
         with pytest.raises(InvalidInputError):
             jsr_bracket(DIAG_MATS, eps=0.0)
 
-    def test_budget_too_small_leaves_upper_open(self):
-        res = jsr_bracket(DIAG_MATS, budget=WordBudget(max_word_length=1))
+    def test_budget_too_small_leaves_upper_open(self, engine_calls):
+        res = engine_jsr(DIAG_MATS, budget=WordBudget(max_word_length=1))
+        # no length n*d is feasible: only the spectral floor runs
+        assert engine_calls["max_norm_word"] == 0
+        assert res.provenance == "spectral-floor"
         assert res.status == "budget_exhausted"
         assert res.upper == math.inf
         assert 0.0 <= res.lower <= 0.5
 
 
 class TestScan:
+    # Every family here is triangular, so these check the scan's mapping of
+    # the closed forms' brackets, not the enumeration.
     def test_scalar_atom_upper_is_exact_everywhere(self):
         mu = FiniteMatrixMeasure([(1.0, 0.5 * np.eye(2))])
         out = zero_temperature_scan(mu)

@@ -13,7 +13,6 @@ from matpress.linalg import (
     operator_norm,
     phi,
     singular_values,
-    spectral_radius,
 )
 
 
@@ -55,30 +54,6 @@ def test_singular_values_sorted_and_nonnegative(seed, d):
     sig = singular_values(a)
     assert all(x >= y for x, y in zip(sig, sig[1:]))
     assert sig[-1] >= 0.0
-
-
-class TestSpectralRadius:
-    def test_diagonal(self):
-        assert spectral_radius(np.diag([0.5, -0.25])) == pytest.approx(0.5, rel=1e-12)
-
-    def test_rotation_has_radius_one(self):
-        c, s = math.cos(1.0), math.sin(1.0)
-        assert spectral_radius([[c, -s], [s, c]]) == pytest.approx(1.0, rel=1e-10)
-
-    def test_nilpotent_is_exactly_zero(self):
-        assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
-
-    def test_swap_like_matrix(self):
-        # eigenvalues +/- sqrt(0.5)
-        assert spectral_radius([[0.0, 1.0], [0.5, 0.0]]) == pytest.approx(
-            math.sqrt(0.5), rel=1e-10
-        )
-
-    def test_matches_eigvals(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(3, 3))
-            ref = float(np.max(np.abs(np.linalg.eigvals(a))))
-            assert spectral_radius(a) == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
 
 class TestPhi:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_norm_sum, random_measure
+from conftest import brute_norm_sum, engine_norm_bracket, random_measure
 from matpress.errors import InvalidInputError
 from matpress.measure import FiniteMatrixMeasure, WordBudget, scale_measure
 from matpress.pressure import (
@@ -82,8 +82,9 @@ class TestSingleContraction:
         expect = s * math.log(0.5) - log_norm_constant(2, s)
         assert lower_bound(HALF_I, s, 1) == pytest.approx(expect, abs=1e-12)
 
-    def test_bracket_contains_exact_value(self):
-        res = bracket(HALF_I, 1.0, 0.5)
+    def test_bracket_contains_exact_value(self, engine_calls):
+        res = engine_norm_bracket(HALF_I, 1.0, 0.5)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.contains(math.log(0.5))
         assert res.width < 0.5
@@ -130,14 +131,16 @@ class TestMinusInfinity:
         assert detect_minus_infinity(NILPOTENT_PAIR, 1.0)
         assert not detect_minus_infinity(DIAG_PAIR, 1.0)
 
-    def test_bracket_verdict_costs_exactly_the_length_d_sum(self):
-        res = bracket(NILPOTENT_PAIR, 1.0, 0.5)
+    def test_bracket_verdict_costs_exactly_the_length_d_sum(self, engine_calls):
+        res = engine_norm_bracket(NILPOTENT_PAIR, 1.0, 0.5)
+        assert engine_calls["weighted_sums"] == 1
         assert res.status == "minus_infinity"
         assert res.lower == -math.inf
         assert res.upper == -math.inf
         assert res.words_evaluated == 4  # 2 atoms, words of length d = 2
 
     def test_width_of_degenerate_bracket_is_zero(self):
+        # the family is triangular: this checks the closed form's verdict only
         res = bracket(NILPOTENT_PAIR, 1.0, 0.5)
         assert res.width == 0.0
         assert res.contains(-math.inf)
@@ -159,8 +162,9 @@ class TestScalingCovariance:
 
 
 class TestBracket:
-    def test_certifies_diag_pair(self):
-        res = bracket(DIAG_PAIR, 1.0, 0.75)
+    def test_certifies_diag_pair(self, engine_calls):
+        res = engine_norm_bracket(DIAG_PAIR, 1.0, 0.75)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.width < 0.75
         assert res.contains(DIAG_PAIR_M)
@@ -169,8 +173,9 @@ class TestBracket:
         assert res.wall_time >= 0.0
         assert res.provenance == "norm-power-bound"
 
-    def test_budget_exhaustion_keeps_a_valid_bracket(self):
-        res = bracket(DIAG_PAIR, 1.0, 1e-9, budget=WordBudget(max_word_length=4))
+    def test_budget_exhaustion_keeps_a_valid_bracket(self, engine_calls):
+        res = engine_norm_bracket(DIAG_PAIR, 1.0, 1e-9, budget=WordBudget(max_word_length=4))
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "budget_exhausted"
         assert res.lower > -math.inf
         assert res.lower <= DIAG_PAIR_M <= res.upper
@@ -183,15 +188,18 @@ class TestBracket:
         with pytest.raises(InvalidInputError):
             bracket([(1.0, np.eye(2))], 1.0, 0.5)
 
-    def test_tighter_eps_never_widens(self):
-        wide = bracket(DIAG_PAIR, 1.0, 1.5)
-        tight = bracket(DIAG_PAIR, 1.0, 0.3)
+    def test_tighter_eps_never_widens(self, engine_calls):
+        wide = engine_norm_bracket(DIAG_PAIR, 1.0, 1.5)
+        tight = engine_norm_bracket(DIAG_PAIR, 1.0, 0.3)
+        assert engine_calls["weighted_sums"] > 0
         assert tight.width <= wide.width + 1e-15
         assert tight.lower >= wide.lower - 1e-15
         assert tight.upper <= wide.upper + 1e-15
 
 
 class TestPRadius:
+    # Scalar and nilpotent families are triangular: apart from the budget
+    # test, which turns the closed form off, these check the closed form.
     def test_single_scalar_atom_is_exact(self):
         mu = FiniteMatrixMeasure([(1.0, 0.5 * np.eye(2))])
         res = p_radius_bracket(mu, 2.0, 0.5)
@@ -228,8 +236,9 @@ class TestPRadius:
         with pytest.raises(InvalidInputError):
             p_radius_bracket(mu, 0.99, 0.5)
 
-    def test_budget_status_passes_through(self):
+    def test_budget_status_passes_through(self, enumeration_only):
         mats = [0.3 * np.eye(2), 0.3 * np.eye(2)]
         res = p_radius_bracket(mats, 1.0, 1e-9, budget=WordBudget(max_word_length=4))
+        assert enumeration_only["weighted_sums"] > 0
         assert res.status == "budget_exhausted"
         assert res.lower <= 0.3 <= res.upper + 1e-12

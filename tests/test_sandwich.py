@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import engine_norm_bracket
 from matpress import _engine, pressure, svpressure
 from matpress.errors import BudgetExhaustedError
 from matpress.measure import FiniteMatrixMeasure, WordBudget, restrict_invertible
@@ -163,6 +164,15 @@ ROUTES = {
 }
 
 
+def _route_bracket(mu, s, eps, budget):
+    """The public brackets' enumeration route, on any family: a nilpotent
+    family is triangular, and the public calls answer it in closed form."""
+    if s < 1:
+        return engine_norm_bracket(mu, s, eps, budget)
+    block, log_k, provenance = svpressure._route(mu.dimension, s, 6, 256)
+    return pressure._bracket(mu, "phi", float(s), block, log_k, eps, budget, 1, provenance)
+
+
 @pytest.fixture
 def sum_calls(monkeypatch):
     """(atoms, length, kind, exponents) of every weighted_sums call that
@@ -197,7 +207,8 @@ def test_sandwich_matches_the_loop_it_replaced(route, case, sum_calls):
     elif case == "block_infeasible":
         budget = WordBudget(max_word_length=block - 1)
 
-    got = run(mu, s, eps, budget=budget)
+    got = (_route_bracket if case == "nilpotent" else run)(mu, s, eps, budget=budget)
+    assert sum_calls or case == "block_infeasible"
     got_calls = list(sum_calls)
     sum_calls.clear()
     want = reference(mu, s, eps, budget)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_phi_sum, random_measure
-from matpress import _engine, pressure
+from matpress import _engine, pressure, svpressure
 from matpress.errors import DimensionCapError, InvalidInputError
 from matpress.measure import (
     FiniteMatrixMeasure,
@@ -60,6 +60,19 @@ def contains_to_rounding(res, x, tol=1e-9):
     # endpoints carry float rounding from the engine's own summation order,
     # so closed-form oracles may land a ulp outside an exact-tight endpoint
     return res.lower - tol <= x <= res.upper + tol
+
+
+def engine_bracket(mu, s, eps, budget=None):
+    """svpressure.bracket's planar, lift or irrational route for 1 < s < d,
+    whatever the family: pressure._bracket on the _route row, or
+    _bracket_irrational where s is no rational with denominator <= 6."""
+    budget = budget or WordBudget()
+    d = mu.dimension
+    exact = float(s) if d == 2 else svpressure._exact_fraction(s, 6)
+    if exact is None:
+        return svpressure._bracket_irrational(mu, float(s), eps, budget, 6, 256, 1)
+    block, log_k, provenance = svpressure._route(d, exact, 6, 256)
+    return pressure._bracket(mu, "phi", float(exact), block, log_k, eps, budget, 1, provenance)
 
 
 class TestPlanarConstant:
@@ -257,83 +270,93 @@ class TestBracketDispatch:
         assert sv.status == nm.status
         assert sv.provenance == "norm-power-bound"
 
-    def test_planar_scalar_atom(self):
+    def test_planar_scalar_atom(self, engine_calls):
         mu = FiniteMatrixMeasure([(1.0, 0.5 * np.eye(2))])
-        res = bracket(mu, 1.5, 0.5)
+        res = engine_bracket(mu, 1.5, 0.5)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.provenance == "planar-sv-bound"
         assert res.upper == pytest.approx(1.5 * math.log(0.5), rel=1e-12)
         assert res.contains(1.5 * math.log(0.5))
 
-    def test_planar_minus_infinity(self):
-        res = bracket(NILPOTENT_PAIR, 1.5, 0.5)
+    def test_planar_minus_infinity(self, engine_calls):
+        res = engine_bracket(NILPOTENT_PAIR, 1.5, 0.5)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "minus_infinity"
         assert res.lower == res.upper == -math.inf
         assert res.provenance == "planar-sv-bound"
 
-    def test_lift_scalar_atom_certifies(self):
+    def test_lift_scalar_atom_certifies(self, engine_calls):
         mu = FiniteMatrixMeasure([(1.0, 0.4 * np.eye(3))])
-        res = bracket(mu, Fraction(3, 2), 0.5, budget=WordBudget(max_word_length=400))
+        res = engine_bracket(mu, Fraction(3, 2), 0.5, budget=WordBudget(max_word_length=400))
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.provenance == "lift-sv-bound"
         assert res.upper == pytest.approx(1.5 * math.log(0.4), rel=1e-12)
         assert contains_to_rounding(res, 1.5 * math.log(0.4))
 
-    def test_lift_two_atoms_stays_valid_when_budget_runs_out(self):
+    def test_lift_two_atoms_stays_valid_when_budget_runs_out(self, engine_calls):
         # the d' = 9 lower family is nominally capped at tiny n for two
         # atoms; the bracket must still contain the closed-form value
-        res = bracket(SCALAR_3D, Fraction(3, 2), 0.5)
+        res = engine_bracket(SCALAR_3D, Fraction(3, 2), 0.5)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "budget_exhausted"
         assert contains_to_rounding(res, scalar_3d_pressure(1.5))
 
-    def test_lift_nilpotent_single_atom(self):
+    def test_lift_nilpotent_single_atom(self, engine_calls):
         shift = np.zeros((3, 3))
         shift[0, 1] = shift[1, 2] = 1.0
-        res = bracket(FiniteMatrixMeasure([(1.0, shift)]), Fraction(3, 2), 0.5)
+        res = engine_bracket(FiniteMatrixMeasure([(1.0, shift)]), Fraction(3, 2), 0.5)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "minus_infinity"
 
     @pytest.mark.parametrize("s", [Fraction(5, 2), 2.5])
-    def test_lift_graded_atom_is_not_minus_infinity(self, s):
+    def test_lift_graded_atom_is_not_minus_infinity(self, s, engine_calls):
         # every word up to length 3 has sigma_3 >= 1e-300 > 0, so neither the
         # lift route nor the irrational route may call the pressure -inf
         mu = FiniteMatrixMeasure([(1.0, np.diag([1.0, 1.0, 1e-100]))])
-        res = bracket(mu, s, 1e-3, budget=WordBudget(max_word_length=3))
+        res = engine_bracket(mu, s, 1e-3, budget=WordBudget(max_word_length=3))
+        assert engine_calls["weighted_sums"] > 0
         assert res.status != "minus_infinity"
         assert contains_to_rounding(res, 0.5 * math.log(1e-100))
 
     @pytest.mark.parametrize("s", [Fraction(5, 2), 2.5])
-    def test_graded_atom_keeps_sigma_3_past_underflow(self, s):
+    def test_graded_atom_keeps_sigma_3_past_underflow(self, s, engine_calls):
         # length-4 products have sigma_3 / sigma_1 = 1e-400, below the range
         # of a scaled float matrix; sigma_3 from the carried log|det| keeps
         # the upper endpoint finite, where it was -inf below a finite lower
         mu = FiniteMatrixMeasure([(1.0, np.diag([1.0, 1.0, 1e-100]))])
-        res = bracket(mu, s, 0.05)
+        res = engine_bracket(mu, s, 0.05)
+        assert engine_calls["weighted_sums"] > 0
         assert math.isfinite(res.upper) and res.lower <= res.upper
         assert contains_to_rounding(res, 0.5 * math.log(1e-100))
 
     @pytest.mark.parametrize("tiny", [1e-100, 1e-200])
-    def test_graded_planar_atom_keeps_sigma_2_past_underflow(self, tiny):
+    def test_graded_planar_atom_keeps_sigma_2_past_underflow(self, tiny, engine_calls):
         # sigma_2 / sigma_1 of a length-n word is tiny^n, which leaves the
         # double range at n = 4 (1e-100) or n = 2 (1e-200); sigma_2 from the
         # carried log|det| keeps the upper end finite, where it was -inf
         # ("certified" below a finite lower end, or "minus_infinity")
         mu = FiniteMatrixMeasure([(1.0, np.diag([1.0, tiny]))])
-        res = bracket(mu, 1.5, 0.05)
+        res = engine_bracket(mu, 1.5, 0.05)
+        assert engine_calls["weighted_sums"] > 0
         assert math.isfinite(res.upper) and res.lower <= res.upper
         assert res.status != "minus_infinity"
         assert res.status != "certified" or math.isfinite(res.lower)
         assert contains_to_rounding(res, 0.5 * math.log(tiny))
 
-    def test_irrational_exponent_certifies_with_near_rational(self):
+    def test_irrational_exponent_certifies_with_near_rational(self, engine_calls):
         s = 1.5 + 1e-4
-        res = bracket(SCALAR_3D, s, 1.5)
+        res = engine_bracket(SCALAR_3D, s, 1.5)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
         assert res.provenance == "lift-sv-bound"
         assert contains_to_rounding(res, scalar_3d_pressure(s))
 
-    def test_irrational_exponent_valid_on_exhaustion(self):
+    def test_irrational_exponent_valid_on_exhaustion(self, engine_calls):
         s = math.sqrt(2.0)
-        res = bracket(SCALAR_3D, s, 0.1)
+        res = engine_bracket(SCALAR_3D, s, 0.1)
+        assert engine_calls["weighted_sums"] > 0
         assert res.status == "budget_exhausted"
         assert res.lower > -math.inf
         assert contains_to_rounding(res, scalar_3d_pressure(s))
