@@ -21,7 +21,6 @@ from .errors import (
     DimensionCapError,
     InvalidInputError,
     InvertedIntervalError,
-    ToleranceNotMetError,
 )
 from .measure import (
     FiniteMatrixMeasure,
@@ -66,7 +65,6 @@ from .affinity import (
     solve_determinant_dimension,
 )
 from .jsr import (
-    MatrixSet,
     ScanPoint,
     ScanResult,
     jsr_bracket,
@@ -82,7 +80,6 @@ __all__ = [
     "DimensionCapError",
     "InvalidInputError",
     "InvertedIntervalError",
-    "ToleranceNotMetError",
     "FiniteMatrixMeasure",
     "Kernel",
     "LogValue",
@@ -115,7 +112,6 @@ __all__ = [
     "affinity_dimension",
     "meets_ambient_dimension",
     "solve_determinant_dimension",
-    "MatrixSet",
     "ScanPoint",
     "ScanResult",
     "jsr_bracket",

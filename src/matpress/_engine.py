@@ -49,11 +49,12 @@ and the d=3 sigma_3 is as accurate relative to itself as sigma_1 sigma_2.
 
 import functools
 import math
+import numbers
 import time
 
 import numpy as np
 
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, InvalidInputError
 
 LN2 = math.log(2.0)
 
@@ -84,6 +85,9 @@ def nominal_words(n, n_atoms):
 
 
 def check_budget(budget, n, n_atoms):
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidInputError(f"word length must be a positive integer, got {n!r}")
+    n = int(n)  # a numpy integer would overflow n_atoms ** n
     if n > budget.max_word_length:
         raise BudgetExhaustedError(
             f"word length {n} exceeds max_word_length={budget.max_word_length}",

@@ -111,18 +111,15 @@ def _det_bisect(mu, tol):
         width *= 2.0
         if width > 2.0**60:
             raise InvalidInputError("determinant equation root search diverged")
-    # loop invariant: pressure >= 0 at d + width/2 (or at d when width == 1)
-    lo, hi = (d + width / 2.0 if width > 1.0 else float(d)), d + width
     steps = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution floor
-            break
-        if det_pressure(mu, mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+
+    def fires(s):
+        nonlocal steps
         steps += 1
+        return det_pressure(mu, s) >= 0.0
+
+    # pressure >= 0 at d + width/2 (or at d when width == 1), < 0 at d + width
+    lo, hi = _bisect(fires, d + width / 2.0 if width > 1.0 else float(d), d + width, tol)
     return lo, hi, steps
 
 
@@ -295,11 +292,11 @@ def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
 
 
 def _bisect(fires, fire, miss, tol):
-    """The last point where ``fires`` held, bisecting from fire towards miss
-    until they are within tol."""
+    """(fire, miss), the last points where ``fires`` held and failed,
+    bisecting from fire towards miss until they are within tol."""
     while abs(miss - fire) > tol and (mid := 0.5 * (fire + miss)) not in (fire, miss):
         fire, miss = (mid, miss) if fires(mid) else (fire, mid)
-    return fire
+    return fire, miss
 
 
 def _triangular_root(mu, diag, tol):
@@ -324,8 +321,8 @@ def _triangular_root(mu, diag, tol):
         elif upper < 0.0:
             hi = mid
         else:
-            lo = _bisect(lambda s: bounds(s)[0] >= 0.0, lo, mid, tol / 4.0)
-            hi = _bisect(lambda s: bounds(s)[1] < 0.0, hi, mid, tol / 4.0)
+            lo, _ = _bisect(lambda s: bounds(s)[0] >= 0.0, lo, mid, tol / 4.0)
+            hi, _ = _bisect(lambda s: bounds(s)[1] < 0.0, hi, mid, tol / 4.0)
             break
     return lo, hi, probes
 

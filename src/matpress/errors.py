@@ -28,7 +28,3 @@ class BudgetExhaustedError(RuntimeError):
 
 class InvertedIntervalError(RuntimeError):
     """Raised when a certified lower end reaches the upper: an internal error."""
-
-
-class ToleranceNotMetError(RuntimeError):
-    """Raised when an iterative routine hits its iteration cap before its tolerance."""

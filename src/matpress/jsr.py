@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _engine, linalg, pressure
+from . import _engine, pressure
 from .errors import BudgetExhaustedError, InvalidInputError
 from .measure import FiniteMatrixMeasure, WordBudget
 from .pressure import PressureBracket
 
 __all__ = [
-    "MatrixSet",
     "jsr_upper",
     "jsr_lower_bochi",
     "jsr_bracket",
@@ -37,53 +36,13 @@ PROVENANCE_BOCHI = "bochi-lower-bound"
 PROVENANCE_FLOOR = "spectral-floor"
 
 
-class MatrixSet:
-    """Non-empty finite set of real d x d matrices (the JSR alphabet)."""
-
-    __slots__ = ("_weights", "_mats", "_engine_caches")
-
-    def __init__(self, matrices):
-        mats = [linalg.as_matrix(m) for m in matrices]
-        if not mats:
-            raise InvalidInputError("need at least one matrix")
-        d = mats[0].shape[0]
-        for m in mats[1:]:
-            if m.shape[0] != d:
-                raise InvalidInputError(
-                    f"all matrices must share one dimension, got {m.shape[0]} and {d}"
-                )
-        self._mats = np.stack(mats)
-        self._mats.setflags(write=False)
-        self._weights = np.ones(len(mats))
-        self._weights.setflags(write=False)
-        self._engine_caches = {}
-
-    @classmethod
-    def from_measure(cls, mu):
-        return cls(list(mu.matrices))
-
-    @property
-    def dimension(self):
-        return self._mats.shape[1]
-
-    @property
-    def n_atoms(self):
-        return self._mats.shape[0]
-
-    @property
-    def matrices(self):
-        return self._mats
-
-    def __repr__(self):
-        return f"MatrixSet(n={self.n_atoms}, d={self.dimension})"
-
-
 def _coerce_set(source):
-    if isinstance(source, MatrixSet):
-        return source
-    if isinstance(source, FiniteMatrixMeasure):
-        return MatrixSet.from_measure(source)
-    return MatrixSet(list(source))
+    # A fresh unit-weight measure per call, never the caller's own: the JSR
+    # enumerates without dedup (to name the maximizing word), and that level
+    # cache, cached on a measure the caller keeps, raised dense3's peak RSS
+    # from 64.0 to 69.9 MB; on a copy it dies with the call.
+    mats = source.matrices if isinstance(source, FiniteMatrixMeasure) else source
+    return FiniteMatrixMeasure.from_matrices(mats)
 
 
 def jsr_upper(source, n, budget=None, workers=1):
@@ -93,10 +52,10 @@ def jsr_upper(source, n, budget=None, workers=1):
     is a tuple of atom indices, or None when every length-n product is zero
     (the bound is then 0.0 and exact).
     """
-    ms = _coerce_set(source)
+    mu = _coerce_set(source)
     if budget is None:
         budget = WordBudget()
-    log_max, word = _engine.max_norm_word(ms, n, budget, workers=workers)
+    log_max, word = _engine.max_norm_word(mu, n, budget, workers=workers)
     if log_max == -math.inf:
         return 0.0, None
     return math.exp(log_max / n), word
@@ -108,15 +67,15 @@ def jsr_lower_bochi(source, n, budget=None, workers=1):
     (max_{|w|=nd} ||A_w|| / (d^(d+1) (max_{|w|=n} ||A_w||)^(d-1)))^(1/n),
     valid for every n; 0.0 when the long products all vanish.
     """
-    ms = _coerce_set(source)
+    mu = _coerce_set(source)
     if budget is None:
         budget = WordBudget()
-    d = ms.dimension
+    d = mu.dimension
     clock = _engine.RunClock(budget.wall_clock_cap)
-    long_max, _ = _engine.max_norm_word(ms, n * d, budget, clock=clock, workers=workers)
+    long_max, _ = _engine.max_norm_word(mu, n * d, budget, clock=clock, workers=workers)
     if long_max == -math.inf:
         return 0.0
-    short_max, _ = _engine.max_norm_word(ms, n, budget, clock=clock, workers=workers)
+    short_max, _ = _engine.max_norm_word(mu, n, budget, clock=clock, workers=workers)
     log_lower = (long_max - (d + 1) * math.log(d) - (d - 1) * short_max) / n
     return math.exp(log_lower)
 
@@ -158,25 +117,25 @@ def jsr_bracket(
     coordinate order makes every matrix upper triangular) gets the exact
     [r, r], r = max |a_i,jj|, with provenance "triangular".
     """
-    ms = _coerce_set(source)
+    mu = _coerce_set(source)
     if budget is None:
         budget = WordBudget()
     if eps is not None and not (float(eps) > 0.0):
         raise InvalidInputError(f"eps must be positive when given, got {eps}")
     t0 = time.monotonic()
-    diag = pressure._triangular_diagonals(ms._mats)
+    diag = pressure._triangular_diagonals(mu._mats)
     if diag is None:
-        return _sweep(ms, eps, budget, use_spectral_floor, floor_cap, workers)
+        return _sweep(mu, eps, budget, use_spectral_floor, floor_cap, workers)
     r = float(np.max(diag))  # abs and max round nothing
-    return PressureBracket(r, r, 1, "certified", ms.n_atoms, time.monotonic() - t0,
+    return PressureBracket(r, r, 1, "certified", mu.n_atoms, time.monotonic() - t0,
                            pressure.PROVENANCE_TRIANGULAR)
 
 
-def _sweep(ms, eps, budget, use_spectral_floor, floor_cap, workers):
+def _sweep(mu, eps, budget, use_spectral_floor, floor_cap, workers):
     """jsr_bracket's enumeration route, on any family."""
     t0 = time.monotonic()
-    d = ms.dimension
-    n_atoms = ms.n_atoms
+    d = mu.dimension
+    n_atoms = mu.n_atoms
     clock = _engine.RunClock(budget.wall_clock_cap)
     lo, up = 0.0, math.inf
     lo_from = PROVENANCE_BOCHI
@@ -184,7 +143,7 @@ def _sweep(ms, eps, budget, use_spectral_floor, floor_cap, workers):
     words = 0
     status = "budget_exhausted"
     if use_spectral_floor:
-        floor = _spectral_floor(list(ms._mats), floor_cap)
+        floor = _spectral_floor(list(mu._mats), floor_cap)
         if floor > lo:
             lo = floor
             lo_from = PROVENANCE_FLOOR
@@ -192,8 +151,8 @@ def _sweep(ms, eps, budget, use_spectral_floor, floor_cap, workers):
         n = 1
         while _engine.feasible(budget, n * d, n_atoms):
             clock.check()
-            short_max, _ = _engine.max_norm_word(ms, n, budget, clock=clock, workers=workers)
-            long_max, _ = _engine.max_norm_word(ms, n * d, budget, clock=clock, workers=workers)
+            short_max, _ = _engine.max_norm_word(mu, n, budget, clock=clock, workers=workers)
+            long_max, _ = _engine.max_norm_word(mu, n * d, budget, clock=clock, workers=workers)
             words += _engine.nominal_words(n, n_atoms) + _engine.nominal_words(n * d, n_atoms)
             if short_max == -math.inf or long_max == -math.inf:
                 # some power of the whole family vanished: radius is exactly 0
@@ -283,7 +242,5 @@ def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=1):
                 br.status, br.n_used, br.words_evaluated,
             )
         )
-    support = jsr_bracket(
-        MatrixSet.from_measure(mu), eps=None, budget=budget, workers=workers
-    )
+    support = jsr_bracket(mu, eps=None, budget=budget, workers=workers)
     return ScanResult(tuple(points), support)

@@ -44,50 +44,10 @@ def as_matrix(a, d=None):
     return m
 
 
-def _jacobi_eigvalsh(s_mat, sweep_cap=64, tol=1e-14):
-    # Cyclic-by-row Jacobi eigenvalue iteration for a symmetric matrix.
-    # Convergence: off-diagonal Frobenius mass <= tol * ||S||_F.
-    a = np.array(s_mat, dtype=np.float64)
-    d = a.shape[0]
-    if d == 1:
-        return a[0, :1].copy()
-    ref = tol * np.linalg.norm(a)
-    for _ in range(sweep_cap):
-        off = math.sqrt(2.0) * np.linalg.norm(a[np.triu_indices(d, 1)])
-        if off <= ref:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-    return np.sort(np.diag(a))[::-1].copy()
-
-
 def singular_values(a):
-    """Singular values of ``a`` in descending order, via Jacobi iteration on A^T A.
-
-    Small negative eigenvalues produced by roundoff are clamped to zero
-    before the square root, so the result is always nonnegative.
-    """
-    a = as_matrix(a)
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return np.zeros(a.shape[0])
-    # Pre-scaling keeps A^T A away from overflow/underflow for extreme inputs.
-    b = a / scale
-    eig = _jacobi_eigvalsh(b.T @ b)
-    return scale * np.sqrt(np.maximum(eig, 0.0))
+    """Singular values of ``a`` in descending order, from LAPACK's SVD
+    (``np.linalg.svd``, the routine the engine uses for d >= 4)."""
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
 def operator_norm(a):

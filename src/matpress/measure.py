@@ -195,11 +195,9 @@ def weighted_power_sum(mu, n, kernel, budget=None, workers=1):
         raise InvalidInputError("weighted_power_sum expects a FiniteMatrixMeasure")
     if not isinstance(kernel, Kernel):
         raise InvalidInputError("kernel must come from norm_kernel()/phi_kernel()")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidInputError(f"word length must be a positive integer, got {n}")
     if budget is None:
         budget = WordBudget()
-    logs = _engine.weighted_sums(mu, int(n), kernel.kind, [kernel.s], budget, workers=workers)
+    logs = _engine.weighted_sums(mu, n, kernel.kind, [kernel.s], budget, workers=workers)
     return LogValue(float(logs[0]))
 
 

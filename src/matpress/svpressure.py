@@ -25,6 +25,7 @@ bracket and by affinity's lower test; those rows run pressure's one sandwich.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,10 +103,8 @@ def log_planar_constant(s):
 
 def _exact_fraction(s, q_cap):
     """s as an exact Fraction with denominator <= q_cap, else None."""
-    if isinstance(s, Fraction):
-        frac = s
-    elif isinstance(s, (int,)):
-        frac = Fraction(s)
+    if isinstance(s, numbers.Rational):  # int, Fraction, numpy integers
+        frac = Fraction(int(s.numerator), int(s.denominator))
     elif isinstance(s, float):
         if not math.isfinite(s):
             return None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import matpress
-from matpress import FiniteMatrixMeasure, WordBudget, _engine
+from matpress import FiniteMatrixMeasure, WordBudget, _engine, jsr, pressure, svpressure
 from matpress._engine import (
     LN2,
     LevelCache,
@@ -27,7 +27,8 @@ from matpress._engine import (
     held_phi_bounds,
     weighted_sums,
 )
-from matpress.errors import BudgetExhaustedError
+from matpress.errors import BudgetExhaustedError, InvalidInputError
+from matpress.measure import norm_kernel, weighted_power_sum
 
 
 def reference_dedup(mants, exps, logw, ldet, d):
@@ -725,6 +726,30 @@ def test_table_hits_keep_bits_and_budget_rules():
     assert err.value.reason == "max_words"
 
 
+GENERIC_PAIR = [[[0.6, 0.3], [-0.2, 0.5]], [[0.4, -0.1], [0.3, 0.7]]]
+ONE_STEP = {
+    "weighted_power_sum": lambda mu, n: weighted_power_sum(mu, n, norm_kernel(1.0)),
+    "pressure.upper_bound": lambda mu, n: pressure.upper_bound(mu, 1.0, n),
+    "pressure.lower_bound": lambda mu, n: pressure.lower_bound(mu, 1.0, n),
+    "svpressure.upper_bound": lambda mu, n: svpressure.upper_bound(mu, 1.5, n),
+    "svpressure.lower_bound_2d": lambda mu, n: svpressure.lower_bound_2d(mu, 1.5, n),
+    "svpressure.lower_bound_lift": lambda mu, n: svpressure.lower_bound_lift(
+        FiniteMatrixMeasure.from_matrices([np.diag([0.5, 0.4, 0.3])]), Fraction(3, 2), n),
+    "jsr.jsr_upper": lambda mu, n: jsr.jsr_upper(mu, n),
+    "jsr.jsr_lower_bochi": lambda mu, n: jsr.jsr_lower_bochi(mu, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0])
+@pytest.mark.parametrize("name", sorted(ONE_STEP))
+def test_one_step_functions_take_only_positive_integer_lengths(name, n):
+    # one check in the engine (check_budget) serves them all
+    mu = FiniteMatrixMeasure.from_matrices(GENERIC_PAIR, [1.0, 0.5])
+    with pytest.raises(InvalidInputError, match="word length"):
+        ONE_STEP[name](mu, n)
+    assert ONE_STEP[name](mu, np.int64(1)) == ONE_STEP[name](mu, 1)
+
+
 def test_import_leaves_multiprocessing_unloaded():
     # the pool's module is imported when a pool starts, not by every CLI run
     code = "import sys, matpress; from matpress import cli; print('multiprocessing' in sys.modules)"
@@ -846,10 +871,12 @@ def draw_family(seed, d, kind, n_atoms):
         mats = np.diag([1.0, 0.05, 0.01][:d]) @ rng.uniform(-1.0, 1.0, (n_atoms, d, d))
     elif kind == "repeated_atom":
         mats = rng.uniform(-1.0, 1.0, (2, d, d))[rng.permutation([0, 0, 1][:n_atoms])]
+    elif kind == "half_identity":  # 0.5 I and one generic atom, whatever n_atoms
+        mats = np.stack([0.5 * np.eye(d), rng.uniform(-1.0, 1.0, (d, d))])
     else:  # dyadic diagonal: commuting products that dedup collapses
         mats = np.zeros((n_atoms, d, d))
         mats[:, range(d), range(d)] = rng.integers(-3, 4, (n_atoms, d)) / 4.0
-    return FiniteMatrixMeasure(list(zip(rng.uniform(0.5, 1.5, n_atoms), mats)))
+    return FiniteMatrixMeasure(list(zip(rng.uniform(0.5, 1.5, len(mats)), mats)))
 
 
 def assert_close_logs(a, b):
@@ -872,10 +899,11 @@ def word_table(mu, n):
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([2, 3]),
-    st.sampled_from(["random", "dominated", "repeated_atom", "dyadic_diagonal"]),
+    st.sampled_from(["random", "dominated", "repeated_atom", "half_identity", "dyadic_diagonal"]),
     st.sampled_from([2, 3]),
     st.integers(7, 9),
 )
+@example(0, 3, "half_identity", 2, 9)
 def test_unit_evaluation_matches_level_evaluation(seed, d, kind, n_atoms, n):
     # with a 64-row cap these lengths are evaluated as level x suffix units
     # of unnormalised products (the deduplicated dyadic levels may stay
@@ -888,6 +916,12 @@ def test_unit_evaluation_matches_level_evaluation(seed, d, kind, n_atoms, n):
             weighted_sums(full, n, "phi", [0.3, 0.8, 1.0], budget)]
     want_max = _engine.max_norm_word(full, n, budget)[0]
     want_table = word_table(full, n)
+    if kind == "half_identity":
+        # a word's product is 2^-k A^(m-k), the same bits in whatever order
+        # its k scalar letters come, so dedup merges level m to m + 1 rows:
+        # the merge path that no triangular closed form takes over
+        levels = _engine._cache_for(full, dedup=True).levels
+        assert all(len(levels[m][2]) == m + 1 for m in levels)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_engine, "_row_cap", lambda d: 64)
         mu = draw_family(seed, d, kind, n_atoms)

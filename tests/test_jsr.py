@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from conftest import random_measure, word_products
 from matpress.errors import InvalidInputError
 from matpress.jsr import (
-    MatrixSet,
     ScanPoint,
     _spectral_floor,
     _sweep,
@@ -28,32 +28,52 @@ NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
 
 def engine_jsr(mats, eps=None, budget=None, use_spectral_floor=True):
     """jsr_bracket's enumeration route, whatever the family."""
-    return _sweep(MatrixSet(mats), eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
+    mu = FiniteMatrixMeasure.from_matrices(mats)
+    return _sweep(mu, eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
 
 
-class TestMatrixSet:
-    def test_construction(self):
-        ms = MatrixSet(DIAG_MATS)
-        assert ms.dimension == 2
-        assert ms.n_atoms == 2
-        assert "n=2" in repr(ms) and "d=2" in repr(ms)
+# not triangular in any coordinate order, so every entry point enumerates
+GENERIC_MATS = [
+    np.array([[0.6, 0.3], [-0.2, 0.5]]),
+    np.array([[0.4, -0.1], [0.3, 0.7]]),
+]
+ENTRY_POINTS = {
+    "upper": lambda src: jsr_upper(src, 3),
+    "bochi": lambda src: jsr_lower_bochi(src, 2),
+    "bracket": lambda src: jsr_bracket(src, eps=1e-3, budget=WordBudget(max_words=2**10)),
+}
 
-    def test_matrices_are_read_only(self):
-        ms = MatrixSet(DIAG_MATS)
-        with pytest.raises(ValueError):
-            ms.matrices[0, 0, 0] = 9.0
 
-    def test_from_measure_drops_weights(self):
-        mu = FiniteMatrixMeasure([(2.5, DIAG_MATS[0]), (0.5, DIAG_MATS[1])])
-        ms = MatrixSet.from_measure(mu)
-        assert ms.n_atoms == 2
-        np.testing.assert_array_equal(ms.matrices[0], DIAG_MATS[0])
+def result_bits(res):
+    """A result without its wall time, for bit-for-bit comparison."""
+    return dataclasses.replace(res, wall_time=0.0) if dataclasses.is_dataclass(res) else res
 
-    def test_rejects_empty_and_mixed(self):
-        with pytest.raises(InvalidInputError):
-            MatrixSet([])
-        with pytest.raises(InvalidInputError):
-            MatrixSet([np.eye(2), np.eye(3)])
+
+class TestInput:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_list_stack_and_weighted_measure_agree_bitwise(self, entry):
+        call = ENTRY_POINTS[entry]
+        want = result_bits(call(GENERIC_MATS))
+        unit = FiniteMatrixMeasure.from_matrices(GENERIC_MATS)
+        weighted = FiniteMatrixMeasure.from_matrices(GENERIC_MATS, [2.5, 0.125])
+        for src in (np.stack(GENERIC_MATS), unit, weighted):
+            assert result_bits(call(src)) == want
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejects_empty_and_mixed_dimensions(self, entry):
+        for bad in ([], [np.eye(2), np.eye(3)]):
+            with pytest.raises(InvalidInputError):
+                ENTRY_POINTS[entry](bad)
+
+    def test_caller_measure_keeps_no_engine_cache(self, engine_calls):
+        # the undeduplicated levels live on a per-call copy and die with it
+        mu = FiniteMatrixMeasure.from_matrices(GENERIC_MATS, [2.5, 0.125])
+        for call in ENTRY_POINTS.values():
+            call(mu)
+        assert engine_calls["max_norm_word"] > 0
+        assert mu._engine_caches == {}
+        zero_temperature_scan(mu, [1.0, 2.0], eps=1.0, budget=WordBudget(max_words=2**8))
+        assert ("levels", False) not in mu._engine_caches
 
 
 class TestUpper:

@@ -24,11 +24,10 @@ def test_singular_values_known_matrix():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_singular_values_match_lapack(rng, d):
+    # singular_values is LAPACK's SVD behind input validation, bit for bit
     for _ in range(25):
         a = rng.normal(size=(d, d))
-        ours = singular_values(a)
-        ref = np.linalg.svd(a, compute_uv=False)
-        np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(singular_values(a), np.linalg.svd(a, compute_uv=False))
 
 
 def test_singular_values_product_is_abs_det(rng):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -360,6 +361,14 @@ class TestBracketDispatch:
         assert res.status == "budget_exhausted"
         assert res.lower > -math.inf
         assert contains_to_rounding(res, scalar_3d_pressure(s))
+
+    def test_integer_exponent_types_take_the_same_route(self):
+        # a numpy integer is as exact as an int: it took the irrational route
+        mu = random_measure(np.random.default_rng(5), n_atoms=2, d=3)
+        budget = WordBudget(max_words=2**12)
+        got = [bracket(mu, s, 0.05, budget=budget) for s in (2, np.int64(2), Fraction(2))]
+        assert len({dataclasses.replace(r, wall_time=0.0) for r in got}) == 1
+        assert got[0].provenance == "lift-sv-bound" and got[0].n_used == 4
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidInputError):
