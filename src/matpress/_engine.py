@@ -31,7 +31,8 @@ longer length, a phi^s slope sketch built in the same pass: per unit
 interval k <= s <= k + 1 of the exponent, the rows' weights bucketed by the
 slope l_{k+1}, a few kilobytes from which held_phi_bounds answers any other
 exponent at that length with a certified lower and upper bound, without
-enumerating the words a second time.
+enumerating the words a second time.  max_norm_word, the JSR's maximum,
+evaluates only the unit rows that a norm bound cannot rule out.
 
 Singular values take one route per dimension, each row computed on its own,
 so its bits do not depend on the batch, block or worker: d=1 the entry, d=2
@@ -47,7 +48,6 @@ of u * sigma_1 of the exact value (16 u for d=3, against a 50-digit SVD),
 and the d=3 sigma_3 is as accurate relative to itself as sigma_1 sigma_2.
 """
 
-import functools
 import math
 import numbers
 import time
@@ -173,6 +173,37 @@ def _drop_zero_rows(nonzero, *arrays):
     return tuple(a[nonzero] for a in arrays)
 
 
+def _product_rows(lm, rm):
+    """Every left row times every right row: row l * len(rm) + a of the
+    (left rows * right rows, d, d) result is left row l times right row a.
+
+    Entry (i, k) of each sums its j terms left to right as einsum sums them
+    (equal bit for bit up to the sign of an exact zero, which nothing sees);
+    each term is one pass over a column of a contiguous (d*d, rows) copy of
+    the left level, into a contiguous (i, k, rows) block per right row that
+    is then transposed into the output, so the transient beyond the output
+    is one left level and one block.  Against the d=2 outer products, d=3
+    broadcast j-loop and d >= 4 einsum it replaces: 1.22 -> 0.42 ms (d=2,
+    16,384 x 2 rows), 4.4 -> 1.1 ms (d=3, 16,384 x 2), 1.16 -> 0.36 ms (d=4,
+    2,048 x 2), but 40 -> 48 ms at d=9 (16,384 x 2, lifted levels, which
+    only the tests build); best of nine, warm heap, 2-vCPU VM.
+    """
+    m, d = len(lm), lm.shape[1]
+    cols = lm.reshape(m, d * d).T.copy()
+    prod = np.empty((m, len(rm), d, d))
+    blk = np.empty((d, d, m))
+    buf = np.empty(m)
+    for a, r in enumerate(rm.tolist()):
+        for i in range(d):
+            for k in range(d):
+                acc = blk[i, k]
+                np.multiply(cols[i * d], r[0][k], out=acc)
+                for j in range(1, d):
+                    acc += np.multiply(cols[i * d + j], r[j][k], out=buf)
+        prod[:, a] = blk.transpose(2, 0, 1)
+    return prod.reshape(-1, d, d)
+
+
 class LevelCache:
     """Per-measure cache of normalized subword products, level by level."""
 
@@ -193,35 +224,24 @@ class LevelCache:
         self.levels = {1: (mants, exps, logw, ldet)}
         self.top = 1
         self.sig_cache = {}
+        self.sigma1_cols = {}
 
     def rows(self, m):
         return len(self.levels[m][2])
+
+    def sigma1(self, m):
+        """log sigma_1 of level m's rows, computed once per level."""
+        col = self.sigma1_cols.get(m)
+        if col is None:
+            mats, exps = self.levels[m][:2]
+            col = self.sigma1_cols[m] = _sigma_cols(mats, exps, self.d, top_only=True)[0].copy()
+        return col
 
     def _combine(self, left, right):
         lm, le, lw, ld = left
         rm, re, rw, rd = right
         d = self.d
-        if d == 2:
-            # entry (i, k) as two outer products summed left to right, as
-            # einsum sums them: equal bit for bit up to the sign of an exact
-            # zero, which nothing sees.  1.58 -> 0.78 ms (3,202 x 4 rows) and
-            # 4.3 -> 2.7 ms (16,384 x 2) against the j-loop below
-            prod = np.empty((len(lm), len(rm), 2, 2))
-            for i in range(2):
-                for k in range(2):
-                    np.add(np.multiply.outer(lm[:, i, 0], rm[:, 0, k]),
-                           np.multiply.outer(lm[:, i, 1], rm[:, 1, k]), out=prod[:, :, i, k])
-        elif d <= 3:
-            # the same sum as a broadcast j-loop: at d=3 the outer form
-            # measured 0.59-1.04x its speed.  Not past d=3: at d=9 (lifts) a
-            # 16,384 x 2 level took 135 ms to einsum's 69 (7.1 to 12.4 at
-            # d=3), with twice its 21 MB transient
-            prod = lm[:, None, :, 0:1] * rm[None, :, 0:1, :]
-            for j in range(1, d):
-                prod += lm[:, None, :, j:j + 1] * rm[None, :, j:j + 1, :]
-        else:
-            prod = np.einsum("aij,bjk->abik", lm, rm)
-        prod = prod.reshape(-1, d, d)
+        prod = _product_rows(lm, rm)
         exps = (le[:, None] + re[None, :]).ravel()
         logw = (lw[:, None] + rw[None, :]).ravel()
         ldet = (ld[:, None] + rd[None, :]).ravel()
@@ -336,10 +356,12 @@ def _sigma3(mats, exps, ldet, top_only):
             cols = np.stack([l1 + t * LN2, l12 - l1 + (ec + t) * LN2, l12 + (ec + 2 * t) * LN2])
             bad = np.stack([bad, bad | bad_c | ((lam > 0.0) & (lam_c == 0.0))])
         rows = bad[-1]
-        sv = np.log(np.linalg.svd(mats[rows], compute_uv=False).T) + exps[rows] * LN2
-        cols[0, bad[0]] = sv[0, bad[0][rows]]
+        if rows.any():  # most blocks flag no row, or a handful
+            sv = np.log(np.linalg.svd(mats[rows], compute_uv=False).T) + exps[rows] * LN2
+            cols[0, bad[0]] = sv[0, bad[0][rows]]
+            if not top_only:
+                cols[1:, rows] = sv[1], sv[0] + sv[1]
         if not top_only:
-            cols[1:, rows] = sv[1], sv[0] + sv[1]
             # sigma_3 <= sigma_2 <= sigma_1 (equal ones may round apart); fmin
             # also takes -inf over the nan of -inf - (-inf) where A or C is 0
             np.fmin(cols[1], cols[0], out=cols[1])
@@ -586,16 +608,10 @@ def _log_exp_sum(top, e, v):
     return top + m + math.log(float(np.sum(e * np.exp(v - m))))
 
 
-def _unit_arrays(cache, parts, combo, top_only=False):
-    """(log-sigma columns, log-weight shift) of one evaluation unit.
-
-    A unit is the batch level times one suffix combination, one row index
-    per later part, its products one GEMM of the level's (rows * d, d) stack
-    by the suffix.  They are not normalised; its log-weights are the batch
-    level's plus ``shift``, the suffix's summed log-weight (None without a
-    suffix); its log|det| (read by d=2 and 3) adds the suffix's.
-    """
-    mats, exps, _, ldet = cache.levels[parts[0]]
+def _suffix(cache, parts, combo):
+    """(mantissa or None, exponent, log-weight, log|det|) of one unit's suffix:
+    the product of one row of each later part, renormalised by a power of two
+    after each step (None without a suffix)."""
     sfx = None
     se = 0
     slw = 0.0
@@ -614,11 +630,30 @@ def _unit_arrays(cache, parts, combo, top_only=False):
                 _, ee = np.frexp(top)
                 sfx = np.ldexp(sfx, -int(ee))
                 se += int(ee)
-    ldet = None if top_only or cache.d not in (2, 3) else ldet
+    return sfx, se, slw, sld
+
+
+def _times_suffix(mats, sfx):
+    # one GEMM of the (rows * d, d) stack: every entry the same d-term dot
+    # product as when each row is multiplied on its own
+    return (mats.reshape(-1, mats.shape[1]) @ sfx).reshape(mats.shape)
+
+
+def _unit_arrays(cache, parts, combo):
+    """(log-sigma columns, log-weight shift) of one evaluation unit.
+
+    A unit is the batch level times one suffix combination, one row index
+    per later part, its products one GEMM of the level's (rows * d, d) stack
+    by the suffix.  They are not normalised; its log-weights are the batch
+    level's plus ``shift``, the suffix's summed log-weight (None without a
+    suffix); its log|det| (read by d=2 and 3) adds the suffix's.
+    """
+    mats, exps, _, ldet = cache.levels[parts[0]]
+    sfx, se, slw, sld = _suffix(cache, parts, combo)
+    ldet = ldet if cache.d in (2, 3) else None
     if sfx is None:
-        return _sigma_cols(mats, exps, cache.d, ldet, top_only, sld), None
-    prod = (mats.reshape(-1, cache.d) @ sfx).reshape(mats.shape)
-    return _sigma_cols(prod, exps + se, cache.d, ldet, top_only, sld), slw
+        return _sigma_cols(mats, exps, cache.d, ldet, False, sld), None
+    return _sigma_cols(_times_suffix(mats, sfx), exps + se, cache.d, ldet, False, sld), slw
 
 
 def _plan_units(cache, parts):
@@ -634,22 +669,21 @@ _FORK_STATE = None
 
 
 def _chunk_worker(i):
-    unit_arrays, cache, parts, units = _FORK_STATE
-    return unit_arrays(cache, parts, units[i])
+    cache, parts, units = _FORK_STATE
+    return _unit_arrays(cache, parts, units[i])
 
 
-def _run_units(cache, parts, units, workers, clock, top_only=False):
+def _run_units(cache, parts, units, workers, clock):
     """Yield each unit's _unit_arrays in unit order, optionally via a fork pool."""
     global _FORK_STATE
-    unit_arrays = functools.partial(_unit_arrays, top_only=True) if top_only else _unit_arrays
     workers = max(1, int(workers))
     if workers == 1 or len(units) <= 1:
         for unit in units:
             clock.check()
-            yield unit_arrays(cache, parts, unit)
+            yield _unit_arrays(cache, parts, unit)
         return
     import multiprocessing  # ~10 ms, paid only by a run that starts a pool
-    _FORK_STATE = (unit_arrays, cache, parts, units)
+    _FORK_STATE = (cache, parts, units)
     try:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=min(workers, len(units))) as pool:
@@ -734,11 +768,29 @@ def _digits(row, length, base):
     return tuple((row // base ** pos) % base for pos in range(length - 1, -1, -1))
 
 
+# Log margin of the norm-bound pruning here and in the JSR's spectral floor.
+# A bound and the value it bounds are each within a few d u of exact in log,
+# so a row whose bound is this far below a value found cannot reach it.
+_PRUNE_LOG = 2.0 ** -20
+
+
 def max_norm_word(ms, n, budget, clock=None, workers=1):
     """(log of the largest word-product norm at length n, achieving word).
 
     Runs without dedup so the maximizer stays identified; the word is a tuple
     of atom indices (first letter first), or None when every product is zero.
+    Of several maximizers it is the first in unit order, then row order.
+
+    Only rows that can still win reach the kernel.  Row i of a unit is at
+    most log sigma_1(L_i) + log sigma_1(S), L_i the batch level's row and S
+    the suffix product, so rows whose bound falls _PRUNE_LOG short of the
+    best value found are skipped, and so is each unit whose largest bound
+    (the suffix rows' sigma_1 summed in place of S's) does.  Units run in
+    descending order of that bound, so the best value rises early; every
+    maximizer is still evaluated and ties go to the earlier unit and row, so
+    value and word are bit for bit those of evaluating every row in order.
+    Each level's sigma_1 column is computed once.  ``workers`` is accepted;
+    the pruned evaluation runs in-process.
     """
     check_budget(budget, n, ms.n_atoms)
     if clock is None:
@@ -747,16 +799,35 @@ def max_norm_word(ms, n, budget, clock=None, workers=1):
     cache = _cache_for(ms, dedup=False)
     parts = cache.parts_for(n, clock)
     units = _plan_units(cache, parts)
-    best = -math.inf
-    best_at = None
-    runs = _run_units(cache, parts, units, workers, clock, top_only=True)
-    for pos, (cols, _) in enumerate(runs):
-        local = int(np.argmax(cols[0]))
-        val = float(cols[0, local])
-        if val > best:
-            best = val
-            best_at = (pos, local)
-    if best_at is None or best == -math.inf:
+    lsig = cache.sigma1(parts[0])
+    best, best_at = -math.inf, None  # best_at: (unit position, row)
+    if len(parts) == 1:
+        i = int(np.argmax(lsig))
+        if lsig[i] > -math.inf:
+            best, best_at = float(lsig[i]), (0, i)
+    else:
+        ubound = np.full(1, float(np.max(lsig)))
+        for part in parts[1:]:  # unit order: later parts vary fastest
+            ubound = (ubound[:, None] + cache.sigma1(part)[None, :]).ravel()
+        mats, exps = cache.levels[parts[0]][:2]
+        for pos in np.argsort(-ubound).tolist():
+            clock.check()
+            if ubound[pos] < best - _PRUNE_LOG:
+                break  # so does every later unit
+            sfx, se = _suffix(cache, parts, units[pos])[:2]
+            ssig = float(np.linalg.svd(sfx, compute_uv=False)[0])
+            if ssig == 0.0:
+                continue  # every product of the unit is zero
+            rows = np.flatnonzero(lsig + (math.log(ssig) + se * LN2) >= best - _PRUNE_LOG)
+            if len(rows) == 0:
+                continue
+            lm, le = (mats, exps) if len(rows) == len(lsig) else (mats[rows], exps[rows])
+            vals = _sigma_cols(_times_suffix(lm, sfx), le + se, cache.d, top_only=True)[0]
+            j = int(np.argmax(vals))
+            val, at = float(vals[j]), (pos, int(rows[j]))
+            if val > best or (val == best > -math.inf and at < best_at):
+                best, best_at = val, at
+    if best_at is None:
         return -math.inf, None
     base = ms.n_atoms
     word = _digits(best_at[1], parts[0], base)

@@ -178,9 +178,9 @@ def test_dedup_empty_and_single_row(d, m):
 @example(8, 3, True, True, 1)
 @example(0, 1, True, True, 1)
 def test_planar_levels_match_einsum_build(seed, n_atoms, dyadic, dedup, d):
-    # d=2 levels come from outer products, d=1 and 3 from a j-loop and d=4
-    # from einsum; (0, 1, True, True, 1) draws one zero atom, so dedup leaves
-    # every level empty
+    # every d takes the same column loop, summing each entry's terms in
+    # einsum's order; (0, 1, True, True, 1) draws one zero atom, so dedup
+    # leaves every level empty
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.5, 1.5, n_atoms)
     if dyadic:
@@ -965,6 +965,73 @@ def test_unit_evaluation_matches_level_evaluation(seed, d, kind, n_atoms, n):
     scale[scale == -np.inf] = 0.0  # zero products: both tables -inf
     tol = 4 * (n * d + 16) * U
     assert np.all(np.abs(np.exp(got_table - scale) - np.exp(want_table - scale)) <= tol)
+
+
+def exhaustive_max_norm_word(mu, n):
+    """max_norm_word with every row of every unit evaluated: the first row
+    holding the largest log sigma_1, in unit order and then row order."""
+    cache = _engine._cache_for(mu, dedup=False)
+    parts = cache.parts_for(n)
+    best, best_at = -math.inf, None
+    for unit in _engine._plan_units(cache, parts):
+        col = _unit_arrays(cache, parts, unit)[0][0]
+        i = int(np.argmax(col))
+        if col[i] > best:
+            best, best_at = float(col[i]), (unit, i)
+    if best_at is None:
+        return -math.inf, None
+    word = ()
+    for idx, length in [(best_at[1], parts[0])] + list(zip(best_at[0], parts[1:])):
+        word += tuple(int(a) for a in np.unravel_index(idx, (mu.n_atoms,) * length))
+    return best, word
+
+
+def draw_jsr_family(seed, d, kind, n_atoms):
+    """Unit-weight families for the pruned maxima, one per pruning regime."""
+    rng = np.random.default_rng(seed)
+    if kind == "tied":  # 0.5 times signed permutations: every norm 2^-n
+        mats = np.stack([0.5 * np.diag(rng.choice([-1.0, 1.0], d))[rng.permutation(d)]
+                         for _ in range(n_atoms)])
+    elif kind == "monomial":  # permuted dyadic diagonals: exact ties, loose bounds
+        mats = np.stack([np.diag(rng.choice([-1.0, -0.25, 0.5, 1.0], d))[rng.permutation(d)]
+                         for _ in range(n_atoms)])
+    elif kind == "orthogonal":  # near ties: 0.9 times orthogonal atoms
+        mats = np.stack([0.9 * np.linalg.qr(rng.standard_normal((d, d)))[0]
+                         for _ in range(n_atoms)])
+    elif kind == "nilpotent":  # strictly upper triangular: products of length d vanish
+        mats = np.triu(rng.uniform(-1.0, 1.0, (n_atoms, d, d)), 1)
+    else:
+        mats = draw_family(seed, d, "random" if kind == "zero_atom" else kind, n_atoms).matrices
+        if kind == "zero_atom":
+            mats[0] = 0.0
+    return FiniteMatrixMeasure.from_matrices(mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(["random", "dominated", "repeated_atom", "zero_atom", "nilpotent",
+                     "tied", "monomial", "orthogonal"]),
+    st.sampled_from([2, 3]),
+    st.integers(1, 7),
+    st.sampled_from([4, 16, 64]),
+)
+@example(0, 2, "tied", 2, 7, 4)
+@example(0, 3, "dominated", 3, 7, 16)
+@example(6, 2, "monomial", 2, 5, 4)  # a unit visited early ties a unit before it
+@example(6, 2, "monomial", 3, 7, 16)
+def test_pruned_max_norm_word_matches_every_row(seed, d, kind, n_atoms, n, cap):
+    # a small row cap splits each length into several parts, so units, unit
+    # skips and row pruning all occur; the value bits and the named word
+    # must be those of evaluating every row
+    budget = WordBudget()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_row_cap", lambda d: cap)
+        want = exhaustive_max_norm_word(draw_jsr_family(seed, d, kind, n_atoms), n)
+        got = _engine.max_norm_word(draw_jsr_family(seed, d, kind, n_atoms), n, budget)
+    assert got[1] == want[1]
+    assert got[0].hex() == want[0].hex()
 
 
 def unit_cache(level, suffixes):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, word_products
-from matpress.errors import InvalidInputError
+from matpress import _engine
+from matpress.errors import BudgetExhaustedError, InvalidInputError
 from matpress.jsr import (
     ScanPoint,
+    _coerce_set,
     _spectral_floor,
     _sweep,
     jsr_bracket,
@@ -28,8 +30,7 @@ NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
 
 def engine_jsr(mats, eps=None, budget=None, use_spectral_floor=True):
     """jsr_bracket's enumeration route, whatever the family."""
-    mu = FiniteMatrixMeasure.from_matrices(mats)
-    return _sweep(mu, eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
+    return _sweep(_coerce_set(mats), eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
 
 
 # not triangular in any coordinate order, so every entry point enumerates
@@ -74,6 +75,49 @@ class TestInput:
         assert mu._engine_caches == {}
         zero_temperature_scan(mu, [1.0, 2.0], eps=1.0, budget=WordBudget(max_words=2**8))
         assert ("levels", False) not in mu._engine_caches
+
+
+class TestRepeatedAtoms:
+    """Atoms equal under == are enumerated once; budgets, floor_cap and
+    words_evaluated keep the nominal count, and words name first copies."""
+
+    A, B = GENERIC_MATS
+
+    def test_bracket_is_that_of_the_distinct_atoms(self):
+        budget = WordBudget(max_word_length=8, max_words=3**8)
+        # floor_cap 27 admits words up to length 3 over three letters, as 8
+        # does over two
+        aab = jsr_bracket([self.A, self.A, self.B], eps=1e-9, budget=budget, floor_cap=27)
+        ab = jsr_bracket([self.A, self.B], eps=1e-9, budget=budget, floor_cap=8)
+        assert aab.n_used == 4
+        assert aab.words_evaluated == sum(3**n + 3 ** (2 * n) for n in range(1, 5))
+        assert result_bits(aab) == dataclasses.replace(
+            result_bits(ab), words_evaluated=aab.words_evaluated)
+
+    def test_budget_refuses_the_nominal_length(self):
+        mats = [self.A, self.A, self.B]
+        budget = WordBudget(max_words=3**5)  # 2^6 distinct words would fit
+        jsr_upper(mats, 5, budget)
+        jsr_lower_bochi(mats, 2, budget)
+        with pytest.raises(BudgetExhaustedError) as upper:
+            jsr_upper(mats, 6, budget)
+        with pytest.raises(BudgetExhaustedError) as bochi:
+            jsr_lower_bochi(mats, 3, budget)
+        assert upper.value.length == bochi.value.length == 6
+
+    @pytest.mark.parametrize("order", ["AAB", "ABA", "BAA", "ABBA", "CDC"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_words_name_first_copies(self, order, n):
+        # as the enumeration over every copy names them: of equal norms it
+        # keeps the first word, whose letters are all first copies
+        c, d = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 3, 3))
+        atoms = {"A": self.A, "B": self.B, "C": c, "D": d}
+        mats = [atoms[k] for k in order]
+        value, word = jsr_upper(mats, n)
+        every = FiniteMatrixMeasure.from_matrices(mats)
+        log_max, want = _engine.max_norm_word(every, n, WordBudget())
+        assert (value, word) == (math.exp(log_max / n), want)
+        assert all(order.index(order[a]) == a for a in word)
 
 
 class TestUpper:
@@ -165,17 +209,37 @@ class TestSpectralFloor:
             # long powers overflow to inf, and inf * 0 to nan
             [np.array([[1e120, 1e120], [0.0, 1e120]]), np.diag([1e-3, 0.0])],
             [NILPOTENT],
+            list(np.diag([1.0, 0.05, 0.01]) @ np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3))),
+            [GENERIC_MATS[0], GENERIC_MATS[0], GENERIC_MATS[1]],
+            [0.5 * np.eye(3)[[2, 0, 1]], -0.5 * np.eye(3)[[1, 0, 2]]],
+            [0.9 * np.linalg.qr(g)[0] for g in np.random.default_rng(5).standard_normal((2, 2, 2))],
+            # squares of these entries underflow, so the norm bound keeps them
+            list(1e-160 * np.random.default_rng(9).uniform(-1.0, 1.0, (2, 2, 2))),
+            [np.array([[0.5]]), np.array([[-0.75]]), np.array([[0.0]])],
         ],
         ids=["w4", "uniform3", "one_atom", "zero", "zero_and_planar", "overflow",
-             "nilpotent"],
+             "nilpotent", "dominated", "repeated_atom", "tied", "orthogonal", "tiny", "d1"],
     )
     @pytest.mark.parametrize("cap", [1, 64, 4096])
     def test_batched_floor_matches_per_word_loop(self, mats, cap):
+        # the pruned floor over the distinct atoms, its depth metered on the
+        # nominal atom count, against eigvals of every word over every copy
+        fam = _coerce_set(mats)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _spectral_floor(mats, cap)
+            got = _spectral_floor(fam.mu._mats, cap, fam.n_atoms)
             want = reference_spectral_floor(mats, cap)
         assert type(got) is float
         assert got.hex() == want.hex()
+
+    def test_norm_bound_skips_most_eigvals(self, monkeypatch):
+        mats = list(np.random.default_rng(7).standard_normal((2, 3, 3)))
+        rows = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or real(a))
+        _spectral_floor(mats, 4096, 2)
+        # 2 + 4 + ... + 2^12 = 8190 words; lengths after the first run only
+        # the products whose Frobenius norm reaches the floor so far
+        assert rows[0] == 2 and sum(rows) < 8190 // 10
 
 
 class TestBracket:
