@@ -2,24 +2,26 @@
 
 For a contractive tuple of matrices the affinity dimension is the
 zero-crossing exponent inf{s > 0 : P(mu, s) < 0} of the singular-value
-pressure.  Two finite-step certification routes exist:
+pressure.  Three routes certify it:
 
-* determinant branch: when sum w_i |det A_i| >= 1 the crossing happens at
-  s >= d, where P equals the exact one-step determinant pressure and the
-  defining equation is solved by bisecting a strictly decreasing function;
+* determinant branch: when sum w_i |det A_i| >= 1 (compared exactly) the
+  crossing happens at s >= d, where P equals the exact one-step
+  determinant pressure, a closed form;
 * triangular branch: when one coordinate order makes every atom upper
   triangular, P has a closed form in the diagonal entries (see
-  pressure._triangular_bounds), and its root is bisected the same way,
-  each end at a point where the rounding-widened closed form has its sign;
+  pressure._TriangularForm);
 * interval refinement: otherwise the crossing lies in [0, d], and one
   sweep over word lengths walks each end by regula falsi on a one-sided
   test: an upper test (a phi^t power sum below 1 certifies P(t) < 0, so
   the dimension is at most t) and a lower test (a quantified
   supermultiplicativity defect certifies P(t) > 0, so it is at least t).
 
-Both tests are sound at every word length; only their firing time is
-unbounded (it blows up as P(t) approaches 0), so budget_exhausted is a
-legitimate outcome for tight tolerances, not a defect.
+Both closed forms decrease strictly; two regula falsi walks over one cache
+of their evaluations move each end to a point where the rounding-widened
+closed form has its sign (_closed_form_root).  The sweep's tests are sound
+at every word length; only their firing time is unbounded (it blows up as
+P(t) approaches 0), so budget_exhausted is a legitimate outcome for tight
+tolerances, not a defect.
 """
 
 import math
@@ -27,12 +29,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import _engine, linalg, pressure
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
-from .pressure import _ROUNDING, _triangular_bounds, _validate_mu
-from .svpressure import _route, det_pressure
+from .pressure import _ROUNDING, _validate_mu
+from .svpressure import _route
 
 __all__ = [
     "AffinityResult",
@@ -49,8 +53,8 @@ class AffinityResult:
     interval always contains the affinity dimension (up to the rounding of
     the word products; the power sums' own rounding is allowed for); certified
     additionally means its width is at most the requested eps.  steps counts
-    endpoint moves: bisection halvings on the determinant branch, closed-form
-    probes on the triangular branch, otherwise test fires that moved an end.
+    closed-form evaluations on the determinant and triangular branches, and
+    otherwise test fires that moved an end.
     history holds the interval after each word length of the sweep.
     words_evaluated sums the nominal word count N^n of every evaluated
     exponent at length n, exponents answered from a length's slope sketch
@@ -74,65 +78,140 @@ class AffinityResult:
         return 0.5 * (self.interval[0] + self.interval[1])
 
 
+def _det_excess(mu):
+    """(sign of sum w_i |det A_i| - 1, the |det A_i|), the sign exact.
+
+    Each w_i |det A_i| is an integer over a power of two, so the sum is
+    compared with 1 in integer arithmetic: no rounding decides the branch.
+    A determinant that overflows to inf counts as an excess; one that
+    evaluates to nan (inf - inf among its terms) is rejected.
+    """
+    dets = [abs(linalg._det(m)) for m in mu._mats]
+    if any(math.isnan(det) for det in dets):
+        raise InvalidInputError("a determinant overflows to nan: its terms are too large")
+    if math.inf in dets:
+        return 1, dets
+    terms = []
+    for w, det in zip(mu._weights.tolist(), dets):
+        (a, b), (c, e) = w.as_integer_ratio(), det.as_integer_ratio()
+        terms.append((a * c, b * e))
+    den = max(q for _, q in terms)
+    excess = sum(p * (den // q) for p, q in terms) - den
+    return (excess > 0) - (excess < 0), dets
+
+
 def meets_ambient_dimension(mu):
     """True iff sum w_i |det A_i| >= 1, i.e. the pressure at s = d is >= 0.
 
     Decides the branch: above the threshold the affinity dimension is >= d
-    and the determinant equation pins it down exactly.
+    and the determinant equation pins it down exactly.  The sum is compared
+    with 1 exactly, taking each computed determinant as given.
     """
     _validate_mu(mu)
-    return math.fsum(w * abs(linalg._det(m)) for w, m in zip(mu._weights, mu._mats)) >= 1.0
+    return _det_excess(mu)[0] >= 0
 
 
-def _det_bisect(mu, tol):
-    """Bracket the root s >= d of sum w_i |det A_i|^(s/d) = 1.
+def _closed_form_root(bounds, lo, hi, tol, kinks=()):
+    """(lo, hi, evaluations): the root of a strictly decreasing pressure P
+    whose closed form has the rounding-widened enclosure bounds(s) = (L, U).
 
-    Returns (lo, hi, iterations) with hi - lo <= tol and the root inside.
+    lo is an a priori end (P(lo) >= 0), and so is hi (P(hi) < 0) unless it
+    is None, when the first of lo + 1, lo + 2, lo + 4, ... where U < 0
+    stands in.  Both ends are evaluated first, then the kinks of P inside
+    the bracket, by bisection over them: a walk across a kink converges
+    only linearly.  Two regula falsi walks share one cache of evaluations:
+    one moves hi down to a point where U < 0, to within tol, then one moves
+    lo up to a point where L > 0; each starts from the tightest bracket that
+    the evaluations so far give.  An end that no evaluation certifies keeps
+    its a priori value.
+    """
+    seen = {}
+
+    def enclosure(s):
+        if s not in seen:
+            seen[s] = bounds(s)
+        return seen[s]
+
+    enclosure(lo)
+    if hi is None:  # P -> -inf, so doubling finds a certified upper end
+        hi = lo + 1.0
+        while not enclosure(hi)[1] < 0.0:
+            hi = lo + 2.0 * (hi - lo)
+            if hi - lo > 2.0**60:
+                raise InvalidInputError(
+                    "determinant equation root cannot be certified: the closed "
+                    "form's rounding radius grows faster than the pressure falls")
+    enclosure(hi)
+    a, b = lo, hi
+    while inside := [k for k in kinks if a < k < b]:
+        k = inside[len(inside) // 2]
+        if enclosure(k)[1] < 0.0:
+            b = k
+        else:
+            a = k
+    hi = _resume_walk(lambda s: -enclosure(s)[1], seen, hi, lo, tol)
+    lo = _resume_walk(lambda s: enclosure(s)[0], seen, lo, hi, tol)
+    return lo, hi, len(seen)
+
+
+def _resume_walk(margin, seen, start, end, tol):
+    """The last point where margin > 0 of an _illinois walk from the a
+    priori end start towards end, begun from the evaluated points in seen
+    nearest the crossing: the firing one closest to end, if any, and the
+    first point past it that does not fire.  margin evaluates new points
+    into seen."""
+    side = 1.0 if end > start else -1.0
+    fire = max([s for s in seen if margin(s) > 0.0] + [start], key=lambda s: side * s)
+    miss = min((s for s in seen if side * (s - fire) > 0.0 and not margin(s) > 0.0),
+               key=lambda s: side * s, default=end)
+    m_fire = margin(fire)
+    return _illinois(margin, fire, m_fire if m_fire > 0.0 else None, miss, margin(miss), tol)[0]
+
+
+def _det_root(mu, excess, dets, tol):
+    """(lo, hi, evaluations): the root s >= d of sum w_i |det A_i|^(s/d) = 1,
+    given the sign ``excess`` of sum w_i |det A_i| - 1 and the |det A_i|.
+
+    d is the a priori lower end (P(d) >= 0 exactly); every other end is
+    certified on the rounding-widened log of the sum: the closed form of
+    pressure._TriangularForm on the 1x1 family of the |det A_i|, at exponent
+    s/d (rounding s/d moves the log by at most u (s/d) max |log|det A_i||,
+    within its radius).  The determinants are taken as computed: their own
+    error (cofactor formulas up to d = 3, LAPACK beyond) is not bounded yet.
     """
     d = mu.dimension
-    for w, m in zip(mu._weights, mu._mats):
-        det = abs(linalg._det(m))
-        if det >= 1.0:
-            raise InvalidInputError(
-                f"determinant branch needs |det| < 1 for every atom, got {det}"
-            )
-    f_lo = det_pressure(mu, d)
-    if f_lo < 0.0:
+    if max(dets) >= 1.0:
+        raise InvalidInputError(
+            f"determinant branch needs |det| < 1 for every atom, got {max(dets)}"
+        )
+    if excess < 0:
         raise InvalidInputError(
             "determinant equation has no root at or above the ambient "
             "dimension: sum of w*|det| is below 1"
         )
-    if f_lo == 0.0:
+    if excess == 0:
         return float(d), float(d), 0
-    # all |det| < 1 makes the pressure strictly decreasing and -> -inf,
-    # so doubling the offset finds a sign change
-    width = 1.0
-    while det_pressure(mu, d + width) >= 0.0:
-        width *= 2.0
-        if width > 2.0**60:
-            raise InvalidInputError("determinant equation root search diverged")
-    steps = 0
-
-    def fires(s):
-        nonlocal steps
-        steps += 1
-        return det_pressure(mu, s) >= 0.0
-
-    # pressure >= 0 at d + width/2 (or at d when width == 1), < 0 at d + width
-    lo, hi = _bisect(fires, d + width / 2.0 if width > 1.0 else float(d), d + width, tol)
-    return lo, hi, steps
+    form = pressure._TriangularForm(mu._weights, np.array(dets)[:, None])
+    return _closed_form_root(lambda s: form.bounds(s / d, 0), float(d), None, tol)
 
 
 def solve_determinant_dimension(mu, tol=1e-9):
-    """Root s >= d of sum w_i |det A_i|^(s/d) = 1, to absolute tolerance tol.
+    """Root s >= d of sum w_i |det A_i|^(s/d) = 1: the midpoint of the
+    bracket of _det_root, each of whose ends is walked to within tol / 4 of
+    where its rounding-widened test stops holding.
 
-    Preconditions: every |det A_i| < 1 and meets_ambient_dimension(mu).
+    The bracket is then within tol wide, so the midpoint within tol / 2 of
+    the root, unless the closed form's rounding radius spans more than tol
+    in s, where the pressure is nearly flat (some |det A_i| close to 1);
+    the midpoint is then only within half the bracket's width, which
+    affinity_dimension reports as its interval.  Preconditions: every
+    |det A_i| < 1 and meets_ambient_dimension(mu).
     """
     _validate_mu(mu)
     tol = float(tol)
     if not (tol > 0.0):
         raise InvalidInputError(f"tol must be positive, got {tol}")
-    lo, hi, _ = _det_bisect(mu, tol)
+    lo, hi, _ = _det_root(mu, *_det_excess(mu), tol / 4.0)
     return 0.5 * (lo + hi)
 
 
@@ -220,7 +299,9 @@ def _illinois(margin, fire, m_fire, miss, m_miss, tol):
     until they are within tol.  The Illinois rule halves the margin of an
     end kept twice in a row; probes lie tol/2 or more inside the ends, and a
     bracket that did not halve over two probes is bisected, so the walk
-    takes O(log(width / tol)) probes whatever the margin's shape.
+    takes O(log(width / tol)) probes whatever the margin's shape.  Where
+    tol/2 is below the ends' float spacing the probe falls back to the
+    midpoint, and the walk stops once the ends are adjacent floats.
     """
     fires, kept, widths = 0, 0, [math.inf, math.inf]  # kept: side moved last
     while (width := abs(miss - fire)) > tol:
@@ -229,6 +310,10 @@ def _illinois(margin, fire, m_fire, miss, m_miss, tol):
             c = fire + (miss - fire) * (m_fire / (m_fire - m_miss))
         widths.append(width)
         c = min(max(c, min(fire, miss) + 0.5 * tol), max(fire, miss) - 0.5 * tol)
+        if c in (fire, miss):  # tol is below the ends' float spacing
+            c = 0.5 * (fire + miss)
+            if c in (fire, miss):
+                break
         m = margin(c)
         if m > 0.0:
             fire, m_fire, fires = c, m, fires + 1
@@ -291,42 +376,6 @@ def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
     return _illinois(margin, lo, m_lo, top, m_top, tol)
 
 
-def _bisect(fires, fire, miss, tol):
-    """(fire, miss), the last points where ``fires`` held and failed,
-    bisecting from fire towards miss until they are within tol."""
-    while abs(miss - fire) > tol and (mid := 0.5 * (fire + miss)) not in (fire, miss):
-        fire, miss = (mid, miss) if fires(mid) else (fire, mid)
-    return fire, miss
-
-
-def _triangular_root(mu, diag, tol):
-    """(lo, hi, probes): P >= 0 at lo and P < 0 at hi by the closed form of a
-    triangular family, bisected from [0, d] to within tol.
-
-    Each probe reads the closed form's rounding-widened enclosure.  Where it
-    straddles 0, each end is walked towards that probe on its own test.
-    """
-    probes = 0
-
-    def bounds(s):
-        nonlocal probes
-        probes += 1
-        return _triangular_bounds(mu._weights, diag, s, int(s))
-
-    lo, hi = 0.0, float(mu.dimension)
-    while hi - lo > tol and (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lower, upper = bounds(mid)
-        if lower >= 0.0:
-            lo = mid
-        elif upper < 0.0:
-            hi = mid
-        else:
-            lo, _ = _bisect(lambda s: bounds(s)[0] >= 0.0, lo, mid, tol / 4.0)
-            hi, _ = _bisect(lambda s: bounds(s)[1] < 0.0, hi, mid, tol / 4.0)
-            break
-    return lo, hi, probes
-
-
 def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     """Certified interval of width <= eps around the affinity dimension.
 
@@ -334,15 +383,15 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     pressure strictly decreasing where finite, so one-sided tests localize
     the crossing).  Dispatches to the determinant branch when
     meets_ambient_dimension holds, then to the triangular branch when one
-    coordinate order makes every atom upper triangular (both bisect to
-    min(eps, 1e-9)); otherwise sweeps word lengths n = 1, 2,
-    ... once, and at each moves the upper end of [0, d] down and then the
-    lower end up by a safeguarded regula falsi on the tests' margins.  Each
-    length is enumerated once: later probes there read the side of its
-    slope sketch's bounds that keeps their test conservative.  Every
-    endpoint is a point where its test fired, so the interval is a valid
-    containment even on budget exhaustion.  Raises InvertedIntervalError if
-    a test fires at or beyond the opposite end.
+    coordinate order makes every atom upper triangular (both walk each end
+    on a closed form, to within min(eps, 1e-9) / 4); otherwise sweeps word
+    lengths n = 1, 2, ... once, and at each moves the upper end of [0, d]
+    down and then the lower end up by a safeguarded regula falsi on the
+    tests' margins.  Each length is enumerated once: later probes there read
+    the side of its slope sketch's bounds that keeps their test
+    conservative.  Every endpoint is a point where its test fired, so the
+    interval is a valid containment even on budget exhaustion.  Raises
+    InvertedIntervalError if a test fires at or beyond the opposite end.
     """
     _validate_mu(mu)
     eps = float(eps)
@@ -357,17 +406,21 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
         )
     t0 = time.monotonic()
 
-    if meets_ambient_dimension(mu):
-        lo, hi, steps = _det_bisect(mu, min(eps, 1e-9))
-        return AffinityResult((lo, hi), "determinant", steps, "certified",
-                              ((lo, hi),), 0, time.monotonic() - t0)
-    diag = pressure._triangular_diagonals(mu._mats)
-    if diag is not None:
-        lo, hi, steps = _triangular_root(mu, diag, min(eps, 1e-9))
-        status = "certified" if hi - lo <= eps else "budget_exhausted"
-        return AffinityResult((lo, hi), "triangular", steps, status,
-                              ((lo, hi),), 0, time.monotonic() - t0)
-    return _sweep(mu, eps, budget, q_cap, dim_cap, workers)
+    tol = min(eps, 1e-9)
+    excess, dets = _det_excess(mu)
+    if excess >= 0:
+        lo, hi, steps = _det_root(mu, excess, dets, tol / 4.0)
+        branch = "determinant"
+    elif (diag := pressure._triangular_diagonals(mu._mats)) is not None:
+        form = pressure._TriangularForm(mu._weights, diag)
+        lo, hi, steps = _closed_form_root(
+            lambda s: form.bounds(s, int(s)), 0.0, float(mu.dimension), tol / 4.0,
+            kinks=[float(k) for k in range(1, mu.dimension)])
+        branch = "triangular"
+    else:
+        return _sweep(mu, eps, budget, q_cap, dim_cap, workers)
+    status = "certified" if hi - lo <= eps else "budget_exhausted"
+    return AffinityResult((lo, hi), branch, steps, status, ((lo, hi),), 0, time.monotonic() - t0)
 
 
 def _sweep(mu, eps, budget, q_cap, dim_cap, workers):

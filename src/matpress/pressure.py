@@ -272,43 +272,64 @@ def _triangular_diagonals(mats):
     return np.abs(np.diagonal(mats, axis1=1, axis2=2))
 
 
-def _triangular_bounds(weights, diag, s, k):
-    """(lower, upper) around the max over a k-set S and an index j not in S
-    of log sum_i w_i prod_{m in S} |a_i,mm| |a_i,jj|^(s-k), widened by the
-    rounding radius; None where a term overflows.
+class _TriangularForm:
+    """The closed form of a triangular family at many exponents: its
+    log-diagonals, log-weights, (S, j) columns and radius terms are
+    computed once, not at every exponent."""
 
-    With k = 0 it is M(mu, s) of a triangular family; with k = floor(s) < d
-    it is P(mu, s) (Falconer & Miao, Fractals 15, 2007: the max over the
-    orderings of the diagonal, of which only S and j matter).
-    """
-    n_atoms, d = diag.shape
-    t = s - k
-    with np.errstate(divide="ignore"):
-        logs, logw = np.log(diag), np.log(weights)
-    pairs = [(S, j) for S in itertools.combinations(range(d), k)
-             for j in ([None] if t == 0.0 else [j for j in range(d) if j not in S])]
-    v = logw[:, None] + np.stack(
-        [logs[:, list(S)].sum(axis=1) + (0.0 if j is None else t * logs[:, j])
-         for S, j in pairs], axis=1)
-    finite = logs[np.isfinite(logs)]
-    size = float(np.max(np.abs(logw))) + s * float(np.max(np.abs(finite), initial=0.0))
-    radius = _TRIANGULAR_ROUNDING * (1.0 + n_atoms + d * size)
-    top = v.max(axis=0)
-    v, top = v[:, top > -np.inf], top[top > -np.inf]
-    if not top.size:
-        return -math.inf, -math.inf
-    value = float(np.max(top + np.log(np.sum(np.exp(v - top), axis=0))))
-    if not math.isfinite(radius + value):
-        return None
-    return value - radius, value + radius
+    def __init__(self, weights, diag):
+        with np.errstate(divide="ignore"):
+            self.logs, logw = np.log(diag), np.log(weights)
+        self.logw = logw[:, None]
+        finite = self.logs[np.isfinite(self.logs)]
+        self.size_w = float(np.max(np.abs(logw)))
+        self.size_l = float(np.max(np.abs(finite), initial=0.0))
+        self.columns = {}
+
+    def _columns(self, k, whole):
+        # per (S, j) pair with a finite term (the same pairs at every t > 0):
+        # sum_{m in S} l_im, and l_ij unless s = k (whole)
+        key = (k, whole)
+        if key not in self.columns:
+            d = self.logs.shape[1]
+            pairs = [(S, j) for S in itertools.combinations(range(d), k)
+                     for j in ([0] if whole else [j for j in range(d) if j not in S])]
+            sets, js = zip(*pairs)
+            base = self.logs[:, np.array(sets, dtype=np.intp).reshape(len(sets), k)].sum(axis=2)
+            jcols = self.logs[:, list(js)]
+            live = (base if whole else base + jcols).max(axis=0) > -np.inf
+            self.columns[key] = base[:, live], None if whole else jcols[:, live]
+        return self.columns[key]
+
+    def bounds(self, s, k):
+        """(lower, upper) around the max over a k-set S and an index j not in
+        S of log sum_i w_i prod_{m in S} |a_i,mm| |a_i,jj|^(s-k), widened by
+        the rounding radius; None where a term overflows.
+
+        With k = 0 it is M(mu, s) of a triangular family; with k = floor(s)
+        < d it is P(mu, s) (Falconer & Miao, Fractals 15, 2007: the max over
+        the orderings of the diagonal, of which only S and j matter).
+        """
+        t = s - k
+        base, jcols = self._columns(k, t == 0.0)
+        if not base.shape[1]:
+            return -math.inf, -math.inf
+        v = self.logw + (base if jcols is None else base + t * jcols)
+        n_atoms, d = self.logs.shape
+        radius = _TRIANGULAR_ROUNDING * (1.0 + n_atoms + d * (self.size_w + s * self.size_l))
+        top = v.max(axis=0)
+        value = float((top + np.log(np.exp(v - top).sum(axis=0))).max())
+        if not math.isfinite(radius + value):
+            return None
+        return value - radius, value + radius
 
 
 def _triangular_bracket(mu, s, k, eps):
-    """The closed-form bracket of _triangular_bounds as a PressureBracket,
+    """The closed-form bracket of _TriangularForm.bounds as a PressureBracket,
     or None when mu is not triangular in any coordinate order."""
     t0 = time.monotonic()
     diag = _triangular_diagonals(mu._mats)
-    bounds = None if diag is None else _triangular_bounds(mu._weights, diag, s, k)
+    bounds = None if diag is None else _TriangularForm(mu._weights, diag).bounds(s, k)
     if bounds is None:
         return None
     lo, up = bounds

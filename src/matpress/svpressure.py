@@ -7,7 +7,7 @@ phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
   one-step value log sum w_i |det A_i|^(s/d) (determinant branch);
 * s <= 1: phi^s = ||.||^s, so the norm-pressure machinery applies verbatim;
 * triangular families (one coordinate order makes every atom upper
-  triangular), 1 < s < d: P is the closed form of pressure._triangular_bounds
+  triangular), 1 < s < d: P is the closed form of pressure._TriangularForm
   in the diagonal entries, with no enumeration, rational s or not;
 * d = 2, 1 < s < 2: a planar product inequality with the piecewise constant
   planar_constant(s) plays the role the norm inequality plays for M.  It is
@@ -239,7 +239,7 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     route for d >= 3.  Statuses follow pressure.bracket; provenance records
     which inequality produced the lower bound.  Below d, a family that one
     coordinate order makes upper triangular gets the closed form of
-    pressure._triangular_bounds instead, for any s (provenance "triangular").
+    pressure._TriangularForm instead, for any s (provenance "triangular").
     """
     pressure._validate_mu(mu)
     s_float = float(s)

@@ -12,6 +12,8 @@ from matpress.affinity import (
     _ROUNDING,
     AffinityResult,
     _PhiCache,
+    _det_excess,
+    _det_root,
     _lower_margin,
     _sweep,
     _upper_margin,
@@ -55,6 +57,17 @@ class TestMeetsAmbientDimension:
         with pytest.raises(InvalidInputError):
             meets_ambient_dimension([(1.0, np.eye(2))])
 
+    def test_overflowing_determinant_counts_as_excess(self):
+        mu = FiniteMatrixMeasure([(1.0, 1e200 * np.eye(2))])  # det = inf
+        with np.errstate(over="ignore"):
+            assert meets_ambient_dimension(mu)
+
+    def test_nan_determinant_is_rejected(self):
+        # the 3x3 cofactor terms are inf - inf
+        mu = FiniteMatrixMeasure([(1.0, 1e200 * np.ones((3, 3)))])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
+            meets_ambient_dimension(mu)
+
 
 class TestSolveDeterminantDimension:
     def test_four_copies_of_point_eight(self):
@@ -86,6 +99,45 @@ class TestSolveDeterminantDimension:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(InvalidInputError):
             solve_determinant_dimension(moran_measure(4, 0.8), tol=0.0)
+
+    def test_rejects_overflowing_determinant(self):
+        mu = FiniteMatrixMeasure([(1.0, 1e200 * np.eye(2))])
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="det"):
+            solve_determinant_dimension(mu)
+        mu = FiniteMatrixMeasure([(1.0, 1e200 * np.ones((3, 3)))])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
+            solve_determinant_dimension(mu)
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-18])
+    def test_tol_below_float_spacing_returns(self, tol):
+        # the root 6.21 has ulp 8.9e-16: the walks stop at adjacent floats
+        mu = moran_measure(4, 0.8)
+        expect = 2.0 * math.log(4.0) / math.log(1.0 / 0.64)
+        assert solve_determinant_dimension(mu, tol=tol) == pytest.approx(expect, abs=1e-12)
+
+    def test_flat_pressure_widens_the_bracket(self):
+        # log 1.2 + s log 0.9999995 falls by 5e-7 per unit s, so the closed
+        # form's rounding radius spans about 1e-8 in s around the root
+        mpmath = pytest.importorskip("mpmath")
+        mu = moran_measure(2, 0.9999995)
+        mu = FiniteMatrixMeasure([(0.6, m) for m in mu._mats])
+        lo, hi, _ = _det_root(mu, *_det_excess(mu), 1e-9 / 4.0)
+        with mpmath.workdps(50):
+            det = mpmath.mpf(_det_excess(mu)[1][0])
+            root = -2 * mpmath.log(2 * mpmath.mpf(0.6)) / mpmath.log(det)
+            assert mpmath.mpf(lo) <= root <= mpmath.mpf(hi)
+        assert hi - lo > 1e-9
+        assert solve_determinant_dimension(mu, tol=1e-9) == 0.5 * (lo + hi)
+        res = affinity_dimension(mu, 1e-9)
+        assert res.interval == (lo, hi) and res.status == "budget_exhausted"
+
+    def test_uncertifiable_root_is_rejected(self):
+        # |det| = 1 - 2^-52 next to |det| = 1e-200: the rounding radius,
+        # which scales with max |log|det A_i||, outgrows the pressure's fall
+        a = 1.0 - 2.0**-53
+        mu = FiniteMatrixMeasure([(1.5, a * np.eye(2)), (1.0, 1e-100 * np.eye(2))])
+        with pytest.raises(InvalidInputError, match="cannot be certified"):
+            solve_determinant_dimension(mu)
 
 
 class TestAffinityDimension:
@@ -120,6 +172,13 @@ class TestAffinityDimension:
         for lo, hi in res.history:
             assert lo >= lo_prev and hi <= hi_prev
             lo_prev, hi_prev = lo, hi
+
+    def test_eps_below_float_spacing_returns(self):
+        # tol = 1e-17 / 4 is below ulp(1.585) = 2.2e-16: the closed-form
+        # walks stop, and the width reports that eps was not reached
+        res = affinity_dimension(THREE_HALVES, 1e-17)
+        assert res.branch == "triangular" and res.status == "budget_exhausted"
+        assert res.interval[0] <= DIM_THREE_HALVES <= res.interval[1]
 
     def test_budget_exhaustion_keeps_containment(self, engine_calls):
         res = sweep(THREE_HALVES, 0.05, budget=WordBudget(max_words=100_000))

@@ -57,6 +57,36 @@ def reference_dedup(mants, exps, logw, ldet, d):
     return mants_u, exps_u, logw_u, ldet[order][starts]
 
 
+def lexsort_dedup(mants, exps, logw, ldet, d):
+    """The dedup that ordered rows by one stable two-key lexsort on
+    (exponent, first entry), kept as the reference for the exact bytes of
+    every level: same rows, same order, same kept ldet, same signs of zero."""
+    m = len(logw)
+    if m == 0:
+        return mants, exps, logw, ldet
+    flat = mants.reshape(m, d * d)
+    order = np.lexsort((flat[:, 0], exps))
+    e0, f0 = exps[order], flat[order, 0]
+    same = np.zeros(m + 1, dtype=bool)
+    same[1:m] = (e0[1:] == e0[:-1]) & (f0[1:] == f0[:-1])
+    pos = np.flatnonzero(same[1:] | same[:-1])
+    if len(pos):
+        sub = order[pos]
+        keys = [flat[sub, j] for j in range(d * d - 1, 0, -1)]
+        order[pos] = sub[np.lexsort(keys + [np.cumsum(~same[pos])])]
+    mants, exps, lw, ldet = mants[order], exps[order], logw[order], ldet[order]
+    flat = mants.reshape(m, d * d)
+    for j in range(1, d * d):
+        same[1:m] &= flat[1:, j] == flat[:-1, j]
+    if not same.any():
+        return mants, exps, lw, ldet
+    starts = np.flatnonzero(~same[:m])
+    gmax = np.maximum.reduceat(lw, starts)
+    counts = np.diff(starts, append=m)
+    gsum = np.add.reduceat(np.exp(lw - np.repeat(gmax, counts)), starts)
+    return mants[starts], exps[starts], gmax + np.log(gsum), ldet[starts]
+
+
 def reference_normalize(mats):
     """Power-of-two row rescaling of a copy of ``mats``, each row's scale
     taken by np.max over axes (1, 2): (mantissas, exponents, nonzero rows)."""
@@ -133,6 +163,10 @@ def draw_rows(seed, d, m, kind):
         rep = rng.integers(0, m, m // 4)
         mants[rng.integers(0, m, len(rep))] = mants[rep]
         return mants, rng.integers(0, 2, m), logw, ldet
+    if kind == "repeated":
+        # generic rows, each repeated exactly a few times in shuffled order
+        mants = rng.uniform(-1.0, 1.0, (m // 3 + 1, d, d))[rng.integers(0, m // 3 + 1, m)]
+        return mants, np.zeros(m, dtype=np.int64), logw, ldet
     # dyadic entries from a small set: many exact duplicates
     mants = rng.integers(-2, 3, (m, d, d)) / 4.0
     if kind == "signed_zeros":
@@ -155,6 +189,32 @@ def test_dedup_matches_np_unique_reference(seed, d, m, kind):
     got = _dedup_rows(*rows, d)
     want = reference_dedup(*rows, d)
     assert_same_rows(got, want, signed_zeros=kind == "signed_zeros")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(0, 300),
+    st.sampled_from(["random", "dyadic", "tied_first_entry", "signed_zeros",
+                     "diagonal_dyadic", "repeated"]),
+    st.booleans(),
+)
+@example(0, 2, 0, "random", False)
+@example(0, 3, 1, "dyadic", True)
+@example(1, 1, 200, "signed_zeros", True)
+@example(2, 1, 70_000, "dyadic", True)
+def test_dedup_matches_lexsort_bytes(seed, d, m, kind, wide):
+    # wide: the exponents span more than 2^15, with ties kept; 70,000 rows
+    # take 32-bit ranks
+    mants, exps, logw, ldet = draw_rows(seed, d, m, kind)
+    if wide:
+        exps = exps + np.random.default_rng(seed).choice([-(2**16), 0, 2**15 + 3], m)
+    got = _dedup_rows(mants.copy(), exps.copy(), logw.copy(), ldet.copy(), d)
+    want = lexsort_dedup(mants, exps, logw, ldet, d)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -187,8 +187,8 @@ class TestRoute:
         assert 0.0 < hi - lo <= 1e-9
         diag = pressure._triangular_diagonals(mats)
         # P >= 0 at lo and P < 0 at hi, each with the rounding radius
-        assert pressure._triangular_bounds(mu._weights, diag, lo, int(lo))[0] >= 0.0
-        assert pressure._triangular_bounds(mu._weights, diag, hi, int(hi))[1] < 0.0
+        assert pressure._TriangularForm(mu._weights, diag).bounds(lo, int(lo))[0] >= 0.0
+        assert pressure._TriangularForm(mu._weights, diag).bounds(hi, int(hi))[1] < 0.0
         if root is not None:
             assert lo < root < hi
 
@@ -242,7 +242,7 @@ def test_closed_forms_match_50_digit_enumeration(seed, d, offdiag, frac):
     lengths = (1, 2, 3) if d < 4 else (1, 2)
     with mpmath.workdps(50):
         for kind, s, k in cases:
-            lo, hi = pressure._triangular_bounds(mu._weights, diag, s, k)
+            lo, hi = pressure._TriangularForm(mu._weights, diag).bounds(s, k)
             # the rounding radius: the closed form's exact value lies inside
             pairs = [(S, j) for S in itertools.combinations(range(d), k)
                      for j in range(d) if j not in S]
@@ -266,3 +266,105 @@ def test_closed_forms_match_50_digit_enumeration(seed, d, offdiag, frac):
                 (snd,) = mp_brackets(mpmath, weights, mats, s, kind, (d,)).values()
                 log_k = pressure.log_norm_constant(d, s)
                 assert snd - log_k - (d - 1) * logs[1] <= hi
+
+
+def mp_closed_form_root(mpmath, weights, mats):
+    """The affinity dimension of a triangular or determinant-branch family
+    at the working precision: bisection of the Falconer-Miao closed form on
+    [0, d], or of log sum w_i |det A_i|^(s/d) above d."""
+    d = mats.shape[1]
+    w = [mpmath.mpf(x) for x in weights]
+    dets = [abs(mpmath.det(mpmath.matrix(m.tolist()))) for m in mats]
+    if mpmath.fsum(wi * di for wi, di in zip(w, dets)) >= 1:
+        def p(s):
+            return mpmath.log(mpmath.fsum(wi * di ** (s / d) for wi, di in zip(w, dets)))
+        lo, hi = mpmath.mpf(d), mpmath.mpf(2 * d)
+        while p(hi) >= 0:
+            hi *= 2
+    else:
+        diag = [[abs(mpmath.mpf(m[i, i])) for i in range(d)] for m in mats]
+
+        def p(s):
+            k = min(int(mpmath.floor(s)), d)
+            t = s - k
+            best = -mpmath.inf
+            for S in itertools.combinations(range(d), k):
+                for j in [None] if t == 0 else [j for j in range(d) if j not in S]:
+                    total = mpmath.fsum(
+                        wi * mpmath.fprod(a[m] for m in S) * (1 if j is None else a[j] ** t)
+                        for wi, a in zip(w, diag))
+                    if total > 0:
+                        best = max(best, mpmath.log(total))
+            return best
+        lo, hi = mpmath.mpf(0), mpmath.mpf(d)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if p(mid) >= 0 else (lo, mid)
+    return lo
+
+
+def assert_closed_form_root(mats, weights, eps, max_evaluations):
+    """affinity_dimension's closed-form branch on (weights, mats): a 50-digit
+    root inside the interval, each end certified by its own widened test,
+    and the closed-form evaluations (counted by a spy) within the bound."""
+    mpmath = pytest.importorskip("mpmath")
+    mu = measure(mats, weights)
+    d = mu.dimension
+    calls = []
+    real = pressure._TriangularForm.bounds
+
+    def spy(self, s, k):
+        calls.append(s)
+        return real(self, s, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pressure._TriangularForm, "bounds", spy)
+        res = affinity.affinity_dimension(mu, eps)
+    lo, hi = res.interval
+    assert res.status == "certified" and hi - lo <= min(eps, 1e-9)
+    assert res.steps == len(calls) <= max_evaluations
+    if res.branch == "determinant":
+        dets = affinity._det_excess(mu)[1]  # the determinants the branch used
+        form = pressure._TriangularForm(mu._weights, np.array(dets)[:, None])
+        # d is the branch's own exact end; every other end has its sign
+        assert lo == d or form.bounds(lo / d, 0)[0] > 0.0
+        assert hi == lo == d or form.bounds(hi / d, 0)[1] < 0.0
+    else:
+        assert res.branch == "triangular"
+        form = pressure._TriangularForm(mu._weights, pressure._triangular_diagonals(mats))
+        assert lo == 0.0 or form.bounds(lo, int(lo))[0] > 0.0
+        assert hi == d or form.bounds(hi, int(hi))[1] < 0.0
+    with mpmath.workdps(50):
+        root = mp_closed_form_root(mpmath, weights, mats)
+        assert mpmath.mpf(lo) <= root <= mpmath.mpf(hi), (res.interval, root)
+    return res
+
+
+@pytest.mark.parametrize("mats, weights, eps, branch", [
+    # the benchmark's closed-form families and the exact root at s = d
+    ([0.5 * np.eye(2)] * 3, None, 0.2, "triangular"),
+    ([np.diag([0.5, 0.25]), np.diag([-0.5, 0.25]), np.diag([0.5, 1.0 / 16.0]),
+      np.diag([0.5, -1.0 / 16.0])], None, 0.01, "triangular"),
+    ([0.8 * np.eye(2)] * 4, None, 1e-7, "determinant"),
+    ([0.5 * np.eye(2)], [4.0], 0.5, "determinant"),
+], ids=["moran3", "carpet", "det4", "exact_root_at_d"])
+def test_bench_closed_form_roots(mats, weights, eps, branch):
+    mats = np.array(mats)
+    res = assert_closed_form_root(mats, weights or [1.0] * len(mats), eps, 12)
+    assert res.branch == branch
+    if weights:  # 4 * |det(0.5 I)| = 1 exactly: the root is d, unprobed
+        assert res.interval == (2.0, 2.0) and res.steps == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]), st.booleans(),
+       st.integers(2, 3))
+def test_random_closed_form_roots(seed, d, offdiag, n_atoms):
+    # a bisection of [0, d] to 2^-30 took 31 or 32 evaluations
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(-1.0, 1.0, (n_atoms, d, d)), 1) * (1.0 if offdiag else 0.0)
+    for m in upper:
+        m[np.diag_indices(d)] = rng.choice([-1.0, 1.0], d) * rng.uniform(0.05, 0.95, d)
+    upper *= rng.uniform(0.3, 0.99) / max(np.linalg.norm(m, 2) for m in upper)
+    mats = permuted(upper, rng.permutation(d))
+    assert_closed_form_root(mats, list(rng.uniform(0.5, 1.5, n_atoms)), 1e-9, 30)
