@@ -54,11 +54,14 @@ class AffinityResult:
     the word products; the power sums' own rounding is allowed for); certified
     additionally means its width is at most the requested eps.  steps counts
     closed-form evaluations on the determinant and triangular branches, and
-    otherwise test fires that moved an end.
-    history holds the interval after each word length of the sweep.
+    otherwise test fires that moved an end, the upper walks at held lengths
+    included.
+    history holds the interval after each step n = 1, 2, ... of the sweep,
+    one entry per step even where no test was left to run.
     words_evaluated sums the nominal word count N^n of every evaluated
     exponent at length n, exponents answered from a length's slope sketch
-    included, so it does not fall when a sketch saves the enumeration.
+    or held level included, so it does not fall when either saves the
+    enumeration.
     """
 
     interval: tuple
@@ -385,12 +388,12 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     meets_ambient_dimension holds, then to the triangular branch when one
     coordinate order makes every atom upper triangular (both walk each end
     on a closed form, to within min(eps, 1e-9) / 4); otherwise sweeps word
-    lengths n = 1, 2, ... once, and at each moves the upper end of [0, d]
-    down and then the lower end up by a safeguarded regula falsi on the
-    tests' margins.  Each length is enumerated once: later probes there read
-    the side of its slope sketch's bounds that keeps their test
-    conservative.  Every endpoint is a point where its test fired, so the
-    interval is a valid containment even on budget exhaustion.  Raises
+    lengths n = 1, 2, ... once (_sweep), moving the upper end of [0, d]
+    down and the lower end up by a safeguarded regula falsi on the tests'
+    margins.  Each length is enumerated once: later probes there read the
+    side of its slope sketch's bounds that keeps their test conservative.
+    Every endpoint is a point where its test fired, so the interval is a
+    valid containment even on budget exhaustion.  Raises
     InvertedIntervalError if a test fires at or beyond the opposite end.
     """
     _validate_mu(mu)
@@ -424,21 +427,35 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
 
 
 def _sweep(mu, eps, budget, q_cap, dim_cap, workers):
-    """The interval-refinement route of affinity_dimension, on any family."""
+    """The interval-refinement route of affinity_dimension, on any family.
+
+    Step n walks the upper end at length n, then the lower end (whose test
+    reads lengths n and n b), then the upper end again at the longest
+    length the run holds, from its sketch or held level, enumerating
+    nothing.  An upper test at a length at or below one already walked is
+    skipped: the longer length's test is the tighter in practice, and a
+    skipped test costs no soundness.
+    """
     t0 = time.monotonic()
     clock = _engine.RunClock(budget.wall_clock_cap)
     cache = _PhiCache(mu, budget, clock, workers)
     tol = eps / 64.0
     lo, hi = 0.0, float(mu.dimension)
-    steps, history, n = 0, [], 1
+    steps, history, n, walked = 0, [], 1, 0
     try:
         while hi - lo > eps and _engine.feasible(budget, n, mu.n_atoms):
             clock.check()
-            hi, fires = _upper_end(cache, n, lo, hi, tol)
-            steps += fires
+            if n > walked:
+                hi, fires = _upper_end(cache, n, lo, hi, tol)
+                steps += fires
             if hi - lo > eps:
                 lo, fires = _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap)
                 steps += fires
+            longest = max(length for _, length in cache.vals)
+            if hi - lo > eps and longest > max(n, walked):
+                hi, fires = _upper_end(cache, longest, lo, hi, tol)
+                steps += fires
+                walked = longest
             history.append((lo, hi))
             n += 1
     except BudgetExhaustedError:

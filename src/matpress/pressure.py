@@ -5,7 +5,8 @@ The norm pressure of a finitely supported matrix measure mu at exponent s is
     M(mu, s) = inf_n (1/n) log S_n,   S_n = sum over length-n words of
                                             (product of weights) * ||A_w||^s.
 
-Subadditivity makes every (1/n) log S_n an upper bound; an a priori product
+Subadditivity makes every (1/n) log S_n an upper bound (so every sum a run
+evaluates bounds M from above); an a priori product
 inequality with the explicit constant K(d, s) = d^(2+(d+1)s) * max(d^(1-s), 1)
 turns the pair (S_n, S_{n d}) into a lower bound.  Running the two families
 over increasing n yields a monotone sandwich that certifies M to any
@@ -216,24 +217,30 @@ class _Sums:
 
 def _sandwich(mu, kind, s, block, log_k, sums):
     """Yield (n, lower, upper) for n = 1, 2, ... while length n*block is feasible:
-    the running min of (1/n) log S_n and the running max, where S_nb > 0, of
-    (1/n) [log S_nb - log K - (b-1) log S_n], b = block, log K = log_k.
+    the running min of (1/m) log S_m over both lengths m = n, n*b of every
+    step (log S_m is subadditive, so each is an upper bound) and the running
+    max of (1/n) [log S_nb - log K - (b-1) log S_n], b = block, log K = log_k.
+
+    A vanishing sum ends the sweep with lower = upper = -inf: the products
+    of that length are exact zeros, so are all longer ones, and M = -inf.
     """
     lo, up, n = -math.inf, math.inf, 1
     while _engine.feasible(sums.budget, n * block, mu.n_atoms):
         sums.clock.check()
         sn = sums.get(mu, kind, s, n)
         snb = sums.get(mu, kind, s, n * block)
-        up = min(up, sn / n)
-        if snb > -math.inf:
-            lo = max(lo, (snb - log_k - (block - 1) * sn) / n)
+        up = min(up, sn / n, snb / (n * block))
+        if up == -math.inf:
+            yield n, -math.inf, -math.inf
+            return
+        lo = max(lo, (snb - log_k - (block - 1) * sn) / n)
         yield n, lo, up
         n += 1
 
 
 def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance):
     """One route's sandwich to width < eps, within the budget; a vanishing
-    length-block sum is the exact minus_infinity verdict.
+    sum, at length block first, is the exact minus_infinity verdict.
     """
     t0 = time.monotonic()
     sums = _Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
@@ -245,6 +252,9 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance):
             n_used, status = block, _MINUS_INF
         else:
             for n_used, lo, up in _sandwich(mu, kind, s, block, log_k, sums):
+                if up == -math.inf:
+                    status = _MINUS_INF
+                    break
                 if up - lo < eps:
                     status = _CERTIFIED
                     break
@@ -324,19 +334,25 @@ class _TriangularForm:
         return value - radius, value + radius
 
 
+def _closed_form_bracket(mu, bounds, eps, t0, provenance):
+    """A closed form's bounds from _TriangularForm.bounds as a PressureBracket,
+    or None where bounds is None (a term overflows)."""
+    if bounds is None:
+        return None
+    lo, up = bounds
+    status = _MINUS_INF if up == -math.inf else _CERTIFIED if up - lo < eps else _EXHAUSTED
+    return PressureBracket(lo, up, 1, status, mu.n_atoms, time.monotonic() - t0, provenance)
+
+
 def _triangular_bracket(mu, s, k, eps):
     """The closed-form bracket of _TriangularForm.bounds as a PressureBracket,
     or None when mu is not triangular in any coordinate order."""
     t0 = time.monotonic()
     diag = _triangular_diagonals(mu._mats)
-    bounds = None if diag is None else _TriangularForm(mu._weights, diag).bounds(s, k)
-    if bounds is None:
+    if diag is None:
         return None
-    lo, up = bounds
-    status = _MINUS_INF if up == -math.inf else _CERTIFIED if up - lo < eps else _EXHAUSTED
-    return PressureBracket(
-        lo, up, 1, status, mu.n_atoms, time.monotonic() - t0, PROVENANCE_TRIANGULAR
-    )
+    bounds = _TriangularForm(mu._weights, diag).bounds(s, k)
+    return _closed_form_bracket(mu, bounds, eps, t0, PROVENANCE_TRIANGULAR)
 
 
 def bracket(mu, s, eps, budget=None, workers=1):
@@ -347,8 +363,9 @@ def bracket(mu, s, eps, budget=None, workers=1):
     radius, with provenance "triangular".  Otherwise evaluates the
     length-d sum first: if it vanishes, returns the exact
     minus_infinity verdict at cost N^d words.  Otherwise runs the sandwich
-    over n = 1, 2, ... keeping the running min of the upper family and the
-    running max of the lower family, so the bracket only ever shrinks.
+    over n = 1, 2, ... keeping the running min of (1/m) log S_m over every
+    length m = n, n d evaluated and the running max of the lower family, so
+    the bracket only ever shrinks.
     """
     _validate_mu(mu)
     s = _validate_s(s)

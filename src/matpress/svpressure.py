@@ -3,8 +3,9 @@
 P is defined like the norm pressure but with the singular-value function
 phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
 
-* s >= d: phi^s = |det|^(s/d) is multiplicative, so P equals the exact
-  one-step value log sum w_i |det A_i|^(s/d) (determinant branch);
+* s >= d: phi^s = |det|^(s/d) is multiplicative, so P equals the one-step
+  value log sum w_i |det A_i|^(s/d), widened by its rounding radius
+  (determinant branch);
 * s <= 1: phi^s = ||.||^s, so the norm-pressure machinery applies verbatim;
 * triangular families (one coordinate order makes every atom upper
   triangular), 1 < s < d: P is the closed form of pressure._TriangularForm
@@ -29,6 +30,8 @@ import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import _engine, linalg, pressure
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
@@ -232,6 +235,16 @@ def det_pressure(mu, s):
     return best + math.log(sum(math.exp(v - best) for v in vals))
 
 
+def _det_bounds(mu, s):
+    """(lower, upper) around det_pressure(mu, s), s >= d: the closed form of
+    pressure._TriangularForm on the 1x1 family of the |det A_i| at exponent
+    s/d, widened by its rounding radius as affinity's determinant root is;
+    None where a term overflows.  The determinants are taken as computed.
+    """
+    dets = np.array([[abs(linalg._det(m))] for m in mu._mats])
+    return pressure._TriangularForm(mu._weights, dets).bounds(s / mu.dimension, 0)
+
+
 def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     """Certified bracket for P(mu,s) to width < eps, routed by (d, s).
 
@@ -254,11 +267,10 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
 
     if s_float >= d:
         t0 = time.monotonic()
-        v = det_pressure(mu, s_float)
-        status = "minus_infinity" if v == -math.inf else "certified"
-        return PressureBracket(
-            v, v, 1, status, mu.n_atoms, time.monotonic() - t0, PROVENANCE_DET
-        )
+        res = pressure._closed_form_bracket(mu, _det_bounds(mu, s_float), eps, t0, PROVENANCE_DET)
+        if res is None:
+            raise InvalidInputError(f"the determinant pressure at s={s_float} overflows")
+        return res
 
     if s_float <= 1.0:
         # phi^s = ||.||^s below exponent 1, so P = M with the same brackets
@@ -322,10 +334,9 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
     status = "budget_exhausted"
     try:
         if spec is None:
-            # s+ crossed the ambient dimension: determinant branch is exact there
-            v = det_pressure(mu_c, float(s_plus))
-            if v > -math.inf:
-                lo = v - shift
+            # s+ crossed the ambient dimension: the determinant closed form
+            # holds there (mu_c's |det| <= 1, so nothing overflows)
+            lo = _det_bounds(mu_c, float(s_plus))[0] - shift
         n = 1
         while _engine.feasible(budget, n, mu.n_atoms):
             sums.clock.check()

@@ -245,27 +245,41 @@ def test_each_length_is_enumerated_once_per_run(monkeypatch):
     assert max(n for n, _ in built) == 10
     # bits of the depth sweep
     h = float.fromhex
-    assert res.status == "budget_exhausted" and res.steps == 16
-    assert res.interval == (h("0x1.5f5a23b8888a8p-1"), h("0x1.60ed277f5ff70p+0"))
+    assert res.status == "budget_exhausted" and res.steps == 12
+    assert res.interval == (h("0x1.5f59d086791bbp-1"), h("0x1.60ed2fbe7cbddp+0"))
+    # the upper end is walked at the longest held length right after each
+    # lower test: length 2n at step n, 10 from step 5 on
     assert res.history == (
-        (0.0, h("0x1.74bafb14bfdb7p+0")),
-        (h("0x1.5b3000c96eecap-5"), h("0x1.6dd34d7a3c375p+0")),
-        (h("0x1.628953b815210p-2"), h("0x1.6ab1221a5de93p+0")),
-        (h("0x1.16a699761dd80p-1"), h("0x1.68765f958f5cdp+0")),
-        (h("0x1.5f5a23b8888a8p-1"), h("0x1.66a0808f46ac0p+0")),
-        (h("0x1.5f5a23b8888a8p-1"), h("0x1.650b2c7e3873ep+0")),
-        (h("0x1.5f5a23b8888a8p-1"), h("0x1.63b87c351fd7bp+0")),
-        (h("0x1.5f5a23b8888a8p-1"), h("0x1.629c4ae92dd4fp+0")),
-        (h("0x1.5f5a23b8888a8p-1"), h("0x1.61b058f31dcd5p+0")),
-        (h("0x1.5f5a23b8888a8p-1"), h("0x1.60ed277f5ff70p+0")),
-    )
-    assert res.words_evaluated == 659202
+        (0.0, h("0x1.6dd34d7a3c375p+0")),
+        (h("0x1.5b3000c96eecap-5"), h("0x1.68770701b3304p+0")),
+        (h("0x1.628c17fde20bbp-2"), h("0x1.650b677ce32d2p+0")),
+        (h("0x1.16a7646a0875dp-1"), h("0x1.629c638e650c2p+0")),
+    ) + ((h("0x1.5f59d086791bbp-1"), h("0x1.60ed2fbe7cbddp+0")),) * 6
+    assert res.words_evaluated == 534462
     # inside the interval of the 11-probe grid this sweep replaced
     assert h("0x1.55c8p-1") < res.interval[0] and res.interval[1] < h("0x1.64c0p+0")
     # only small levels stay on the measure once the run returns
     for cache in mu._engine_caches.values():
         for chunks in cache.sig_cache.values():
             assert sum(cols.shape[1] for cols, _, _ in chunks) <= _engine._LEVEL_ROWS
+
+
+def test_default_budget_builds_units_only_at_the_lower_tests_lengths(monkeypatch):
+    # the planar triple at eps 0.05 under the default budget (lengths up to
+    # 14; 3^9 rows fit one level): the upper end is walked at length 2n
+    # right after the lower test at step n, so the longer odd lengths, whose
+    # upper tests that walk has passed, are never enumerated
+    built = set()
+    real = _engine._unit_arrays
+
+    def spy(cache, parts, unit):
+        built.add(tuple(parts))
+        return real(cache, parts, unit)
+
+    monkeypatch.setattr(_engine, "_unit_arrays", spy)
+    res = affinity_dimension(planar_triple(), 0.05)
+    assert {sum(parts) for parts in built if len(parts) > 1} == {10, 12, 14}
+    assert res.status == "budget_exhausted" and res.width <= 0.48825
 
 
 @pytest.mark.parametrize("fake, where", [

@@ -3,8 +3,9 @@
 pressure.bracket, the planar and lift routes of svpressure.bracket and
 svpressure.continuity_at_one each used to run their own copy of the
 sandwich with their own sum cache.  Those copies are kept below as plain
-references: every result, and the sequence of power sums evaluated, must
-match them bit for bit.
+references, each taking (1/(n b)) log S_nb as an upper candidate as the
+sandwich does: every result, and the sequence of power sums evaluated,
+must match them bit for bit.
 """
 
 import math
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import engine_norm_bracket
 from matpress import _engine, pressure, svpressure
@@ -46,7 +48,7 @@ def reference_norm(mu, s, eps, budget):
             clock.check()
             sn = get(mu, "norm", s, n)
             snd = get(mu, "norm", s, n * d)
-            up = min(up, sn / n)
+            up = min(up, sn / n, snd / (n * d))
             if snd > -math.inf:
                 lo = max(lo, (snd - log_k - (d - 1) * sn) / n)
             n_used = n
@@ -72,7 +74,7 @@ def reference_planar(mu, s, eps, budget):
             clock.check()
             phi_n = get(mu, "phi", s, n)
             phi_2n = get(mu, "phi", s, 2 * n)
-            up = min(up, phi_n / n)
+            up = min(up, phi_n / n, phi_2n / (2 * n))
             if phi_2n > -math.inf:
                 lo = max(lo, (phi_2n - log_kt - phi_n) / n)
             n_used = n
@@ -99,7 +101,7 @@ def reference_lift(mu, s, eps, budget):
             clock.check()
             phi_n = get(mu, "phi", s_val, n)
             phi_nd = get(mu, "phi", s_val, n * dp)
-            up = min(up, phi_n / n)
+            up = min(up, phi_n / n, phi_nd / (n * dp))
             if phi_nd > -math.inf:
                 lo = max(lo, (phi_nd - spec.log_constant - (dp - 1) * phi_n) / n)
             n_used = n
@@ -125,9 +127,9 @@ def reference_continuity(mu, eps, budget):
             clock.check()
             s_mu, s2_mu = get(mu, "norm", 1.0, n), get(mu, "norm", 1.0, 2 * n)
             s_0, s2_0 = get(mu0, "norm", 1.0, n), get(mu0, "norm", 1.0, 2 * n)
-            up_mu = min(up_mu, s_mu / n)
+            up_mu = min(up_mu, s_mu / n, s2_mu / (2 * n))
             lo_mu = max(lo_mu, (s2_mu - log_k - s_mu) / n)
-            up_0 = min(up_0, s_0 / n)
+            up_0 = min(up_0, s_0 / n, s2_0 / (2 * n))
             lo_0 = max(lo_0, (s2_0 - log_k - s_0) / n)
             if lo_mu > up_0:
                 return svpressure.DISCONTINUOUS
@@ -246,3 +248,85 @@ def test_continuity_stops_with_the_sweep_of_mu(eps, sum_calls):
         assert got == svpressure.INCONCLUSIVE
         assert max(n for atoms, n, _, _ in got_calls if atoms == 3) == 6
         assert max(n for atoms, n, _, _ in got_calls if atoms == 2) == 6
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_each_upper_end_is_the_least_mean_of_the_sums_so_far(route, monkeypatch):
+    # log S_m is subadditive, so every evaluated (1/m) log S_m bounds from above
+    s, block, _, _, _, budget = ROUTES[route]
+    mu = _random(2 if route in ("norm_d2", "planar") else 3)
+    kind = "norm" if s < 1 else "phi"
+    log_k = svpressure._route(mu.dimension, s, 6, 256)[1]
+    seen = {}
+    real = _engine.weighted_sums
+
+    def spy(mu, n, kind, s_values, *args, **kwargs):
+        out = real(mu, n, kind, s_values, *args, **kwargs)
+        seen[n] = float(out[0])
+        return out
+
+    monkeypatch.setattr(_engine, "weighted_sums", spy)
+    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), 1)
+    for n, lo, up in pressure._sandwich(mu, kind, float(s), block, log_k, sums):
+        assert n * block in seen
+        assert up == min(v / m for m, v in seen.items())
+        assert lo < up
+    assert seen
+
+
+@pytest.mark.parametrize("route", ["norm_d2", "planar"])
+@pytest.mark.parametrize("vanishing", [4, 3])
+def test_a_sum_vanishing_mid_sweep_is_minus_infinity(route, vanishing, monkeypatch):
+    # lengths 1 and 2 are positive, so the length-b test at the start passes;
+    # at step 2 S_4 vanishes, or at step 3 S_3 does (S_6 made up finite): the
+    # run ends there, never "certified" with upper -inf below a finite lower
+    s = ROUTES[route][0]
+
+    def sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=None):
+        return np.array([-math.inf if n == vanishing else -float(n)] * len(s_values))
+
+    monkeypatch.setattr(_engine, "weighted_sums", sums)
+    res = _route_bracket(_random(2), s, 1e-9, WordBudget())
+    assert res.status == "minus_infinity"
+    assert res.lower == res.upper == -math.inf
+    assert res.n_used == {4: 2, 3: 3}[vanishing]
+
+
+def _brute_log_sums(weights, mats, kind, s, max_len):
+    """log S_m for m = 1..max_len by direct numpy enumeration."""
+    out, prods, logw = {}, np.eye(mats.shape[1])[None], np.zeros(1)
+    for m in range(1, max_len + 1):
+        prods = np.einsum("wij,ajk->waik", prods, mats).reshape(-1, *mats.shape[1:])
+        logw = (logw[:, None] + np.log(weights)[None]).ravel()
+        logsv = np.log(np.linalg.svd(prods, compute_uv=False))
+        if kind == "norm":
+            v = logw + s * logsv[:, 0]
+        else:
+            k = int(s)
+            v = logw + logsv[:, :k].sum(axis=1) + (s - k) * logsv[:, k]
+        out[m] = float(v.max() + np.log(np.exp(v - v.max()).sum()))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.sampled_from([2, 3]), planar=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       s=st.floats(0.2, 1.9))
+def test_upper_ends_sit_above_brute_force_lower_candidates(d, planar, seed, s):
+    # every candidate (1/n) [log S_nb - log K - (b-1) log S_n] at n <= 4 is
+    # a lower bound on the pressure, so no sound upper end is below one
+    rng = np.random.default_rng(seed)
+    n_atoms = 2 if d == 3 else int(rng.integers(2, 4))
+    weights, mats = rng.uniform(0.5, 1.5, n_atoms), rng.uniform(-1.0, 1.0, (n_atoms, d, d))
+    mu = FiniteMatrixMeasure(zip(weights, mats))
+    if planar and d == 2:
+        s = 1.0 + s / 2.0
+        kind, log_k = "phi", svpressure.log_planar_constant(s)
+        res = svpressure.bracket(mu, s, 1e-9, budget=WordBudget(max_word_length=8))
+        assert res.provenance == "planar-sv-bound"
+    else:
+        kind, log_k = "norm", pressure.log_norm_constant(d, s)
+        res = pressure.bracket(mu, s, 1e-9, budget=WordBudget(max_word_length=3 * d))
+    logs = _brute_log_sums(weights, mats, kind, s, 4 * d)
+    for n in range(1, 5):
+        lower = (logs[n * d] - log_k - (d - 1) * logs[n]) / n
+        assert res.upper >= lower - 1e-9 * (1.0 + abs(lower))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_phi_sum, random_measure
-from matpress import _engine, pressure, svpressure
+from matpress import _engine, linalg, pressure, svpressure
 from matpress.errors import DimensionCapError, InvalidInputError
 from matpress.measure import (
     FiniteMatrixMeasure,
@@ -244,12 +244,50 @@ class TestBounds:
 
 class TestBracketDispatch:
     def test_determinant_branch_is_exact_and_instant(self):
+        # the one-step closed form, widened by its rounding radius only
         res = bracket(DET_PAIR, 2.5, 0.1)
         assert res.status == "certified"
-        assert res.lower == res.upper == det_pressure(DET_PAIR, 2.5)
+        assert res.lower < det_pressure(DET_PAIR, 2.5) < res.upper
+        assert res.width < 1e-13
         assert res.n_used == 1
         assert res.words_evaluated == DET_PAIR.n_atoms
         assert res.provenance == "determinant-branch"
+
+    def test_determinant_branch_contains_the_exact_value(self):
+        # the rounded closed form lands 7.1e-17 above the value of the
+        # computed determinants, so a zero-width bracket at it misses
+        mpmath = pytest.importorskip("mpmath")
+        mats = [np.array([[0.7, 0.2], [0.1, 0.9]]), np.array([[0.3, -0.5], [0.4, 0.8]])]
+        mu = FiniteMatrixMeasure([(1.0, mats[0]), (0.6, mats[1])])
+        res = bracket(mu, 2.5, 0.1)
+        with mpmath.workdps(50):
+            dets = [mpmath.mpf(linalg._det(m)) for m in mats]
+            exact = mpmath.log(dets[0] ** 1.25 + mpmath.mpf(0.6) * dets[1] ** 1.25)
+            assert det_pressure(mu, 2.5) > exact
+            assert res.lower < exact < res.upper
+        assert res.status == "certified" and res.width < 1e-13
+
+    def test_irrational_determinant_lower_end_is_widened(self):
+        # every rational s+ >= 2.99 with denominator <= 6 is 3 = d: the lower
+        # end is the determinant closed form there (atoms in the unit ball,
+        # so no rescaling), below the value of the computed determinants,
+        # which the rounded closed form overshoots by 4.6e-16
+        mpmath = pytest.importorskip("mpmath")
+        mu = random_measure(np.random.default_rng(2), n_atoms=2, d=3, scale=0.5)
+        res = engine_bracket(mu, 2.99, 0.1, WordBudget(max_word_length=1))
+        with mpmath.workdps(50):
+            exact = mpmath.log(mpmath.fsum(
+                mpmath.mpf(w) * abs(mpmath.mpf(linalg._det(m)))
+                for w, m in zip(mu._weights, mu._mats)))
+            assert det_pressure(mu, 3.0) > exact
+            assert exact - 1e-13 < res.lower < exact
+        assert res.lower < res.upper
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_determinant_branch_rejects_an_overflowing_determinant(self):
+        mu = FiniteMatrixMeasure([(1.0, 1e200 * np.eye(2)), (1.0, 0.5 * np.eye(2))])
+        with pytest.raises(InvalidInputError, match="overflows"):
+            bracket(mu, 2.5, 0.1)
 
     def test_determinant_branch_at_s_equal_d(self):
         res = bracket(DET_PAIR, 2.0, 0.1)
