@@ -46,7 +46,6 @@ from .linalg import (
 from .pressure import (
     PressureBracket,
     bracket as pressure_bracket,
-    detect_minus_infinity,
     norm_constant,
     p_radius_bracket,
 )
@@ -68,8 +67,6 @@ from .jsr import (
     ScanPoint,
     ScanResult,
     jsr_bracket,
-    jsr_lower_bochi,
-    jsr_upper,
     zero_temperature_scan,
 )
 
@@ -99,7 +96,6 @@ __all__ = [
     "singular_values",
     "PressureBracket",
     "pressure_bracket",
-    "detect_minus_infinity",
     "norm_constant",
     "p_radius_bracket",
     "LiftSpec",
@@ -115,8 +111,6 @@ __all__ = [
     "ScanPoint",
     "ScanResult",
     "jsr_bracket",
-    "jsr_lower_bochi",
-    "jsr_upper",
     "zero_temperature_scan",
     "__version__",
 ]

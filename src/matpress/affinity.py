@@ -35,7 +35,7 @@ from . import _engine, linalg, pressure
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
-from .pressure import _ROUNDING, _validate_mu
+from .pressure import _ROUNDING, _validate_eps, _validate_mu
 from .svpressure import _route
 
 __all__ = [
@@ -397,9 +397,7 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     InvertedIntervalError if a test fires at or beyond the opposite end.
     """
     _validate_mu(mu)
-    eps = float(eps)
-    if not (eps > 0.0):
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    eps = _validate_eps(eps)
     if budget is None:
         budget = WordBudget()
     worst = max(linalg.operator_norm(m) for m in mu._mats)

@@ -1,8 +1,10 @@
 """Joint spectral radius brackets and the zero-temperature scan.
 
-Upper bounds come from word-norm maxima: max ||A_w||^(1/n) over length-n
-words is valid for every n.  Lower bounds come from the quantified gap
-between the maxima at lengths n*d and n (constant d^(d+1)), optionally
+jsr_bracket sweeps n = 1, 2, ... over word-norm maxima, values only (no
+maximizing word is kept).  Upper bounds: max ||A_w||^(1/m) over length-m
+words is valid for every m, and each step offers m = n and n*d.  Lower
+bounds come from the quantified gap between the maxima at lengths n*d and
+n (constant d^(d+1)), optionally
 sharpened by the classical spectral-radius floor max rho(A_w)^(1/n) —
 standard theory rather than a power-sum inequality, so it carries its own
 provenance tag.  Atoms equal under == are enumerated once, and words and
@@ -17,7 +19,6 @@ whose s -> inf limit is the joint spectral radius.
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .measure import FiniteMatrixMeasure, WordBudget
 from .pressure import PressureBracket
 
 __all__ = [
-    "jsr_upper",
-    "jsr_lower_bochi",
     "jsr_bracket",
     "ScanPoint",
     "ScanResult",
@@ -39,74 +38,24 @@ PROVENANCE_BOCHI = "bochi-lower-bound"
 PROVENANCE_FLOOR = "spectral-floor"
 
 
-class _Family(NamedTuple):
-    mu: FiniteMatrixMeasure  # the distinct atoms, unit weights
-    n_atoms: int  # the nominal atom count, which budgets meter
-    names: tuple  # the input index of each distinct atom's first copy
-
-
 def _coerce_set(source):
-    # A fresh unit-weight measure per call, never the caller's own: the JSR
-    # enumerates without dedup (to name the maximizing word), and that level
-    # cache, cached on a measure the caller keeps, raised dense3's peak RSS
-    # from 64.0 to 69.9 MB; on a copy it dies with the call.  The input is
-    # validated first; then atoms equal under == are kept once (+ 0.0 maps
-    # -0.0 to 0.0, so equal matrices have equal bytes): a word's norm is that
-    # of any word naming the same matrices, so (A, A, B) enumerates 2^n
-    # products, not 3^n.
+    # (the distinct atoms as a fresh unit-weight measure, the nominal atom
+    # count, which budgets meter).  Never the caller's own measure: the
+    # JSR's undeduplicated level cache (see _engine.max_norm_word), cached
+    # on a measure the caller keeps, raised dense3's peak RSS from 64.0 to
+    # 69.9 MB; on a copy it dies with the call.  The input is validated
+    # first; then atoms equal under == are kept once (+ 0.0 maps -0.0 to
+    # 0.0, so equal matrices have equal bytes): a word's norm is that of any
+    # word naming the same matrices, so (A, A, B) enumerates 2^n products,
+    # not 3^n.
     mats = source.matrices if isinstance(source, FiniteMatrixMeasure) else source
     full = FiniteMatrixMeasure.from_matrices(mats)
     first = {}
     for i, m in enumerate(full._mats):
         first.setdefault((m + 0.0).tobytes(), i)
-    names = tuple(first.values())
-    mu = full if len(names) == full.n_atoms else FiniteMatrixMeasure.from_matrices(
-        full._mats[list(names)])
-    return _Family(mu, full.n_atoms, names)
-
-
-def _max_norm(fam, n, budget, clock=None, workers=1):
-    """max_norm_word over the distinct atoms, metered on the nominal count,
-    the word named by each atom's first copy."""
-    _engine.check_budget(budget, n, fam.n_atoms)
-    log_max, word = _engine.max_norm_word(fam.mu, n, budget, clock=clock, workers=workers)
-    return log_max, None if word is None else tuple(fam.names[a] for a in word)
-
-
-def jsr_upper(source, n, budget=None, workers=1):
-    """(max word norm at length n)^(1/n) and an achieving word.
-
-    A valid upper bound on the joint spectral radius for every n.  The word
-    is a tuple of atom indices, or None when every length-n product is zero
-    (the bound is then 0.0 and exact).  Of atoms equal under ==, a word
-    names the first copy.
-    """
-    fam = _coerce_set(source)
-    if budget is None:
-        budget = WordBudget()
-    log_max, word = _max_norm(fam, n, budget, workers=workers)
-    if log_max == -math.inf:
-        return 0.0, None
-    return math.exp(log_max / n), word
-
-
-def jsr_lower_bochi(source, n, budget=None, workers=1):
-    """Norm-gap lower bound on the joint spectral radius at block length n.
-
-    (max_{|w|=nd} ||A_w|| / (d^(d+1) (max_{|w|=n} ||A_w||)^(d-1)))^(1/n),
-    valid for every n; 0.0 when the long products all vanish.
-    """
-    fam = _coerce_set(source)
-    if budget is None:
-        budget = WordBudget()
-    d = fam.mu.dimension
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    long_max, _ = _max_norm(fam, n * d, budget, clock=clock, workers=workers)
-    if long_max == -math.inf:
-        return 0.0
-    short_max, _ = _max_norm(fam, n, budget, clock=clock, workers=workers)
-    log_lower = (long_max - (d + 1) * math.log(d) - (d - 1) * short_max) / n
-    return math.exp(log_lower)
+    if len(first) == full.n_atoms:
+        return full, full.n_atoms
+    return FiniteMatrixMeasure.from_matrices(full._mats[list(first.values())]), full.n_atoms
 
 
 # below this a sum of squares may have lost bits to underflow, so the norm
@@ -117,12 +66,13 @@ _SQ_LO = 2.0 ** -900
 def _spectral_floor(mats, cap, n_atoms):
     """max rho(A_w)^(1/len) over all words with n_atoms^len <= cap.
 
-    ``mats`` are the distinct atoms of an n_atoms-letter alphabet.  Depth is additionally capped at log2(cap) so one-matrix
-    alphabets terminate; non-finite products (overflow in a long power) are
-    skipped, and so are products that cannot raise the floor: |lambda| <=
-    ||A||_2 <= ||A||_F, and LAPACK's eigenvalues are those of a matrix within
-    a few u ||A|| of A, so eigvals runs only where ||A_w||_F^(1/len) reaches
-    the floor so far less _PRUNE_LOG in log.
+    ``mats`` are the distinct atoms of an n_atoms-letter alphabet.  Depth
+    is additionally capped at log2(cap) so one-matrix alphabets terminate;
+    non-finite products (overflow in a long power) are skipped, and so are
+    products that cannot raise the floor: |lambda| <= ||A||_2 <= ||A||_F,
+    and LAPACK's eigenvalues are those of a matrix within a few u ||A|| of
+    A, so eigvals runs only where ||A_w||_F^(1/len) reaches the floor so far
+    less _PRUNE_LOG in log.
     """
     atoms = np.stack(mats)
     d = atoms.shape[1]
@@ -160,25 +110,26 @@ def jsr_bracket(
     coordinate order makes every matrix upper triangular) gets the exact
     [r, r], r = max |a_i,jj|, with provenance "triangular".
     """
-    fam = _coerce_set(source)
+    mu, n_atoms = _coerce_set(source)
     if budget is None:
         budget = WordBudget()
     if eps is not None and not (float(eps) > 0.0):
         raise InvalidInputError(f"eps must be positive when given, got {eps}")
     t0 = time.monotonic()
-    diag = pressure._triangular_diagonals(fam.mu._mats)
+    diag = pressure._triangular_diagonals(mu._mats)
     if diag is None:
-        return _sweep(fam, eps, budget, use_spectral_floor, floor_cap, workers)
+        return _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers)
     r = float(np.max(diag))  # abs and max round nothing
-    return PressureBracket(r, r, 1, "certified", fam.n_atoms, time.monotonic() - t0,
+    return PressureBracket(r, r, 1, "certified", n_atoms, time.monotonic() - t0,
                            pressure.PROVENANCE_TRIANGULAR)
 
 
-def _sweep(fam, eps, budget, use_spectral_floor, floor_cap, workers):
-    """jsr_bracket's enumeration route, on any _coerce_set family."""
+def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
+    """jsr_bracket's enumeration route, on the distinct atoms ``mu`` of an
+    n_atoms-letter family (see _coerce_set), any family; feasible(budget,
+    n d, n_atoms) meters the nominal count at each step n."""
     t0 = time.monotonic()
-    d = fam.mu.dimension
-    n_atoms = fam.n_atoms
+    d = mu.dimension
     clock = _engine.RunClock(budget.wall_clock_cap)
     lo, up = 0.0, math.inf
     lo_from = PROVENANCE_BOCHI
@@ -186,7 +137,7 @@ def _sweep(fam, eps, budget, use_spectral_floor, floor_cap, workers):
     words = 0
     status = "budget_exhausted"
     if use_spectral_floor:
-        floor = _spectral_floor(fam.mu._mats, floor_cap, n_atoms)
+        floor = _spectral_floor(mu._mats, floor_cap, n_atoms)
         if floor > lo:
             lo = floor
             lo_from = PROVENANCE_FLOOR
@@ -194,8 +145,8 @@ def _sweep(fam, eps, budget, use_spectral_floor, floor_cap, workers):
         n = 1
         while _engine.feasible(budget, n * d, n_atoms):
             clock.check()
-            short_max, _ = _max_norm(fam, n, budget, clock=clock, workers=workers)
-            long_max, _ = _max_norm(fam, n * d, budget, clock=clock, workers=workers)
+            short_max = _engine.max_norm_word(mu, n, budget, clock=clock, workers=workers)
+            long_max = _engine.max_norm_word(mu, n * d, budget, clock=clock, workers=workers)
             words += _engine.nominal_words(n, n_atoms) + _engine.nominal_words(n * d, n_atoms)
             if short_max == -math.inf or long_max == -math.inf:
                 # some power of the whole family vanished: radius is exactly 0

@@ -13,7 +13,8 @@ over increasing n yields a monotone sandwich that certifies M to any
 requested width, or detects M = -inf exactly from the length-d sum.
 
 That sandwich and its power-sum cache live here once (_sandwich, _Sums) for
-any block b and constant K; svpressure's planar and lift routes reuse them.
+any block b and constant K; svpressure's planar and lift routes and its
+continuity diagnostic reuse them.
 
 One route needs no enumeration: when one coordinate order makes every atom
 upper triangular, M, the singular-value pressure P and the joint spectral
@@ -37,9 +38,6 @@ __all__ = [
     "PressureBracket",
     "norm_constant",
     "log_norm_constant",
-    "upper_bound",
-    "lower_bound",
-    "detect_minus_infinity",
     "bracket",
     "p_radius_bracket",
 ]
@@ -119,6 +117,13 @@ def _validate_s(s):
     return s
 
 
+def _validate_eps(eps):
+    eps = float(eps)
+    if not (eps > 0.0):
+        raise InvalidInputError(f"eps must be positive, got {eps}")
+    return eps
+
+
 def _validate_mu(mu):
     if not isinstance(mu, FiniteMatrixMeasure):
         raise InvalidInputError("expected a FiniteMatrixMeasure")
@@ -149,50 +154,6 @@ def _validate_d_s(d, s):
     if not (isinstance(d, int) and d >= 1):
         raise InvalidInputError(f"dimension must be a positive integer, got {d}")
     return d, _validate_s(s)
-
-
-def upper_bound(mu, s, n, budget=None, workers=1):
-    """(1/n) log S_n: a valid upper bound on M(mu,s) for every n >= 1."""
-    _validate_mu(mu)
-    s = _validate_s(s)
-    if budget is None:
-        budget = WordBudget()
-    sn = float(_engine.weighted_sums(mu, n, "norm", [s], budget, workers=workers)[0])
-    return sn / n
-
-
-def lower_bound(mu, s, n, budget=None, workers=1):
-    """(1/n) [log S_{nd} - log K(d,s) - (d-1) log S_n]: a valid lower bound.
-
-    Sound for every n >= 1; -inf when the length-nd sum vanishes.
-    """
-    _validate_mu(mu)
-    s = _validate_s(s)
-    if budget is None:
-        budget = WordBudget()
-    d = mu.dimension
-    snd = float(_engine.weighted_sums(mu, n * d, "norm", [s], budget, workers=workers)[0])
-    if snd == -math.inf:
-        return -math.inf
-    sn = float(_engine.weighted_sums(mu, n, "norm", [s], budget, workers=workers)[0])
-    return (snd - log_norm_constant(d, s) - (d - 1) * sn) / n
-
-
-def detect_minus_infinity(mu, s=1.0, budget=None, workers=1):
-    """True iff M(mu,s) = -inf, decided exactly from the length-d power sum.
-
-    M(mu,s) = -inf exactly when every length-d product vanishes; and if the
-    length-d sum is positive, every longer sum is positive too.  The zero
-    test is structural: products are stored frexp-normalized, so a vanishing
-    product is an exact zero matrix, never an underflow artifact.
-    """
-    _validate_mu(mu)
-    s = _validate_s(s)
-    if budget is None:
-        budget = WordBudget()
-    d = mu.dimension
-    sd = float(_engine.weighted_sums(mu, d, "norm", [s], budget, workers=workers)[0])
-    return sd == -math.inf
 
 
 class _Sums:
@@ -369,9 +330,7 @@ def bracket(mu, s, eps, budget=None, workers=1):
     """
     _validate_mu(mu)
     s = _validate_s(s)
-    eps = float(eps)
-    if not (eps > 0.0):
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    eps = _validate_eps(eps)
     if budget is None:
         budget = WordBudget()
     d, log_k = mu.dimension, log_norm_constant(mu.dimension, s)

@@ -43,9 +43,6 @@ __all__ = [
     "planar_constant",
     "log_planar_constant",
     "lift_params",
-    "upper_bound",
-    "lower_bound_2d",
-    "lower_bound_lift",
     "det_pressure",
     "bracket",
     "continuity_at_one",
@@ -90,9 +87,7 @@ def planar_constant(s):
     give 32 at s = 1.  The (1,2) branch mirrors the (0,1) branch through the
     determinant-tilted companion measure at exponent 2-s.
     """
-    s = float(s)
-    if not (s > 0.0 and math.isfinite(s)):
-        raise InvalidInputError(f"exponent s must be positive and finite, got {s}")
+    s = pressure._validate_s(s)
     if s <= 1.0:
         return 2.0 ** (3.0 + 2.0 * s)
     if s < 2.0:
@@ -164,53 +159,6 @@ def _route(d, s, q_cap, dim_cap):
     return spec.d_prime, spec.log_constant, PROVENANCE_LIFT
 
 
-def _phi_sum(mu, s, n, budget, workers=1):
-    return float(_engine.weighted_sums(mu, n, "phi", [float(s)], budget, workers=workers)[0])
-
-
-def upper_bound(mu, s, n, budget=None, workers=1):
-    """(1/n) log Phi_n(s): a valid upper bound on P(mu,s) for every n."""
-    if budget is None:
-        budget = WordBudget()
-    s = float(s)
-    if not (s > 0.0 and math.isfinite(s)):
-        raise InvalidInputError(f"exponent s must be positive and finite, got {s}")
-    return _phi_sum(mu, s, n, budget, workers=workers) / n
-
-
-def lower_bound_2d(mu, s, n, budget=None, workers=1):
-    """(1/n) [log Phi_2n - log planar_constant(s) - log Phi_n], d = 2 only."""
-    if mu.dimension != 2:
-        raise InvalidInputError("lower_bound_2d needs a 2x2 measure")
-    if budget is None:
-        budget = WordBudget()
-    s = float(s)
-    log_kt = log_planar_constant(s)
-    phi_2n = _phi_sum(mu, s, 2 * n, budget, workers=workers)
-    if phi_2n == -math.inf:
-        return -math.inf
-    phi_n = _phi_sum(mu, s, n, budget, workers=workers)
-    return (phi_2n - log_kt - phi_n) / n
-
-
-def lower_bound_lift(mu, s, n, budget=None, q_cap=6, dim_cap=256, workers=1):
-    """(1/n) [log Phi_{n d'} - log K - (d'-1) log Phi_n] via the lift route.
-
-    Operates directly on phi^s power sums of mu (no lifted matrices are
-    materialized); measure.lifted_measure provides the independent
-    cross-check route used in the tests.
-    """
-    if budget is None:
-        budget = WordBudget()
-    spec = lift_params(mu.dimension, s, q_cap=q_cap, dim_cap=dim_cap)
-    s_val = float(spec.k + Fraction(spec.p, spec.q))  # the lift constant holds at this rational
-    phi_nd = _phi_sum(mu, s_val, n * spec.d_prime, budget, workers=workers)
-    if phi_nd == -math.inf:
-        return -math.inf
-    phi_n = _phi_sum(mu, s_val, n, budget, workers=workers)
-    return (phi_nd - spec.log_constant - (spec.d_prime - 1) * phi_n) / n
-
-
 def det_pressure(mu, s):
     """Exact pressure log sum w_i |det A_i|^(s/d) for s >= d.
 
@@ -255,12 +203,8 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     pressure._TriangularForm instead, for any s (provenance "triangular").
     """
     pressure._validate_mu(mu)
-    s_float = float(s)
-    if not (s_float > 0.0 and math.isfinite(s_float)):
-        raise InvalidInputError(f"exponent s must be positive and finite, got {s}")
-    eps = float(eps)
-    if not (eps > 0.0):
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    s_float = pressure._validate_s(s)
+    eps = pressure._validate_eps(eps)
     if budget is None:
         budget = WordBudget()
     d = mu.dimension
@@ -377,19 +321,18 @@ def continuity_at_one(mu, eps, budget=None, workers=1):
     pressure._validate_mu(mu)
     if mu.dimension != 2:
         raise InvalidInputError("the continuity diagnostic is 2D only")
-    eps = float(eps)
-    if not (eps > 0.0):
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    eps = pressure._validate_eps(eps)
     if budget is None:
         budget = WordBudget()
     mu0 = restrict_invertible(mu)
+    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
     try:
         if mu0 is None:
-            # P(mu0,1) = -inf: the jump exists unless P(mu,1) = -inf as well
-            if pressure.detect_minus_infinity(mu, 1.0, budget=budget, workers=workers):
+            # P(mu0,1) = -inf: the jump exists unless P(mu,1) = -inf as well,
+            # which holds exactly when every length-d product vanishes
+            if sums.get(mu, "norm", 1.0, 2) == -math.inf:
                 return CONTINUOUS
             return DISCONTINUOUS
-        sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
         log_k = log_norm_constant(2, 1.0)
         # mu0 has no more atoms than mu, so mu's sweep is the one that stops
         sweeps = [pressure._sandwich(m, "norm", 1.0, 2, log_k, sums) for m in (mu, mu0)]

@@ -66,6 +66,26 @@ def engine_norm_bracket(mu, s, eps, budget=None):
                              budget or WordBudget(), 1, pressure.PROVENANCE_NORM)
 
 
+def log_sum(mu, kind, s, n):
+    """log S_n, the engine's weighted power sum at length n that every
+    upper end reads ((1/n) log S_n bounds the pressure from above)."""
+    return float(_engine.weighted_sums(mu, n, kind, [s], WordBudget())[0])
+
+
+def sandwich(mu, kind, s, block, log_k, steps):
+    """The first ``steps`` yields (n, lower, upper) of pressure._sandwich,
+    the running max and min of the two bound families, on a fresh run."""
+    budget = WordBudget()
+    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), 1)
+    return list(itertools.islice(pressure._sandwich(mu, kind, s, block, log_k, sums), steps))
+
+
+def norm_sandwich(mu, s, steps):
+    """sandwich on pressure.bracket's norm route: block d, constant K(d, s)."""
+    d = mu.dimension
+    return sandwich(mu, "norm", s, d, pressure.log_norm_constant(d, s), steps)
+
+
 def word_products(mats, n):
     """All length-n products A_{i1} ... A_{in}, with their index words."""
     d = mats[0].shape[0]

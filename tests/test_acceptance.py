@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_norm_sum, engine_norm_bracket
+from conftest import brute_norm_sum, engine_norm_bracket, log_sum, norm_sandwich, sandwich
 from matpress import affinity, cli, jsr, pressure, svpressure
 from matpress.linalg import lift, operator_norm, phi
 from matpress.measure import FiniteMatrixMeasure, WordBudget
@@ -45,7 +45,7 @@ def test_criterion_01_diagonal_closed_form(engine_calls):
     mats = [np.asarray(m) for _, m in DIAG_PAIR.atoms]
     for n in range(1, 7):
         brute = math.log(brute_norm_sum([1.0, 1.0], mats, n, 1.0)) / n
-        assert pressure.upper_bound(DIAG_PAIR, 1.0, n) == pytest.approx(brute, rel=1e-10)
+        assert log_sum(DIAG_PAIR, "norm", 1.0, n) / n == pytest.approx(brute, rel=1e-10)
 
     engine_calls.clear()
     br = engine_norm_bracket(DIAG_PAIR, 1.0, 0.75)
@@ -53,9 +53,7 @@ def test_criterion_01_diagonal_closed_form(engine_calls):
     assert br.status == "certified"
     assert br.upper - br.lower <= 0.75
     assert br.lower - 1e-9 <= target <= br.upper + 1e-9
-    for n in range(1, 9):
-        lo = pressure.lower_bound(DIAG_PAIR, 1.0, n)
-        up = pressure.upper_bound(DIAG_PAIR, 1.0, n)
+    for _, lo, up in norm_sandwich(DIAG_PAIR, 1.0, 8):
         assert lo - 1e-9 <= target <= up + 1e-9
     _pass(1, f"[{br.lower:.6f}, {br.upper:.6f}] contains log(5/6)")
 
@@ -63,8 +61,8 @@ def test_criterion_01_diagonal_closed_form(engine_calls):
 def test_criterion_02_scalar_exactness():
     for s in (0.5, 1.0, 2.0):
         target = s * math.log(0.5)
-        u1 = pressure.upper_bound(SCALAR_HALF, s, 1)
-        l1 = pressure.lower_bound(SCALAR_HALF, s, 1)
+        u1 = log_sum(SCALAR_HALF, "norm", s, 1)
+        l1 = norm_sandwich(SCALAR_HALF, s, 1)[0][1]
         assert abs(u1 - target) <= 1e-12
         assert abs(l1 - (target - math.log(pressure.norm_constant(2, s)))) <= 1e-12
         br = pressure.bracket(SCALAR_HALF, s, 1.0)  # triangular: the closed form
@@ -120,15 +118,16 @@ def test_criterion_06_planar_bracket_validity():
         atoms = [(1.0, rng.uniform(-0.9, 0.9, (2, 2))) for _ in range(2)]
         mu = FiniteMatrixMeasure(atoms)
         for s in (0.5, 1.0, 1.5):
-            los = [svpressure.lower_bound_2d(mu, s, n) for n in (1, 2, 3)]
-            ups = [svpressure.upper_bound(mu, s, m) for m in (1, 2, 3)]
+            block, log_k, _ = svpressure._route(2, s, 6, 256)
+            los = [lo for _, lo, _ in sandwich(mu, "phi", s, block, log_k, 3)]
+            ups = [log_sum(mu, "phi", s, m) / m for m in (1, 2, 3)]
             for lo in los:
                 for up in ups:
                     assert lo <= up + 1e-9
         # above the ambient dimension the determinant sum is the exact value
         det_lo = svpressure.det_pressure(mu, 2.5)
         for m in (1, 2, 3):
-            assert det_lo <= svpressure.upper_bound(mu, 2.5, m) + 1e-9
+            assert det_lo <= log_sum(mu, "phi", 2.5, m) / m + 1e-9
     _pass(6, "no ordering violation over 50 random measures")
 
 
@@ -170,7 +169,7 @@ def test_criterion_10_continuity_diagnostic():
     )
     # every word product of the jump pair has norm 1: value log 2, but the
     # invertible restriction is the identity alone, value 0
-    assert svpressure.upper_bound(jump, 1.0, 4) == pytest.approx(math.log(2.0), rel=1e-12)
+    assert log_sum(jump, "phi", 1.0, 4) / 4 == pytest.approx(math.log(2.0), rel=1e-12)
     assert svpressure.continuity_at_one(jump, 0.6) == svpressure.DISCONTINUOUS
 
     flat = FiniteMatrixMeasure(

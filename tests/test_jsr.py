@@ -6,15 +6,13 @@ import pytest
 
 from conftest import random_measure, word_products
 from matpress import _engine
-from matpress.errors import BudgetExhaustedError, InvalidInputError
+from matpress.errors import InvalidInputError
 from matpress.jsr import (
     ScanPoint,
     _coerce_set,
     _spectral_floor,
     _sweep,
     jsr_bracket,
-    jsr_lower_bochi,
-    jsr_upper,
     zero_temperature_scan,
 )
 from matpress.linalg import operator_norm
@@ -30,7 +28,19 @@ NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
 
 def engine_jsr(mats, eps=None, budget=None, use_spectral_floor=True):
     """jsr_bracket's enumeration route, whatever the family."""
-    return _sweep(_coerce_set(mats), eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
+    return _sweep(*_coerce_set(mats), eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
+
+
+def log_max_norm(mats, n):
+    """The engine's log max word norm at length n over ``mats``."""
+    return _engine.max_norm_word(FiniteMatrixMeasure.from_matrices(mats), n, WordBudget())
+
+
+def bochi_lower(mats, n):
+    """The sweep's lower end under a length-n d budget, spectral floor off:
+    the running max of the norm-gap bounds of steps 1 to n."""
+    budget = WordBudget(max_word_length=n * mats[0].shape[0])
+    return engine_jsr(mats, budget=budget, use_spectral_floor=False).lower
 
 
 # not triangular in any coordinate order, so every entry point enumerates
@@ -39,8 +49,6 @@ GENERIC_MATS = [
     np.array([[0.4, -0.1], [0.3, 0.7]]),
 ]
 ENTRY_POINTS = {
-    "upper": lambda src: jsr_upper(src, 3),
-    "bochi": lambda src: jsr_lower_bochi(src, 2),
     "bracket": lambda src: jsr_bracket(src, eps=1e-3, budget=WordBudget(max_words=2**10)),
 }
 
@@ -79,7 +87,7 @@ class TestInput:
 
 class TestRepeatedAtoms:
     """Atoms equal under == are enumerated once; budgets, floor_cap and
-    words_evaluated keep the nominal count, and words name first copies."""
+    words_evaluated keep the nominal count."""
 
     A, B = GENERIC_MATS
 
@@ -95,51 +103,46 @@ class TestRepeatedAtoms:
             result_bits(ab), words_evaluated=aab.words_evaluated)
 
     def test_budget_refuses_the_nominal_length(self):
-        mats = [self.A, self.A, self.B]
         budget = WordBudget(max_words=3**5)  # 2^6 distinct words would fit
-        jsr_upper(mats, 5, budget)
-        jsr_lower_bochi(mats, 2, budget)
-        with pytest.raises(BudgetExhaustedError) as upper:
-            jsr_upper(mats, 6, budget)
-        with pytest.raises(BudgetExhaustedError) as bochi:
-            jsr_lower_bochi(mats, 3, budget)
-        assert upper.value.length == bochi.value.length == 6
+        aab = jsr_bracket([self.A, self.A, self.B], budget=budget)
+        ab = jsr_bracket([self.A, self.B], budget=budget)
+        # step n reads lengths n and 2n: 3^4 words fit, 3^6 do not
+        assert (aab.n_used, ab.n_used) == (2, 3)
+        assert aab.status == "budget_exhausted"
+        assert aab.words_evaluated == 3 + 3**2 + 3**2 + 3**4
 
     @pytest.mark.parametrize("order", ["AAB", "ABA", "BAA", "ABBA", "CDC"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_words_name_first_copies(self, order, n):
-        # as the enumeration over every copy names them: of equal norms it
-        # keeps the first word, whose letters are all first copies
+    def test_max_is_that_of_every_copy(self, order, n):
+        # the distinct atoms, first copies in input order, give the bits
+        # of the enumeration over every copy
         c, d = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 3, 3))
         atoms = {"A": self.A, "B": self.B, "C": c, "D": d}
         mats = [atoms[k] for k in order]
-        value, word = jsr_upper(mats, n)
-        every = FiniteMatrixMeasure.from_matrices(mats)
-        log_max, want = _engine.max_norm_word(every, n, WordBudget())
-        assert (value, word) == (math.exp(log_max / n), want)
-        assert all(order.index(order[a]) == a for a in word)
+        mu, n_atoms = _coerce_set(mats)
+        assert n_atoms == len(order)
+        assert [m.tobytes() for m in mu.matrices] == [
+            atoms[k].tobytes() for k in dict.fromkeys(order)]
+        want = log_max_norm(mats, n)
+        assert _engine.max_norm_word(mu, n, WordBudget()).hex() == want.hex()
 
 
 class TestUpper:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_scalar_atom(self, n):
-        val, word = jsr_upper([0.7 * np.eye(2)], n)
-        assert val == pytest.approx(0.7, rel=1e-12)
-        assert word == (0,) * n
+        assert math.exp(log_max_norm([0.7 * np.eye(2)], n) / n) == pytest.approx(0.7, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_diag_pair_max_entry(self, n):
         # both atoms have top entry 1/2, so every length's max norm is 2^-n
-        val, word = jsr_upper(DIAG_MATS, n)
+        val = math.exp(log_max_norm(DIAG_MATS, n) / n)
         assert val == pytest.approx(0.5, rel=1e-12)
-        prod = np.eye(2)
-        for i in word:
-            prod = prod @ DIAG_MATS[i]
-        assert operator_norm(prod) == pytest.approx(val**n, rel=1e-12)
+        best = max(operator_norm(prod) for _, prod in word_products(DIAG_MATS, n))
+        assert best == pytest.approx(val**n, rel=1e-12)
 
     def test_nilpotent(self):
-        assert jsr_upper([NILPOTENT], 1) == (2.0, (0,))
-        assert jsr_upper([NILPOTENT], 2) == (0.0, None)
+        assert log_max_norm([NILPOTENT], 1) == math.log(2.0)
+        assert log_max_norm([NILPOTENT], 2) == -math.inf
 
     def test_matches_direct_enumeration(self, rng):
         mats = [rng.uniform(-0.9, 0.9, (2, 2)) for _ in range(2)]
@@ -147,34 +150,31 @@ class TestUpper:
             ref = max(
                 np.linalg.norm(prod, 2) for _, prod in word_products(mats, n)
             ) ** (1.0 / n)
-            assert jsr_upper(mats, n)[0] == pytest.approx(ref, rel=1e-10)
+            assert math.exp(log_max_norm(mats, n) / n) == pytest.approx(ref, rel=1e-10)
 
 
 class TestLowerBochi:
     def test_scalar_atom_closed_form(self):
         # (c^d / (d^(d+1) c^(d-1)))^(1/1) = c / d^(d+1)
-        assert jsr_lower_bochi([0.5 * np.eye(2)], 1) == pytest.approx(
-            0.5 / 8.0, rel=1e-12
-        )
-        assert jsr_lower_bochi([0.5 * np.eye(3)], 1) == pytest.approx(
-            0.5 / 81.0, rel=1e-12
-        )
+        assert bochi_lower([0.5 * np.eye(2)], 1) == pytest.approx(0.5 / 8.0, rel=1e-12)
+        assert bochi_lower([0.5 * np.eye(3)], 1) == pytest.approx(0.5 / 81.0, rel=1e-12)
 
     def test_diag_pair_closed_form(self):
-        # sup norms are (1/2)^m at every length m
+        # sup norms are (1/2)^m at every length m, so the bound at step n
+        # is 0.5 * 8^(-1/n), largest at the last step
         expect = ((0.5**4) / (8.0 * 0.5**2)) ** 0.5
-        assert jsr_lower_bochi(DIAG_MATS, 2) == pytest.approx(expect, rel=1e-12)
+        assert bochi_lower(DIAG_MATS, 2) == pytest.approx(expect, rel=1e-12)
 
     def test_vanishing_products_give_zero(self):
-        assert jsr_lower_bochi([NILPOTENT], 1) == 0.0
+        assert bochi_lower([NILPOTENT], 1) == 0.0
 
     def test_lower_never_exceeds_upper(self, rng):
         for _ in range(5):
             mats = [rng.uniform(-0.9, 0.9, (2, 2)) for _ in range(2)]
             for n in (1, 2, 3):
-                lo = jsr_lower_bochi(mats, n)
+                lo = bochi_lower(mats, n)
                 for m in (1, 2, 3):
-                    assert lo <= jsr_upper(mats, m)[0] + 1e-9
+                    assert lo <= math.exp(log_max_norm(mats, m) / m) + 1e-9
 
 
 def reference_spectral_floor(mats, cap):
@@ -224,9 +224,9 @@ class TestSpectralFloor:
     def test_batched_floor_matches_per_word_loop(self, mats, cap):
         # the pruned floor over the distinct atoms, its depth metered on the
         # nominal atom count, against eigvals of every word over every copy
-        fam = _coerce_set(mats)
+        mu, n_atoms = _coerce_set(mats)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _spectral_floor(fam.mu._mats, cap, fam.n_atoms)
+            got = _spectral_floor(mu._mats, cap, n_atoms)
             want = reference_spectral_floor(mats, cap)
         assert type(got) is float
         assert got.hex() == want.hex()
@@ -325,8 +325,8 @@ class TestScan:
     def test_sandwich_against_jsr_bounds(self):
         mu = FiniteMatrixMeasure([(1.0, m) for m in DIAG_MATS])
         out = zero_temperature_scan(mu)
-        up1 = jsr_upper(DIAG_MATS, 1)[0]
-        lo1 = jsr_lower_bochi(DIAG_MATS, 1)
+        up1 = math.exp(log_max_norm(DIAG_MATS, 1))
+        lo1 = bochi_lower(DIAG_MATS, 1)
         mass = mu.total_mass
         for p in out.points:
             assert p.radius_upper >= lo1 - 1e-9

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_norm_sum, engine_norm_bracket, random_measure
+from conftest import (
+    brute_norm_sum, engine_norm_bracket, log_sum, norm_sandwich, random_measure,
+)
+from matpress import _engine
 from matpress.errors import InvalidInputError
 from matpress.measure import FiniteMatrixMeasure, WordBudget, scale_measure
 from matpress.pressure import (
+    _Sums,
     bracket,
-    detect_minus_infinity,
     log_norm_constant,
-    lower_bound,
     norm_constant,
     p_radius_bracket,
-    upper_bound,
 )
 
 
@@ -73,14 +74,14 @@ class TestSingleContraction:
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_upper_bound_closed_form(self, s):
-        assert upper_bound(HALF_I, s, 1) == pytest.approx(
+        assert log_sum(HALF_I, "norm", s, 1) == pytest.approx(
             s * math.log(0.5), abs=1e-12
         )
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_lower_bound_closed_form(self, s):
         expect = s * math.log(0.5) - log_norm_constant(2, s)
-        assert lower_bound(HALF_I, s, 1) == pytest.approx(expect, abs=1e-12)
+        assert norm_sandwich(HALF_I, s, 1)[0][1] == pytest.approx(expect, abs=1e-12)
 
     def test_bracket_contains_exact_value(self, engine_calls):
         res = engine_norm_bracket(HALF_I, 1.0, 0.5)
@@ -92,20 +93,20 @@ class TestSingleContraction:
 
 class TestDiagPair:
     def test_upper_bounds(self):
-        assert upper_bound(DIAG_PAIR, 1.0, 1) == 0.0
-        assert upper_bound(DIAG_PAIR, 1.0, 2) == pytest.approx(
+        assert log_sum(DIAG_PAIR, "norm", 1.0, 1) == 0.0
+        assert log_sum(DIAG_PAIR, "norm", 1.0, 2) / 2 == pytest.approx(
             0.5 * math.log(5.0 / 6.0), rel=1e-12
         )
 
     def test_lower_bound_n1(self):
         expect = math.log(5.0 / 6.0) - math.log(32.0)
-        assert lower_bound(DIAG_PAIR, 1.0, 1) == pytest.approx(expect, rel=1e-12)
+        assert norm_sandwich(DIAG_PAIR, 1.0, 1)[0][1] == pytest.approx(expect, rel=1e-12)
 
     def test_sandwich_brackets_true_value_at_every_length(self):
+        for _, lo, up in norm_sandwich(DIAG_PAIR, 1.0, 8):
+            assert lo <= DIAG_PAIR_M <= up
         for n in range(1, 9):
-            assert lower_bound(DIAG_PAIR, 1.0, n) <= DIAG_PAIR_M
-        for n in range(1, 9):
-            assert upper_bound(DIAG_PAIR, 1.0, n) >= DIAG_PAIR_M
+            assert log_sum(DIAG_PAIR, "norm", 1.0, n) / n >= DIAG_PAIR_M
 
 
 class TestBoundsAgainstBruteForce:
@@ -114,22 +115,25 @@ class TestBoundsAgainstBruteForce:
         mu = random_measure(rng, n_atoms=3)
         for n in (1, 2, 3):
             ref = math.log(brute_norm_sum(mu.weights, mu.matrices, n, s)) / n
-            assert upper_bound(mu, s, n) == pytest.approx(ref, rel=1e-10)
+            assert log_sum(mu, "norm", s, n) / n == pytest.approx(ref, rel=1e-10)
 
     def test_every_lower_below_every_upper(self, rng):
         # the two families bound one number from opposite sides, so any
         # cross pairing must be ordered
         for s in (0.5, 1.3):
             mu = random_measure(rng, n_atoms=2)
-            los = [lower_bound(mu, s, n) for n in (1, 2, 3)]
-            ups = [upper_bound(mu, s, n) for n in (1, 2, 3)]
+            los = [lo for _, lo, _ in norm_sandwich(mu, s, 3)]
+            ups = [log_sum(mu, "norm", s, n) / n for n in (1, 2, 3)]
             assert max(los) <= min(ups) + 1e-9
 
 
 class TestMinusInfinity:
     def test_detects_shared_kernel_nilpotents(self):
-        assert detect_minus_infinity(NILPOTENT_PAIR, 1.0)
-        assert not detect_minus_infinity(DIAG_PAIR, 1.0)
+        # M = -inf exactly when the length-d sum vanishes, the test that
+        # pressure's bracket and svpressure's continuity diagnostic make
+        sums = _Sums(WordBudget(), _engine.RunClock(600.0), 1)
+        assert sums.get(NILPOTENT_PAIR, "norm", 1.0, 2) == -math.inf
+        assert sums.get(DIAG_PAIR, "norm", 1.0, 2) > -math.inf
 
     def test_bracket_verdict_costs_exactly_the_length_d_sum(self, engine_calls):
         res = engine_norm_bracket(NILPOTENT_PAIR, 1.0, 0.5)
@@ -153,12 +157,13 @@ class TestScalingCovariance:
         nu = scale_measure(mu, 0.5)
         shift = s * math.log(0.5)
         for n in (1, 2, 3):
-            assert upper_bound(nu, s, n) == pytest.approx(
-                upper_bound(mu, s, n) + shift, abs=1e-9
+            assert log_sum(nu, "norm", s, n) / n == pytest.approx(
+                log_sum(mu, "norm", s, n) / n + shift, abs=1e-9
             )
-            assert lower_bound(nu, s, n) == pytest.approx(
-                lower_bound(mu, s, n) + shift, abs=1e-9
-            )
+        for (_, lo_nu, up_nu), (_, lo_mu, up_mu) in zip(
+                norm_sandwich(nu, s, 3), norm_sandwich(mu, s, 3)):
+            assert lo_nu == pytest.approx(lo_mu + shift, abs=1e-9)
+            assert up_nu == pytest.approx(up_mu + shift, abs=1e-9)
 
 
 class TestBracket:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_phi_sum, random_measure
+from conftest import brute_phi_sum, log_sum, random_measure, sandwich
 from matpress import _engine, linalg, pressure, svpressure
 from matpress.errors import DimensionCapError, InvalidInputError
 from matpress.measure import (
@@ -13,8 +13,6 @@ from matpress.measure import (
     WordBudget,
     hat_measure_2d,
     lifted_measure,
-    norm_kernel,
-    weighted_power_sum,
 )
 from matpress.svpressure import (
     CONTINUOUS,
@@ -25,10 +23,7 @@ from matpress.svpressure import (
     det_pressure,
     lift_params,
     log_planar_constant,
-    lower_bound_2d,
-    lower_bound_lift,
     planar_constant,
-    upper_bound,
 )
 
 
@@ -174,7 +169,7 @@ class TestDetPressure:
 
     def test_multiplicativity_makes_every_upper_bound_exact(self):
         for n in (1, 2, 3):
-            assert upper_bound(DET_PAIR, 2.5, n) == pytest.approx(
+            assert log_sum(DET_PAIR, "phi", 2.5, n) / n == pytest.approx(
                 det_pressure(DET_PAIR, 2.5), rel=1e-9
             )
 
@@ -185,45 +180,47 @@ class TestBounds:
         mu = random_measure(rng, n_atoms=3)
         for n in (1, 2, 3):
             ref = math.log(brute_phi_sum(mu.weights, mu.matrices, n, s)) / n
-            assert upper_bound(mu, s, n) == pytest.approx(ref, rel=1e-10)
+            assert log_sum(mu, "phi", s, n) / n == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("s", [1.25, 1.5, 1.75])
     def test_planar_lower_equals_norm_lower_of_hat_measure(self, rng, s):
         # the 2D inequality is the norm inequality seen through the
         # determinant-tilted companion at exponent 2-s
         mu = random_measure(rng, n_atoms=2)
-        hat = hat_measure_2d(mu, s)
-        for n in (1, 2, 3):
-            assert lower_bound_2d(mu, s, n) == pytest.approx(
-                pressure.lower_bound(hat, 2.0 - s, n), abs=1e-12
-            )
+        planar = sandwich(mu, "phi", s, 2, log_planar_constant(s), 3)
+        hat = sandwich(hat_measure_2d(mu, s), "norm", 2.0 - s, 2,
+                       pressure.log_norm_constant(2, 2.0 - s), 3)
+        for (_, lo, up), (_, hat_lo, hat_up) in zip(planar, hat):
+            assert lo == pytest.approx(hat_lo, abs=1e-12)
+            assert up == pytest.approx(hat_up, abs=1e-12)
 
     def test_planar_lower_below_upper(self, rng):
         mu = random_measure(rng, n_atoms=2)
-        los = [lower_bound_2d(mu, 1.5, n) for n in (1, 2, 3)]
-        ups = [upper_bound(mu, 1.5, n) for n in (1, 2, 3)]
+        los = [lo for _, lo, _ in sandwich(mu, "phi", 1.5, 2, log_planar_constant(1.5), 3)]
+        ups = [log_sum(mu, "phi", 1.5, n) / n for n in (1, 2, 3)]
         assert max(los) <= min(ups) + 1e-9
 
     def test_planar_lower_needs_2d(self):
-        with pytest.raises(InvalidInputError):
-            lower_bound_2d(SCALAR_3D, 1.5, 1)
+        # the route table gives the planar inequality to d = 2 alone
+        assert svpressure._route(2, 1.5, 6, 256)[2] == svpressure.PROVENANCE_PLANAR
+        assert svpressure._route(3, 1.5, 6, 256)[2] == svpressure.PROVENANCE_LIFT
 
     def test_lift_lower_agrees_with_lifted_measure_route(self, rng):
         mu = random_measure(rng, n_atoms=2, d=3, scale=0.5)
         spec = lift_params(3, Fraction(3, 2))
         nu = lifted_measure(mu, spec.k, spec.p, spec.q)
-
-        def norm_sum(m):
-            return weighted_power_sum(nu, m, norm_kernel(1.0 / spec.q)).log
-
-        alt = norm_sum(spec.d_prime) - spec.log_constant - (spec.d_prime - 1) * norm_sum(1)
-        assert lower_bound_lift(mu, Fraction(3, 2), 1) == pytest.approx(alt, abs=1e-7)
+        assert spec.d_prime == 9
+        lift = sandwich(mu, "phi", 1.5, 9, spec.log_constant, 1)
+        alt = sandwich(nu, "norm", 1.0 / spec.q, 9, spec.log_constant, 1)
+        assert lift[0][1] == pytest.approx(alt[0][1], abs=1e-7)
+        assert lift[0][2] == pytest.approx(alt[0][2], abs=1e-7)
 
     def test_lift_lower_below_upper(self, rng):
         mu = random_measure(rng, n_atoms=2, d=3, scale=0.5)
-        lo = lower_bound_lift(mu, Fraction(3, 2), 1)
+        spec = lift_params(3, Fraction(3, 2))
+        lo = sandwich(mu, "phi", 1.5, spec.d_prime, spec.log_constant, 1)[0][1]
         for n in (1, 2):
-            assert lo <= upper_bound(mu, 1.5, n) + 1e-9
+            assert lo <= log_sum(mu, "phi", 1.5, n) / n + 1e-9
 
     def test_lift_lower_evaluates_at_the_nearest_double(self, monkeypatch):
         # k + p/q in floats is 1 + 0.6666666666666666, one ulp below
@@ -238,7 +235,9 @@ class TestBounds:
         monkeypatch.setattr(_engine, "weighted_sums", spy)
         mu = FiniteMatrixMeasure([(1.0, [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]])])
         assert lift_params(3, Fraction(5, 3)).d_prime == 27
-        assert math.isfinite(lower_bound_lift(mu, Fraction(5, 3), 1))
+        res = bracket(mu, Fraction(5, 3), 1e-3, budget=WordBudget(max_word_length=27))
+        assert res.provenance == "lift-sv-bound"
+        assert math.isfinite(res.lower)
         assert exponents and all(s == float(Fraction(5, 3)) for s in exponents)
 
 
