@@ -26,17 +26,18 @@ Evaluation splits into units, one per suffix combination.  Each unit
 produces a log-sigma table chunk: the scaled log singular values of its
 products as contiguous (d, rows) columns, plus its log-weights.  One
 reduction turns a chunk into partial statistics for every exponent, and the
-partials are merged sequentially in a fixed unit order, so results are
-bit-identical for every worker count.  Single-level lengths keep their
-chunks on the measure.  A caller that passes ``tables`` gets, for each
-longer length, a phi^s slope sketch built in the same pass: per unit
-interval k <= s <= k + 1 of the exponent, the rows' weights bucketed by the
-slope l_{k+1}, a few kilobytes from which held_phi_bounds answers any other
-exponent at that length with a certified lower and upper bound, without
-enumerating the words a second time.  max_norm_word, the JSR's log
-maximum word norm (a value; no word is named), reads levels kept without
-the merge and evaluates only the unit rows that a norm bound cannot rule
-out.
+partials are merged sequentially in a fixed unit order; forked processes may
+evaluate later slices of the units and send their partials back
+(_split_fold), so every bit is the same for any process count.  Single-level
+lengths keep their chunks on the measure.  A caller that passes ``tables``
+gets, for each longer length, a phi^s slope sketch built in the same pass:
+per unit interval k <= s <= k + 1 of the exponent, the rows' weights
+bucketed by the slope l_{k+1}, a few kilobytes from which held_phi_bounds
+answers any other exponent at that length with a certified lower and upper
+bound, without enumerating the words a second time.  max_norm_word, the
+JSR's log maximum word norm (a value; no word is named), reads levels kept
+without the merge and evaluates only the unit rows that a norm bound cannot
+rule out.
 
 Singular values take one route per dimension, each row computed on its own,
 so its bits do not depend on the batch, block or worker: d=1 the entry, d=2
@@ -54,6 +55,8 @@ and the d=3 sigma_3 is as accurate relative to itself as sigma_1 sigma_2.
 
 import math
 import numbers
+import os
+import pickle
 import time
 
 import numpy as np
@@ -591,22 +594,30 @@ def _sketch_chunk(chunk, d):
 
 def _merge_segment(acc, new):
     """acc then new, both rescaled to the larger top, bucket by bucket over
-    the union of their bucket ranges."""
+    the union of their bucket ranges.  acc's arrays, the fold's own, take
+    the sum in place, and grow only where new's range reaches outside them;
+    each bucket rounds as fl(fl(E_acc f_acc) + fl(E_new f_new)) either way."""
     if new[0] == -math.inf:
         return acc
     if acc[0] == -math.inf:
         return new
     top = max(acc[0], new[0])
-    both = ((acc, math.exp(acc[0] - top)), (new, math.exp(new[0] - top)))
-    spans = [(seg[1], seg[1] + len(seg[2])) for seg, _ in both if len(seg[2])]
-    first = min((lo for lo, _ in spans), default=0)
-    e = np.zeros(max((hi for _, hi in spans), default=0) - first)
-    g = np.zeros(len(e))
-    for seg, f in both:
-        at = slice(seg[1] - first, seg[1] - first + len(seg[2]))
-        e[at] += seg[2] * f
-        g[at] += seg[3] * f
-    return top, first, e, g, sum(seg[4] * f for seg, f in both)
+    fa, fn = math.exp(acc[0] - top), math.exp(new[0] - top)
+    _, first, e, g, e_inf = acc
+    lo, hi = new[1], new[1] + len(new[2])
+    if not len(e):
+        first = lo
+    if lo < hi and (lo < first or hi > first + len(e)):
+        start = min(first, lo)
+        grown = np.zeros((2, max(first + len(e), hi) - start))
+        grown[:, first - start:first - start + len(e)] = e * fa, g * fa
+        first, (e, g) = start, grown
+    else:
+        e *= fa
+        g *= fa
+    e[lo - first:hi - first] += new[2] * fn
+    g[lo - first:hi - first] += new[3] * fn
+    return top, first, e, g, e_inf * fa + new[4] * fn
 
 
 def _finish_segment(seg):
@@ -680,38 +691,109 @@ def _plan_units(cache, parts):
     return list(np.ndindex(*sizes[1:]))
 
 
-# Fork-inherited state for worker processes; only the parent mutates it, and
-# only while no pool is alive.
-_FORK_STATE = None
+# Work, in units x batch rows x d^2, that earns one more process at a level
+# x suffix length.  A split costs 6-10 ms on a 2-vCPU VM: a bare fork and
+# waitpid of a process holding 60 MB take 3.4 ms, the rest is copy-on-write
+# faults, pickling and reaping.  In-process medians, one process against two:
+# W3 n=14 with its sketch (243 units x 19,683 rows) 249 -> 169 ms, W3 n=12
+# (27 x 19,683) 26.7 -> 25.1, W3 n=10 (3 x 19,683) 3.4 -> 9.1, W2 n=12 d=3
+# (27 x 19,683) 157 -> 126, the dominated d=3 n=18 (8 x 32,768) 108 -> 62,
+# W4 n=16 d=3 (2 x 32,768) 22.3 -> 21.6, W1 n=18 norm (8 x 32,768) 9.2 -> 13.5
+_SPLIT_WORK = 1 << 21
 
 
-def _chunk_worker(i):
-    cache, parts, units = _FORK_STATE
-    return _unit_arrays(cache, parts, units[i])
+def check_workers(workers):
+    """``workers`` if it is None or an int >= 1 (not a bool); else raises."""
+    if workers is None or (isinstance(workers, numbers.Integral)
+                           and not isinstance(workers, bool) and workers >= 1):
+        return workers
+    raise InvalidInputError(f"workers must be None or an integer >= 1, got {workers!r}")
 
 
-def _run_units(cache, parts, units, workers, clock):
-    """Yield each unit's _unit_arrays in unit order, optionally via a fork pool."""
-    global _FORK_STATE
-    workers = max(1, int(workers))
-    if workers == 1 or len(units) <= 1:
-        for unit in units:
-            clock.check()
-            yield _unit_arrays(cache, parts, unit)
-        return
-    import multiprocessing  # ~10 ms, paid only by a run that starts a pool
-    _FORK_STATE = (cache, parts, units)
+def _unit_results(cache, parts, units, kind, s_list, clock, sketch):
+    """Each unit's (_chunk_stats, _sketch_chunk or None without ``sketch``),
+    in unit order, the deadline checked before each."""
+    logw, d = cache.levels[parts[0]][2], cache.d
+    for unit in units:
+        clock.check()
+        cols, shift = _unit_arrays(cache, parts, unit)
+        chunk = (cols, logw, shift)
+        yield _chunk_stats(chunk, kind, s_list, d), _sketch_chunk(chunk, d) if sketch else None
+
+
+def _fork_slice(results):
+    """(pid, read end of its pipe) of a forked child that pickles the list of
+    ``results`` (an unstarted generator), or its exception, to the pipe and
+    leaves by os._exit; None where the fork fails."""
+    r, w = os.pipe()
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(workers, len(units))) as pool:
-            for res in pool.imap(_chunk_worker, range(len(units)), chunksize=1):
-                clock.check()
-                yield res
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    try:
+        try:
+            payload = pickle.dumps((True, list(results)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as fh:
+            fh.write(payload)
     finally:
-        _FORK_STATE = None
+        os._exit(0)
 
 
-def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=None):
+def _split_fold(cache, parts, kind, s_list, clock, workers, sketch):
+    """(stats, sketch segments or None) of a level x suffix length, its units
+    cut into contiguous slices: one per _SPLIT_WORK of work begun, at most
+    ``workers`` (None: the CPUs this process may run on).  This process
+    folds the first while forked children evaluate the others; it folds
+    their per-unit results next, as the merges are not associative, so the
+    bits are the serial fold's.  A child's exception is raised here; on any
+    exception the children left are killed and reaped."""
+    d, units = cache.d, _plan_units(cache, parts)
+    if workers is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    work = len(units) * cache.rows(parts[0]) * d * d
+    k = max(1, min(workers, len(units), -(-work // _SPLIT_WORK))) if hasattr(os, "fork") else 1
+    cuts = [len(units) * i // k for i in range(k + 1)]
+    slices = [_unit_results(cache, parts, units[a:b], kind, s_list, clock, sketch)
+              for a, b in zip(cuts, cuts[1:])]
+    acc, segs, children = [(-math.inf, 0.0)] * len(s_list), [_NO_SEGMENT] * d, {}
+    try:
+        for i in range(1, k):
+            if (child := _fork_slice(slices[i])) is not None:
+                children[i] = child
+        for i, results in enumerate(slices):
+            if i in children:
+                with children[i][1] as fh:
+                    data = fh.read()
+                pid = children.pop(i)[0]
+                status = os.waitpid(pid, 0)[1]
+                if not data:
+                    raise RuntimeError(f"unit process {pid} left no result (wait status {status})")
+                ok, results = pickle.loads(data)
+                if not ok:
+                    raise results
+            for stats, unit_segs in results:
+                acc = [_merge_stats(a, r) for a, r in zip(acc, stats)]
+                if sketch:
+                    segs = [_merge_segment(a, r) for a, r in zip(segs, unit_segs)]
+    finally:
+        if children:
+            import signal  # not at module load, which no other path needs
+        for pid, fh in children.values():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return acc, segs if sketch else None
+
+
+def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=None, tables=None):
     """Log power sums of ``mu`` at length ``n`` for every exponent in s_values.
 
     One shared enumeration serves all exponents.  Returns a float array
@@ -719,36 +801,29 @@ def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=1, tables=N
     ``tables`` (a dict owned by the caller) receives the phi^s slope sketch
     of each length this call enumerates as level x suffix units, built in the
     same pass, from which held_phi_bounds answers other exponents at that
-    length without enumerating the words again.
+    length without enumerating the words again.  ``workers`` caps the
+    processes such a length is split over (_split_fold).
     """
     check_budget(budget, n, mu.n_atoms)
+    check_workers(workers)
     if clock is None:
         clock = RunClock(budget.wall_clock_cap)
-    # held single-level chunks skip _run_units and its per-unit checks, so
-    # the deadline is consulted here and before each chunk is reduced
-    clock.check()
+    clock.check()  # a held single-level length is one chunk: its only check
     s_list = [float(s) for s in s_values]
     cache = _cache_for(mu, dedup=True)
     chunks = cache.sig_cache.get(n)
-    sketch = None
     if chunks is None:
         parts = cache.parts_for(n, clock)
-        arrays = _run_units(cache, parts, _plan_units(cache, parts), workers, clock)
-        logw = cache.levels[parts[0]][2]
-        chunks = ((cols, logw, shift) for cols, shift in arrays)
-        if len(parts) == 1:
-            chunks = cache.sig_cache[n] = list(chunks)
-        elif tables is not None:
-            sketch = [_NO_SEGMENT] * cache.d
+        if len(parts) > 1:
+            acc, segs = _split_fold(cache, parts, kind, s_list, clock, workers, tables is not None)
+            if segs is not None:
+                tables[n] = tuple(_finish_segment(seg) for seg in segs)
+            return np.array([_stats_to_log(a) for a in acc])
+        chunks = cache.sig_cache[n] = [(_unit_arrays(cache, parts, u)[0], cache.levels[n][2], None)
+                                       for u in _plan_units(cache, parts)]
     acc = [(-math.inf, 0.0)] * len(s_list)
     for chunk in chunks:
-        clock.check()
-        stats = _chunk_stats(chunk, kind, s_list, cache.d)
-        acc = [_merge_stats(a, r) for a, r in zip(acc, stats)]
-        if sketch is not None:
-            sketch = [_merge_segment(a, r) for a, r in zip(sketch, _sketch_chunk(chunk, cache.d))]
-    if sketch is not None:
-        tables[n] = tuple(_finish_segment(seg) for seg in sketch)
+        acc = [_merge_stats(a, r) for a, r in zip(acc, _chunk_stats(chunk, kind, s_list, cache.d))]
     return np.array([_stats_to_log(a) for a in acc])
 
 
@@ -787,7 +862,7 @@ def held_phi_bounds(mu, n, s, budget, clock, tables):
 _PRUNE_LOG = 2.0 ** -20
 
 
-def max_norm_word(ms, n, budget, clock=None, workers=1):
+def max_norm_word(ms, n, budget, clock=None, workers=None):
     """Log of the largest word-product norm at length n (-inf when every
     product is zero).
 
@@ -803,10 +878,11 @@ def max_norm_word(ms, n, budget, clock=None, workers=1):
     (the suffix rows' sigma_1 summed in place of S's) does.  Units run in
     descending order of that bound, so the best value rises early; the
     result is bit for bit the maximum over every row.  Each level's sigma_1
-    column is computed once.  ``workers`` is accepted; the pruned
-    evaluation runs in-process.
+    column is computed once.  ``workers`` is checked, but the pruning reads
+    the running best, so the evaluation runs in-process.
     """
     check_budget(budget, n, ms.n_atoms)
+    check_workers(workers)
     if clock is None:
         clock = RunClock(budget.wall_clock_cap)
     clock.check()

@@ -379,7 +379,7 @@ def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
     return _illinois(margin, lo, m_lo, top, m_top, tol)
 
 
-def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
+def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=None):
     """Certified interval of width <= eps around the affinity dimension.
 
     Requires every atom's operator norm strictly below 1 (this makes the
@@ -398,6 +398,7 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     """
     _validate_mu(mu)
     eps = _validate_eps(eps)
+    _engine.check_workers(workers)
     if budget is None:
         budget = WordBudget()
     worst = max(linalg.operator_norm(m) for m in mu._mats)

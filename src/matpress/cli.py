@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import affinity, jsr, pressure, svpressure
@@ -172,8 +173,9 @@ def _exit_for(status):
     return 0 if status in _EXIT_OK else 2
 
 
-def _bracket_report(command, args, mu, params, br):
-    return {
+def _bracket_report(command, args, mu, params, br, out):
+    """Print one bracket's report in ``args.format``; returns the exit code."""
+    report = {
         "command": command,
         "input": _echo(args, mu),
         "parameters": params,
@@ -184,73 +186,48 @@ def _bracket_report(command, args, mu, params, br):
         "wall_time": br.wall_time,
         "provenance": br.provenance,
     }
+    if args.format == "json":
+        print(json.dumps(_json_ready(report), indent=2), file=out)
+    else:
+        _print_bracket_text(report, out)
+    return _exit_for(br.status)
 
 
 def _print_bracket_text(report, out):
     p = report["parameters"]
     pieces = ", ".join(f"{k} = {v}" for k, v in p.items() if v is not None)
     print(f"command: {report['command']}", file=out)
-    print(
-        f"input: {report['input']['path']} "
-        f"(d={report['input']['d']}, {report['input']['n_atoms']} atoms)",
-        file=out,
-    )
+    print(f"input: {report['input']['path']} "
+          f"(d={report['input']['d']}, {report['input']['n_atoms']} atoms)", file=out)
     if pieces:
         print(pieces, file=out)
     lo, up = report["bracket"]["lower"], report["bracket"]["upper"]
     width = up - lo if math.isfinite(up) and math.isfinite(lo) else math.inf
     print(f"bracket: [{_fmt(lo)}, {_fmt(up)}]  (width {_fmt(width)})", file=out)
-    print(
-        f"status: {report['status']}  "
-        f"(n = {report['n_used']}, words = {report['words_evaluated']}, "
-        f"{report['wall_time']:.3f} s)",
-        file=out,
-    )
+    print(f"status: {report['status']}  (n = {report['n_used']}, words = "
+          f"{report['words_evaluated']}, {report['wall_time']:.3f} s)", file=out)
     print(f"provenance: {report['provenance']}", file=out)
 
 
-def _emit(report, args, out):
-    if args.format == "json":
-        print(json.dumps(_json_ready(report), indent=2), file=out)
-    else:
-        _print_bracket_text(report, out)
-
-
 def _cmd_pressure(args, out):
-    mu = parse_input(args.input)
-    s = parse_exponent(args.s)
+    mu, s = parse_input(args.input), parse_exponent(args.s)
     br = pressure.bracket(mu, float(s), args.eps, budget=_budget(args), workers=args.workers)
-    report = _bracket_report(
-        "pressure", args, mu, {"s": str(s), "eps": args.eps}, br
-    )
-    _emit(report, args, out)
-    return _exit_for(br.status)
+    return _bracket_report("pressure", args, mu, {"s": str(s), "eps": args.eps}, br, out)
 
 
 def _cmd_pradius(args, out):
-    mu = parse_input(args.input)
-    p = parse_exponent(args.p)
+    mu, p = parse_input(args.input), parse_exponent(args.p)
     br = pressure.p_radius_bracket(
-        mu, float(p), args.eps, budget=_budget(args), workers=args.workers
-    )
-    report = _bracket_report(
-        "pradius", args, mu, {"p": str(p), "eps": args.eps}, br
-    )
-    _emit(report, args, out)
-    return _exit_for(br.status)
+        mu, float(p), args.eps, budget=_budget(args), workers=args.workers)
+    return _bracket_report("pradius", args, mu, {"p": str(p), "eps": args.eps}, br, out)
 
 
 def _cmd_svpressure(args, out):
-    mu = parse_input(args.input)
-    s = parse_exponent(args.s)
+    mu, s = parse_input(args.input), parse_exponent(args.s)
     br = svpressure.bracket(
-        mu, s, args.eps, budget=_budget(args), q_cap=args.q_cap, workers=args.workers
-    )
-    report = _bracket_report(
-        "svpressure", args, mu, {"s": str(s), "eps": args.eps, "q_cap": args.q_cap}, br
-    )
-    _emit(report, args, out)
-    return _exit_for(br.status)
+        mu, s, args.eps, budget=_budget(args), q_cap=args.q_cap, workers=args.workers)
+    params = {"s": str(s), "eps": args.eps, "q_cap": args.q_cap}
+    return _bracket_report("svpressure", args, mu, params, br, out)
 
 
 def _cmd_affdim(args, out):
@@ -275,34 +252,20 @@ def _cmd_affdim(args, out):
     else:
         lo, up = res.interval
         print("command: affdim", file=out)
-        print(
-            f"input: {args.input} (d={mu.dimension}, {mu.n_atoms} atoms)", file=out
-        )
+        print(f"input: {args.input} (d={mu.dimension}, {mu.n_atoms} atoms)", file=out)
         print(f"eps = {args.eps}", file=out)
-        print(
-            f"interval: [{_fmt(lo)}, {_fmt(up)}]  (width {_fmt(up - lo)})", file=out
-        )
+        print(f"interval: [{_fmt(lo)}, {_fmt(up)}]  (width {_fmt(up - lo)})", file=out)
         print(f"branch: {res.branch}  steps: {res.steps}", file=out)
-        print(
-            f"status: {res.status}  (words = {res.words_evaluated}, "
-            f"{res.wall_time:.3f} s)",
-            file=out,
-        )
+        print(f"status: {res.status}  (words = {res.words_evaluated}, "
+              f"{res.wall_time:.3f} s)", file=out)
     return _exit_for(res.status)
 
 
 def _cmd_jsr(args, out):
     mu = parse_input(args.input)
-    br = jsr.jsr_bracket(
-        mu,
-        eps=args.eps,
-        budget=_budget(args),
-        use_spectral_floor=not args.no_spectral_floor,
-        workers=args.workers,
-    )
-    report = _bracket_report("jsr", args, mu, {"eps": args.eps}, br)
-    _emit(report, args, out)
-    return _exit_for(br.status)
+    br = jsr.jsr_bracket(mu, eps=args.eps, budget=_budget(args),
+                         use_spectral_floor=not args.no_spectral_floor, workers=args.workers)
+    return _bracket_report("jsr", args, mu, {"eps": args.eps}, br, out)
 
 
 def _cmd_scan(args, out):
@@ -316,19 +279,7 @@ def _cmd_scan(args, out):
             "command": "scan",
             "input": _echo(args, mu),
             "parameters": {"s": s_list, "eps": args.eps},
-            "points": [
-                {
-                    "s": pt.s,
-                    "m_lower": pt.m_lower,
-                    "m_upper": pt.m_upper,
-                    "radius_lower": pt.radius_lower,
-                    "radius_upper": pt.radius_upper,
-                    "status": pt.status,
-                    "n_used": pt.n_used,
-                    "words_evaluated": pt.words_evaluated,
-                }
-                for pt in result.points
-            ],
+            "points": [asdict(pt) for pt in result.points],
             "jsr": {
                 "lower": result.jsr.lower,
                 "upper": result.jsr.upper,
@@ -376,8 +327,9 @@ def build_parser():
                        help="nominal word cap per power-sum evaluation (default 1e7)")
         p.add_argument("--time-limit", type=float, default=600.0,
                        help="wall-clock cap in seconds (default 600)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for the enumeration (default 1)")
+        p.add_argument("--workers", type=int, default=None,
+                       help="processes for long word lengths (default: the CPUs "
+                       "this process may use; 1 runs serially)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("pressure", help="norm pressure M(mu,s) bracket")

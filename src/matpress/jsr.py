@@ -98,7 +98,7 @@ def _spectral_floor(mats, cap, n_atoms):
 
 
 def jsr_bracket(
-    source, eps=None, budget=None, use_spectral_floor=True, floor_cap=4096, workers=1
+    source, eps=None, budget=None, use_spectral_floor=True, floor_cap=4096, workers=None
 ):
     """Two-sided bracket on the joint spectral radius (linear scale).
 
@@ -115,6 +115,7 @@ def jsr_bracket(
         budget = WordBudget()
     if eps is not None and not (float(eps) > 0.0):
         raise InvalidInputError(f"eps must be positive when given, got {eps}")
+    _engine.check_workers(workers)
     t0 = time.monotonic()
     diag = pressure._triangular_diagonals(mu._mats)
     if diag is None:
@@ -201,7 +202,7 @@ class ScanResult:
 _DEFAULT_SCAN_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=1):
+def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=None):
     """Brackets of exp(M(mu,s)/s) along a grid of growing exponents.
 
     As s grows these converge to the joint spectral radius of the support

@@ -183,7 +183,7 @@ class FiniteMatrixMeasure:
         return f"FiniteMatrixMeasure(n_atoms={self.n_atoms}, dimension={self.dimension})"
 
 
-def weighted_power_sum(mu, n, kernel, budget=None, workers=1):
+def weighted_power_sum(mu, n, kernel, budget=None, workers=None):
     """Log of the weighted power sum over all words of length ``n``.
 
     Sums (prod of weights along w) * kernel(A_w) over the N^n words w, in log

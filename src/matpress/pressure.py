@@ -316,7 +316,7 @@ def _triangular_bracket(mu, s, k, eps):
     return _closed_form_bracket(mu, bounds, eps, t0, PROVENANCE_TRIANGULAR)
 
 
-def bracket(mu, s, eps, budget=None, workers=1):
+def bracket(mu, s, eps, budget=None, workers=None):
     """Certified bracket for M(mu,s) to width < eps, within the budget.
 
     A family that is upper triangular in one coordinate order gets the
@@ -331,6 +331,7 @@ def bracket(mu, s, eps, budget=None, workers=1):
     _validate_mu(mu)
     s = _validate_s(s)
     eps = _validate_eps(eps)
+    _engine.check_workers(workers)
     if budget is None:
         budget = WordBudget()
     d, log_k = mu.dimension, log_norm_constant(mu.dimension, s)
@@ -338,7 +339,7 @@ def bracket(mu, s, eps, budget=None, workers=1):
         mu, "norm", s, d, log_k, eps, budget, workers, PROVENANCE_NORM)
 
 
-def p_radius_bracket(source, p, eps, budget=None, workers=1):
+def p_radius_bracket(source, p, eps, budget=None, workers=None):
     """Certified bracket for the p-radius, on the linear scale.
 
     The p-radius of unit-weight atoms (A_1,...,A_N) is

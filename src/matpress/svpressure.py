@@ -193,7 +193,7 @@ def _det_bounds(mu, s):
     return pressure._TriangularForm(mu._weights, dets).bounds(s / mu.dimension, 0)
 
 
-def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
+def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=None):
     """Certified bracket for P(mu,s) to width < eps, routed by (d, s).
 
     ``s`` may be a float, int, or Fraction; exact rationals unlock the lift
@@ -205,6 +205,7 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=1):
     pressure._validate_mu(mu)
     s_float = pressure._validate_s(s)
     eps = pressure._validate_eps(eps)
+    _engine.check_workers(workers)
     if budget is None:
         budget = WordBudget()
     d = mu.dimension
@@ -308,7 +309,7 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
     )
 
 
-def continuity_at_one(mu, eps, budget=None, workers=1):
+def continuity_at_one(mu, eps, budget=None, workers=None):
     """2D diagnostic for the jump of P(., 1) against the invertible part.
 
     P on 2x2 measures is discontinuous at (mu, 1) exactly when
@@ -322,6 +323,7 @@ def continuity_at_one(mu, eps, budget=None, workers=1):
     if mu.dimension != 2:
         raise InvalidInputError("the continuity diagnostic is 2D only")
     eps = pressure._validate_eps(eps)
+    _engine.check_workers(workers)
     if budget is None:
         budget = WordBudget()
     mu0 = restrict_invertible(mu)

@@ -1,6 +1,5 @@
 import collections
 import itertools
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,26 +13,43 @@ def rng():
     return np.random.default_rng(20260817)
 
 
+class SplitSizes(list):
+    """Process counts of the engine's level x suffix splits that forked, one
+    entry per split; ``lower_work(w)`` sets _engine._SPLIT_WORK to w, so
+    that small inputs split."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self._monkeypatch = monkeypatch
+
+    def lower_work(self, work):
+        self._monkeypatch.setattr(_engine, "_SPLIT_WORK", work)
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Process counts of the worker pools the engine starts in one test."""
-    sizes = []
-    real_get_context = multiprocessing.get_context
+def split_sizes(monkeypatch):
+    """SplitSizes of one test."""
+    sizes = SplitSizes(monkeypatch)
+    forks = []
+    real_split, real_fork = _engine._split_fold, _engine._fork_slice
 
-    class SpyContext:
-        def __init__(self, ctx):
-            self.ctx = ctx
+    def fork(results):
+        child = real_fork(results)  # in the child this never returns
+        if child is not None:
+            forks[-1] += 1
+        return child
 
-        def Pool(self, processes=None, **kwargs):
-            sizes.append(processes)
-            return self.ctx.Pool(processes, **kwargs)
+    def split(*args, **kwargs):
+        forks.append(0)
+        try:
+            return real_split(*args, **kwargs)
+        finally:
+            if forks[-1]:
+                sizes.append(1 + forks[-1])
+            forks.pop()
 
-    # the engine imports multiprocessing when it starts a pool, so the spy
-    # sits on the module itself
-    monkeypatch.setattr(
-        multiprocessing, "get_context",
-        lambda method=None: SpyContext(real_get_context(method)),
-    )
+    monkeypatch.setattr(_engine, "_fork_slice", fork)
+    monkeypatch.setattr(_engine, "_split_fold", split)
     return sizes
 
 

@@ -229,7 +229,7 @@ def test_criterion_13_p_radius():
     _pass(13, "contains 0.3, upper endpoint exact")
 
 
-def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes, enumeration_only):
+def test_criterion_14_worker_determinism(tmp_path, capsys, split_sizes, enumeration_only):
     # DIAG_PAIR and MORAN3 are triangular: with the closed form off they
     # take the enumeration routes whose worker counts this compares
     diag_doc = tmp_path / "diag.json"
@@ -237,10 +237,10 @@ def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes, enumerati
     moran_doc = tmp_path / "moran.json"
     moran_doc.write_text(cli.emit_input(MORAN3))
 
-    def run(argv):
+    def run(argv, expect=0):
         code = cli.main(argv)
         out = capsys.readouterr().out
-        assert code == 0
+        assert code == expect
         return json.loads(out)
 
     per_workers = [
@@ -261,22 +261,30 @@ def test_criterion_14_worker_determinism(tmp_path, capsys, pool_sizes, enumerati
         a, b = (r["interval"][key] for r in per_workers)
         assert abs(a - b) <= 1e-10
     assert enumeration_only["weighted_sums"] > 0
+    assert split_sizes == []
 
-    # The runs above never pass the engine's row cap, so they stay serial.
+    # The runs above never pass the engine's row cap, so nothing splits.
     # Three 3x3 atoms do at n=12: the bracket needs that sum for its lower
-    # bound at n=4 (width 1.96; 2.60 at n=3), the sum is split into 27
-    # units (level 9 times each length-3 suffix), and --workers 4 runs them
-    # in a pool of four processes.
+    # bound at n=4 (width 1.96; 2.60 at n=3), and its 27 units (level 9
+    # times each length-3 suffix) carry work for three processes.  Three
+    # 2x2 atoms pass it at lengths 10 and 12, which a run capped at n=12
+    # reaches, and split under a lowered work rule.
     rng = np.random.default_rng(14)
-    dense = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)])
-    dense_doc = tmp_path / "dense.json"
-    dense_doc.write_text(cli.emit_input(dense))
-    assert pool_sizes == []
-    per_workers = [
-        run(["pressure", str(dense_doc), "--s", "1", "--eps", "2.2",
-             "--workers", w, "--format", "json"])
-        for w in ("1", "4")
-    ]
-    assert pool_sizes == [4]
-    assert per_workers[0]["bracket"] == per_workers[1]["bracket"]
-    _pass(14, "workers 1 and 4 agree on every endpoint")
+    for d, argv, expect, splits in (
+        (3, ["--eps", "2.2"], 0, 1),
+        (2, ["--eps", "1e-6", "--max-n", "12"], 2, 2),
+    ):
+        mu = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (d, d))) for _ in range(3)])
+        doc = tmp_path / f"dense{d}.json"
+        doc.write_text(cli.emit_input(mu))
+        if d == 2:
+            split_sizes.lower_work(1 << 10)
+        reports = []
+        for w in (1, 2, 3):
+            reports.append(run(["pressure", str(doc), "--s", "1", *argv,
+                                "--workers", str(w), "--format", "json"], expect))
+            assert split_sizes == ([w] * splits if w > 1 else [])
+            split_sizes.clear()
+        for key in ("bracket", "status", "n_used", "words_evaluated"):
+            assert reports[0][key] == reports[1][key] == reports[2][key]
+    _pass(14, "workers 1, 2 and 3 agree on every endpoint")

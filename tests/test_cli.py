@@ -365,3 +365,20 @@ class TestMainErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert "exponent" in captured.err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command, extra", [
+        ("pressure", ["--s", "1"]), ("pradius", ["--p", "2"]), ("svpressure", ["--s", "1.5"]),
+        ("affdim", []), ("jsr", []), ("scan", ["--s", "1,2"]),
+    ])
+    def test_bad_workers_exit_one(self, tmp_path, capsys, command, extra, workers):
+        path = write_doc(tmp_path, DIAG_PAIR_DOC)
+        code = cli.main([command, path, *extra, "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "workers" in captured.err
+        assert captured.out == ""
+
+    def test_workers_default_to_automatic(self, tmp_path):
+        path = write_doc(tmp_path, DIAG_PAIR_DOC)
+        assert cli.build_parser().parse_args(["pressure", path, "--s", "1"]).workers is None

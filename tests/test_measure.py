@@ -256,16 +256,21 @@ def test_scale_measure_shifts_log_sums_exactly(rng):
         assert shifted == pytest.approx(base + n * s * math.log(0.5), abs=1e-12)
 
 
-def test_workers_do_not_change_bits(rng, pool_sizes):
-    mu = random_measure(rng, n_atoms=2, d=2)
-    a = weighted_power_sum(mu, 9, norm_kernel(1.3), workers=1).log
-    b = weighted_power_sum(mu, 9, norm_kernel(1.3), workers=3).log
-    assert a == b
+def test_workers_do_not_change_bits(rng, split_sizes):
     # three 3x3 atoms: level 10 would pass the row cap, so n=12 is evaluated
-    # as level 9 times each length-3 suffix, 27 units for the pool
-    mu = FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)])
-    a = weighted_power_sum(mu, 12, norm_kernel(1.3), workers=1).log
-    assert pool_sizes == []
-    b = weighted_power_sum(mu, 12, norm_kernel(1.3), workers=3).log
-    assert pool_sizes == [3]
-    assert a == b
+    # as level 9 times each length-3 suffix, 27 units with work for three
+    # processes; two 2x2 atoms at n=17 are level 15 times each length-2
+    # suffix, 4 units, which split under a lowered work rule
+    cases = [
+        (FiniteMatrixMeasure([(1.0, rng.uniform(-1.0, 1.0, (3, 3))) for _ in range(3)]), 12),
+        (random_measure(rng, n_atoms=2, d=2), 17),
+    ]
+    for mu, n in cases:
+        if mu.dimension == 2:
+            split_sizes.lower_work(1 << 16)
+        a = weighted_power_sum(mu, n, norm_kernel(1.3), workers=1).log
+        assert split_sizes == []
+        for workers in (2, 3):
+            b = weighted_power_sum(mu, n, norm_kernel(1.3), workers=workers).log
+            assert split_sizes.pop() == workers and split_sizes == []
+            assert a.hex() == b.hex()
