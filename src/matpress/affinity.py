@@ -36,7 +36,7 @@ from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
 from .pressure import _ROUNDING, _validate_eps, _validate_mu
-from .svpressure import _route
+from .svpressure import _route, _validate_q_cap
 
 __all__ = [
     "AffinityResult",
@@ -218,7 +218,7 @@ def solve_determinant_dimension(mu, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
-def _lower_test_params(d, t, q_cap, dim_cap):
+def _lower_test_params(d, t, q_cap):
     """(block length multiplier, log constant) of the lower test at exponent t.
 
     Returns None when no product inequality is available at t (lift
@@ -226,7 +226,7 @@ def _lower_test_params(d, t, q_cap, dim_cap):
     needed (d >= 3 and t > 1).
     """
     try:
-        return _route(d, t, q_cap, dim_cap)[:2]
+        return _route(d, t, q_cap)[:2]
     except (InvalidInputError, DimensionCapError):
         return None
 
@@ -345,7 +345,7 @@ def _upper_end(cache, n, lo, hi, tol):
     return _illinois(lambda s: _upper_margin(cache, n, s), hi, m_hi, lo, m_lo, tol)
 
 
-def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
+def _lower_end(cache, n, lo, hi, tol, q_cap):
     """(lo, fires): the highest point of [lo, hi] found where the lower test
     fires at length n.
 
@@ -357,7 +357,7 @@ def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
     mu, budget, d = cache.mu, cache.budget, cache.mu.dimension
     lifts = {Fraction(a, q) for q in range(1, q_cap + 1) for a in range(q + 1, d * q)}
     for t in sorted((t for t in lifts if lo < t < hi), reverse=True) if d >= 3 else ():
-        params = _lower_test_params(d, t, q_cap, dim_cap)
+        params = _lower_test_params(d, t, q_cap)
         if (params is not None and _engine.feasible(budget, n * params[0], mu.n_atoms)
                 and _lower_margin(cache, n, float(t), *params) > 0.0):
             return float(t), 1
@@ -366,7 +366,7 @@ def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
         return lo, 0
 
     def margin(s):
-        return _lower_margin(cache, n, s, *_lower_test_params(d, s, q_cap, dim_cap))
+        return _lower_margin(cache, n, s, *_lower_test_params(d, s, q_cap))
 
     m_top = margin(top)
     if m_top > 0.0:
@@ -379,7 +379,7 @@ def _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap):
     return _illinois(margin, lo, m_lo, top, m_top, tol)
 
 
-def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=None):
+def affinity_dimension(mu, eps, budget=None, q_cap=6, workers=None):
     """Certified interval of width <= eps around the affinity dimension.
 
     Requires every atom's operator norm strictly below 1 (this makes the
@@ -399,6 +399,7 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=None)
     _validate_mu(mu)
     eps = _validate_eps(eps)
     _engine.check_workers(workers)
+    _validate_q_cap(q_cap)
     if budget is None:
         budget = WordBudget()
     worst = max(linalg.operator_norm(m) for m in mu._mats)
@@ -420,12 +421,12 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, dim_cap=256, workers=None)
             kinks=[float(k) for k in range(1, mu.dimension)])
         branch = "triangular"
     else:
-        return _sweep(mu, eps, budget, q_cap, dim_cap, workers)
+        return _sweep(mu, eps, budget, q_cap, workers)
     status = "certified" if hi - lo <= eps else "budget_exhausted"
     return AffinityResult((lo, hi), branch, steps, status, ((lo, hi),), 0, time.monotonic() - t0)
 
 
-def _sweep(mu, eps, budget, q_cap, dim_cap, workers):
+def _sweep(mu, eps, budget, q_cap, workers):
     """The interval-refinement route of affinity_dimension, on any family.
 
     Step n walks the upper end at length n, then the lower end (whose test
@@ -448,7 +449,7 @@ def _sweep(mu, eps, budget, q_cap, dim_cap, workers):
                 hi, fires = _upper_end(cache, n, lo, hi, tol)
                 steps += fires
             if hi - lo > eps:
-                lo, fires = _lower_end(cache, n, lo, hi, tol, q_cap, dim_cap)
+                lo, fires = _lower_end(cache, n, lo, hi, tol, q_cap)
                 steps += fires
             longest = max(length for _, length in cache.vals)
             if hi - lo > eps and longest > max(n, walked):

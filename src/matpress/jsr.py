@@ -1,10 +1,11 @@
 """Joint spectral radius brackets and the zero-temperature scan.
 
-jsr_bracket sweeps n = 1, 2, ... over word-norm maxima, values only (no
-maximizing word is kept).  Upper bounds: max ||A_w||^(1/m) over length-m
+jsr_bracket runs pressure's one sandwich (pressure._sandwich) over
+word-norm maxima, values only (no maximizing word is kept), each length
+evaluated and counted once.  Upper bounds: max ||A_w||^(1/m) over length-m
 words is valid for every m, and each step offers m = n and n*d.  Lower
 bounds come from the quantified gap between the maxima at lengths n*d and
-n (constant d^(d+1)), optionally
+n (constant d^(d+1), Bochi's inequality), optionally
 sharpened by the classical spectral-radius floor max rho(A_w)^(1/n) —
 standard theory rather than a power-sum inequality, so it carries its own
 provenance tag.  Atoms equal under == are enumerated once, and words and
@@ -127,55 +128,40 @@ def jsr_bracket(
 
 def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
     """jsr_bracket's enumeration route, on the distinct atoms ``mu`` of an
-    n_atoms-letter family (see _coerce_set), any family; feasible(budget,
-    n d, n_atoms) meters the nominal count at each step n."""
+    n_atoms-letter family (see _coerce_set), any family: the spectral floor,
+    then pressure._sandwich on the largest word norms (kind "max") with
+    block d and log K = (d + 1) log d, whose steps map through exp.  The
+    run's _Sums meters lengths and counts words at the nominal count, each
+    length once."""
     t0 = time.monotonic()
     d = mu.dimension
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    lo, up = 0.0, math.inf
-    lo_from = PROVENANCE_BOCHI
-    n_used = 0
-    words = 0
-    status = "budget_exhausted"
+    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers, n_atoms)
+    lo, up, n_used, status, lo_from = 0.0, math.inf, 0, "budget_exhausted", PROVENANCE_BOCHI
     if use_spectral_floor:
         floor = _spectral_floor(mu._mats, floor_cap, n_atoms)
         if floor > lo:
             lo = floor
             lo_from = PROVENANCE_FLOOR
     try:
-        n = 1
-        while _engine.feasible(budget, n * d, n_atoms):
-            clock.check()
-            short_max = _engine.max_norm_word(mu, n, budget, clock=clock, workers=workers)
-            long_max = _engine.max_norm_word(mu, n * d, budget, clock=clock, workers=workers)
-            words += _engine.nominal_words(n, n_atoms) + _engine.nominal_words(n * d, n_atoms)
-            if short_max == -math.inf or long_max == -math.inf:
+        for n_used, log_lo, log_up in pressure._sandwich(
+                mu, "max", 1.0, d, (d + 1) * math.log(d), sums):
+            if log_up == -math.inf:
                 # some power of the whole family vanished: radius is exactly 0
-                up = 0.0
-                lo = 0.0
-                lo_from = PROVENANCE_BOCHI
-                n_used = n
-                status = "certified"
+                lo, up, lo_from, status = 0.0, 0.0, PROVENANCE_BOCHI, "certified"
                 break
-            up = min(up, math.exp(short_max / n), math.exp(long_max / (n * d)))
-            bochi = math.exp(
-                (long_max - (d + 1) * math.log(d) - (d - 1) * short_max) / n
-            )
+            up, bochi = math.exp(log_up), math.exp(log_lo)
             if bochi > lo:
-                lo = bochi
-                lo_from = PROVENANCE_BOCHI
+                lo, lo_from = bochi, PROVENANCE_BOCHI
             # eigenvalue round-off in the spectral floor can overshoot an
             # exact norm upper by a few ulps; keep lo <= up unconditionally
             lo = min(lo, up)
-            n_used = n
             if up == lo or (eps is not None and up - lo <= float(eps)):
                 status = "certified"
                 break
-            n += 1
     except BudgetExhaustedError:
         pass
     return PressureBracket(
-        lo, up, n_used, status, words, time.monotonic() - t0, lo_from
+        lo, up, n_used, status, sums.words, time.monotonic() - t0, lo_from
     )
 
 

@@ -24,6 +24,8 @@ __all__ = [
     "lift",
 ]
 
+_DIM_CAP = 256  # the largest lifted dimension of lift and svpressure.lift_params
+
 
 def as_matrix(a, d=None):
     """Validate and return ``a`` as a finite square float64 array.
@@ -124,7 +126,7 @@ def kronecker(a, b):
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def lift(a, k, p, q, dim_cap=256):
+def lift(a, k, p, q):
     """Kronecker/exterior lift whose operator norm encodes phi^(k + p/q).
 
     Returns (a^wedge k)^(tensor (q-p)) tensor (a^wedge (k+1))^(tensor p).
@@ -137,7 +139,7 @@ def lift(a, k, p, q, dim_cap=256):
 
     Preconditions: 0 < k < d, 0 <= p < q, gcd(p, q) = 1.  Raises
     DimensionCapError when the lifted dimension C(d,k)^(q-p) * C(d,k+1)^p
-    would exceed ``dim_cap``.
+    would exceed _DIM_CAP (256).
     """
     a = as_matrix(a)
     d = a.shape[0]
@@ -151,9 +153,9 @@ def lift(a, k, p, q, dim_cap=256):
         raise InvalidInputError(f"lift exponents must be coprime, got p={p} q={q}")
     k, p, q = int(k), int(p), int(q)
     dim = math.comb(d, k) ** (q - p) * math.comb(d, k + 1) ** p
-    if dim > dim_cap:
+    if dim > _DIM_CAP:
         raise DimensionCapError(
-            f"lifted dimension {dim} exceeds cap {dim_cap} (d={d}, k={k}, p={p}, q={q})"
+            f"lifted dimension {dim} exceeds cap {_DIM_CAP} (d={d}, k={k}, p={p}, q={q})"
         )
     lo = exterior_power(a, k)
     hi = exterior_power(a, k + 1) if p else None

@@ -230,7 +230,7 @@ def hat_measure_2d(mu, s):
     return FiniteMatrixMeasure(zip(new_w, mu._mats[keep]))
 
 
-def lifted_measure(mu, k, p, q, dim_cap=256):
+def lifted_measure(mu, k, p, q):
     """Pushforward of the measure under the exterior/Kronecker lift.
 
     Weights are unchanged; each atom matrix is replaced by
@@ -239,15 +239,13 @@ def lifted_measure(mu, k, p, q, dim_cap=256):
     measure at exponent 1/q equal phi power sums of ``mu`` at k + p/q.
     """
     return FiniteMatrixMeasure(
-        (w, linalg.lift(m, k, p, q, dim_cap=dim_cap)) for w, m in zip(mu._weights, mu._mats)
+        (w, linalg.lift(m, k, p, q)) for w, m in zip(mu._weights, mu._mats)
     )
 
 
-def restrict_invertible(mu, det_tol=0.0):
-    """Sub-measure of atoms with |det A| > det_tol; None if none survive."""
-    if det_tol < 0.0:
-        raise InvalidInputError("det_tol must be nonnegative")
-    keep = _abs_dets(mu) > det_tol
+def restrict_invertible(mu):
+    """Sub-measure of atoms with |det A| > 0; None if none survive."""
+    keep = _abs_dets(mu) > 0.0
     if not np.any(keep):
         return None
     return FiniteMatrixMeasure(zip(mu._weights[keep], mu._mats[keep]))

@@ -12,9 +12,9 @@ turns the pair (S_n, S_{n d}) into a lower bound.  Running the two families
 over increasing n yields a monotone sandwich that certifies M to any
 requested width, or detects M = -inf exactly from the length-d sum.
 
-That sandwich and its power-sum cache live here once (_sandwich, _Sums) for
-any block b and constant K; svpressure's planar and lift routes and its
-continuity diagnostic reuse them.
+That sandwich and its sum cache live here once (_sandwich, _Sums) for any
+block b and constant K; svpressure's routes, its irrational lower end and
+continuity diagnostic, and the JSR's sweep of word-norm maxima reuse them.
 
 One route needs no enumeration: when one coordinate order makes every atom
 upper triangular, M, the singular-value pressure P and the joint spectral
@@ -157,36 +157,44 @@ def _validate_d_s(d, s):
 
 
 class _Sums:
-    """Log power sums of one run, keyed by (measure, kind, exponent, length).
+    """Log sums of one run, keyed by (measure, kind, exponent, length): the
+    power sum of kind "norm" or "phi", or with kind "max" the largest word
+    norm (_engine.max_norm_word, s unused).  Lengths are metered (feasible)
+    and ``words`` adds N^n once per key at the nominal letter count
+    ``n_atoms`` (None: the measure's own)."""
 
-    ``words`` adds the nominal word count N^n of every key evaluated.
-    """
-
-    def __init__(self, budget, clock, workers):
-        self.budget, self.clock, self.workers = budget, clock, workers
+    def __init__(self, budget, clock, workers, n_atoms=None):
+        self.budget, self.clock, self.workers, self.n_atoms = budget, clock, workers, n_atoms
         self.store, self.words = {}, 0
+
+    def feasible(self, mu, n):
+        return _engine.feasible(self.budget, n, self.n_atoms or mu.n_atoms)
 
     def get(self, mu, kind, s, n):
         key = (id(mu), kind, float(s), n)
         if key not in self.store:
-            self.store[key] = float(_engine.weighted_sums(
-                mu, n, kind, [float(s)], self.budget, clock=self.clock, workers=self.workers
-            )[0])
-            self.words += _engine.nominal_words(n, mu.n_atoms)
+            ask = {"clock": self.clock, "workers": self.workers}
+            self.store[key] = float(
+                _engine.max_norm_word(mu, n, self.budget, **ask) if kind == "max"
+                else _engine.weighted_sums(mu, n, kind, [float(s)], self.budget, **ask)[0])
+            self.words += _engine.nominal_words(n, self.n_atoms or mu.n_atoms)
         return self.store[key]
 
 
 def _sandwich(mu, kind, s, block, log_k, sums):
-    """Yield (n, lower, upper) for n = 1, 2, ... while length n*block is feasible:
-    the running min of (1/m) log S_m over both lengths m = n, n*b of every
-    step (log S_m is subadditive, so each is an upper bound) and the running
-    max of (1/n) [log S_nb - log K - (b-1) log S_n], b = block, log K = log_k.
+    """Yield (n, lower, upper) for n = 1, 2, ... while length n*block is
+    feasible (sums.feasible, at its nominal count): the running min of
+    (1/m) log S_m over both lengths m = n, n*b of every step (log S_m is
+    subadditive, so each is an upper bound) and the running max of
+    (1/n) [log S_nb - log K - (b-1) log S_n], b = block, log K = log_k.
+    S_m is a power sum, or with kind "max" the largest norm of a length-m
+    word, for which Bochi (Linear Algebra Appl. 368, 2003) gives this form.
 
     A vanishing sum ends the sweep with lower = upper = -inf: the products
     of that length are exact zeros, so are all longer ones, and M = -inf.
     """
     lo, up, n = -math.inf, math.inf, 1
-    while _engine.feasible(sums.budget, n * block, mu.n_atoms):
+    while sums.feasible(mu, n * block):
         sums.clock.check()
         sn = sums.get(mu, kind, s, n)
         snb = sums.get(mu, kind, s, n * block)
@@ -207,8 +215,7 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance):
     sums = _Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
     lo, up, n_used, status = -math.inf, math.inf, 0, _EXHAUSTED
     try:
-        feasible = _engine.feasible(budget, block, mu.n_atoms)
-        if feasible and sums.get(mu, kind, s, block) == -math.inf:
+        if sums.feasible(mu, block) and sums.get(mu, kind, s, block) == -math.inf:
             lo = up = -math.inf
             n_used, status = block, _MINUS_INF
         else:

@@ -114,14 +114,20 @@ def _exact_fraction(s, q_cap):
     return frac if frac.denominator <= q_cap else None
 
 
-def lift_params(d, s, q_cap=6, dim_cap=256):
+def _validate_q_cap(q_cap):
+    if not (isinstance(q_cap, numbers.Integral) and not isinstance(q_cap, bool) and q_cap >= 1):
+        raise InvalidInputError(f"q_cap must be an integer >= 1, got {q_cap!r}")
+
+
+def lift_params(d, s, q_cap=6):
     """LiftSpec for rational s = k + p/q with 0 < k < d.
 
     ``s`` may be a Fraction, an integer, or a float that is exactly a
     rational with denominator <= q_cap (pass a Fraction for thirds etc.).
-    Raises DimensionCapError when d' would exceed dim_cap, and
+    Raises DimensionCapError when d' would exceed linalg._DIM_CAP (256), and
     InvalidInputError for s outside [1, d) or denominators above q_cap.
     """
+    _validate_q_cap(q_cap)
     if not (isinstance(d, int) and d >= 2):
         raise InvalidInputError(f"lift route needs integer dimension d >= 2, got {d}")
     frac = _exact_fraction(s, q_cap)
@@ -137,9 +143,9 @@ def lift_params(d, s, q_cap=6, dim_cap=256):
     rem = frac - k
     p, q = rem.numerator, rem.denominator
     d_prime = math.comb(d, k) ** (q - p) * math.comb(d, k + 1) ** p
-    if d_prime > dim_cap:
+    if d_prime > linalg._DIM_CAP:
         raise DimensionCapError(
-            f"lifted dimension {d_prime} exceeds cap {dim_cap} for d={d}, s={frac}"
+            f"lifted dimension {d_prime} exceeds cap {linalg._DIM_CAP} for d={d}, s={frac}"
         )
     log_constant = (2.0 + (d_prime + 1) / q) * math.log(d_prime) + (
         (q - 1) / q
@@ -147,7 +153,7 @@ def lift_params(d, s, q_cap=6, dim_cap=256):
     return LiftSpec(k=k, p=p, q=q, d_prime=d_prime, log_constant=log_constant)
 
 
-def _route(d, s, q_cap, dim_cap):
+def _route(d, s, q_cap):
     """(block b, log K, provenance) of the product inequality at 0 < s < d:
     norm for s <= 1, planar for d = 2, else the lift (raises where none exists).
     """
@@ -155,7 +161,7 @@ def _route(d, s, q_cap, dim_cap):
         return d, log_norm_constant(d, float(s)), pressure.PROVENANCE_NORM
     if d == 2:
         return 2, log_planar_constant(float(s)), PROVENANCE_PLANAR
-    spec = lift_params(d, s, q_cap=q_cap, dim_cap=dim_cap)
+    spec = lift_params(d, s, q_cap=q_cap)
     return spec.d_prime, spec.log_constant, PROVENANCE_LIFT
 
 
@@ -193,7 +199,7 @@ def _det_bounds(mu, s):
     return pressure._TriangularForm(mu._weights, dets).bounds(s / mu.dimension, 0)
 
 
-def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=None):
+def bracket(mu, s, eps, budget=None, q_cap=6, workers=None):
     """Certified bracket for P(mu,s) to width < eps, routed by (d, s).
 
     ``s`` may be a float, int, or Fraction; exact rationals unlock the lift
@@ -206,6 +212,7 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=None):
     s_float = pressure._validate_s(s)
     eps = pressure._validate_eps(eps)
     _engine.check_workers(workers)
+    _validate_q_cap(q_cap)
     if budget is None:
         budget = WordBudget()
     d = mu.dimension
@@ -226,14 +233,14 @@ def bracket(mu, s, eps, budget=None, q_cap=6, dim_cap=256, workers=None):
 
     s_exact = s_float if d == 2 else _exact_fraction(s, q_cap)
     if s_exact is None:
-        return _bracket_irrational(mu, s_float, eps, budget, q_cap, dim_cap, workers)
-    block, log_k, provenance = _route(d, s_exact, q_cap, dim_cap)
+        return _bracket_irrational(mu, s_float, eps, budget, q_cap, workers)
+    block, log_k, provenance = _route(d, s_exact, q_cap)
     return pressure._bracket(
         mu, "phi", float(s_exact), block, log_k, eps, budget, workers, provenance
     )
 
 
-def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
+def _bracket_irrational(mu, s, eps, budget, q_cap, workers):
     # Upper bounds need nothing special.  Lower bounds transfer from the
     # smallest feasible rational s+ >= s, after scaling atoms into the unit
     # ball where phi-monotonicity in the exponent holds; the scaling shifts
@@ -256,7 +263,7 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
             candidates.append((frac, None))
             continue
         try:
-            candidates.append((frac, lift_params(d, frac, q_cap=q_cap, dim_cap=dim_cap)))
+            candidates.append((frac, lift_params(d, frac, q_cap=q_cap)))
         except (InvalidInputError, DimensionCapError):
             continue
     if not candidates:
@@ -274,32 +281,30 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, dim_cap, workers):
     s_plus, spec = min(workable or candidates, key=lambda item: item[0])
 
     sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
-    lo, up = -math.inf, math.inf
-    n_used = 0
-    status = "budget_exhausted"
+    lo, up, n_used, status = -math.inf, math.inf, 0, pressure._EXHAUSTED
+    lower = iter(()) if spec is None else pressure._sandwich(
+        mu_c, "phi", s_plus, spec.d_prime, spec.log_constant, sums)
     try:
         if spec is None:
             # s+ crossed the ambient dimension: the determinant closed form
             # holds there (mu_c's |det| <= 1, so nothing overflows)
             lo = _det_bounds(mu_c, float(s_plus))[0] - shift
         n = 1
-        while _engine.feasible(budget, n, mu.n_atoms):
+        while sums.feasible(mu, n):
             sums.clock.check()
             up = min(up, sums.get(mu, "phi", s, n) / n)
             if up == -math.inf:
                 return PressureBracket(
-                    -math.inf, -math.inf, n, "minus_infinity",
+                    -math.inf, -math.inf, n, pressure._MINUS_INF,
                     sums.words, time.monotonic() - t0, PROVENANCE_LIFT,
                 )
-            if spec is not None and _engine.feasible(budget, n * spec.d_prime, mu.n_atoms):
-                phi_n = sums.get(mu_c, "phi", s_plus, n)
-                phi_nd = sums.get(mu_c, "phi", s_plus, n * spec.d_prime)
-                if phi_nd > -math.inf:
-                    lb = (phi_nd - spec.log_constant - (spec.d_prime - 1) * phi_n) / n
-                    lo = max(lo, lb - shift)
+            # mu_c's step n; a vanishing sum's -inf, then no step, leaves lo
+            step = next(lower, None)
+            if step is not None:
+                lo = max(lo, step[1] - shift)
             n_used = n
             if up - lo < eps:
-                status = "certified"
+                status = pressure._CERTIFIED
                 break
             n += 1
     except BudgetExhaustedError:

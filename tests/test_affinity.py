@@ -41,7 +41,7 @@ DIM_PAIR_3D = math.log(2.0) / math.log(2.5)
 
 def sweep(mu, eps, budget=None):
     """affinity_dimension's interval-refinement route, whatever the family."""
-    return _sweep(mu, eps, budget or WordBudget(), 6, 256, 1)
+    return _sweep(mu, eps, budget or WordBudget(), 6, 1)
 
 
 class TestMeetsAmbientDimension:

@@ -379,6 +379,16 @@ class TestMainErrors:
         assert "workers" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, extra", [("svpressure", ["--s", "1.5"]), ("affdim", [])])
+    def test_bad_q_cap_exits_one(self, tmp_path, capsys, command, extra):
+        path = write_doc(tmp_path, DIAG_PAIR_DOC)
+        code = cli.main([command, path, *extra, "--q-cap", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert "q_cap" in captured.err
+        assert captured.out == ""
+
     def test_workers_default_to_automatic(self, tmp_path):
         path = write_doc(tmp_path, DIAG_PAIR_DOC)
         assert cli.build_parser().parse_args(["pressure", path, "--s", "1"]).workers is None

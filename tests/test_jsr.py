@@ -98,7 +98,8 @@ class TestRepeatedAtoms:
         aab = jsr_bracket([self.A, self.A, self.B], eps=1e-9, budget=budget, floor_cap=27)
         ab = jsr_bracket([self.A, self.B], eps=1e-9, budget=budget, floor_cap=8)
         assert aab.n_used == 4
-        assert aab.words_evaluated == sum(3**n + 3 ** (2 * n) for n in range(1, 5))
+        # steps 1-4 read lengths 1, 2, 3, 4, 6, 8, each counted once
+        assert aab.words_evaluated == sum(3**m for m in (1, 2, 3, 4, 6, 8))
         assert result_bits(aab) == dataclasses.replace(
             result_bits(ab), words_evaluated=aab.words_evaluated)
 
@@ -106,10 +107,11 @@ class TestRepeatedAtoms:
         budget = WordBudget(max_words=3**5)  # 2^6 distinct words would fit
         aab = jsr_bracket([self.A, self.A, self.B], budget=budget)
         ab = jsr_bracket([self.A, self.B], budget=budget)
-        # step n reads lengths n and 2n: 3^4 words fit, 3^6 do not
+        # step n reads lengths n and 2n: 3^4 words fit, 3^6 do not; length
+        # 2, read at both steps, counts once
         assert (aab.n_used, ab.n_used) == (2, 3)
         assert aab.status == "budget_exhausted"
-        assert aab.words_evaluated == 3 + 3**2 + 3**2 + 3**4
+        assert aab.words_evaluated == 3 + 3**2 + 3**4
 
     @pytest.mark.parametrize("order", ["AAB", "ABA", "BAA", "ABBA", "CDC"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

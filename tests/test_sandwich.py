@@ -1,11 +1,14 @@
 """The one sandwich loop against the loops it replaced.
 
-pressure.bracket, the planar and lift routes of svpressure.bracket and
-svpressure.continuity_at_one each used to run their own copy of the
-sandwich with their own sum cache.  Those copies are kept below as plain
+pressure.bracket, the planar and lift routes of svpressure.bracket,
+svpressure.continuity_at_one, the lower end of svpressure's irrational
+route and the JSR's sweep each used to run their own copy of the sandwich
+with their own sum cache.  Those copies are kept below as plain
 references, each taking (1/(n b)) log S_nb as an upper candidate as the
-sandwich does: every result, and the sequence of power sums evaluated,
-must match them bit for bit.
+sandwich does: every result, and the sequence of sums evaluated with
+repeats removed, must match them bit for bit.  The JSR's copy evaluated
+and counted length n d twice (at step n and as the short length of step
+n d); the sandwich counts each length once.
 """
 
 import math
@@ -16,9 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import engine_norm_bracket
-from matpress import _engine, pressure, svpressure
-from matpress.errors import BudgetExhaustedError
-from matpress.measure import FiniteMatrixMeasure, WordBudget, restrict_invertible
+from matpress import _engine, jsr, linalg, pressure, svpressure
+from matpress.errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
+from matpress.measure import FiniteMatrixMeasure, WordBudget, restrict_invertible, scale_measure
 
 
 def _cached_sums(budget, clock):
@@ -141,6 +144,91 @@ def reference_continuity(mu, eps, budget):
     return svpressure.INCONCLUSIVE
 
 
+def reference_irrational(mu, s, eps, budget):
+    """svpressure._bracket_irrational at q_cap 6 before its lower end ran
+    on the sandwich."""
+    d = mu.dimension
+    max_norm = max(linalg.operator_norm(m) for m in mu._mats)
+    c = 1.0 / max_norm if max_norm > 1.0 else 1.0
+    mu_c = scale_measure(mu, c) if max_norm > 1.0 else mu
+    shift = s * math.log(c)
+    candidates = []
+    for q in range(1, 7):
+        frac = Fraction(math.ceil(s * q), q)
+        if frac >= d:
+            candidates.append((frac, None))
+            continue
+        try:
+            candidates.append((frac, svpressure.lift_params(d, frac)))
+        except (InvalidInputError, DimensionCapError):
+            continue
+    workable = [(frac, spec) for frac, spec in candidates
+                if spec is None or _engine.feasible(budget, spec.d_prime, mu.n_atoms)]
+    s_plus, spec = min(workable or candidates, key=lambda item: item[0])
+    clock = _engine.RunClock(budget.wall_clock_cap)
+    get, words = _cached_sums(budget, clock)
+    lo, up, n_used, status = -math.inf, math.inf, 0, "budget_exhausted"
+    try:
+        if spec is None:
+            lo = svpressure._det_bounds(mu_c, float(s_plus))[0] - shift
+        n = 1
+        while _engine.feasible(budget, n, mu.n_atoms):
+            clock.check()
+            up = min(up, get(mu, "phi", s, n) / n)
+            if up == -math.inf:
+                return (-math.inf, -math.inf, n, "minus_infinity", words[0], "lift-sv-bound")
+            if spec is not None and _engine.feasible(budget, n * spec.d_prime, mu.n_atoms):
+                phi_n = get(mu_c, "phi", float(s_plus), n)
+                phi_nd = get(mu_c, "phi", float(s_plus), n * spec.d_prime)
+                if phi_nd > -math.inf:
+                    lb = (phi_nd - spec.log_constant - (spec.d_prime - 1) * phi_n) / n
+                    lo = max(lo, lb - shift)
+            n_used = n
+            if up - lo < eps:
+                status = "certified"
+                break
+            n += 1
+    except BudgetExhaustedError:
+        pass
+    return (lo, up, n_used, status, words[0], "lift-sv-bound")
+
+
+def reference_jsr(mats, eps, budget):
+    """jsr._sweep (spectral floor on, floor_cap 4096) before it ran on the
+    sandwich, and the lengths it passed max_norm_word, in order."""
+    mu, n_atoms = jsr._coerce_set(mats)
+    d = mu.dimension
+    clock = _engine.RunClock(budget.wall_clock_cap)
+    lo, up, lo_from, n_used, status, lengths = 0.0, math.inf, "bochi-lower-bound", 0, \
+        "budget_exhausted", []
+    floor = jsr._spectral_floor(mu._mats, 4096, n_atoms)
+    if floor > lo:
+        lo, lo_from = floor, "spectral-floor"
+    try:
+        n = 1
+        while _engine.feasible(budget, n * d, n_atoms):
+            clock.check()
+            short_max = _engine.max_norm_word(mu, n, budget, clock=clock)
+            long_max = _engine.max_norm_word(mu, n * d, budget, clock=clock)
+            lengths += [n, n * d]
+            if short_max == -math.inf or long_max == -math.inf:
+                up, lo, lo_from, n_used, status = 0.0, 0.0, "bochi-lower-bound", n, "certified"
+                break
+            up = min(up, math.exp(short_max / n), math.exp(long_max / (n * d)))
+            bochi = math.exp((long_max - (d + 1) * math.log(d) - (d - 1) * short_max) / n)
+            if bochi > lo:
+                lo, lo_from = bochi, "bochi-lower-bound"
+            lo = min(lo, up)
+            n_used = n
+            if up == lo or (eps is not None and up - lo <= float(eps)):
+                status = "certified"
+                break
+            n += 1
+    except BudgetExhaustedError:
+        pass
+    return (lo, up, n_used, status, lo_from), lengths
+
+
 def _random(d, seed=5):
     rng = np.random.default_rng(seed)
     return FiniteMatrixMeasure(
@@ -171,7 +259,7 @@ def _route_bracket(mu, s, eps, budget):
     family is triangular, and the public calls answer it in closed form."""
     if s < 1:
         return engine_norm_bracket(mu, s, eps, budget)
-    block, log_k, provenance = svpressure._route(mu.dimension, s, 6, 256)
+    block, log_k, provenance = svpressure._route(mu.dimension, s, 6)
     return pressure._bracket(mu, "phi", float(s), block, log_k, eps, budget, 1, provenance)
 
 
@@ -256,7 +344,7 @@ def test_each_upper_end_is_the_least_mean_of_the_sums_so_far(route, monkeypatch)
     s, block, _, _, _, budget = ROUTES[route]
     mu = _random(2 if route in ("norm_d2", "planar") else 3)
     kind = "norm" if s < 1 else "phi"
-    log_k = svpressure._route(mu.dimension, s, 6, 256)[1]
+    log_k = svpressure._route(mu.dimension, s, 6)[1]
     seen = {}
     real = _engine.weighted_sums
 
@@ -330,3 +418,130 @@ def test_upper_ends_sit_above_brute_force_lower_candidates(d, planar, seed, s):
     for n in range(1, 5):
         lower = (logs[n * d] - log_k - (d - 1) * logs[n]) / n
         assert res.upper >= lower - 1e-9 * (1.0 + abs(lower))
+
+
+@pytest.fixture
+def max_calls(monkeypatch):
+    """(id of the atoms, length) of every max_norm_word call that returned,
+    in order."""
+    calls = []
+    real = _engine.max_norm_word
+
+    def spy(ms, n, *args, **kwargs):
+        out = real(ms, n, *args, **kwargs)
+        calls.append((id(ms), n))
+        return out
+
+    monkeypatch.setattr(_engine, "max_norm_word", spy)
+    return calls
+
+
+# one atom of rank two whose square has rank one, and a multiple: phi^s,
+# 1 < s < 2, is positive at length 1 and vanishes from length 2 on; the
+# 2-cycle of off-diagonal entries makes no coordinate order triangular
+RANK_TWO_NILPOTENT_BLOCK = FiniteMatrixMeasure(
+    [(1.0, [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+     (0.5, [[0.5, 0.5, 0.0], [-0.5, -0.5, 0.0], [0.0, 0.0, 0.5]])])
+
+
+def _with_repeat(mu):
+    # mu's first atom twice: the pressure routes count it as its own letter
+    (w, a), rest = mu.atoms[0], mu.atoms[1:]
+    return FiniteMatrixMeasure([(w, a), (w, a), *rest])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "case", ["certifies", "mid_sweep", "nilpotent", "repeated", "block_infeasible"])
+def test_jsr_sweep_matches_the_loop_it_replaced(d, case, max_calls):
+    mats, eps, budget = list(_random(d).matrices), 0.5, WordBudget()
+    if case == "mid_sweep":
+        eps, budget = 1e-9, WordBudget(max_word_length=4 * d)
+    elif case == "nilpotent":
+        mats = list(_nilpotent(d).matrices)
+    elif case == "repeated":
+        mats, eps, budget = [mats[0], *mats], 1e-9, WordBudget(max_words=3 ** (3 * d))
+    elif case == "block_infeasible":
+        budget = WordBudget(max_word_length=d - 1)
+
+    got = jsr._sweep(*jsr._coerce_set(mats), eps, budget, True, 4096, 1)
+    got_calls = list(max_calls)
+    max_calls.clear()
+    want, lengths = reference_jsr(mats, eps, budget)
+    assert (got.lower.hex(), got.upper.hex(), got.n_used, got.status, got.provenance) == (
+        want[0].hex(), want[1].hex(), *want[2:])
+    # the reference's calls with repeats removed, each length counted once
+    assert [n for _, n in max_calls] == lengths
+    assert [n for _, n in got_calls] == list(dict.fromkeys(lengths))
+    assert got.words_evaluated == sum(len(mats) ** n for n in set(lengths))
+
+    expected_status = {"certifies": "certified", "mid_sweep": "budget_exhausted",
+                       "nilpotent": "certified", "repeated": "budget_exhausted",
+                       "block_infeasible": "budget_exhausted"}
+    assert got.status == expected_status[case]
+    if case in ("mid_sweep", "repeated"):
+        assert len(lengths) > len(set(lengths))  # the old loop read a length twice
+    if case == "nilpotent":
+        assert got.lower == got.upper == 0.0
+    if case == "block_infeasible":
+        assert (got.upper, got.n_used, got.words_evaluated) == (math.inf, 0, 0)
+
+
+def test_jsr_evaluates_each_length_once(max_calls):
+    # steps 1 to 4 over d = 2 read lengths 1, 2, 2, 4, 3, 6, 4, 8
+    res = jsr.jsr_bracket(_random(2).matrices, budget=WordBudget(max_word_length=8))
+    assert res.n_used == 4
+    assert sorted(n for _, n in max_calls) == [1, 2, 3, 4, 6, 8]
+    assert len(set(max_calls)) == len(max_calls)
+    assert res.words_evaluated == sum(2**n for n in (1, 2, 3, 4, 6, 8))
+
+
+@pytest.mark.parametrize("s", [math.sqrt(2.0), 1.95, 2.5 + 1e-9, 2.99])
+@pytest.mark.parametrize(
+    "case", ["certifies", "mid_sweep", "nilpotent", "repeated", "block_infeasible"])
+def test_irrational_lower_end_matches_the_loop_it_replaced(s, case, sum_calls):
+    # 1.95 takes s+ = 2 with d' = 3; 2.99 and, at block_infeasible,
+    # 2.5 + 1e-9 take s+ = 3 = d, the determinant closed form, no sandwich
+    mu, eps, budget = _random(3), 30.0, WordBudget()
+    if case == "mid_sweep":
+        eps, budget = 1e-3, WordBudget(max_words=2**12)
+    elif case == "nilpotent":
+        mu = RANK_TWO_NILPOTENT_BLOCK
+    elif case == "repeated":
+        mu, eps, budget = _with_repeat(mu), 1e-3, WordBudget(max_words=3**9)
+    elif case == "block_infeasible":
+        eps, budget = 1e-3, WordBudget(max_word_length=2)
+
+    got = svpressure._bracket_irrational(mu, s, eps, budget, 6, 1)
+    got_calls = list(sum_calls)
+    sum_calls.clear()
+    want = reference_irrational(mu, s, eps, budget)
+    assert _fields(got) == tuple(x.hex() if isinstance(x, float) else x for x in want)
+    assert got_calls == sum_calls
+
+    if case == "nilpotent" and s < 2:
+        assert (got.status, got.n_used) == ("minus_infinity", 2)
+    if case in ("mid_sweep", "repeated") and s == 1.95:
+        # the lower sweep ran past step 1
+        assert max(n for _, n, _, exps in got_calls if exps == (2.0,)) > 3
+
+
+def test_irrational_lower_sweep_stops_at_a_vanishing_sum(sum_calls):
+    # J^3 of the 4x4 Jordan block has rank 1, so phi^s, 1 < s < 2, vanishes
+    # from length 3 on, and mu_c's from length d' = 6 (s+ = 2) on: step 1's
+    # lower sweep ends there.  The old loop went on to evaluate mu_c at
+    # lengths 2 and 12 before the upper sweep's length-3 verdict; the
+    # sandwich does not, so only the word count differs
+    jordan = np.eye(4, k=1)
+    mu = FiniteMatrixMeasure([(1.0, jordan), (1.0, 0.5 * jordan)])
+    budget = WordBudget(max_words=2**14)
+    got = svpressure._bracket_irrational(mu, math.sqrt(2.0), 1e-3, budget, 6, 1)
+    got_calls = list(sum_calls)
+    sum_calls.clear()
+    want = reference_irrational(mu, math.sqrt(2.0), 1e-3, budget)
+    assert _fields(got)[:4] + _fields(got)[5:] == tuple(
+        x.hex() if isinstance(x, float) else x for x in want[:4] + want[5:])
+    assert (got.status, got.n_used) == ("minus_infinity", 3)
+    assert set(sum_calls) - set(got_calls) == {(2, 2, "phi", (2.0,)), (2, 12, "phi", (2.0,))}
+    assert got_calls == [c for c in sum_calls if c in got_calls]
+    assert want[4] - got.words_evaluated == 2**2 + 2**12

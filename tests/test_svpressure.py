@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_phi_sum, log_sum, random_measure, sandwich
-from matpress import _engine, linalg, pressure, svpressure
+from matpress import _engine, affinity, linalg, pressure, svpressure
 from matpress.errors import DimensionCapError, InvalidInputError
 from matpress.measure import (
     FiniteMatrixMeasure,
@@ -66,8 +66,8 @@ def engine_bracket(mu, s, eps, budget=None):
     d = mu.dimension
     exact = float(s) if d == 2 else svpressure._exact_fraction(s, 6)
     if exact is None:
-        return svpressure._bracket_irrational(mu, float(s), eps, budget, 6, 256, 1)
-    block, log_k, provenance = svpressure._route(d, exact, 6, 256)
+        return svpressure._bracket_irrational(mu, float(s), eps, budget, 6, 1)
+    block, log_k, provenance = svpressure._route(d, exact, 6)
     return pressure._bracket(mu, "phi", float(exact), block, log_k, eps, budget, 1, provenance)
 
 
@@ -144,6 +144,27 @@ class TestLiftParams:
             lift_params(6, Fraction(5, 2))  # C(6,2)*C(6,3) = 300
 
 
+@pytest.mark.parametrize("q_cap", [0, -2, 2.5, True])
+@pytest.mark.parametrize("family", ["triangular", "d3"])
+def test_q_cap_must_be_a_positive_int(q_cap, family):
+    # every entry checks before it routes: the triangular family takes a
+    # closed form that reads no q_cap, the d = 3 family an irrational s
+    if family == "triangular":
+        mu = FiniteMatrixMeasure.from_matrices([np.diag([0.5, 0.25]), np.diag([0.25, 0.5])])
+    else:
+        mu = random_measure(np.random.default_rng(3), d=3, scale=0.5)
+    entries = [
+        lambda: bracket(mu, 1.5, 0.1, q_cap=q_cap),
+        lambda: bracket(mu, math.sqrt(2.0), 0.1, q_cap=q_cap),
+        lambda: affinity.affinity_dimension(mu, 0.1, q_cap=q_cap),
+        lambda: lift_params(mu.dimension, 1.5, q_cap=q_cap),
+    ]
+    for entry in entries:
+        with pytest.raises(InvalidInputError, match="q_cap"):
+            entry()
+    svpressure._validate_q_cap(np.int64(2))
+
+
 class TestDetPressure:
     def test_closed_form_at_ambient_dimension(self):
         assert det_pressure(DET_PAIR, 2.0) == pytest.approx(
@@ -202,8 +223,8 @@ class TestBounds:
 
     def test_planar_lower_needs_2d(self):
         # the route table gives the planar inequality to d = 2 alone
-        assert svpressure._route(2, 1.5, 6, 256)[2] == svpressure.PROVENANCE_PLANAR
-        assert svpressure._route(3, 1.5, 6, 256)[2] == svpressure.PROVENANCE_LIFT
+        assert svpressure._route(2, 1.5, 6)[2] == svpressure.PROVENANCE_PLANAR
+        assert svpressure._route(3, 1.5, 6)[2] == svpressure.PROVENANCE_LIFT
 
     def test_lift_lower_agrees_with_lifted_measure_route(self, rng):
         mu = random_measure(rng, n_atoms=2, d=3, scale=0.5)
