@@ -2,8 +2,9 @@
 
 Words of length n over N atoms are enumerated as concatenations of subwords
 whose lengths form a fixed composition of n.  The products for each subword
-length m (a "level") are materialized once per measure and cached, up to
-2^15 rows a level (fewer for large d); a longer length is evaluated as the
+length m (a "level") are materialized once per measure and cached while
+they fit the row cap (2^15 rows, fewer for large d), until one holds half
+of it (two atoms stop at 2^14); a longer length is evaluated as the
 largest cached level times each combination of suffix rows, one GEMM over
 the level's stacked rows each (bits independent of batch and thread count),
 and those products are never normalized, deduplicated or stored.
@@ -272,12 +273,15 @@ class LevelCache:
         return mants, exps, logw, ldet
 
     def ensure(self, n, clock=None):
-        """Build levels toward n while the next level fits the row cap.
-
+        """Build levels toward n while the next level fits the row cap and
+        the top one holds under half of it: only two atoms stop earlier
+        than the cap alone would stop them, at 2^14 rows, where a 2^15-row
+        level put dense3's peak at 65.5 MB against 55.8 (2-vCPU VM).
         ``clock`` (a RunClock) is checked before each level is built.
         """
         base = max(self.rows(1), 1)
-        while self.top < n and self.rows(self.top) * base <= self.row_cap:
+        while (self.top < n and 2 * self.rows(self.top) < self.row_cap
+               and self.rows(self.top) * base <= self.row_cap):
             if clock is not None:
                 clock.check()
             self.levels[self.top + 1] = self._combine(self.levels[self.top], self.levels[1])
@@ -305,7 +309,8 @@ def _cache_for(obj, dedup):
 # d=3 rows per _sigma3 call, ~200 numpy calls: their fixed cost against cache,
 # set end to end (one kernel call barely tells sizes apart).  dense3's calls
 # took 0.64 s at 2048 rows, 0.57 at 4096, 0.53 at 8192, 0.52 at 16,384 and
-# 0.60 at 32,768 (one process, 2-vCPU VM); no bit depends on the block
+# 0.60 at 32,768 (one process, 2-vCPU VM, when two-atom units had 32,768
+# rows; they have 16,384 since); no bit depends on the block
 _BLOCK_ROWS = 8192
 # _top_eig flags 1 + r < _PAIR_GAP (a near-degenerate top pair) unless p <=
 # _SCALAR q, where q is the eigenvalue to 16 u whatever r is.  On rows
@@ -697,8 +702,8 @@ def _plan_units(cache, parts):
 # faults, pickling and reaping.  In-process medians, one process against two:
 # W3 n=14 with its sketch (243 units x 19,683 rows) 249 -> 169 ms, W3 n=12
 # (27 x 19,683) 26.7 -> 25.1, W3 n=10 (3 x 19,683) 3.4 -> 9.1, W2 n=12 d=3
-# (27 x 19,683) 157 -> 126, the dominated d=3 n=18 (8 x 32,768) 108 -> 62,
-# W4 n=16 d=3 (2 x 32,768) 22.3 -> 21.6, W1 n=18 norm (8 x 32,768) 9.2 -> 13.5
+# (27 x 19,683) 157 -> 126, the dominated d=3 n=18 (16 x 16,384) 107 -> 60,
+# W4 n=16 d=3 (4 x 16,384) 18.1 -> 17.9, W1 n=18 norm (16 x 16,384) 8.3 -> 9.5
 _SPLIT_WORK = 1 << 21
 
 
@@ -770,13 +775,17 @@ def _split_fold(cache, parts, kind, s_list, clock, workers, sketch):
                 children[i] = child
         for i, results in enumerate(slices):
             if i in children:
+                # unpickled from the pipe, so the payload's bytes are never
+                # held beside the objects they make
                 with children[i][1] as fh:
-                    data = fh.read()
+                    try:
+                        ok, results = pickle.load(fh)
+                    except (EOFError, pickle.UnpicklingError):
+                        ok = None
                 pid = children.pop(i)[0]
                 status = os.waitpid(pid, 0)[1]
-                if not data:
+                if ok is None:
                     raise RuntimeError(f"unit process {pid} left no result (wait status {status})")
-                ok, results = pickle.loads(data)
                 if not ok:
                     raise results
             for stats, unit_segs in results:

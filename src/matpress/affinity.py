@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _engine, linalg, pressure
-from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
+from .errors import BudgetExhaustedError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
 from .pressure import _ROUNDING, _validate_eps, _validate_mu
@@ -218,17 +218,28 @@ def solve_determinant_dimension(mu, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
-def _lower_test_params(d, t, q_cap):
-    """(block length multiplier, log constant) of the lower test at exponent t.
+def _lift_candidates(d, q_cap):
+    """[(t, (block length multiplier, log constant))] of the lower test at
+    each lift rational 1 < t < d with denominator <= q_cap, t descending.
 
-    Returns None when no product inequality is available at t (lift
-    dimension above cap).  0 < t <= d; t is a Fraction where the lift is
-    needed (d >= 3 and t > 1).
+    t = k + p/q lifts to d' = C(d, k)^(q - p) C(d, k + 1)^p (lift_params),
+    so only the (k, p, q) with d' <= linalg._DIM_CAP are enumerated: for
+    d = 3, 2 + (q - j)/q with j <= 5 at every q, and 1 + p/q with q <= 5.
+    Empty for d <= 2, where the planar constant is explicit in t.
     """
-    try:
-        return _route(d, t, q_cap)[:2]
-    except (InvalidInputError, DimensionCapError):
-        return None
+    out = []
+    for k in range(1, d) if d >= 3 else ():
+        a, b = math.comb(d, k), math.comb(d, k + 1)
+        j = 1  # q - p
+        while a**j <= linalg._DIM_CAP:
+            p = 0
+            while p + j <= q_cap and a**j * b**p <= linalg._DIM_CAP:
+                if math.gcd(p, p + j) == 1 and (k, p) != (1, 0):
+                    t = Fraction(k * (p + j) + p, p + j)
+                    out.append((t, _route(d, t, q_cap)[:2]))
+                p += 1
+            j += 1
+    return sorted(out, reverse=True)
 
 
 # which bound of a sketched power sum a test reads: _PhiCache.value's side
@@ -345,20 +356,18 @@ def _upper_end(cache, n, lo, hi, tol):
     return _illinois(lambda s: _upper_margin(cache, n, s), hi, m_hi, lo, m_lo, tol)
 
 
-def _lower_end(cache, n, lo, hi, tol, q_cap):
+def _lower_end(cache, n, lo, hi, tol, lifts):
     """(lo, fires): the highest point of [lo, hi] found where the lower test
     fires at length n.
 
     Where the product-inequality constant is explicit in s (s <= 1 with
     block d, and 1 < s < 2 for d = 2) the test is walked continuously, to
-    within tol.  For d >= 3 above 1 only the lift rationals with
-    denominator <= q_cap have a constant: the largest that fires wins.
+    within tol.  For d >= 3 above 1 only the ``lifts`` (_lift_candidates)
+    have a constant: the largest that fires wins.
     """
     mu, budget, d = cache.mu, cache.budget, cache.mu.dimension
-    lifts = {Fraction(a, q) for q in range(1, q_cap + 1) for a in range(q + 1, d * q)}
-    for t in sorted((t for t in lifts if lo < t < hi), reverse=True) if d >= 3 else ():
-        params = _lower_test_params(d, t, q_cap)
-        if (params is not None and _engine.feasible(budget, n * params[0], mu.n_atoms)
+    for t, params in lifts:
+        if (lo < t < hi and _engine.feasible(budget, n * params[0], mu.n_atoms)
                 and _lower_margin(cache, n, float(t), *params) > 0.0):
             return float(t), 1
     top = hi if d <= 2 else min(hi, 1.0)
@@ -366,7 +375,7 @@ def _lower_end(cache, n, lo, hi, tol, q_cap):
         return lo, 0
 
     def margin(s):
-        return _lower_margin(cache, n, s, *_lower_test_params(d, s, q_cap))
+        return _lower_margin(cache, n, s, *_route(d, s, None)[:2])
 
     m_top = margin(top)
     if m_top > 0.0:
@@ -442,6 +451,7 @@ def _sweep(mu, eps, budget, q_cap, workers):
     tol = eps / 64.0
     lo, hi = 0.0, float(mu.dimension)
     steps, history, n, walked = 0, [], 1, 0
+    lifts = _lift_candidates(mu.dimension, q_cap)
     try:
         while hi - lo > eps and _engine.feasible(budget, n, mu.n_atoms):
             clock.check()
@@ -449,7 +459,7 @@ def _sweep(mu, eps, budget, q_cap, workers):
                 hi, fires = _upper_end(cache, n, lo, hi, tol)
                 steps += fires
             if hi - lo > eps:
-                lo, fires = _lower_end(cache, n, lo, hi, tol, q_cap)
+                lo, fires = _lower_end(cache, n, lo, hi, tol, lifts)
                 steps += fires
             longest = max(length for _, length in cache.vals)
             if hi - lo > eps and longest > max(n, walked):

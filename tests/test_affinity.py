@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from matpress import _engine
+from matpress import _engine, svpressure
 from matpress.affinity import (
     _ROUNDING,
     AffinityResult,
     _PhiCache,
     _det_excess,
     _det_root,
+    _lift_candidates,
     _lower_margin,
     _sweep,
     _upper_margin,
@@ -21,7 +22,7 @@ from matpress.affinity import (
     meets_ambient_dimension,
     solve_determinant_dimension,
 )
-from matpress.errors import InvalidInputError, InvertedIntervalError
+from matpress.errors import DimensionCapError, InvalidInputError, InvertedIntervalError
 from matpress.measure import FiniteMatrixMeasure, WordBudget
 
 
@@ -507,6 +508,43 @@ def test_tests_read_the_conservative_side_of_a_sketch():
     assert _upper_margin(cache, 4, 0.5) == 2.0 - cache.slack(-2.0, 4)
     slack = cache.slack(5.0, 8) + cache.slack(-2.0, 4) + _ROUNDING * 0.25
     assert _lower_margin(cache, 4, 0.5, 2, 0.25) == 5.0 - 0.25 + 2.0 - slack
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("q_cap", [1, 2, 6, 7, 30])
+def test_lift_candidates_are_the_admissible_rationals(d, q_cap):
+    # every a/q in (1, d) with q <= q_cap whose lift fits the dimension cap,
+    # in descending order, with the constants of the route table
+    if d < 3:
+        assert _lift_candidates(d, q_cap) == []
+        return
+    want = []
+    for t in sorted({Fraction(a, q) for q in range(1, q_cap + 1) for a in range(q + 1, d * q)},
+                    reverse=True):
+        try:
+            want.append((t, svpressure._route(d, t, q_cap)[:2]))
+        except DimensionCapError:
+            pass
+    assert _lift_candidates(d, q_cap) == want
+
+
+def test_each_lift_candidate_is_routed_once_per_run(monkeypatch):
+    # five copies of I_3 / 2 (dimension log 5 / log 2): the upper end stays
+    # above 2 over ten lengths, and the lower test's lift rationals are
+    # routed once, not at every length
+    calls, want = [], sorted(t for t, _ in _lift_candidates(3, 12))
+    real = svpressure.lift_params
+
+    def spy(d, s, q_cap=6):
+        calls.append(s)
+        return real(d, s, q_cap=q_cap)
+
+    monkeypatch.setattr(svpressure, "lift_params", spy)
+    res = _sweep(moran_measure(5, 0.5, d=3), 0.05, WordBudget(), 12, 1)
+    assert len(res.history) == 10 and res.interval[1] > 2.0
+    assert sorted(calls) == want and len(want) == 42
+    h = float.fromhex
+    assert res.interval == (h("0x1.23f085ab2d9d0p-2"), h("0x1.2934f09a02705p+1"))
 
 
 def test_affinity_run_memory_stays_small():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -278,27 +279,28 @@ def test_normalize_matches_axis_max_formula(d):
 
 
 def test_level_build_peak_memory():
-    # the largest 2x2 level the row cap allows, 2^15 rows, is 1 MiB of
-    # products; normalised in place and not filtered (no zero rows), the
-    # build peaks at 4.35 MiB, against 6.8 MiB with a normalised copy and a
-    # filtered copy of the level
+    # the largest 2x2 level two atoms build, 2^14 rows (half the row cap),
+    # is 0.5 MiB of products; normalised in place and not filtered (no zero
+    # rows), building it from level 13 peaks at 2.32 MiB of traced memory,
+    # against 5.50 MiB when level 15 (2^15 rows) was built after it
     mats = np.random.default_rng(20260817).uniform(-0.9, 0.9, (2, 2, 2))
     cache = LevelCache([1.0, 1.0], mats, True)
-    cache.ensure(14)
+    cache.ensure(13)
     tracemalloc.start()
     try:
         cache.ensure(16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cache.top == 15 and cache.rows(15) == 2**15 == cache.row_cap
-    assert peak < 5.5 * 2**20
+    assert cache.top == 14 and 2 * cache.rows(14) == 2**15 == cache.row_cap
+    assert peak < 2.5 * 2**20
 
 
 def test_long_words_build_no_level_above_the_cap():
-    # n=20 over two 2x2 atoms: level 15 times each length-5 suffix, so the
-    # sum peaks at 6.4 MiB of traced memory; materializing levels up to 2^20
-    # rows, as a 2^22 / d^2 cap did, peaked at 187 MiB
+    # n=20 over two 2x2 atoms: level 14 times each length-6 suffix, so the
+    # sum peaks at 3.56 MiB of traced memory (7.06 MiB on level 15 units);
+    # materializing levels up to 2^20 rows, as a 2^22 / d^2 cap did, peaked
+    # at 187 MiB
     rng = np.random.default_rng(20260817)
     mu = FiniteMatrixMeasure([(1.0, rng.uniform(-0.9, 0.9, (2, 2))) for _ in range(2)])
     tracemalloc.start()
@@ -308,9 +310,50 @@ def test_long_words_build_no_level_above_the_cap():
     finally:
         tracemalloc.stop()
     (cache,) = mu._engine_caches.values()
-    assert cache.top == 15
-    assert max(cache.rows(m) for m in cache.levels) <= cache.row_cap == 2**15
-    assert peak < 16 * 2**20
+    assert cache.top == 14
+    assert max(cache.rows(m) for m in cache.levels) <= cache.row_cap // 2 == 2**14
+    assert peak < 4 * 2**20
+
+
+def test_two_atom_3x3_phi_sum_peak_memory():
+    # n=20 over two 3x3 atoms at phi^1.5: 64 units of 2^14 rows peak at 7.27
+    # MiB of traced memory, against 12.27 MiB for 32 units of 2^15 rows
+    rng = np.random.default_rng(20260817)
+    mu = FiniteMatrixMeasure([(1.0, rng.uniform(-0.9, 0.9, (3, 3))) for _ in range(2)])
+    tracemalloc.start()
+    try:
+        weighted_sums(mu, 20, "phi", [1.5], WordBudget(), workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (cache,) = mu._engine_caches.values()
+    assert cache.top == 14
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_atoms, top, rows", [(2, 14, 2**14), (3, 9, 3**9), (4, 7, 4**7),
+                                                (8, 5, 8**5)])
+def test_top_level_holds_half_the_row_cap_or_more(d, n_atoms, top, rows):
+    # levels grow while the top one holds under half the cap and the next
+    # fits it: only two atoms stop below the full cap's last level
+    mats = np.random.default_rng(d * n_atoms).uniform(-0.9, 0.9, (n_atoms, d, d))
+    for dedup in (True, False):
+        cache = LevelCache(np.ones(n_atoms), mats, dedup)
+        cache.ensure(40)
+        assert (cache.top, cache.rows(cache.top)) == (top, rows)
+        assert 2 * rows >= cache.row_cap == 2**15 >= rows
+
+
+def test_lifted_pair_levels_stay_within_the_row_cap():
+    # a 9x9 lift of a 3x3 pair (k=1, p/q=1/2) stops at 2^14 rows too, under
+    # _row_cap(9) = 2^15
+    atoms = np.random.default_rng(9).uniform(-0.9, 0.9, (2, 3, 3))
+    lifted = np.array([matpress.linalg.lift(a, 1, 1, 2) for a in atoms])
+    cache = LevelCache([1.0, 1.0], lifted, True)
+    cache.ensure(20)
+    assert cache.row_cap == _engine._row_cap(9) == 2**15
+    assert cache.top == 14 and cache.rows(14) == 2**14
 
 
 class CountdownClock:
@@ -902,6 +945,30 @@ def test_a_childs_error_is_raised_here(split_sizes, monkeypatch):
         weighted_sums(split_measure(2), 11, "phi", [1.3], WordBudget(), workers=2)
     assert str(err.value) == "unit (4,) failed"  # the child's first unit of 9
     assert split_sizes == [2]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cut", [0.0, 0.5])
+def test_a_child_that_leaves_no_whole_result_fails_here(split_sizes, monkeypatch, cut):
+    # the child exits before writing (cut 0) or after half its pickled results
+    split_sizes.lower_work(1 << 10)
+
+    def fork_slice(results):
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid:
+            os.close(w)
+            return pid, open(r, "rb")
+        try:
+            payload = pickle.dumps((True, list(results)), pickle.HIGHEST_PROTOCOL)
+            if cut:
+                os.write(w, payload[:int(cut * len(payload))])
+        finally:
+            os._exit(0)
+
+    monkeypatch.setattr(_engine, "_fork_slice", fork_slice)
+    with pytest.raises(RuntimeError, match=r"unit process \d+ left no result \(wait status 0\)"):
+        weighted_sums(split_measure(2), 11, "phi", [1.3], WordBudget(), workers=2)
     assert_no_children()
 
 
