@@ -871,7 +871,7 @@ def held_phi_bounds(mu, n, s, budget, clock, tables):
 _PRUNE_LOG = 2.0 ** -20
 
 
-def max_norm_word(ms, n, budget, clock=None, workers=None):
+def max_norm_word(ms, n, budget, clock=None):
     """Log of the largest word-product norm at length n (-inf when every
     product is zero).
 
@@ -887,11 +887,10 @@ def max_norm_word(ms, n, budget, clock=None, workers=None):
     (the suffix rows' sigma_1 summed in place of S's) does.  Units run in
     descending order of that bound, so the best value rises early; the
     result is bit for bit the maximum over every row.  Each level's sigma_1
-    column is computed once.  ``workers`` is checked, but the pruning reads
-    the running best, so the evaluation runs in-process.
+    column is computed once.  The pruning reads the running best, so the
+    evaluation runs in-process.
     """
     check_budget(budget, n, ms.n_atoms)
-    check_workers(workers)
     if clock is None:
         clock = RunClock(budget.wall_clock_cap)
     clock.check()

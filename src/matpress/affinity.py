@@ -27,7 +27,6 @@ tolerances, not a defect.
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import BudgetExhaustedError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
 from .pressure import _ROUNDING, _validate_eps, _validate_mu
-from .svpressure import _route, _validate_q_cap
+from .svpressure import _lift_candidates, _route, _validate_q_cap
 
 __all__ = [
     "AffinityResult",
@@ -216,30 +215,6 @@ def solve_determinant_dimension(mu, tol=1e-9):
         raise InvalidInputError(f"tol must be positive, got {tol}")
     lo, hi, _ = _det_root(mu, *_det_excess(mu), tol / 4.0)
     return 0.5 * (lo + hi)
-
-
-def _lift_candidates(d, q_cap):
-    """[(t, (block length multiplier, log constant))] of the lower test at
-    each lift rational 1 < t < d with denominator <= q_cap, t descending.
-
-    t = k + p/q lifts to d' = C(d, k)^(q - p) C(d, k + 1)^p (lift_params),
-    so only the (k, p, q) with d' <= linalg._DIM_CAP are enumerated: for
-    d = 3, 2 + (q - j)/q with j <= 5 at every q, and 1 + p/q with q <= 5.
-    Empty for d <= 2, where the planar constant is explicit in t.
-    """
-    out = []
-    for k in range(1, d) if d >= 3 else ():
-        a, b = math.comb(d, k), math.comb(d, k + 1)
-        j = 1  # q - p
-        while a**j <= linalg._DIM_CAP:
-            p = 0
-            while p + j <= q_cap and a**j * b**p <= linalg._DIM_CAP:
-                if math.gcd(p, p + j) == 1 and (k, p) != (1, 0):
-                    t = Fraction(k * (p + j) + p, p + j)
-                    out.append((t, _route(d, t, q_cap)[:2]))
-                p += 1
-            j += 1
-    return sorted(out, reverse=True)
 
 
 # which bound of a sketched power sum a test reads: _PhiCache.value's side

@@ -63,6 +63,8 @@ def _coerce_set(source):
 # bound of the spectral floor does not prune it
 _SQ_LO = 2.0 ** -900
 
+_FLOOR_CAP = 4096  # the spectral floor's words: each len with n_atoms^len <= it
+
 
 def _spectral_floor(mats, cap, n_atoms):
     """max rho(A_w)^(1/len) over all words with n_atoms^len <= cap.
@@ -98,13 +100,12 @@ def _spectral_floor(mats, cap, n_atoms):
     return best
 
 
-def jsr_bracket(
-    source, eps=None, budget=None, use_spectral_floor=True, floor_cap=4096, workers=None
-):
+def jsr_bracket(source, eps=None, budget=None, use_spectral_floor=True, workers=None):
     """Two-sided bracket on the joint spectral radius (linear scale).
 
-    Sweeps n = 1, 2, ... while n*d-length enumeration stays within budget,
-    keeping the best upper and lower bounds seen.  certified when the
+    Sweeps n = 1, 2, ... while length n*d stays within budget (the upper
+    end alone while length n does, where d never fits), keeping the best
+    upper and lower bounds seen.  certified when the
     endpoints coincide exactly or the gap reaches eps (when given);
     budget_exhausted otherwise — the bracket is still valid.  provenance
     names the source of the final lower endpoint.  A triangular family (one
@@ -120,23 +121,23 @@ def jsr_bracket(
     t0 = time.monotonic()
     diag = pressure._triangular_diagonals(mu._mats)
     if diag is None:
-        return _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers)
+        return _sweep(mu, n_atoms, eps, budget, use_spectral_floor, _FLOOR_CAP, workers)
     r = float(np.max(diag))  # abs and max round nothing
-    return PressureBracket(r, r, 1, "certified", n_atoms, time.monotonic() - t0,
+    return PressureBracket(r, r, 1, pressure._CERTIFIED, n_atoms, time.monotonic() - t0,
                            pressure.PROVENANCE_TRIANGULAR)
 
 
 def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
     """jsr_bracket's enumeration route, on the distinct atoms ``mu`` of an
-    n_atoms-letter family (see _coerce_set), any family: the spectral floor,
-    then pressure._sandwich on the largest word norms (kind "max") with
-    block d and log K = (d + 1) log d, whose steps map through exp.  The
-    run's _Sums meters lengths and counts words at the nominal count, each
-    length once."""
+    n_atoms-letter family (see _coerce_set), any family: the spectral floor
+    (_spectral_floor at cap floor_cap), then pressure._sandwich on the
+    largest word norms (kind "max") with block d and log K = (d + 1) log d,
+    whose steps map through exp.  The run's _Sums meters lengths and counts
+    words at the nominal count, each length once."""
     t0 = time.monotonic()
     d = mu.dimension
     sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers, n_atoms)
-    lo, up, n_used, status, lo_from = 0.0, math.inf, 0, "budget_exhausted", PROVENANCE_BOCHI
+    lo, up, n_used, status, lo_from = 0.0, math.inf, 0, pressure._EXHAUSTED, PROVENANCE_BOCHI
     if use_spectral_floor:
         floor = _spectral_floor(mu._mats, floor_cap, n_atoms)
         if floor > lo:
@@ -147,7 +148,7 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
                 mu, "max", 1.0, d, (d + 1) * math.log(d), sums):
             if log_up == -math.inf:
                 # some power of the whole family vanished: radius is exactly 0
-                lo, up, lo_from, status = 0.0, 0.0, PROVENANCE_BOCHI, "certified"
+                lo, up, lo_from, status = 0.0, 0.0, PROVENANCE_BOCHI, pressure._CERTIFIED
                 break
             up, bochi = math.exp(log_up), math.exp(log_lo)
             if bochi > lo:
@@ -156,7 +157,7 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
             # exact norm upper by a few ulps; keep lo <= up unconditionally
             lo = min(lo, up)
             if up == lo or (eps is not None and up - lo <= float(eps)):
-                status = "certified"
+                status = pressure._CERTIFIED
                 break
     except BudgetExhaustedError:
         pass

@@ -13,7 +13,7 @@ over increasing n yields a monotone sandwich that certifies M to any
 requested width, or detects M = -inf exactly from the length-d sum.
 
 That sandwich and its sum cache live here once (_sandwich, _Sums) for any
-block b and constant K; svpressure's routes, its irrational lower end and
+block b, constant K and lower-end source; svpressure's routes and
 continuity diagnostic, and the JSR's sweep of word-norm maxima reuse them.
 
 One route needs no enumeration: when one coordinate order makes every atom
@@ -173,56 +173,68 @@ class _Sums:
     def get(self, mu, kind, s, n):
         key = (id(mu), kind, float(s), n)
         if key not in self.store:
-            ask = {"clock": self.clock, "workers": self.workers}
             self.store[key] = float(
-                _engine.max_norm_word(mu, n, self.budget, **ask) if kind == "max"
-                else _engine.weighted_sums(mu, n, kind, [float(s)], self.budget, **ask)[0])
+                _engine.max_norm_word(mu, n, self.budget, clock=self.clock) if kind == "max"
+                else _engine.weighted_sums(mu, n, kind, [float(s)], self.budget,
+                                           clock=self.clock, workers=self.workers)[0])
             self.words += _engine.nominal_words(n, self.n_atoms or mu.n_atoms)
         return self.store[key]
 
 
-def _sandwich(mu, kind, s, block, log_k, sums):
-    """Yield (n, lower, upper) for n = 1, 2, ... while length n*block is
-    feasible (sums.feasible, at its nominal count): the running min of
-    (1/m) log S_m over both lengths m = n, n*b of every step (log S_m is
-    subadditive, so each is an upper bound) and the running max of
-    (1/n) [log S_nb - log K - (b-1) log S_n], b = block, log K = log_k.
-    S_m is a power sum, or with kind "max" the largest norm of a length-m
-    word, for which Bochi (Linear Algebra Appl. 368, 2003) gives this form.
+def _sandwich(mu, kind, s, block, log_k, sums, source=None):
+    """Yield (n, lower, upper) for n = 1, 2, ... while length n is feasible
+    (sums.feasible, at its nominal count): the running min of (1/m) log S_m
+    over m = n and, while length n*b fits too, m = n*b (log S_m is
+    subadditive, so each is an upper bound), and the running max over the
+    latter steps of (1/n) [log T_nb - log K - (b-1) log T_n] - shift,
+    b = block, log K = log_k, T the sums of source = (measure, exponent,
+    shift), by default (mu, s, 0).  S_m is a power sum, or with kind "max"
+    the largest norm of a length-m word, for which Bochi (Linear Algebra
+    Appl. 368, 2003) gives this form.
 
-    A vanishing sum ends the sweep with lower = upper = -inf: the products
-    of that length are exact zeros, so are all longer ones, and M = -inf.
+    The sweep ends with the lower one, so the upper end sweeps alone only
+    where length b never fits or block is None (no lower source).  A
+    vanishing sum of mu ends it with lower = upper = -inf: the products of
+    that length are exact zeros, so are all longer ones, and M = -inf.
     """
+    src, src_s, shift = source or (mu, s, 0.0)
     lo, up, n = -math.inf, math.inf, 1
-    while sums.feasible(mu, n * block):
+    paired = block is not None and sums.feasible(mu, block)
+    while sums.feasible(mu, n * block if paired else n):
         sums.clock.check()
-        sn = sums.get(mu, kind, s, n)
-        snb = sums.get(mu, kind, s, n * block)
-        up = min(up, sn / n, snb / (n * block))
+        up = min(up, sums.get(mu, kind, s, n) / n)
+        if paired:
+            up = min(up, sums.get(mu, kind, s, n * block) / (n * block))
         if up == -math.inf:
             yield n, -math.inf, -math.inf
             return
-        lo = max(lo, (snb - log_k - (block - 1) * sn) / n)
+        if paired:
+            tn, tnb = sums.get(src, kind, src_s, n), sums.get(src, kind, src_s, n * block)
+            lo = max(lo, (tnb - log_k - (block - 1) * tn) / n - shift)
         yield n, lo, up
         n += 1
 
 
-def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance):
+def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance,
+             source=None, lower=-math.inf):
     """One route's sandwich to width < eps, within the budget; a vanishing
-    sum, at length block first, is the exact minus_infinity verdict.
+    sum, at length block first where that fits, is the exact minus_infinity
+    verdict.  source is _sandwich's, and lower a lower end known up front.
     """
     t0 = time.monotonic()
     sums = _Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
-    lo, up, n_used, status = -math.inf, math.inf, 0, _EXHAUSTED
+    lo, up, n_used, status = lower, math.inf, 0, _EXHAUSTED
     try:
-        if sums.feasible(mu, block) and sums.get(mu, kind, s, block) == -math.inf:
+        if (block is not None and sums.feasible(mu, block)
+                and sums.get(mu, kind, s, block) == -math.inf):
             lo = up = -math.inf
             n_used, status = block, _MINUS_INF
         else:
-            for n_used, lo, up in _sandwich(mu, kind, s, block, log_k, sums):
+            for n_used, lo, up in _sandwich(mu, kind, s, block, log_k, sums, source):
                 if up == -math.inf:
                     status = _MINUS_INF
                     break
+                lo = max(lo, lower)
                 if up - lo < eps:
                     status = _CERTIFIED
                     break
@@ -333,7 +345,8 @@ def bracket(mu, s, eps, budget=None, workers=None):
     minus_infinity verdict at cost N^d words.  Otherwise runs the sandwich
     over n = 1, 2, ... keeping the running min of (1/m) log S_m over every
     length m = n, n d evaluated and the running max of the lower family, so
-    the bracket only ever shrinks.
+    the bracket only ever shrinks; where length d never fits, the upper
+    end sweeps alone.
     """
     _validate_mu(mu)
     s = _validate_s(s)

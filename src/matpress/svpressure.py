@@ -17,12 +17,14 @@ phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
 * d >= 3, rational s = k + p/q in (1, d): the exterior/Kronecker lift of
   linalg.lift turns phi^s sums into norm sums in dimension d', giving a
   product inequality with explicit constant (lift route);
-* d >= 3, irrational s: upper bounds directly at s; lower bounds at the
-  nearest feasible rational s+ >= s after rescaling atoms into the unit
-  ball, where phi-monotonicity in s makes the transfer sound.
+* d >= 3, irrational s: the upper end at s; the lower end at the least
+  lift rational s+ >= s whose block fits the budget (else the determinant
+  closed form at s+ = d) after rescaling atoms into the unit ball, where
+  phi-monotonicity in s makes the transfer sound.
 
-The norm, planar and lift rows live in one route table, _route, read by
-bracket and by affinity's lower test; those rows run pressure's one sandwich.
+The norm, planar and lift rows live in one route table, _route, whose lift
+rows _lift_candidates lists; affinity's lower test reads them too, and every
+bracket that enumerates runs pressure's one sandwich.
 """
 
 import math
@@ -36,7 +38,7 @@ import numpy as np
 from . import _engine, linalg, pressure
 from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
 from .measure import WordBudget, scale_measure, restrict_invertible
-from .pressure import PressureBracket, log_norm_constant
+from .pressure import log_norm_constant
 
 __all__ = [
     "LiftSpec",
@@ -165,6 +167,30 @@ def _route(d, s, q_cap):
     return spec.d_prime, spec.log_constant, PROVENANCE_LIFT
 
 
+def _lift_candidates(d, q_cap):
+    """[(t, (block length multiplier, log constant))] of the lift rows of
+    _route: each rational 1 < t < d with denominator <= q_cap, t descending.
+
+    t = k + p/q lifts to d' = C(d, k)^(q - p) C(d, k + 1)^p (lift_params),
+    so only the (k, p, q) with d' <= linalg._DIM_CAP are enumerated: for
+    d = 3, 2 + (q - j)/q with j <= 5 at every q, and 1 + p/q with q <= 5.
+    Empty for d <= 2, where the planar constant is explicit in t.
+    """
+    out = []
+    for k in range(1, d) if d >= 3 else ():
+        a, b = math.comb(d, k), math.comb(d, k + 1)
+        j = 1  # q - p
+        while a**j <= linalg._DIM_CAP:
+            p = 0
+            while p + j <= q_cap and a**j * b**p <= linalg._DIM_CAP:
+                if math.gcd(p, p + j) == 1 and (k, p) != (1, 0):
+                    t = Fraction(k * (p + j) + p, p + j)
+                    out.append((t, _route(d, t, q_cap)[:2]))
+                p += 1
+            j += 1
+    return sorted(out, reverse=True)
+
+
 def det_pressure(mu, s):
     """Exact pressure log sum w_i |det A_i|^(s/d) for s >= d.
 
@@ -242,10 +268,10 @@ def bracket(mu, s, eps, budget=None, q_cap=6, workers=None):
 
 def _bracket_irrational(mu, s, eps, budget, q_cap, workers):
     # Upper bounds need nothing special.  Lower bounds transfer from the
-    # smallest feasible rational s+ >= s, after scaling atoms into the unit
-    # ball where phi-monotonicity in the exponent holds; the scaling shifts
-    # P by exactly s*log(c) and is undone on the way out.
-    t0 = time.monotonic()
+    # least rational s+ >= s among the lift rows whose block fits the
+    # budget, else from s+ = d, after scaling atoms into the unit ball where
+    # phi-monotonicity in the exponent holds; the scaling shifts P by
+    # exactly s*log(c), which the lower end undoes.
     d = mu.dimension
     max_norm = max(linalg.operator_norm(m) for m in mu._mats)
     if max_norm > 1.0:
@@ -255,63 +281,15 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, workers):
         c = 1.0
         mu_c = mu
     shift = s * math.log(c)  # P(mu_c, t) = P(mu, t) + t*log(c)
-
-    candidates = []
-    for q in range(1, q_cap + 1):
-        frac = Fraction(math.ceil(s * q), q)
-        if frac >= d:
-            candidates.append((frac, None))
-            continue
-        try:
-            candidates.append((frac, lift_params(d, frac, q_cap=q_cap)))
-        except (InvalidInputError, DimensionCapError):
-            continue
-    if not candidates:
-        raise DimensionCapError(
-            f"no rational exponent >= {s} with denominator <= {q_cap} fits the dimension cap"
-        )
-    # prefer the closest rational whose lifted dimension can actually be
-    # enumerated under this budget; a tight but unevaluable exponent would
-    # leave the lower endpoint at -inf
-    workable = [
-        (frac, spec)
-        for frac, spec in candidates
-        if spec is None or _engine.feasible(budget, spec.d_prime, mu.n_atoms)
-    ]
-    s_plus, spec = min(workable or candidates, key=lambda item: item[0])
-
-    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
-    lo, up, n_used, status = -math.inf, math.inf, 0, pressure._EXHAUSTED
-    lower = iter(()) if spec is None else pressure._sandwich(
-        mu_c, "phi", s_plus, spec.d_prime, spec.log_constant, sums)
-    try:
-        if spec is None:
-            # s+ crossed the ambient dimension: the determinant closed form
-            # holds there (mu_c's |det| <= 1, so nothing overflows)
-            lo = _det_bounds(mu_c, float(s_plus))[0] - shift
-        n = 1
-        while sums.feasible(mu, n):
-            sums.clock.check()
-            up = min(up, sums.get(mu, "phi", s, n) / n)
-            if up == -math.inf:
-                return PressureBracket(
-                    -math.inf, -math.inf, n, pressure._MINUS_INF,
-                    sums.words, time.monotonic() - t0, PROVENANCE_LIFT,
-                )
-            # mu_c's step n; a vanishing sum's -inf, then no step, leaves lo
-            step = next(lower, None)
-            if step is not None:
-                lo = max(lo, step[1] - shift)
-            n_used = n
-            if up - lo < eps:
-                status = pressure._CERTIFIED
-                break
-            n += 1
-    except BudgetExhaustedError:
-        pass
-    return PressureBracket(
-        lo, up, n_used, status, sums.words, time.monotonic() - t0, PROVENANCE_LIFT
-    )
+    rows = [(t, row) for t, row in _lift_candidates(d, q_cap)
+            if t >= s and _engine.feasible(budget, row[0], mu.n_atoms)]
+    # rows descend, so the last is the least; at s+ = d the determinant
+    # closed form is a lower end known up front (mu_c's |det| <= 1, so
+    # nothing overflows)
+    s_plus, (block, log_k) = rows[-1] if rows else (d, (None, None))
+    lower = -math.inf if rows else _det_bounds(mu_c, float(d))[0] - shift
+    return pressure._bracket(mu, "phi", s, block, log_k, eps, budget, workers,
+                             PROVENANCE_LIFT, (mu_c, float(s_plus), shift), lower)
 
 
 def continuity_at_one(mu, eps, budget=None, workers=None):

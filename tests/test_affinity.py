@@ -14,7 +14,6 @@ from matpress.affinity import (
     _PhiCache,
     _det_excess,
     _det_root,
-    _lift_candidates,
     _lower_margin,
     _sweep,
     _upper_margin,
@@ -516,7 +515,7 @@ def test_lift_candidates_are_the_admissible_rationals(d, q_cap):
     # every a/q in (1, d) with q <= q_cap whose lift fits the dimension cap,
     # in descending order, with the constants of the route table
     if d < 3:
-        assert _lift_candidates(d, q_cap) == []
+        assert svpressure._lift_candidates(d, q_cap) == []
         return
     want = []
     for t in sorted({Fraction(a, q) for q in range(1, q_cap + 1) for a in range(q + 1, d * q)},
@@ -525,14 +524,14 @@ def test_lift_candidates_are_the_admissible_rationals(d, q_cap):
             want.append((t, svpressure._route(d, t, q_cap)[:2]))
         except DimensionCapError:
             pass
-    assert _lift_candidates(d, q_cap) == want
+    assert svpressure._lift_candidates(d, q_cap) == want
 
 
 def test_each_lift_candidate_is_routed_once_per_run(monkeypatch):
     # five copies of I_3 / 2 (dimension log 5 / log 2): the upper end stays
     # above 2 over ten lengths, and the lower test's lift rationals are
     # routed once, not at every length
-    calls, want = [], sorted(t for t, _ in _lift_candidates(3, 12))
+    calls, want = [], sorted(t for t, _ in svpressure._lift_candidates(3, 12))
     real = svpressure.lift_params
 
     def spy(d, s, q_cap=6):

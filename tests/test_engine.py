@@ -1038,7 +1038,6 @@ def test_workers_must_be_none_or_a_positive_int(workers):
     mu = FiniteMatrixMeasure.from_matrices([np.diag([0.5, 0.25]), np.diag([0.25, 0.5])])
     entries = [
         lambda: weighted_sums(mu, 3, "phi", [1.3], WordBudget(), workers=workers),
-        lambda: _engine.max_norm_word(mu, 3, WordBudget(), workers=workers),
         lambda: weighted_power_sum(mu, 3, norm_kernel(1.3), workers=workers),
         lambda: matpress.pressure.bracket(mu, 1.0, 0.1, workers=workers),
         lambda: matpress.pressure.p_radius_bracket(mu, 2.0, 0.1, workers=workers),

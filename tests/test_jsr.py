@@ -86,17 +86,17 @@ class TestInput:
 
 
 class TestRepeatedAtoms:
-    """Atoms equal under == are enumerated once; budgets, floor_cap and
-    words_evaluated keep the nominal count."""
+    """Atoms equal under == are enumerated once; budgets, the spectral
+    floor's cap and words_evaluated keep the nominal count."""
 
     A, B = GENERIC_MATS
 
     def test_bracket_is_that_of_the_distinct_atoms(self):
         budget = WordBudget(max_word_length=8, max_words=3**8)
-        # floor_cap 27 admits words up to length 3 over three letters, as 8
-        # does over two
-        aab = jsr_bracket([self.A, self.A, self.B], eps=1e-9, budget=budget, floor_cap=27)
-        ab = jsr_bracket([self.A, self.B], eps=1e-9, budget=budget, floor_cap=8)
+        # a floor cap of 27 admits words up to length 3 over three letters,
+        # as 8 does over two
+        aab = _sweep(*_coerce_set([self.A, self.A, self.B]), 1e-9, budget, True, 27, 1)
+        ab = _sweep(*_coerce_set([self.A, self.B]), 1e-9, budget, True, 8, 1)
         assert aab.n_used == 4
         # steps 1-4 read lengths 1, 2, 3, 4, 6, 8, each counted once
         assert aab.words_evaluated == sum(3**m for m in (1, 2, 3, 4, 6, 8))
@@ -295,14 +295,13 @@ class TestBracket:
         with pytest.raises(InvalidInputError):
             jsr_bracket(DIAG_MATS, eps=0.0)
 
-    def test_budget_too_small_leaves_upper_open(self, engine_calls):
+    def test_budget_below_length_d_sweeps_the_upper_end_alone(self, engine_calls):
         res = engine_jsr(DIAG_MATS, budget=WordBudget(max_word_length=1))
-        # no length n*d is feasible: only the spectral floor runs
-        assert engine_calls["max_norm_word"] == 0
-        assert res.provenance == "spectral-floor"
-        assert res.status == "budget_exhausted"
-        assert res.upper == math.inf
-        assert 0.0 <= res.lower <= 0.5
+        # no length n*d is feasible: the upper end sweeps alone, and its
+        # length-1 value, the largest atom norm 0.5, meets the spectral floor
+        assert engine_calls["max_norm_word"] == 1
+        assert (res.lower, res.upper, res.n_used) == (0.5, 0.5, 1)
+        assert res.status == "certified" and res.provenance == "spectral-floor"
 
 
 class TestScan:

@@ -1,16 +1,23 @@
 """The one sandwich loop against the loops it replaced.
 
 pressure.bracket, the planar and lift routes of svpressure.bracket,
-svpressure.continuity_at_one, the lower end of svpressure's irrational
-route and the JSR's sweep each used to run their own copy of the sandwich
-with their own sum cache.  Those copies are kept below as plain
-references, each taking (1/(n b)) log S_nb as an upper candidate as the
-sandwich does: every result, and the sequence of sums evaluated with
-repeats removed, must match them bit for bit.  The JSR's copy evaluated
-and counted length n d twice (at step n and as the short length of step
-n d); the sandwich counts each length once.
+svpressure.continuity_at_one, svpressure's irrational route and the JSR's
+sweep each used to run their own copy of the sandwich with their own sum
+cache.  Those copies are kept below as plain references, each taking
+(1/(n b)) log S_nb as an upper candidate as the sandwich does: every
+result, and the sequence of sums evaluated with repeats removed, must
+match them bit for bit.  The JSR's copy evaluated and counted length n d
+twice (at step n and as the short length of step n d); the sandwich counts
+each length once.
+
+Where length b never fits, the old loops evaluated nothing; the sandwich
+sweeps the upper end alone over the feasible lengths, which
+reference_upper_alone restates.  The irrational route kept its own upper
+loop beside a lower sweep at the nearest rational; reference_irrational
+restates it on the one rule that replaced that loop.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import engine_norm_bracket
 from matpress import _engine, jsr, linalg, pressure, svpressure
-from matpress.errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
+from matpress.errors import BudgetExhaustedError, DimensionCapError
 from matpress.measure import FiniteMatrixMeasure, WordBudget, restrict_invertible, scale_measure
 
 
@@ -144,45 +151,58 @@ def reference_continuity(mu, eps, budget):
     return svpressure.INCONCLUSIVE
 
 
+def reference_upper_alone(mu, kind, s, budget, provenance):
+    """The sweep where length b never fits: the least (1/n) log S_n over the
+    feasible n, with no lower end."""
+    get, words = _cached_sums(budget, _engine.RunClock(budget.wall_clock_cap))
+    up, n = math.inf, 0
+    while _engine.feasible(budget, n + 1, mu.n_atoms):
+        n += 1
+        up = min(up, get(mu, kind, s, n) / n)
+    return (-math.inf, up, n, "budget_exhausted", words[0], provenance)
+
+
 def reference_irrational(mu, s, eps, budget):
-    """svpressure._bracket_irrational at q_cap 6 before its lower end ran
-    on the sandwich."""
+    """svpressure._bracket_irrational at q_cap 6 as one loop: the upper end
+    at s over the lengths n and, while the block d' fits, n d'; the lower
+    end from mu scaled into the unit ball at the least a/q >= s, q <= 6,
+    whose lift fits the cap and the budget, or where none does, from the
+    determinant closed form at s+ = d."""
     d = mu.dimension
     max_norm = max(linalg.operator_norm(m) for m in mu._mats)
     c = 1.0 / max_norm if max_norm > 1.0 else 1.0
     mu_c = scale_measure(mu, c) if max_norm > 1.0 else mu
     shift = s * math.log(c)
-    candidates = []
+    fits = []
     for q in range(1, 7):
-        frac = Fraction(math.ceil(s * q), q)
-        if frac >= d:
-            candidates.append((frac, None))
-            continue
-        try:
-            candidates.append((frac, svpressure.lift_params(d, frac)))
-        except (InvalidInputError, DimensionCapError):
-            continue
-    workable = [(frac, spec) for frac, spec in candidates
-                if spec is None or _engine.feasible(budget, spec.d_prime, mu.n_atoms)]
-    s_plus, spec = min(workable or candidates, key=lambda item: item[0])
+        for a in range(q + 1, d * q):
+            try:
+                spec = svpressure.lift_params(d, Fraction(a, q))
+            except DimensionCapError:
+                continue
+            if Fraction(a, q) >= s and _engine.feasible(budget, spec.d_prime, mu.n_atoms):
+                fits.append((Fraction(a, q), spec))
+    s_plus, spec = min(fits, key=lambda item: item[0]) if fits else (d, None)
+    b = spec and spec.d_prime
     clock = _engine.RunClock(budget.wall_clock_cap)
     get, words = _cached_sums(budget, clock)
-    lo, up, n_used, status = -math.inf, math.inf, 0, "budget_exhausted"
+    lo = -math.inf if spec else svpressure._det_bounds(mu_c, float(d))[0] - shift
+    up, n_used, status = math.inf, 0, "budget_exhausted"
     try:
-        if spec is None:
-            lo = svpressure._det_bounds(mu_c, float(s_plus))[0] - shift
+        if spec and get(mu, "phi", s, b) == -math.inf:
+            return (-math.inf, -math.inf, b, "minus_infinity", words[0], "lift-sv-bound")
         n = 1
-        while _engine.feasible(budget, n, mu.n_atoms):
+        while _engine.feasible(budget, n * b if spec else n, mu.n_atoms):
             clock.check()
             up = min(up, get(mu, "phi", s, n) / n)
+            if spec:
+                up = min(up, get(mu, "phi", s, n * b) / (n * b))
             if up == -math.inf:
                 return (-math.inf, -math.inf, n, "minus_infinity", words[0], "lift-sv-bound")
-            if spec is not None and _engine.feasible(budget, n * spec.d_prime, mu.n_atoms):
+            if spec:
                 phi_n = get(mu_c, "phi", float(s_plus), n)
-                phi_nd = get(mu_c, "phi", float(s_plus), n * spec.d_prime)
-                if phi_nd > -math.inf:
-                    lb = (phi_nd - spec.log_constant - (spec.d_prime - 1) * phi_n) / n
-                    lo = max(lo, lb - shift)
+                phi_nb = get(mu_c, "phi", float(s_plus), n * b)
+                lo = max(lo, (phi_nb - spec.log_constant - (b - 1) * phi_n) / n - shift)
             n_used = n
             if up - lo < eps:
                 status = "certified"
@@ -227,6 +247,20 @@ def reference_jsr(mats, eps, budget):
     except BudgetExhaustedError:
         pass
     return (lo, up, n_used, status, lo_from), lengths
+
+
+def reference_jsr_upper_alone(mats, eps, budget):
+    """jsr._sweep (spectral floor on, floor_cap 4096) where length d never
+    fits and eps is not met: the floor, and the least max ||A_w||^(1/n)
+    over the feasible n."""
+    mu, n_atoms = jsr._coerce_set(mats)
+    lo = jsr._spectral_floor(mu._mats, 4096, n_atoms)
+    lengths = list(itertools.takewhile(
+        lambda n: _engine.feasible(budget, n, n_atoms), itertools.count(1)))
+    up = math.exp(min(_engine.max_norm_word(mu, n, budget) / n for n in lengths))
+    lo_from = "spectral-floor" if lo > 0.0 else "bochi-lower-bound"
+    assert up - lo > eps
+    return (min(lo, up), up, lengths[-1], "budget_exhausted", lo_from), lengths
 
 
 def _random(d, seed=5):
@@ -298,10 +332,14 @@ def test_sandwich_matches_the_loop_it_replaced(route, case, sum_calls):
         budget = WordBudget(max_word_length=block - 1)
 
     got = (_route_bracket if case == "nilpotent" else run)(mu, s, eps, budget=budget)
-    assert sum_calls or case == "block_infeasible"
+    assert sum_calls
     got_calls = list(sum_calls)
     sum_calls.clear()
-    want = reference(mu, s, eps, budget)
+    if case == "block_infeasible":
+        provenance = svpressure._route(d, s, 6)[2]
+        want = reference_upper_alone(mu, "norm" if s < 1 else "phi", s, budget, provenance)
+    else:
+        want = reference(mu, s, eps, budget)
     assert _fields(got) == tuple(x.hex() if isinstance(x, float) else x for x in want)
     assert got_calls == sum_calls
 
@@ -311,8 +349,8 @@ def test_sandwich_matches_the_loop_it_replaced(route, case, sum_calls):
     if case == "mid_sweep":
         assert 0 < got.n_used
     if case == "block_infeasible":
-        assert (got.lower, got.upper, got.n_used, got.words_evaluated) == (
-            -math.inf, math.inf, 0, 0)
+        assert got.lower == -math.inf and math.isfinite(got.upper)
+        assert got.n_used == block - 1
 
 
 # two invertible atoms and one of rank one: mu0 keeps two of mu's three atoms
@@ -462,12 +500,13 @@ def test_jsr_sweep_matches_the_loop_it_replaced(d, case, max_calls):
     elif case == "repeated":
         mats, eps, budget = [mats[0], *mats], 1e-9, WordBudget(max_words=3 ** (3 * d))
     elif case == "block_infeasible":
-        budget = WordBudget(max_word_length=d - 1)
+        eps, budget = 1e-9, WordBudget(max_word_length=d - 1)
 
     got = jsr._sweep(*jsr._coerce_set(mats), eps, budget, True, 4096, 1)
     got_calls = list(max_calls)
     max_calls.clear()
-    want, lengths = reference_jsr(mats, eps, budget)
+    want, lengths = (reference_jsr_upper_alone if case == "block_infeasible"
+                     else reference_jsr)(mats, eps, budget)
     assert (got.lower.hex(), got.upper.hex(), got.n_used, got.status, got.provenance) == (
         want[0].hex(), want[1].hex(), *want[2:])
     # the reference's calls with repeats removed, each length counted once
@@ -484,7 +523,7 @@ def test_jsr_sweep_matches_the_loop_it_replaced(d, case, max_calls):
     if case == "nilpotent":
         assert got.lower == got.upper == 0.0
     if case == "block_infeasible":
-        assert (got.upper, got.n_used, got.words_evaluated) == (math.inf, 0, 0)
+        assert math.isfinite(got.upper) and got.n_used == d - 1
 
 
 def test_jsr_evaluates_each_length_once(max_calls):
@@ -500,8 +539,10 @@ def test_jsr_evaluates_each_length_once(max_calls):
 @pytest.mark.parametrize(
     "case", ["certifies", "mid_sweep", "nilpotent", "repeated", "block_infeasible"])
 def test_irrational_lower_end_matches_the_loop_it_replaced(s, case, sum_calls):
-    # 1.95 takes s+ = 2 with d' = 3; 2.99 and, at block_infeasible,
-    # 2.5 + 1e-9 take s+ = 3 = d, the determinant closed form, no sandwich
+    # sqrt 2 takes s+ = 3/2 with d' = 9, 1.95 takes s+ = 2 with d' = 3, and
+    # 2.5 + 1e-9 takes 13/5 with d' = 9; 2.99, and every s at
+    # block_infeasible, take s+ = 3 = d, the determinant closed form, and
+    # sweep the upper end alone
     mu, eps, budget = _random(3), 30.0, WordBudget()
     if case == "mid_sweep":
         eps, budget = 1e-3, WordBudget(max_words=2**12)
@@ -520,18 +561,19 @@ def test_irrational_lower_end_matches_the_loop_it_replaced(s, case, sum_calls):
     assert got_calls == sum_calls
 
     if case == "nilpotent" and s < 2:
-        assert (got.status, got.n_used) == ("minus_infinity", 2)
+        # the length-d' sum of mu at s is read first, and vanishes
+        assert (got.status, got.n_used) == ("minus_infinity", {1.95: 3}.get(s, 9))
     if case in ("mid_sweep", "repeated") and s == 1.95:
         # the lower sweep ran past step 1
         assert max(n for _, n, _, exps in got_calls if exps == (2.0,)) > 3
+    if case == "block_infeasible":
+        assert math.isfinite(got.lower) and got.n_used == 2
 
 
 def test_irrational_lower_sweep_stops_at_a_vanishing_sum(sum_calls):
     # J^3 of the 4x4 Jordan block has rank 1, so phi^s, 1 < s < 2, vanishes
-    # from length 3 on, and mu_c's from length d' = 6 (s+ = 2) on: step 1's
-    # lower sweep ends there.  The old loop went on to evaluate mu_c at
-    # lengths 2 and 12 before the upper sweep's length-3 verdict; the
-    # sandwich does not, so only the word count differs
+    # from length 3 on.  s+ = 2 has block d' = 6, and the length-6 sum of mu
+    # at s, read first, is the exact verdict: no lower sum of mu_c is read
     jordan = np.eye(4, k=1)
     mu = FiniteMatrixMeasure([(1.0, jordan), (1.0, 0.5 * jordan)])
     budget = WordBudget(max_words=2**14)
@@ -539,9 +581,50 @@ def test_irrational_lower_sweep_stops_at_a_vanishing_sum(sum_calls):
     got_calls = list(sum_calls)
     sum_calls.clear()
     want = reference_irrational(mu, math.sqrt(2.0), 1e-3, budget)
-    assert _fields(got)[:4] + _fields(got)[5:] == tuple(
-        x.hex() if isinstance(x, float) else x for x in want[:4] + want[5:])
-    assert (got.status, got.n_used) == ("minus_infinity", 3)
-    assert set(sum_calls) - set(got_calls) == {(2, 2, "phi", (2.0,)), (2, 12, "phi", (2.0,))}
-    assert got_calls == [c for c in sum_calls if c in got_calls]
-    assert want[4] - got.words_evaluated == 2**2 + 2**12
+    assert _fields(got) == tuple(x.hex() if isinstance(x, float) else x for x in want)
+    assert (got.status, got.n_used, got.words_evaluated) == ("minus_infinity", 6, 2**6)
+    assert got_calls == sum_calls == [(2, 6, "phi", (math.sqrt(2.0),))]
+
+
+def test_an_infeasible_lift_block_leaves_the_upper_end_to_sweep_alone(sum_calls):
+    # W4 (two standard-normal 3x3 atoms from default_rng(7)) at s = 12/5
+    # lifts to d' = 27: under 2^10 words no length 27 n fits, so the upper
+    # end is the least (1/n) log Phi_n over the feasible n <= 10
+    mu = FiniteMatrixMeasure.from_matrices(np.random.default_rng(7).standard_normal((2, 3, 3)))
+    budget = WordBudget(max_words=2**10)
+    got = svpressure.bracket(mu, Fraction(12, 5), 1e-3, budget=budget)
+    assert [n for _, n, _, _ in sum_calls] == list(range(1, 11))
+    want = min(float(_engine.weighted_sums(mu, n, "phi", [2.4], budget)[0]) / n
+               for n in range(1, 11))
+    assert (got.lower, got.upper, got.n_used, got.status) == (
+        -math.inf, want, 10, "budget_exhausted")
+    assert got.words_evaluated == sum(2**n for n in range(1, 11))
+
+
+def test_an_irrational_exponent_without_a_fitting_lift_reads_the_determinant(sum_calls):
+    # s = sqrt 2 < d - 1: every lift block of d = 3 is 3 or longer, so under
+    # words of length 2 s+ = d, and the lower end is the determinant closed
+    # form at 3 on the atoms scaled into the unit ball (phi^s decreases in s
+    # there), not -inf
+    mu, s = _random(3), math.sqrt(2.0)
+    got = svpressure.bracket(mu, s, 1e-3, budget=WordBudget(max_word_length=2))
+    c = 1.0 / max(linalg.operator_norm(m) for m in mu._mats)
+    assert c < 1.0
+    want = svpressure._det_bounds(scale_measure(mu, c), 3.0)[0] - s * math.log(c)
+    assert math.isfinite(want)
+    assert (got.lower, got.n_used, got.provenance) == (want, 2, "lift-sv-bound")
+    assert got.lower < got.upper
+    assert [n for _, n, _, _ in sum_calls] == [1, 2]
+
+
+def test_a_mid_sweep_irrational_run_stops_with_its_lower_sweep(sum_calls):
+    # s = 1.95 takes s+ = 2 with d' = 3: under words of length 12 the lower
+    # sweep on mu_c runs steps 1 to 4, every step also reads S_3n of mu at s,
+    # and the run ends with the lower sweep, not at the upper end's
+    # feasible length 12
+    got = svpressure.bracket(_random(3), 1.95, 1e-9, budget=WordBudget(max_word_length=12))
+    assert (got.n_used, got.status) == (4, "budget_exhausted")
+    assert math.isfinite(got.lower) and got.lower < got.upper
+    # the length-3 verdict test, then steps 1 to 4, repeats removed
+    assert [n for _, n, _, exps in sum_calls if exps == (1.95,)] == [3, 1, 2, 6, 9, 4, 12]
+    assert [n for _, n, _, exps in sum_calls if exps == (2.0,)] == [1, 3, 2, 6, 9, 4, 12]
