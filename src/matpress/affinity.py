@@ -12,9 +12,10 @@ pressure.  Three routes certify it:
   pressure._TriangularForm);
 * interval refinement: otherwise the crossing lies in [0, d], and one
   sweep over word lengths walks each end by regula falsi on a one-sided
-  test: an upper test (a phi^t power sum below 1 certifies P(t) < 0, so
-  the dimension is at most t) and a lower test (a quantified
-  supermultiplicativity defect certifies P(t) > 0, so it is at least t).
+  test read from the run's pressure._Sums: an upper test (a phi^t power
+  sum below 1 certifies P(t) < 0, so the dimension is at most t) and a
+  lower test (a quantified supermultiplicativity defect certifies
+  P(t) > 0, so it is at least t).
 
 Both closed forms decrease strictly; two regula falsi walks over one cache
 of their evaluations move each end to a point where the rounding-widened
@@ -217,66 +218,30 @@ def solve_determinant_dimension(mu, tol=1e-9):
     return 0.5 * (lo + hi)
 
 
-# which bound of a sketched power sum a test reads: _PhiCache.value's side
-_LOWER, _UPPER = 0, 1
+def _slack(mu, value, length):
+    """_ROUNDING bound of a log sum ``value`` at word length ``length``: log N
+    + 2 W per letter, W the largest |log w_i|."""
+    per_letter = math.log(mu.n_atoms) + 2.0 * max(abs(math.log(w)) for w in mu._weights)
+    size = abs(value) if value > -math.inf else 0.0
+    return _ROUNDING * (size + length * per_letter + 1.0)
 
 
-class _PhiCache:
-    """Shared phi^t power-sum evaluations keyed by (exponent, word length).
-
-    The first exponent at a length is reduced exactly.  A length the engine
-    enumerates as level x suffix units also leaves its slope sketch in
-    ``tables`` (a few kilobytes), which answers every later exponent there
-    as a lower and an upper bound, so the words of a length are enumerated
-    once per run however many exponents reach it; each test reads the side
-    that keeps it conservative.  Single-level lengths stay exact (the
-    engine holds them).  The sketches are freed with this object when the
-    run returns.  Nominal word counts accumulate per evaluated exponent,
-    sketch probes included.
-    """
-
-    def __init__(self, mu, budget, clock, workers):
-        self.mu, self.budget, self.clock, self.workers = mu, budget, clock, workers
-        self.vals, self.tables, self.words = {}, {}, 0
-        # log N + 2 W of the _ROUNDING bound
-        self.per_letter = math.log(mu.n_atoms) + 2.0 * max(abs(math.log(w)) for w in mu._weights)
-
-    def value(self, tf, length, side):
-        """The ``side`` (_LOWER or _UPPER) bound of log Phi_length(tf)."""
-        key = (tf, length)
-        if key not in self.vals:
-            if length in self.tables:
-                self.vals[key] = _engine.held_phi_bounds(
-                    self.mu, length, tf, self.budget, self.clock, self.tables)
-            else:
-                out = _engine.weighted_sums(
-                    self.mu, length, "phi", [tf], self.budget,
-                    clock=self.clock, workers=self.workers, tables=self.tables,
-                )
-                self.vals[key] = (float(out[0]),) * 2
-            self.words += _engine.nominal_words(length, self.mu.n_atoms)
-        return self.vals[key][side]
-
-    def slack(self, value, length):
-        """_ROUNDING bound of a log sum ``value`` at word length ``length``."""
-        size = abs(value) if value > -math.inf else 0.0
-        return _ROUNDING * (size + length * self.per_letter + 1.0)
+def _upper_margin(sums, mu, n, s):
+    # > 0 where log Phi_n(s) < -slack: the power sum is below 1, P(s) < 0;
+    # each test reads the side of a held (lower, upper) pair that keeps it
+    # conservative
+    _, u = sums.get(mu, "held", s, n)
+    return -u - _slack(mu, u, n)
 
 
-def _upper_margin(cache, n, s):
-    # > 0 where log Phi_n(s) < -slack: the power sum is below 1, P(s) < 0
-    u = cache.value(s, n, _UPPER)
-    return -u - cache.slack(u, n)
-
-
-def _lower_margin(cache, n, s, block, log_k):
+def _lower_margin(sums, mu, n, s, block, log_k):
     # > 0 where log Phi_{n b}(s) - log K - (b - 1) log Phi_n(s) > slack: the
     # quantified supermultiplicativity defect certifies P(s) > 0
-    ub = cache.value(s, n * block, _LOWER)
+    ub, _ = sums.get(mu, "held", s, n * block)
     if ub == -math.inf:
         return -math.inf
-    u = cache.value(s, n, _UPPER)
-    slack = cache.slack(ub, n * block) + (block - 1) * cache.slack(u, n) + _ROUNDING * abs(log_k)
+    _, u = sums.get(mu, "held", s, n)
+    slack = _slack(mu, ub, n * block) + (block - 1) * _slack(mu, u, n) + _ROUNDING * abs(log_k)
     return ub - log_k - (block - 1) * u - slack
 
 
@@ -317,21 +282,21 @@ def _illinois(margin, fire, m_fire, miss, m_miss, tol):
     return fire, fires
 
 
-def _upper_end(cache, n, lo, hi, tol):
+def _upper_end(sums, mu, n, lo, hi, tol):
     """(hi, fires): the lowest point of [lo, hi] where the upper test fires
     at length n, to within tol."""
-    m_hi = _upper_margin(cache, n, hi)
+    m_hi = _upper_margin(sums, mu, n, hi)
     if not m_hi > 0.0:
         return hi, 0  # the margin increases with s, so nothing below fires
-    m_lo = _upper_margin(cache, n, lo)
+    m_lo = _upper_margin(sums, mu, n, lo)
     if m_lo > 0.0:
         if lo > 0.0:
             raise InvertedIntervalError(f"upper test fires at the certified lower end {lo!r}")
         return lo, 1  # P(0) < 0: the dimension is 0
-    return _illinois(lambda s: _upper_margin(cache, n, s), hi, m_hi, lo, m_lo, tol)
+    return _illinois(lambda s: _upper_margin(sums, mu, n, s), hi, m_hi, lo, m_lo, tol)
 
 
-def _lower_end(cache, n, lo, hi, tol, lifts):
+def _lower_end(sums, mu, n, lo, hi, tol, lifts):
     """(lo, fires): the highest point of [lo, hi] found where the lower test
     fires at length n.
 
@@ -340,17 +305,17 @@ def _lower_end(cache, n, lo, hi, tol, lifts):
     within tol.  For d >= 3 above 1 only the ``lifts`` (_lift_candidates)
     have a constant: the largest that fires wins.
     """
-    mu, budget, d = cache.mu, cache.budget, cache.mu.dimension
+    d = mu.dimension
     for t, params in lifts:
-        if (lo < t < hi and _engine.feasible(budget, n * params[0], mu.n_atoms)
-                and _lower_margin(cache, n, float(t), *params) > 0.0):
+        if (lo < t < hi and sums.feasible(mu, n * params[0])
+                and _lower_margin(sums, mu, n, float(t), *params) > 0.0):
             return float(t), 1
     top = hi if d <= 2 else min(hi, 1.0)
-    if top <= lo or not _engine.feasible(budget, n * d, mu.n_atoms):
+    if top <= lo or not sums.feasible(mu, n * d):
         return lo, 0
 
     def margin(s):
-        return _lower_margin(cache, n, s, *_route(d, s, None)[:2])
+        return _lower_margin(sums, mu, n, s, *_route(d, s, None)[:2])
 
     m_top = margin(top)
     if m_top > 0.0:
@@ -418,27 +383,27 @@ def _sweep(mu, eps, budget, q_cap, workers):
     length the run holds, from its sketch or held level, enumerating
     nothing.  An upper test at a length at or below one already walked is
     skipped: the longer length's test is the tighter in practice, and a
-    skipped test costs no soundness.
+    skipped test costs no soundness.  One pressure._Sums holds the run's
+    held sums, sketches, clock and word count.
     """
     t0 = time.monotonic()
-    clock = _engine.RunClock(budget.wall_clock_cap)
-    cache = _PhiCache(mu, budget, clock, workers)
+    sums = pressure._Sums(budget, workers)
     tol = eps / 64.0
     lo, hi = 0.0, float(mu.dimension)
     steps, history, n, walked = 0, [], 1, 0
     lifts = _lift_candidates(mu.dimension, q_cap)
     try:
-        while hi - lo > eps and _engine.feasible(budget, n, mu.n_atoms):
-            clock.check()
+        while hi - lo > eps and sums.feasible(mu, n):
+            sums.clock.check()
             if n > walked:
-                hi, fires = _upper_end(cache, n, lo, hi, tol)
+                hi, fires = _upper_end(sums, mu, n, lo, hi, tol)
                 steps += fires
             if hi - lo > eps:
-                lo, fires = _lower_end(cache, n, lo, hi, tol, lifts)
+                lo, fires = _lower_end(sums, mu, n, lo, hi, tol, lifts)
                 steps += fires
-            longest = max(length for _, length in cache.vals)
+            longest = max(key[3] for key in sums.store)
             if hi - lo > eps and longest > max(n, walked):
-                hi, fires = _upper_end(cache, longest, lo, hi, tol)
+                hi, fires = _upper_end(sums, mu, longest, lo, hi, tol)
                 steps += fires
                 walked = longest
             history.append((lo, hi))
@@ -447,4 +412,4 @@ def _sweep(mu, eps, budget, q_cap, workers):
         history.append((lo, hi))
     status = "certified" if hi - lo <= eps else "budget_exhausted"
     return AffinityResult((lo, hi), "trisection", steps, status,
-                          tuple(history), cache.words, time.monotonic() - t0)
+                          tuple(history), sums.words, time.monotonic() - t0)

@@ -85,7 +85,8 @@ def _spectral_floor(mats, cap, n_atoms):
     depth_cap = max(1, int(math.log2(cap))) if cap >= 1 else 0
     while length < depth_cap and n_atoms ** (length + 1) <= cap:
         length += 1
-        prods = np.matmul(prods[:, None], atoms[None]).reshape(-1, d, d)
+        with np.errstate(over="ignore", invalid="ignore"):  # skipped below
+            prods = np.matmul(prods[:, None], atoms[None]).reshape(-1, d, d)
         finite = prods[np.all(np.isfinite(prods), axis=(1, 2))]
         if best > 0.0:
             with np.errstate(over="ignore", divide="ignore"):
@@ -95,7 +96,7 @@ def _spectral_floor(mats, cap, n_atoms):
         if len(finite) == 0:
             continue
         rho = float(np.max(np.abs(np.linalg.eigvals(finite))))
-        if rho > 0.0:
+        if 0.0 < rho < math.inf:  # eigvals of a finite product may overflow
             best = max(best, rho ** (1.0 / length))
     return best
 
@@ -132,11 +133,12 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
     n_atoms-letter family (see _coerce_set), any family: the spectral floor
     (_spectral_floor at cap floor_cap), then pressure._sandwich on the
     largest word norms (kind "max") with block d and log K = (d + 1) log d,
-    whose steps map through exp.  The run's _Sums meters lengths and counts
-    words at the nominal count, each length once."""
+    whose steps map through exp (pressure._exp_end).  The run's _Sums starts
+    its clock, meters lengths and counts words at the nominal count, each
+    length once."""
     t0 = time.monotonic()
     d = mu.dimension
-    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers, n_atoms)
+    sums = pressure._Sums(budget, workers, n_atoms)
     lo, up, n_used, status, lo_from = 0.0, math.inf, 0, pressure._EXHAUSTED, PROVENANCE_BOCHI
     if use_spectral_floor:
         floor = _spectral_floor(mu._mats, floor_cap, n_atoms)
@@ -150,7 +152,7 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
                 # some power of the whole family vanished: radius is exactly 0
                 lo, up, lo_from, status = 0.0, 0.0, PROVENANCE_BOCHI, pressure._CERTIFIED
                 break
-            up, bochi = math.exp(log_up), math.exp(log_lo)
+            up, bochi = pressure._exp_end(log_up, True), pressure._exp_end(log_lo, False)
             if bochi > lo:
                 lo, lo_from = bochi, PROVENANCE_BOCHI
             # eigenvalue round-off in the spectral floor can overshoot an
@@ -214,10 +216,8 @@ def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=None):
     points = []
     for s in s_values:
         br = pressure.bracket(mu, s, eps, budget=budget, workers=workers)
-        radius_lower = 0.0 if br.lower == -math.inf else math.exp(br.lower / s)
-        radius_upper = math.inf if br.upper == math.inf else math.exp(br.upper / s)
-        if br.upper == -math.inf:
-            radius_upper = 0.0
+        radius_lower = pressure._exp_end(br.lower / s, False)
+        radius_upper = pressure._exp_end(br.upper / s, True)
         points.append(
             ScanPoint(
                 s, br.lower, br.upper, radius_lower, radius_upper,

@@ -12,9 +12,11 @@ turns the pair (S_n, S_{n d}) into a lower bound.  Running the two families
 over increasing n yields a monotone sandwich that certifies M to any
 requested width, or detects M = -inf exactly from the length-d sum.
 
-That sandwich and its sum cache live here once (_sandwich, _Sums) for any
-block b, constant K and lower-end source; svpressure's routes and
-continuity diagnostic, and the JSR's sweep of word-norm maxima reuse them.
+That sandwich and the one store of a run's sums live here (_sandwich,
+_Sums) for any block b, constant K and lower-end source; svpressure's
+routes and continuity diagnostic and the JSR's sweep of word-norm maxima
+reuse both, and affinity's sweep reads its sketch-backed phi^s sums from
+the store.
 
 One route needs no enumeration: when one coordinate order makes every atom
 upper triangular, M, the singular-value pressure P and the joint spectral
@@ -25,6 +27,7 @@ before their enumeration routes.
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -157,15 +160,20 @@ def _validate_d_s(d, s):
 
 
 class _Sums:
-    """Log sums of one run, keyed by (measure, kind, exponent, length): the
-    power sum of kind "norm" or "phi", or with kind "max" the largest word
-    norm (_engine.max_norm_word, s unused).  Lengths are metered (feasible)
-    and ``words`` adds N^n once per key at the nominal letter count
-    ``n_atoms`` (None: the measure's own)."""
+    """The one store of a run's log sums, keyed by (measure, kind, exponent,
+    length): the power sum of kind "norm" or "phi", with kind "max" the
+    largest word norm (_engine.max_norm_word, s unused), and with kind "held"
+    a (lower, upper) pair around the phi^s sum: exact at a length's first
+    exponent, whose enumeration as level x suffix units leaves the length's
+    slope sketch in tables[id(mu)], and then from that sketch
+    (_engine.held_phi_bounds).  Lengths are metered (feasible), the run's
+    clock starts here, and ``words`` adds N^n once per key at the nominal
+    letter count ``n_atoms`` (None: the measure's own)."""
 
-    def __init__(self, budget, clock, workers, n_atoms=None):
-        self.budget, self.clock, self.workers, self.n_atoms = budget, clock, workers, n_atoms
-        self.store, self.words = {}, 0
+    def __init__(self, budget, workers, n_atoms=None):
+        self.budget, self.workers, self.n_atoms = budget, workers, n_atoms
+        self.clock = _engine.RunClock(budget.wall_clock_cap)
+        self.store, self.tables, self.words = {}, {}, 0
 
     def feasible(self, mu, n):
         return _engine.feasible(self.budget, n, self.n_atoms or mu.n_atoms)
@@ -173,10 +181,17 @@ class _Sums:
     def get(self, mu, kind, s, n):
         key = (id(mu), kind, float(s), n)
         if key not in self.store:
-            self.store[key] = float(
-                _engine.max_norm_word(mu, n, self.budget, clock=self.clock) if kind == "max"
-                else _engine.weighted_sums(mu, n, kind, [float(s)], self.budget,
-                                           clock=self.clock, workers=self.workers)[0])
+            tables = self.tables.setdefault(id(mu), {}) if kind == "held" else None
+            if kind == "max":
+                value = float(_engine.max_norm_word(mu, n, self.budget, clock=self.clock))
+            elif kind == "held" and n in tables:
+                value = _engine.held_phi_bounds(mu, n, s, self.budget, self.clock, tables)
+            else:
+                value = float(_engine.weighted_sums(
+                    mu, n, "phi" if kind == "held" else kind, [float(s)], self.budget,
+                    clock=self.clock, workers=self.workers, tables=tables)[0])
+                value = (value, value) if kind == "held" else value
+            self.store[key] = value
             self.words += _engine.nominal_words(n, self.n_atoms or mu.n_atoms)
         return self.store[key]
 
@@ -222,7 +237,7 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance,
     verdict.  source is _sandwich's, and lower a lower end known up front.
     """
     t0 = time.monotonic()
-    sums = _Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
+    sums = _Sums(budget, workers)
     lo, up, n_used, status = lower, math.inf, 0, _EXHAUSTED
     try:
         if (block is not None and sums.feasible(mu, block)
@@ -241,6 +256,15 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance,
     except BudgetExhaustedError:
         pass
     return PressureBracket(lo, up, n_used, status, sums.words, time.monotonic() - t0, provenance)
+
+
+def _exp_end(x, upper):
+    """exp(x) as an upper (upper=True) or lower end on the linear scale; past
+    the float range these are inf and the largest float, still valid ends."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf if upper else sys.float_info.max
 
 
 def _triangular_diagonals(mats):
@@ -380,10 +404,8 @@ def p_radius_bracket(source, p, eps, budget=None, workers=None):
     mb = bracket(mu, p, eps, budget=budget, workers=workers)
     scale = mu.n_atoms ** (-1.0 / p)
 
-    def to_radius(x):
-        return 0.0 if x == -math.inf else scale * math.exp(x / p)
-
     return PressureBracket(
-        to_radius(mb.lower), to_radius(mb.upper), mb.n_used, mb.status,
+        scale * _exp_end(mb.lower / p, False), scale * _exp_end(mb.upper / p, True),
+        mb.n_used, mb.status,
         mb.words_evaluated, mb.wall_time, mb.provenance,
     )

@@ -310,7 +310,7 @@ def continuity_at_one(mu, eps, budget=None, workers=None):
     if budget is None:
         budget = WordBudget()
     mu0 = restrict_invertible(mu)
-    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), workers)
+    sums = pressure._Sums(budget, workers)
     try:
         if mu0 is None:
             # P(mu0,1) = -inf: the jump exists unless P(mu,1) = -inf as well,

@@ -92,7 +92,7 @@ def sandwich(mu, kind, s, block, log_k, steps):
     """The first ``steps`` yields (n, lower, upper) of pressure._sandwich,
     the running max and min of the two bound families, on a fresh run."""
     budget = WordBudget()
-    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), 1)
+    sums = pressure._Sums(budget, 1)
     return list(itertools.islice(pressure._sandwich(mu, kind, s, block, log_k, sums), steps))
 
 

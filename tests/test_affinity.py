@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from matpress import _engine, svpressure
+from matpress import _engine, pressure, svpressure
 from matpress.affinity import (
     _ROUNDING,
     AffinityResult,
-    _PhiCache,
     _det_excess,
     _det_root,
     _lower_margin,
+    _slack,
     _sweep,
     _upper_margin,
     affinity_dimension,
@@ -502,11 +502,12 @@ def test_tests_read_the_conservative_side_of_a_sketch():
     # held values with a lower bound 1 below the upper: the upper test must
     # read Phi_n's upper bound, the lower test Phi_{n b}'s lower bound and
     # Phi_n's upper bound
-    cache = _PhiCache(THREE_HALVES, WordBudget(), _engine.RunClock(600.0), 1)
-    cache.vals = {(0.5, 4): (-3.0, -2.0), (0.5, 8): (5.0, 6.0)}
-    assert _upper_margin(cache, 4, 0.5) == 2.0 - cache.slack(-2.0, 4)
-    slack = cache.slack(5.0, 8) + cache.slack(-2.0, 4) + _ROUNDING * 0.25
-    assert _lower_margin(cache, 4, 0.5, 2, 0.25) == 5.0 - 0.25 + 2.0 - slack
+    mu = THREE_HALVES
+    sums = pressure._Sums(WordBudget(), 1)
+    sums.store = {(id(mu), "held", 0.5, 4): (-3.0, -2.0), (id(mu), "held", 0.5, 8): (5.0, 6.0)}
+    assert _upper_margin(sums, mu, 4, 0.5) == 2.0 - _slack(mu, -2.0, 4)
+    slack = _slack(mu, 5.0, 8) + _slack(mu, -2.0, 4) + _ROUNDING * 0.25
+    assert _lower_margin(sums, mu, 4, 0.5, 2, 0.25) == 5.0 - 0.25 + 2.0 - slack
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])

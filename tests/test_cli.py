@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -293,6 +294,16 @@ class TestJsrCommand:
         assert data["bracket"]["upper"] == 0.5
         assert data["status"] == "certified"
         assert data["provenance"] == "triangular"
+
+    def test_radius_past_the_float_range_exits_with_budget_status(self, tmp_path, capsys):
+        # a radius of 2e308 is reported as [largest float, inf], not a traceback
+        doc = {"d": 2, "atoms": [{"weight": 1.0, "matrix": [[1e308, 1e308], [1e308, 1e308]]}]}
+        code = cli.main(["jsr", write_doc(tmp_path, doc), "--format", "json"])
+        out = capsys.readouterr()
+        data = json.loads(out.out)
+        assert code == 2 and out.err == ""
+        assert data["status"] == "budget_exhausted"
+        assert data["bracket"] == {"lower": sys.float_info.max, "upper": "inf"}
 
     def test_no_spectral_floor_flag(self, tmp_path, capsys, enumeration_only):
         path = write_doc(tmp_path, DIAG_PAIR_DOC)

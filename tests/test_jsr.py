@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -302,6 +303,28 @@ class TestBracket:
         assert engine_calls["max_norm_word"] == 1
         assert (res.lower, res.upper, res.n_used) == (0.5, 0.5, 1)
         assert res.status == "certified" and res.provenance == "spectral-floor"
+
+
+class TestNearTheFloatMaximum:
+    # finite atoms whose radius 2e308 is past the float range: the log ends
+    # are finite, and their linear images are inf above and the largest
+    # float below, not an OverflowError
+    BIG = np.full((2, 2), 1e308)
+
+    def test_jsr_bracket_keeps_valid_linear_ends(self):
+        # eigvals(BIG) is inf, which the spectral floor skips: otherwise the
+        # clamp lo <= up would certify [inf, inf]
+        res = jsr_bracket([self.BIG], budget=WordBudget(max_words=2**12))
+        assert (res.lower, res.upper) == (sys.float_info.max, math.inf)
+        assert res.status == "budget_exhausted"
+
+    def test_scan_keeps_valid_linear_ends(self):
+        mu = FiniteMatrixMeasure.from_matrices([self.BIG])
+        out = zero_temperature_scan(mu, [1.0])
+        (p,) = out.points
+        assert math.isfinite(p.m_lower) and math.isfinite(p.m_upper)
+        assert p.radius_lower == math.exp(p.m_lower) and p.radius_upper == math.inf
+        assert (out.jsr.lower, out.jsr.upper) == (sys.float_info.max, math.inf)
 
 
 class TestScan:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import (
     brute_norm_sum, engine_norm_bracket, log_sum, norm_sandwich, random_measure,
 )
 from matpress import _engine
-from matpress.errors import InvalidInputError
+from matpress.errors import BudgetExhaustedError, InvalidInputError
 from matpress.measure import FiniteMatrixMeasure, WordBudget, scale_measure
 from matpress.pressure import (
     _Sums,
@@ -131,7 +132,7 @@ class TestMinusInfinity:
     def test_detects_shared_kernel_nilpotents(self):
         # M = -inf exactly when the length-d sum vanishes, the test that
         # pressure's bracket and svpressure's continuity diagnostic make
-        sums = _Sums(WordBudget(), _engine.RunClock(600.0), 1)
+        sums = _Sums(WordBudget(), 1)
         assert sums.get(NILPOTENT_PAIR, "norm", 1.0, 2) == -math.inf
         assert sums.get(DIAG_PAIR, "norm", 1.0, 2) > -math.inf
 
@@ -148,6 +149,36 @@ class TestMinusInfinity:
         res = bracket(NILPOTENT_PAIR, 1.0, 0.5)
         assert res.width == 0.0
         assert res.contains(-math.inf)
+
+
+class TestSums:
+    def test_held_sketches_are_kept_per_measure(self, monkeypatch):
+        # one store serving two measures: each measure's first held exponent
+        # at length 8 is exact and leaves its own sketch, so a later exponent
+        # there is bounded around that measure's sum, not the other's
+        monkeypatch.setattr(_engine, "_row_cap", lambda d: 16)
+        rng = np.random.default_rng(3)
+        mus = [random_measure(rng), random_measure(rng)]
+        sums = _Sums(WordBudget(), 1)
+        for s in (1.0, 1.3):
+            for mu in mus:
+                lo, hi = sums.get(mu, "held", s, 8)
+                v = float(_engine.weighted_sums(mu, 8, "phi", [s], WordBudget())[0])
+                tol = 1e-12 * (1.0 + abs(v))  # two reductions round apart by a few u
+                assert lo - tol <= v <= hi + tol, (s, lo, v, hi)
+                if s == 1.0:
+                    assert lo == hi == v
+        assert all(8 in sums.tables[id(mu)] for mu in mus)
+        assert sums.words == 4 * 2**8
+
+    @pytest.mark.parametrize("kind", ["norm", "phi", "max", "held"])
+    def test_the_clock_starts_with_the_store(self, kind):
+        sums = _Sums(WordBudget(wall_clock_cap=1e-9), 1)
+        time.sleep(1e-3)
+        with pytest.raises(BudgetExhaustedError) as err:
+            sums.get(DIAG_PAIR, kind, 1.0, 1)
+        assert err.value.reason == "wall_clock"
+        assert sums.store == {} and sums.words == 0
 
 
 class TestScalingCovariance:
@@ -230,6 +261,13 @@ class TestPRadius:
         assert res.status == "minus_infinity"
         assert res.lower == 0.0
         assert res.upper == 0.0
+
+    def test_radius_past_the_float_range_maps_to_valid_ends(self):
+        # the 1-radius of this atom is its spectral radius 2e308: the log
+        # bracket is finite, and its upper end maps to inf, not an OverflowError
+        res = p_radius_bracket([np.full((2, 2), 1e308)], 1, 0.5)
+        assert res.status == "certified"
+        assert 0.0 < res.lower < math.inf and res.upper == math.inf
 
     def test_rejects_weighted_measures(self):
         mu = FiniteMatrixMeasure([(2.0, 0.5 * np.eye(2))])

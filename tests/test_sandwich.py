@@ -392,7 +392,7 @@ def test_each_upper_end_is_the_least_mean_of_the_sums_so_far(route, monkeypatch)
         return out
 
     monkeypatch.setattr(_engine, "weighted_sums", spy)
-    sums = pressure._Sums(budget, _engine.RunClock(budget.wall_clock_cap), 1)
+    sums = pressure._Sums(budget, 1)
     for n, lo, up in pressure._sandwich(mu, kind, float(s), block, log_k, sums):
         assert n * block in seen
         assert up == min(v / m for m, v in seen.items())
