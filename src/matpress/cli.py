@@ -25,7 +25,6 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import affinity, jsr, pressure, svpressure
 from .errors import DimensionCapError, InvalidInputError
 from .measure import FiniteMatrixMeasure, WordBudget
 
@@ -40,9 +39,10 @@ def parse_exponent(text):
     try:
         if "/" in t:
             return sum(Fraction(part.strip()) for part in t.split("+"))
-        if "." not in t and "e" not in t.lower() and "inf" not in t.lower():
+        try:
             return Fraction(int(t))
-        return float(t)
+        except ValueError:
+            return float(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse exponent {text!r}: {exc}") from exc
 
@@ -210,12 +210,16 @@ def _print_bracket_text(report, out):
 
 
 def _cmd_pressure(args, out):
+    from . import pressure
+
     mu, s = parse_input(args.input), parse_exponent(args.s)
     br = pressure.bracket(mu, float(s), args.eps, budget=_budget(args), workers=args.workers)
     return _bracket_report("pressure", args, mu, {"s": str(s), "eps": args.eps}, br, out)
 
 
 def _cmd_pradius(args, out):
+    from . import pressure
+
     mu, p = parse_input(args.input), parse_exponent(args.p)
     br = pressure.p_radius_bracket(
         mu, float(p), args.eps, budget=_budget(args), workers=args.workers)
@@ -223,6 +227,8 @@ def _cmd_pradius(args, out):
 
 
 def _cmd_svpressure(args, out):
+    from . import svpressure
+
     mu, s = parse_input(args.input), parse_exponent(args.s)
     br = svpressure.bracket(
         mu, s, args.eps, budget=_budget(args), q_cap=args.q_cap, workers=args.workers)
@@ -231,6 +237,8 @@ def _cmd_svpressure(args, out):
 
 
 def _cmd_affdim(args, out):
+    from . import affinity
+
     mu = parse_input(args.input)
     res = affinity.affinity_dimension(
         mu, args.eps, budget=_budget(args), q_cap=args.q_cap, workers=args.workers
@@ -262,6 +270,8 @@ def _cmd_affdim(args, out):
 
 
 def _cmd_jsr(args, out):
+    from . import jsr
+
     mu = parse_input(args.input)
     br = jsr.jsr_bracket(mu, eps=args.eps, budget=_budget(args),
                          use_spectral_floor=not args.no_spectral_floor, workers=args.workers)
@@ -269,6 +279,8 @@ def _cmd_jsr(args, out):
 
 
 def _cmd_scan(args, out):
+    from . import jsr
+
     mu = parse_input(args.input)
     s_list = [float(parse_exponent(part)) for part in args.s.split(",") if part.strip()]
     result = jsr.zero_temperature_scan(

@@ -20,7 +20,6 @@ __all__ = [
     "operator_norm",
     "phi",
     "exterior_power",
-    "kronecker",
     "lift",
 ]
 
@@ -119,11 +118,6 @@ def exterior_power(a, k):
         for j, cols in enumerate(subsets):
             out[i, j] = _det(sub[:, cols])
     return out
-
-
-def kronecker(a, b):
-    """Kronecker product of two square matrices (norm-multiplicative)."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def lift(a, k, p, q):

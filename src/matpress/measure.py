@@ -1,5 +1,5 @@
 """Finitely supported matrix measures, enumeration budgets, and the
-measure-level transforms (hat measure, lifts, restriction, scaling).
+measure-level transforms (lifts, restriction, scaling).
 
 A measure is a finite list of atoms (w_i, A_i) with w_i > 0 and all A_i of
 one common square dimension.  Power sums over words of length n are weighted
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _engine, linalg
+from . import linalg
 from .errors import InvalidInputError
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "phi_kernel",
     "FiniteMatrixMeasure",
     "weighted_power_sum",
-    "hat_measure_2d",
     "lifted_measure",
     "restrict_invertible",
     "scale_measure",
@@ -195,39 +194,12 @@ def weighted_power_sum(mu, n, kernel, budget=None, workers=None):
         raise InvalidInputError("weighted_power_sum expects a FiniteMatrixMeasure")
     if not isinstance(kernel, Kernel):
         raise InvalidInputError("kernel must come from norm_kernel()/phi_kernel()")
+    from . import _engine  # here, not at module load: parsing a measure needs no engine
+
     if budget is None:
         budget = WordBudget()
     logs = _engine.weighted_sums(mu, n, kernel.kind, [kernel.s], budget, workers=workers)
     return LogValue(float(logs[0]))
-
-
-def _abs_dets(mu):
-    return np.abs([linalg._det(m) for m in mu._mats])
-
-
-def hat_measure_2d(mu, s):
-    """Determinant-tilted companion measure for the planar exponent range.
-
-    For d = 2 and 1 < s < 2, reweights each invertible atom by |det A|^(s-1)
-    and drops singular atoms.  Word for word,
-
-        w_hat(w) * ||A_w||^(2-s) == w(w) * phi^s(A_w),
-
-    so phi^s power sums for mu equal norm power sums at exponent 2-s for the
-    tilted measure.  Returns None when no atom is invertible (the tilted
-    measure would be empty).
-    """
-    if mu.dimension != 2:
-        raise InvalidInputError("hat_measure_2d needs a 2x2 measure")
-    s = float(s)
-    if not (1.0 < s < 2.0):
-        raise InvalidInputError(f"hat_measure_2d needs 1 < s < 2, got {s}")
-    dets = _abs_dets(mu)
-    keep = dets > 0.0
-    if not np.any(keep):
-        return None
-    new_w = mu._weights[keep] * dets[keep] ** (s - 1.0)
-    return FiniteMatrixMeasure(zip(new_w, mu._mats[keep]))
 
 
 def lifted_measure(mu, k, p, q):
@@ -245,7 +217,7 @@ def lifted_measure(mu, k, p, q):
 
 def restrict_invertible(mu):
     """Sub-measure of atoms with |det A| > 0; None if none survive."""
-    keep = _abs_dets(mu) > 0.0
+    keep = np.abs([linalg._det(m) for m in mu._mats]) > 0.0
     if not np.any(keep):
         return None
     return FiniteMatrixMeasure(zip(mu._weights[keep], mu._mats[keep]))

@@ -12,8 +12,8 @@ phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
   in the diagonal entries, with no enumeration, rational s or not;
 * d = 2, 1 < s < 2: a planar product inequality with the piecewise constant
   planar_constant(s) plays the role the norm inequality plays for M.  It is
-  proved by passing to the determinant-tilted companion measure
-  (see measure.hat_measure_2d), for which phi^s sums become norm sums;
+  proved by passing to the determinant-tilted companion measure (weights
+  w_i |det A_i|^(s-1)), for which phi^s sums become norm sums;
 * d >= 3, rational s = k + p/q in (1, d): the exterior/Kronecker lift of
   linalg.lift turns phi^s sums into norm sums in dimension d', giving a
   product inequality with explicit constant (lift route);
@@ -45,7 +45,6 @@ __all__ = [
     "planar_constant",
     "log_planar_constant",
     "lift_params",
-    "det_pressure",
     "bracket",
     "continuity_at_one",
 ]
@@ -191,35 +190,13 @@ def _lift_candidates(d, q_cap):
     return sorted(out, reverse=True)
 
 
-def det_pressure(mu, s):
-    """Exact pressure log sum w_i |det A_i|^(s/d) for s >= d.
-
-    phi^s is multiplicative there, so the one-step sum already equals P.
-    Returns -inf when every atom is singular.
-    """
-    pressure._validate_mu(mu)
-    s = float(s)
-    d = mu.dimension
-    if not (s >= d):
-        raise InvalidInputError(f"det_pressure needs s >= d = {d}, got {s}")
-    ratio = s / d
-    best = -math.inf
-    vals = []
-    for w, m in zip(mu._weights, mu._mats):
-        det = abs(linalg._det(m))
-        v = -math.inf if det == 0.0 else math.log(w) + ratio * math.log(det)
-        vals.append(v)
-        best = max(best, v)
-    if best == -math.inf:
-        return -math.inf
-    return best + math.log(sum(math.exp(v - best) for v in vals))
-
-
 def _det_bounds(mu, s):
-    """(lower, upper) around det_pressure(mu, s), s >= d: the closed form of
-    pressure._TriangularForm on the 1x1 family of the |det A_i| at exponent
-    s/d, widened by its rounding radius as affinity's determinant root is;
-    None where a term overflows.  The determinants are taken as computed.
+    """(lower, upper) around P(mu, s) = log sum w_i |det A_i|^(s/d), s >= d
+    (phi^s is multiplicative there, so the one-step sum is exact): the
+    closed form of pressure._TriangularForm on the 1x1 family of the
+    |det A_i| at exponent s/d, widened by its rounding radius as affinity's
+    determinant root is; None where a term overflows.  The determinants are
+    taken as computed.
     """
     dets = np.array([[abs(linalg._det(m))] for m in mu._mats])
     return pressure._TriangularForm(mu._weights, dets).bounds(s / mu.dimension, 0)

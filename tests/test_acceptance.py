@@ -19,6 +19,7 @@ from conftest import brute_norm_sum, engine_norm_bracket, log_sum, norm_sandwich
 from matpress import affinity, cli, jsr, pressure, svpressure
 from matpress.linalg import lift, operator_norm, phi
 from matpress.measure import FiniteMatrixMeasure, WordBudget
+from oracle import det_pressure
 
 DIAG_PAIR = FiniteMatrixMeasure(
     [
@@ -125,7 +126,7 @@ def test_criterion_06_planar_bracket_validity():
                 for up in ups:
                     assert lo <= up + 1e-9
         # above the ambient dimension the determinant sum is the exact value
-        det_lo = svpressure.det_pressure(mu, 2.5)
+        det_lo = det_pressure(mu, 2.5)
         for m in (1, 2, 3):
             assert det_lo <= log_sum(mu, "phi", 2.5, m) / m + 1e-9
     _pass(6, "no ordering violation over 50 random measures")

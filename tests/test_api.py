@@ -1,10 +1,14 @@
-"""The public API: every exported name resolves, and the top level re-exports
-only what some submodule still exports."""
+"""The public API: every exported name resolves, the top level re-exports
+only what some submodule still exports, and each module loads on first use."""
 
 import ast
 import collections
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,20 +45,86 @@ def test_top_level_reexports_only_what_a_submodule_exports():
     assert not stale
 
 
+def run_fresh(code, *args):
+    """Run ``code`` with ``args`` in a new interpreter on this suite's
+    sys.path; returns the last line it prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
+LOADED = 'print(sorted(m.split(".")[1] for m in sys.modules if m.startswith("matpress.")))'
+
+
+def test_parsing_a_measure_loads_no_bracket_module(tmp_path):
+    doc = tmp_path / "mu.json"
+    doc.write_text(json.dumps({"d": 2, "atoms": [{"matrix": [[0.5, 0.0], [0.0, 0.5]]}]}))
+    loaded = run_fresh(f"""
+import sys
+import matpress
+from matpress import cli
+cli.parse_input(sys.argv[1])
+{LOADED}
+""", str(doc))
+    assert loaded == repr(["cli", "errors", "linalg", "measure"])
+
+
+def test_the_jsr_command_loads_only_its_modules(tmp_path):
+    # what ``python -m matpress jsr doc.json`` runs
+    doc = tmp_path / "mu.json"
+    doc.write_text(json.dumps({"d": 2, "atoms": [{"matrix": [[0.5, 0.25], [0.0, 0.5]]}]}))
+    loaded = run_fresh(f"""
+import runpy, sys
+sys.argv[0] = "matpress"
+try:
+    runpy.run_module("matpress", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+{LOADED}
+""", "jsr", str(doc))
+    assert loaded == repr(["_engine", "cli", "errors", "jsr", "linalg", "measure", "pressure"])
+
+
+def test_every_name_resolves_after_a_bare_import():
+    # the submodule first: nothing else has loaded it yet
+    missing = run_fresh("""
+import matpress
+assert matpress.pressure.bracket is matpress.pressure_bracket
+print([name for name in matpress.__all__ if not hasattr(matpress, name)])
+""")
+    assert missing == "[]"
+
+
+def test_star_import_binds_every_exported_name():
+    unbound = run_fresh("""
+from matpress import *
+import matpress
+print([name for name in matpress.__all__ if name not in globals()])
+""")
+    assert unbound == "[]"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    assert run_fresh("import matpress; print(hasattr(matpress, 'no_such_name'))") == "False"
+
 
 def bindings_and_uses():
-    """The package's module-level names that must be used, and its uses.
+    """The package's names that must be used, and its uses.
 
     Names: every module-level import, and every private module-level
     function, class or assignment, as (module, name, definition or None).
     Uses: (module, name) pairs named by ``mod.name`` or ``from .mod import
     name`` anywhere, or by a string in the module's ``__all__``; and per
-    module, a count of its loads of each bare name.
+    module, a count of its loads of each bare name.  Local: every import
+    inside a function, as (module, function, name bound); an import in a
+    nested function is listed under each function around it.
     """
     root = Path(matpress.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(root.glob("*.py"))}
-    names, uses, loads = [], set(), {}
+    names, uses, loads, local = [], set(), {}, []
     for mod, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -72,20 +142,27 @@ def bindings_and_uses():
                                     if isinstance(c, ast.Constant))
                     names.append((mod, target.id, node))
         nodes = list(ast.walk(tree))
+        local += [(mod, fn, (a.asname or a.name).split(".")[0])
+                  for fn in nodes if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for a in node.names]
         uses.update((n.value.id, n.attr) for n in nodes if isinstance(n, ast.Attribute)
                     and isinstance(n.value, ast.Name) and n.value.id in trees)
         loads[mod] = collections.Counter(
             n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
     private = [(m, n, d) for m, n, d in names
                if d is None or (n.startswith("_") and not n.startswith("__"))]
-    return private, uses, loads
+    return private, uses, loads, local
 
 
 def test_every_module_level_import_and_private_name_is_used():
     # a leftover import or helper (an unused typing.NamedTuple, a helper whose
-    # last caller went) is referenced nowhere else in the package
-    names, uses, loads = bindings_and_uses()
-    dead = []
+    # last caller went) is referenced nowhere else in the package, and a
+    # stale deferred import is loaded nowhere in the function that makes it
+    names, uses, loads, local = bindings_and_uses()
+    dead = [f"{mod}.{fn.name}: {name}" for mod, fn, name in local
+            if not any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+                       for n in ast.walk(fn))]
     for mod, name, node in names:
         # a definition's loads of its own name (recursion) do not count
         own = 0 if node is None else sum(

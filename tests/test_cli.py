@@ -77,6 +77,10 @@ class TestParseExponent:
         assert isinstance(s, float) and s == 1.5
         assert cli.parse_exponent("1e-3") == 1e-3
 
+    @pytest.mark.parametrize("text", ["nan", "NaN", "-nan"])
+    def test_nan_is_a_float_left_to_the_validators(self, text):
+        assert math.isnan(cli.parse_exponent(text))
+
     @pytest.mark.parametrize("bad", ["", "abc", "1/0", "3//2", "1+/2"])
     def test_rejects_junk(self, bad):
         with pytest.raises(InvalidInputError):
@@ -376,6 +380,14 @@ class TestMainErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert "exponent" in captured.err
+
+    @pytest.mark.parametrize("command", ["pressure", "svpressure"])
+    def test_nan_exponent_is_reported_as_not_finite(self, tmp_path, capsys, command):
+        code = cli.main([command, write_doc(tmp_path, DIAG_PAIR_DOC), "--s", "nan"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: exponent s must be positive and finite, got nan\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("command, extra", [

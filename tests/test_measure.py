@@ -9,7 +9,6 @@ from matpress.measure import (
     FiniteMatrixMeasure,
     LogValue,
     WordBudget,
-    hat_measure_2d,
     lifted_measure,
     norm_kernel,
     phi_kernel,
@@ -17,6 +16,7 @@ from matpress.measure import (
     scale_measure,
     weighted_power_sum,
 )
+from oracle import hat_measure_2d
 
 
 DIAG_PAIR = [

@@ -11,7 +11,6 @@ from matpress.errors import DimensionCapError, InvalidInputError
 from matpress.measure import (
     FiniteMatrixMeasure,
     WordBudget,
-    hat_measure_2d,
     lifted_measure,
 )
 from matpress.svpressure import (
@@ -20,11 +19,11 @@ from matpress.svpressure import (
     INCONCLUSIVE,
     bracket,
     continuity_at_one,
-    det_pressure,
     lift_params,
     log_planar_constant,
     planar_constant,
 )
+from oracle import det_pressure, hat_measure_2d
 
 
 # dets 1/4 and 1/6, so the determinant pressure at s = 2 is log(1/8 + 1/6)
