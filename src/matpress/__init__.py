@@ -52,10 +52,8 @@ _EXPORTS = {
     "pressure_bracket": ("pressure", "bracket"),
     "norm_constant": ("pressure", "norm_constant"),
     "p_radius_bracket": ("pressure", "p_radius_bracket"),
-    "LiftSpec": ("svpressure", "LiftSpec"),
     "sv_pressure_bracket": ("svpressure", "bracket"),
     "continuity_at_one": ("svpressure", "continuity_at_one"),
-    "lift_params": ("svpressure", "lift_params"),
     "planar_constant": ("svpressure", "planar_constant"),
     "AffinityResult": ("affinity", "AffinityResult"),
     "affinity_dimension": ("affinity", "affinity_dimension"),

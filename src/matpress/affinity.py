@@ -36,7 +36,7 @@ from .errors import BudgetExhaustedError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
 from .pressure import _ROUNDING, _validate_eps, _validate_mu
-from .svpressure import _lift_candidates, _route, _validate_q_cap
+from .svpressure import _lift_rows, _route
 
 __all__ = [
     "AffinityResult",
@@ -302,7 +302,7 @@ def _lower_end(sums, mu, n, lo, hi, tol, lifts):
 
     Where the product-inequality constant is explicit in s (s <= 1 with
     block d, and 1 < s < 2 for d = 2) the test is walked continuously, to
-    within tol.  For d >= 3 above 1 only the ``lifts`` (_lift_candidates)
+    within tol.  For d >= 3 above 1 only the ``lifts`` (_lift_rows)
     have a constant: the largest that fires wins.
     """
     d = mu.dimension
@@ -315,7 +315,7 @@ def _lower_end(sums, mu, n, lo, hi, tol, lifts):
         return lo, 0
 
     def margin(s):
-        return _lower_margin(sums, mu, n, s, *_route(d, s, None)[:2])
+        return _lower_margin(sums, mu, n, s, *_route(d, s)[:2])
 
     m_top = margin(top)
     if m_top > 0.0:
@@ -328,7 +328,7 @@ def _lower_end(sums, mu, n, lo, hi, tol, lifts):
     return _illinois(margin, lo, m_lo, top, m_top, tol)
 
 
-def affinity_dimension(mu, eps, budget=None, q_cap=6, workers=None):
+def affinity_dimension(mu, eps, budget=None, workers=None):
     """Certified interval of width <= eps around the affinity dimension.
 
     Requires every atom's operator norm strictly below 1 (this makes the
@@ -348,7 +348,6 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, workers=None):
     _validate_mu(mu)
     eps = _validate_eps(eps)
     _engine.check_workers(workers)
-    _validate_q_cap(q_cap)
     if budget is None:
         budget = WordBudget()
     worst = max(linalg.operator_norm(m) for m in mu._mats)
@@ -370,12 +369,12 @@ def affinity_dimension(mu, eps, budget=None, q_cap=6, workers=None):
             kinks=[float(k) for k in range(1, mu.dimension)])
         branch = "triangular"
     else:
-        return _sweep(mu, eps, budget, q_cap, workers)
+        return _sweep(mu, eps, budget, workers)
     status = "certified" if hi - lo <= eps else "budget_exhausted"
     return AffinityResult((lo, hi), branch, steps, status, ((lo, hi),), 0, time.monotonic() - t0)
 
 
-def _sweep(mu, eps, budget, q_cap, workers):
+def _sweep(mu, eps, budget, workers):
     """The interval-refinement route of affinity_dimension, on any family.
 
     Step n walks the upper end at length n, then the lower end (whose test
@@ -391,7 +390,7 @@ def _sweep(mu, eps, budget, q_cap, workers):
     tol = eps / 64.0
     lo, hi = 0.0, float(mu.dimension)
     steps, history, n, walked = 0, [], 1, 0
-    lifts = _lift_candidates(mu.dimension, q_cap)
+    lifts = _lift_rows(mu.dimension)
     try:
         while hi - lo > eps and sums.feasible(mu, n):
             sums.clock.check()

@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .errors import DimensionCapError, InvalidInputError
+from .errors import InvalidInputError
 from .measure import FiniteMatrixMeasure, WordBudget
 
 __all__ = ["parse_input", "emit_input", "parse_exponent", "main"]
@@ -230,23 +230,19 @@ def _cmd_svpressure(args, out):
     from . import svpressure
 
     mu, s = parse_input(args.input), parse_exponent(args.s)
-    br = svpressure.bracket(
-        mu, s, args.eps, budget=_budget(args), q_cap=args.q_cap, workers=args.workers)
-    params = {"s": str(s), "eps": args.eps, "q_cap": args.q_cap}
-    return _bracket_report("svpressure", args, mu, params, br, out)
+    br = svpressure.bracket(mu, s, args.eps, budget=_budget(args), workers=args.workers)
+    return _bracket_report("svpressure", args, mu, {"s": str(s), "eps": args.eps}, br, out)
 
 
 def _cmd_affdim(args, out):
     from . import affinity
 
     mu = parse_input(args.input)
-    res = affinity.affinity_dimension(
-        mu, args.eps, budget=_budget(args), q_cap=args.q_cap, workers=args.workers
-    )
+    res = affinity.affinity_dimension(mu, args.eps, budget=_budget(args), workers=args.workers)
     report = {
         "command": "affdim",
         "input": _echo(args, mu),
-        "parameters": {"eps": args.eps, "q_cap": args.q_cap},
+        "parameters": {"eps": args.eps},
         "interval": {"lower": res.interval[0], "upper": res.interval[1]},
         "branch": res.branch,
         "steps": res.steps,
@@ -357,14 +353,10 @@ def build_parser():
     p = sub.add_parser("svpressure", help="singular-value pressure P(mu,s) bracket")
     common(p)
     p.add_argument("--s", required=True, help="exponent (decimal or 'k+p/q')")
-    p.add_argument("--q-cap", type=int, default=6,
-                   help="largest denominator for rational-exponent routes (default 6)")
     p.set_defaults(func=_cmd_svpressure)
 
     p = sub.add_parser("affdim", help="affinity dimension interval")
     common(p)
-    p.add_argument("--q-cap", type=int, default=6,
-                   help="largest denominator for rational-exponent routes (default 6)")
     p.set_defaults(func=_cmd_affdim)
 
     p = sub.add_parser("jsr", help="joint spectral radius bracket of the support")
@@ -386,7 +378,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (InvalidInputError, DimensionCapError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

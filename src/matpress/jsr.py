@@ -206,11 +206,11 @@ def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=None):
     s_values = [float(s) for s in s_list]
     if not s_values:
         raise InvalidInputError("need at least one exponent to scan")
+    if any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
+        raise InvalidInputError("scan exponents must be positive and finite")
     for a, b in zip(s_values, s_values[1:]):
         if not (a < b):
             raise InvalidInputError("scan exponents must be strictly increasing")
-    if any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
-        raise InvalidInputError("scan exponents must be positive and finite")
     if budget is None:
         budget = WordBudget()
     points = []

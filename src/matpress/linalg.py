@@ -23,7 +23,7 @@ __all__ = [
     "lift",
 ]
 
-_DIM_CAP = 256  # the largest lifted dimension of lift and svpressure.lift_params
+_DIM_CAP = 256  # the largest lifted dimension of lift and of a svpressure._lift_rows row
 
 
 def as_matrix(a, d=None):

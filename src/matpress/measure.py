@@ -7,6 +7,7 @@ by the product of the atom weights along the word.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,11 @@ class WordBudget:
     wall_clock_cap: float = 600.0
 
     def __post_init__(self):
-        if not (isinstance(self.max_word_length, int) and self.max_word_length >= 1):
-            raise InvalidInputError("max_word_length must be a positive integer")
-        if not (isinstance(self.max_words, int) and self.max_words >= 1):
-            raise InvalidInputError("max_words must be a positive integer")
+        for name in ("max_word_length", "max_words"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= 1):
+                raise InvalidInputError(f"{name} must be a positive integer")
         if not (self.wall_clock_cap > 0):
             raise InvalidInputError("wall_clock_cap must be positive")
 

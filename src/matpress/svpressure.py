@@ -14,37 +14,36 @@ phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
   planar_constant(s) plays the role the norm inequality plays for M.  It is
   proved by passing to the determinant-tilted companion measure (weights
   w_i |det A_i|^(s-1)), for which phi^s sums become norm sums;
-* d >= 3, rational s = k + p/q in (1, d): the exterior/Kronecker lift of
-  linalg.lift turns phi^s sums into norm sums in dimension d', giving a
-  product inequality with explicit constant (lift route);
-* d >= 3, irrational s: the upper end at s; the lower end at the least
-  lift rational s+ >= s whose block fits the budget (else the determinant
+* d >= 3, s exactly a rational k + p/q in (1, d) with q <= 6 whose lifted
+  dimension d' is at most 256: the exterior/Kronecker lift of linalg.lift
+  turns phi^s sums into norm sums in dimension d', giving a product
+  inequality with explicit constant (lift route);
+* d >= 3, every other s (irrational, a denominator above 6, or a lift
+  above the cap): the upper end at s; the lower end at the least lift
+  rational s+ >= s whose block fits the budget (else the determinant
   closed form at s+ = d) after rescaling atoms into the unit ball, where
   phi-monotonicity in s makes the transfer sound.
 
 The norm, planar and lift rows live in one route table, _route, whose lift
-rows _lift_candidates lists; affinity's lower test reads them too, and every
+rows _lift_rows lists; affinity's lower test reads them too, and every
 bracket that enumerates runs pressure's one sandwich.
 """
 
 import math
 import numbers
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _engine, linalg, pressure
-from .errors import BudgetExhaustedError, DimensionCapError, InvalidInputError
+from .errors import BudgetExhaustedError, InvalidInputError
 from .measure import WordBudget, scale_measure, restrict_invertible
 from .pressure import log_norm_constant
 
 __all__ = [
-    "LiftSpec",
     "planar_constant",
     "log_planar_constant",
-    "lift_params",
     "bracket",
     "continuity_at_one",
 ]
@@ -57,28 +56,7 @@ CONTINUOUS = "continuous_at_1"
 DISCONTINUOUS = "discontinuous_at_1"
 INCONCLUSIVE = "inconclusive"
 
-
-@dataclass(frozen=True)
-class LiftSpec:
-    """Parameters of the lift route at rational s = k + p/q (lowest terms).
-
-    d_prime is the lifted ambient dimension C(d,k)^(q-p) * C(d,k+1)^p and
-    log_constant the log of the product-inequality constant
-    K = d'^(2 + (d'+1)/q) * (d'+1)^((q-1)/q).
-    """
-
-    k: int
-    p: int
-    q: int
-    d_prime: int
-    log_constant: float
-
-    @property
-    def constant(self):
-        try:
-            return math.exp(self.log_constant)
-        except OverflowError:
-            return math.inf
+_Q_CAP = 6  # the largest denominator of a lift row
 
 
 def planar_constant(s):
@@ -100,94 +78,38 @@ def log_planar_constant(s):
     return math.log(planar_constant(s))
 
 
-def _exact_fraction(s, q_cap):
-    """s as an exact Fraction with denominator <= q_cap, else None."""
-    if isinstance(s, numbers.Rational):  # int, Fraction, numpy integers
-        frac = Fraction(int(s.numerator), int(s.denominator))
-    elif isinstance(s, float):
-        if not math.isfinite(s):
-            return None
-        frac = Fraction(s).limit_denominator(q_cap)
-        if frac != Fraction(s):
-            return None
-    else:
-        return None
-    return frac if frac.denominator <= q_cap else None
-
-
-def _validate_q_cap(q_cap):
-    if not (isinstance(q_cap, numbers.Integral) and not isinstance(q_cap, bool) and q_cap >= 1):
-        raise InvalidInputError(f"q_cap must be an integer >= 1, got {q_cap!r}")
-
-
-def lift_params(d, s, q_cap=6):
-    """LiftSpec for rational s = k + p/q with 0 < k < d.
-
-    ``s`` may be a Fraction, an integer, or a float that is exactly a
-    rational with denominator <= q_cap (pass a Fraction for thirds etc.).
-    Raises DimensionCapError when d' would exceed linalg._DIM_CAP (256), and
-    InvalidInputError for s outside [1, d) or denominators above q_cap.
+def _lift_rows(d):
+    """[(t, (d', log K))], t descending: the lift rows of _route, one for each
+    rational 1 < t < d with denominator q <= _Q_CAP whose lift fits
+    linalg._DIM_CAP.  t = k + p/q in lowest terms lifts to
+    d' = C(d, k)^(q - p) C(d, k + 1)^p (linalg.lift), with the constant
+    K = d'^(2 + (d' + 1)/q) (d' + 1)^((q - 1)/q) of its product inequality.
+    Empty for d <= 2, where the planar constant is explicit in t.
     """
-    _validate_q_cap(q_cap)
-    if not (isinstance(d, int) and d >= 2):
-        raise InvalidInputError(f"lift route needs integer dimension d >= 2, got {d}")
-    frac = _exact_fraction(s, q_cap)
-    if frac is None:
-        raise InvalidInputError(
-            f"s={s!r} is not an exact rational with denominator <= {q_cap}"
-        )
-    if not (1 <= frac < d):
-        raise InvalidInputError(
-            f"lift route needs 1 <= s < d (so that 0 < floor(s) < d), got s={frac}"
-        )
-    k = int(frac)
-    rem = frac - k
-    p, q = rem.numerator, rem.denominator
-    d_prime = math.comb(d, k) ** (q - p) * math.comb(d, k + 1) ** p
-    if d_prime > linalg._DIM_CAP:
-        raise DimensionCapError(
-            f"lifted dimension {d_prime} exceeds cap {linalg._DIM_CAP} for d={d}, s={frac}"
-        )
-    log_constant = (2.0 + (d_prime + 1) / q) * math.log(d_prime) + (
-        (q - 1) / q
-    ) * math.log(d_prime + 1)
-    return LiftSpec(k=k, p=p, q=q, d_prime=d_prime, log_constant=log_constant)
+    rows = []
+    for q in range(1, _Q_CAP + 1) if d >= 3 else ():
+        for a in range(q + 1, d * q):
+            k, p = divmod(a, q)
+            d_prime = math.comb(d, k) ** (q - p) * math.comb(d, k + 1) ** p
+            if math.gcd(a, q) == 1 and d_prime <= linalg._DIM_CAP:
+                log_k = (2.0 + (d_prime + 1) / q) * math.log(d_prime) + (
+                    (q - 1) / q) * math.log(d_prime + 1)
+                rows.append((Fraction(a, q), (d_prime, log_k)))
+    return sorted(rows, reverse=True)
 
 
-def _route(d, s, q_cap):
+def _route(d, s):
     """(block b, log K, provenance) of the product inequality at 0 < s < d:
-    norm for s <= 1, planar for d = 2, else the lift (raises where none exists).
+    norm for s <= 1, planar for d = 2, else the _lift_rows row at s taken as
+    an exact Fraction, or None where s has no row.
     """
     if s <= 1:
         return d, log_norm_constant(d, float(s)), pressure.PROVENANCE_NORM
     if d == 2:
         return 2, log_planar_constant(float(s)), PROVENANCE_PLANAR
-    spec = lift_params(d, s, q_cap=q_cap)
-    return spec.d_prime, spec.log_constant, PROVENANCE_LIFT
-
-
-def _lift_candidates(d, q_cap):
-    """[(t, (block length multiplier, log constant))] of the lift rows of
-    _route: each rational 1 < t < d with denominator <= q_cap, t descending.
-
-    t = k + p/q lifts to d' = C(d, k)^(q - p) C(d, k + 1)^p (lift_params),
-    so only the (k, p, q) with d' <= linalg._DIM_CAP are enumerated: for
-    d = 3, 2 + (q - j)/q with j <= 5 at every q, and 1 + p/q with q <= 5.
-    Empty for d <= 2, where the planar constant is explicit in t.
-    """
-    out = []
-    for k in range(1, d) if d >= 3 else ():
-        a, b = math.comb(d, k), math.comb(d, k + 1)
-        j = 1  # q - p
-        while a**j <= linalg._DIM_CAP:
-            p = 0
-            while p + j <= q_cap and a**j * b**p <= linalg._DIM_CAP:
-                if math.gcd(p, p + j) == 1 and (k, p) != (1, 0):
-                    t = Fraction(k * (p + j) + p, p + j)
-                    out.append((t, _route(d, t, q_cap)[:2]))
-                p += 1
-            j += 1
-    return sorted(out, reverse=True)
+    t = Fraction(s) if isinstance(s, numbers.Rational) else Fraction(float(s))
+    row = dict(_lift_rows(d)).get(t)
+    return None if row is None else (*row, PROVENANCE_LIFT)
 
 
 def _det_bounds(mu, s):
@@ -202,11 +124,12 @@ def _det_bounds(mu, s):
     return pressure._TriangularForm(mu._weights, dets).bounds(s / mu.dimension, 0)
 
 
-def bracket(mu, s, eps, budget=None, q_cap=6, workers=None):
+def bracket(mu, s, eps, budget=None, workers=None):
     """Certified bracket for P(mu,s) to width < eps, routed by (d, s).
 
-    ``s`` may be a float, int, or Fraction; exact rationals unlock the lift
-    route for d >= 3.  Statuses follow pressure.bracket; provenance records
+    ``s`` may be a float, int, or Fraction; for d >= 3 an s that is exactly
+    a lift row of _lift_rows takes the lift route, and every other s the
+    irrational route.  Statuses follow pressure.bracket; provenance records
     which inequality produced the lower bound.  Below d, a family that one
     coordinate order makes upper triangular gets the closed form of
     pressure._TriangularForm instead, for any s (provenance "triangular").
@@ -215,7 +138,6 @@ def bracket(mu, s, eps, budget=None, q_cap=6, workers=None):
     s_float = pressure._validate_s(s)
     eps = pressure._validate_eps(eps)
     _engine.check_workers(workers)
-    _validate_q_cap(q_cap)
     if budget is None:
         budget = WordBudget()
     d = mu.dimension
@@ -234,16 +156,14 @@ def bracket(mu, s, eps, budget=None, q_cap=6, workers=None):
     if triangular is not None:
         return triangular
 
-    s_exact = s_float if d == 2 else _exact_fraction(s, q_cap)
-    if s_exact is None:
-        return _bracket_irrational(mu, s_float, eps, budget, q_cap, workers)
-    block, log_k, provenance = _route(d, s_exact, q_cap)
-    return pressure._bracket(
-        mu, "phi", float(s_exact), block, log_k, eps, budget, workers, provenance
-    )
+    row = _route(d, s)
+    if row is None:
+        return _bracket_irrational(mu, s_float, eps, budget, workers)
+    block, log_k, provenance = row
+    return pressure._bracket(mu, "phi", s_float, block, log_k, eps, budget, workers, provenance)
 
 
-def _bracket_irrational(mu, s, eps, budget, q_cap, workers):
+def _bracket_irrational(mu, s, eps, budget, workers):
     # Upper bounds need nothing special.  Lower bounds transfer from the
     # least rational s+ >= s among the lift rows whose block fits the
     # budget, else from s+ = d, after scaling atoms into the unit ball where
@@ -258,7 +178,7 @@ def _bracket_irrational(mu, s, eps, budget, q_cap, workers):
         c = 1.0
         mu_c = mu
     shift = s * math.log(c)  # P(mu_c, t) = P(mu, t) + t*log(c)
-    rows = [(t, row) for t, row in _lift_candidates(d, q_cap)
+    rows = [(t, row) for t, row in _lift_rows(d)
             if t >= s and _engine.feasible(budget, row[0], mu.n_atoms)]
     # rows descend, so the last is the least; at s+ = d the determinant
     # closed form is a lower end known up front (mu_c's |det| <= 1, so

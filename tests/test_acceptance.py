@@ -119,7 +119,7 @@ def test_criterion_06_planar_bracket_validity():
         atoms = [(1.0, rng.uniform(-0.9, 0.9, (2, 2))) for _ in range(2)]
         mu = FiniteMatrixMeasure(atoms)
         for s in (0.5, 1.0, 1.5):
-            block, log_k, _ = svpressure._route(2, s, 6)
+            block, log_k, _ = svpressure._route(2, s)
             los = [lo for _, lo, _ in sandwich(mu, "phi", s, block, log_k, 3)]
             ups = [log_sum(mu, "phi", s, m) / m for m in (1, 2, 3)]
             for lo in los:

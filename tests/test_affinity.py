@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from matpress import _engine, pressure, svpressure
+from matpress import _engine, affinity, linalg, pressure, svpressure
 from matpress.affinity import (
     _ROUNDING,
     AffinityResult,
@@ -41,7 +41,7 @@ DIM_PAIR_3D = math.log(2.0) / math.log(2.5)
 
 def sweep(mu, eps, budget=None):
     """affinity_dimension's interval-refinement route, whatever the family."""
-    return _sweep(mu, eps, budget or WordBudget(), 6, 1)
+    return _sweep(mu, eps, budget or WordBudget(), 1)
 
 
 class TestMeetsAmbientDimension:
@@ -511,38 +511,41 @@ def test_tests_read_the_conservative_side_of_a_sketch():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
-@pytest.mark.parametrize("q_cap", [1, 2, 6, 7, 30])
-def test_lift_candidates_are_the_admissible_rationals(d, q_cap):
-    # every a/q in (1, d) with q <= q_cap whose lift fits the dimension cap,
-    # in descending order, with the constants of the route table
+@pytest.mark.parametrize("q_max", [1, 2, 6, 7, 30])
+def test_lift_candidates_are_the_admissible_rationals(d, q_max):
+    # the lift rows of denominator <= q_max are every a/q in (1, d) with
+    # q <= min(q_max, 6) that linalg.lift takes within its dimension cap,
+    # in descending order
+    rows = [t for t, _ in svpressure._lift_rows(d) if t.denominator <= q_max]
     if d < 3:
-        assert svpressure._lift_candidates(d, q_cap) == []
+        assert rows == []
         return
     want = []
-    for t in sorted({Fraction(a, q) for q in range(1, q_cap + 1) for a in range(q + 1, d * q)},
-                    reverse=True):
+    for t in sorted({Fraction(a, q) for q in range(1, min(q_max, 6) + 1)
+                     for a in range(q + 1, d * q)}, reverse=True):
         try:
-            want.append((t, svpressure._route(d, t, q_cap)[:2]))
+            linalg.lift(np.eye(d), int(t), (t - int(t)).numerator, t.denominator)
         except DimensionCapError:
-            pass
-    assert svpressure._lift_candidates(d, q_cap) == want
+            continue
+        want.append(t)
+    assert rows == want
 
 
 def test_each_lift_candidate_is_routed_once_per_run(monkeypatch):
     # five copies of I_3 / 2 (dimension log 5 / log 2): the upper end stays
-    # above 2 over ten lengths, and the lower test's lift rationals are
-    # routed once, not at every length
-    calls, want = [], sorted(t for t, _ in svpressure._lift_candidates(3, 12))
-    real = svpressure.lift_params
+    # above 2 over ten lengths, and the lift table the lower test reads is
+    # built once, not at every length
+    calls, real = [], svpressure._lift_rows
 
-    def spy(d, s, q_cap=6):
-        calls.append(s)
-        return real(d, s, q_cap=q_cap)
+    def spy(d):
+        calls.append(d)
+        return real(d)
 
-    monkeypatch.setattr(svpressure, "lift_params", spy)
-    res = _sweep(moran_measure(5, 0.5, d=3), 0.05, WordBudget(), 12, 1)
+    monkeypatch.setattr(svpressure, "_lift_rows", spy)
+    monkeypatch.setattr(affinity, "_lift_rows", spy)
+    res = _sweep(moran_measure(5, 0.5, d=3), 0.05, WordBudget(), 1)
     assert len(res.history) == 10 and res.interval[1] > 2.0
-    assert sorted(calls) == want and len(want) == 42
+    assert calls == [3] and len(real(3)) == 21
     h = float.fromhex
     assert res.interval == (h("0x1.23f085ab2d9d0p-2"), h("0x1.2934f09a02705p+1"))
 

@@ -241,7 +241,7 @@ class TestSvpressureCommand:
         data = json.loads(capsys.readouterr().out)
         br = svpressure.bracket(
             cli.parse_input(path), Fraction(3, 2), 0.5,
-            budget=cli_default_budget(), q_cap=6,
+            budget=cli_default_budget(),
         )
         assert enumeration_only["weighted_sums"] > 0
         assert code == 0
@@ -253,14 +253,20 @@ class TestSvpressureCommand:
         target = 1.5 * math.log(0.4)
         assert data["bracket"]["lower"] - 1e-9 <= target <= data["bracket"]["upper"] + 1e-9
 
-    def test_lift_dimension_cap_exits_one(self, tmp_path, capsys, enumeration_only):
-        # a diagonal atom is answered in closed form; the lift route raises
+    def test_lift_above_the_dimension_cap_takes_the_irrational_route(
+            self, tmp_path, capsys, enumeration_only):
+        # a diagonal atom is answered in closed form, so enumeration_only; 5/2
+        # lifts to C(6,2) C(6,3) = 300 > 256, so it has no lift row of its own
         eye6 = [[0.5 if i == j else 0.0 for j in range(6)] for i in range(6)]
         doc = {"d": 6, "atoms": [{"weight": 1.0, "matrix": eye6}]}
-        code = cli.main(["svpressure", write_doc(tmp_path, doc), "--s", "2+1/2"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error:")
+        code = cli.main(["svpressure", write_doc(tmp_path, doc), "--s", "2+1/2",
+                         "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert enumeration_only["weighted_sums"] > 0
+        assert code in (0, 2)
+        assert data["provenance"] == "lift-sv-bound"
+        target = 2.5 * math.log(0.5)
+        assert data["bracket"]["lower"] - 1e-9 <= target <= data["bracket"]["upper"] + 1e-9
 
 
 class TestAffdimCommand:
@@ -389,6 +395,14 @@ class TestMainErrors:
         assert captured.err == "error: exponent s must be positive and finite, got nan\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid", ["nan", "1,nan"])
+    def test_nan_scan_exponent_is_reported_as_not_finite(self, tmp_path, capsys, grid):
+        code = cli.main(["scan", write_doc(tmp_path, DIAG_PAIR_DOC), "--s", grid])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: scan exponents must be positive and finite\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("command, extra", [
         ("pressure", ["--s", "1"]), ("pradius", ["--p", "2"]), ("svpressure", ["--s", "1.5"]),
@@ -400,16 +414,6 @@ class TestMainErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert "workers" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("command, extra", [("svpressure", ["--s", "1.5"]), ("affdim", [])])
-    def test_bad_q_cap_exits_one(self, tmp_path, capsys, command, extra):
-        path = write_doc(tmp_path, DIAG_PAIR_DOC)
-        code = cli.main([command, path, *extra, "--q-cap", "0"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error:")
-        assert "q_cap" in captured.err
         assert captured.out == ""
 
     def test_workers_default_to_automatic(self, tmp_path):

@@ -96,6 +96,16 @@ def test_word_budget_validation():
         WordBudget(wall_clock_cap=0.0)
 
 
+@pytest.mark.parametrize("field", ["max_word_length", "max_words"])
+def test_word_budget_counts_are_integers_not_bools(field):
+    # the rule of the workers check: any Integral >= 1, but no bool, which
+    # would run silently at 1
+    assert getattr(WordBudget(**{field: np.int64(5)}), field) == 5
+    for bad in (True, False, 2.0, np.float64(3.0)):
+        with pytest.raises(InvalidInputError, match=field):
+            WordBudget(**{field: bad})
+
+
 def test_kernel_validation():
     with pytest.raises(InvalidInputError):
         norm_kernel(0.0)

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import engine_norm_bracket
 from matpress import _engine, jsr, linalg, pressure, svpressure
-from matpress.errors import BudgetExhaustedError, DimensionCapError
+from matpress.errors import BudgetExhaustedError
 from matpress.measure import FiniteMatrixMeasure, WordBudget, restrict_invertible, scale_measure
 
 
@@ -100,8 +100,8 @@ def reference_planar(mu, s, eps, budget):
 def reference_lift(mu, s, eps, budget):
     clock = _engine.RunClock(budget.wall_clock_cap)
     get, words = _cached_sums(budget, clock)
-    spec = svpressure.lift_params(mu.dimension, s)
-    s_val, dp = float(s), spec.d_prime
+    dp, log_k = dict(svpressure._lift_rows(mu.dimension))[s]
+    s_val = float(s)
     lo, up, n_used, status = -math.inf, math.inf, 0, "budget_exhausted"
     try:
         if _engine.feasible(budget, dp, mu.n_atoms) and get(mu, "phi", s_val, dp) == -math.inf:
@@ -113,7 +113,7 @@ def reference_lift(mu, s, eps, budget):
             phi_nd = get(mu, "phi", s_val, n * dp)
             up = min(up, phi_n / n, phi_nd / (n * dp))
             if phi_nd > -math.inf:
-                lo = max(lo, (phi_nd - spec.log_constant - (dp - 1) * phi_n) / n)
+                lo = max(lo, (phi_nd - log_k - (dp - 1) * phi_n) / n)
             n_used = n
             if up - lo < eps:
                 status = "certified"
@@ -163,7 +163,7 @@ def reference_upper_alone(mu, kind, s, budget, provenance):
 
 
 def reference_irrational(mu, s, eps, budget):
-    """svpressure._bracket_irrational at q_cap 6 as one loop: the upper end
+    """svpressure._bracket_irrational as one loop: the upper end
     at s over the lengths n and, while the block d' fits, n d'; the lower
     end from mu scaled into the unit ball at the least a/q >= s, q <= 6,
     whose lift fits the cap and the budget, or where none does, from the
@@ -176,33 +176,30 @@ def reference_irrational(mu, s, eps, budget):
     fits = []
     for q in range(1, 7):
         for a in range(q + 1, d * q):
-            try:
-                spec = svpressure.lift_params(d, Fraction(a, q))
-            except DimensionCapError:
-                continue
-            if Fraction(a, q) >= s and _engine.feasible(budget, spec.d_prime, mu.n_atoms):
-                fits.append((Fraction(a, q), spec))
-    s_plus, spec = min(fits, key=lambda item: item[0]) if fits else (d, None)
-    b = spec and spec.d_prime
+            row = svpressure._route(d, Fraction(a, q))
+            if row and Fraction(a, q) >= s and _engine.feasible(budget, row[0], mu.n_atoms):
+                fits.append((Fraction(a, q), row))
+    s_plus, row = min(fits, key=lambda item: item[0]) if fits else (d, None)
+    b = row and row[0]
     clock = _engine.RunClock(budget.wall_clock_cap)
     get, words = _cached_sums(budget, clock)
-    lo = -math.inf if spec else svpressure._det_bounds(mu_c, float(d))[0] - shift
+    lo = -math.inf if row else svpressure._det_bounds(mu_c, float(d))[0] - shift
     up, n_used, status = math.inf, 0, "budget_exhausted"
     try:
-        if spec and get(mu, "phi", s, b) == -math.inf:
+        if row and get(mu, "phi", s, b) == -math.inf:
             return (-math.inf, -math.inf, b, "minus_infinity", words[0], "lift-sv-bound")
         n = 1
-        while _engine.feasible(budget, n * b if spec else n, mu.n_atoms):
+        while _engine.feasible(budget, n * b if row else n, mu.n_atoms):
             clock.check()
             up = min(up, get(mu, "phi", s, n) / n)
-            if spec:
+            if row:
                 up = min(up, get(mu, "phi", s, n * b) / (n * b))
             if up == -math.inf:
                 return (-math.inf, -math.inf, n, "minus_infinity", words[0], "lift-sv-bound")
-            if spec:
+            if row:
                 phi_n = get(mu_c, "phi", float(s_plus), n)
                 phi_nb = get(mu_c, "phi", float(s_plus), n * b)
-                lo = max(lo, (phi_nb - spec.log_constant - (b - 1) * phi_n) / n - shift)
+                lo = max(lo, (phi_nb - row[1] - (b - 1) * phi_n) / n - shift)
             n_used = n
             if up - lo < eps:
                 status = "certified"
@@ -293,7 +290,7 @@ def _route_bracket(mu, s, eps, budget):
     family is triangular, and the public calls answer it in closed form."""
     if s < 1:
         return engine_norm_bracket(mu, s, eps, budget)
-    block, log_k, provenance = svpressure._route(mu.dimension, s, 6)
+    block, log_k, provenance = svpressure._route(mu.dimension, s)
     return pressure._bracket(mu, "phi", float(s), block, log_k, eps, budget, 1, provenance)
 
 
@@ -336,7 +333,7 @@ def test_sandwich_matches_the_loop_it_replaced(route, case, sum_calls):
     got_calls = list(sum_calls)
     sum_calls.clear()
     if case == "block_infeasible":
-        provenance = svpressure._route(d, s, 6)[2]
+        provenance = svpressure._route(d, s)[2]
         want = reference_upper_alone(mu, "norm" if s < 1 else "phi", s, budget, provenance)
     else:
         want = reference(mu, s, eps, budget)
@@ -382,7 +379,7 @@ def test_each_upper_end_is_the_least_mean_of_the_sums_so_far(route, monkeypatch)
     s, block, _, _, _, budget = ROUTES[route]
     mu = _random(2 if route in ("norm_d2", "planar") else 3)
     kind = "norm" if s < 1 else "phi"
-    log_k = svpressure._route(mu.dimension, s, 6)[1]
+    log_k = svpressure._route(mu.dimension, s)[1]
     seen = {}
     real = _engine.weighted_sums
 
@@ -553,7 +550,7 @@ def test_irrational_lower_end_matches_the_loop_it_replaced(s, case, sum_calls):
     elif case == "block_infeasible":
         eps, budget = 1e-3, WordBudget(max_word_length=2)
 
-    got = svpressure._bracket_irrational(mu, s, eps, budget, 6, 1)
+    got = svpressure._bracket_irrational(mu, s, eps, budget, 1)
     got_calls = list(sum_calls)
     sum_calls.clear()
     want = reference_irrational(mu, s, eps, budget)
@@ -577,7 +574,7 @@ def test_irrational_lower_sweep_stops_at_a_vanishing_sum(sum_calls):
     jordan = np.eye(4, k=1)
     mu = FiniteMatrixMeasure([(1.0, jordan), (1.0, 0.5 * jordan)])
     budget = WordBudget(max_words=2**14)
-    got = svpressure._bracket_irrational(mu, math.sqrt(2.0), 1e-3, budget, 6, 1)
+    got = svpressure._bracket_irrational(mu, math.sqrt(2.0), 1e-3, budget, 1)
     got_calls = list(sum_calls)
     sum_calls.clear()
     want = reference_irrational(mu, math.sqrt(2.0), 1e-3, budget)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_phi_sum, log_sum, random_measure, sandwich
-from matpress import _engine, affinity, linalg, pressure, svpressure
-from matpress.errors import DimensionCapError, InvalidInputError
+from matpress import _engine, linalg, pressure, svpressure
+from matpress.errors import InvalidInputError
 from matpress.measure import (
     FiniteMatrixMeasure,
     WordBudget,
@@ -19,7 +19,6 @@ from matpress.svpressure import (
     INCONCLUSIVE,
     bracket,
     continuity_at_one,
-    lift_params,
     log_planar_constant,
     planar_constant,
 )
@@ -60,14 +59,18 @@ def contains_to_rounding(res, x, tol=1e-9):
 def engine_bracket(mu, s, eps, budget=None):
     """svpressure.bracket's planar, lift or irrational route for 1 < s < d,
     whatever the family: pressure._bracket on the _route row, or
-    _bracket_irrational where s is no rational with denominator <= 6."""
+    _bracket_irrational where s has none."""
     budget = budget or WordBudget()
-    d = mu.dimension
-    exact = float(s) if d == 2 else svpressure._exact_fraction(s, 6)
-    if exact is None:
-        return svpressure._bracket_irrational(mu, float(s), eps, budget, 6, 1)
-    block, log_k, provenance = svpressure._route(d, exact, 6)
-    return pressure._bracket(mu, "phi", float(exact), block, log_k, eps, budget, 1, provenance)
+    row = svpressure._route(mu.dimension, s)
+    if row is None:
+        return svpressure._bracket_irrational(mu, float(s), eps, budget, 1)
+    block, log_k, provenance = row
+    return pressure._bracket(mu, "phi", float(s), block, log_k, eps, budget, 1, provenance)
+
+
+def lift_row(d, t):
+    """(d', log K) of the lift row at t."""
+    return dict(svpressure._lift_rows(d))[t]
 
 
 class TestPlanarConstant:
@@ -103,65 +106,57 @@ class TestPlanarConstant:
 
 
 class TestLiftParams:
-    def test_half_integer_2d(self):
-        spec = lift_params(2, Fraction(3, 2))
-        assert (spec.k, spec.p, spec.q, spec.d_prime) == (1, 1, 2, 2)
-        assert spec.constant == pytest.approx(2.0**3.5 * math.sqrt(3.0), rel=1e-12)
-
-    def test_integer_exponent_reduces_to_norm_constant(self):
-        spec = lift_params(2, 1)
-        assert spec.d_prime == 2
-        assert spec.constant == pytest.approx(32.0, rel=1e-12)
+    """The (d', log K) of the lift rows, and the exponents that have none."""
 
     def test_half_integer_3d(self):
-        spec = lift_params(3, Fraction(3, 2))
-        assert spec.d_prime == 9
-        assert spec.constant == pytest.approx(9.0**7 * math.sqrt(10.0), rel=1e-12)
+        d_prime, log_k = lift_row(3, Fraction(3, 2))
+        assert d_prime == 9
+        assert math.exp(log_k) == pytest.approx(9.0**7 * math.sqrt(10.0), rel=1e-12)
 
     def test_third_3d(self):
-        assert lift_params(3, Fraction(4, 3)).d_prime == 27
+        assert lift_row(3, Fraction(4, 3))[0] == 27
 
     def test_exact_float_is_accepted(self):
-        assert lift_params(3, 1.5) == lift_params(3, Fraction(3, 2))
+        assert svpressure._route(3, 1.5) == svpressure._route(3, Fraction(3, 2)) == (
+            *lift_row(3, Fraction(3, 2)), svpressure.PROVENANCE_LIFT)
 
     def test_inexact_float_is_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lift_params(3, 4.0 / 3.0)  # not exactly a third in binary
+        assert svpressure._route(3, 4.0 / 3.0) is None  # not exactly a third in binary
 
     def test_denominator_above_cap_is_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lift_params(3, Fraction(8, 7))
+        assert svpressure._route(3, Fraction(8, 7)) is None
 
     def test_exponent_outside_unit_to_d_is_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lift_params(2, Fraction(1, 2))
-        with pytest.raises(InvalidInputError):
-            lift_params(2, Fraction(2))
+        assert svpressure._lift_rows(2) == []
+        assert svpressure._route(3, Fraction(3)) is None
+        assert svpressure._route(3, Fraction(7, 2)) is None
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionCapError):
-            lift_params(6, Fraction(5, 2))  # C(6,2)*C(6,3) = 300
+        assert svpressure._route(6, Fraction(5, 2)) is None  # C(6,2)*C(6,3) = 300
 
 
-@pytest.mark.parametrize("q_cap", [0, -2, 2.5, True])
-@pytest.mark.parametrize("family", ["triangular", "d3"])
-def test_q_cap_must_be_a_positive_int(q_cap, family):
-    # every entry checks before it routes: the triangular family takes a
-    # closed form that reads no q_cap, the d = 3 family an irrational s
-    if family == "triangular":
-        mu = FiniteMatrixMeasure.from_matrices([np.diag([0.5, 0.25]), np.diag([0.25, 0.5])])
-    else:
-        mu = random_measure(np.random.default_rng(3), d=3, scale=0.5)
-    entries = [
-        lambda: bracket(mu, 1.5, 0.1, q_cap=q_cap),
-        lambda: bracket(mu, math.sqrt(2.0), 0.1, q_cap=q_cap),
-        lambda: affinity.affinity_dimension(mu, 0.1, q_cap=q_cap),
-        lambda: lift_params(mu.dimension, 1.5, q_cap=q_cap),
-    ]
-    for entry in entries:
-        with pytest.raises(InvalidInputError, match="q_cap"):
-            entry()
-    svpressure._validate_q_cap(np.int64(2))
+@pytest.mark.parametrize("d", range(3, 10))
+def test_lift_rows_are_every_rational_whose_lift_fits(d):
+    # the keys: every reduced a/q in (1, d) with q <= 6 and d' <= 256,
+    # descending; each row's d' is the shape of linalg.lift, its log K the
+    # constant's formula to the bit, and the lift's norm gives phi^t
+    want = []
+    for q in range(1, 7):
+        for a in range(q + 1, d * q):
+            k, p = divmod(a, q)
+            if math.gcd(a, q) == 1 and math.comb(d, k) ** (q - p) * math.comb(d, k + 1) ** p <= 256:
+                want.append(Fraction(a, q))
+    rows = svpressure._lift_rows(d)
+    assert [t for t, _ in rows] == sorted(want, reverse=True)
+    atom = np.random.default_rng(d).uniform(-1.0, 1.0, (d, d))
+    for t, (d_prime, log_k) in rows:
+        k, p, q = int(t), (t - int(t)).numerator, t.denominator
+        assert log_k == (2.0 + (d_prime + 1) / q) * math.log(d_prime) + (
+            (q - 1) / q) * math.log(d_prime + 1)
+        lifted = linalg.lift(atom, k, p, q)
+        assert lifted.shape == (d_prime, d_prime)
+        assert linalg.operator_norm(lifted) ** (1.0 / q) == pytest.approx(
+            linalg.phi(atom, float(t)), rel=1e-12)
 
 
 class TestDetPressure:
@@ -222,23 +217,23 @@ class TestBounds:
 
     def test_planar_lower_needs_2d(self):
         # the route table gives the planar inequality to d = 2 alone
-        assert svpressure._route(2, 1.5, 6)[2] == svpressure.PROVENANCE_PLANAR
-        assert svpressure._route(3, 1.5, 6)[2] == svpressure.PROVENANCE_LIFT
+        assert svpressure._route(2, 1.5)[2] == svpressure.PROVENANCE_PLANAR
+        assert svpressure._route(3, 1.5)[2] == svpressure.PROVENANCE_LIFT
 
     def test_lift_lower_agrees_with_lifted_measure_route(self, rng):
         mu = random_measure(rng, n_atoms=2, d=3, scale=0.5)
-        spec = lift_params(3, Fraction(3, 2))
-        nu = lifted_measure(mu, spec.k, spec.p, spec.q)
-        assert spec.d_prime == 9
-        lift = sandwich(mu, "phi", 1.5, 9, spec.log_constant, 1)
-        alt = sandwich(nu, "norm", 1.0 / spec.q, 9, spec.log_constant, 1)
+        d_prime, log_k = lift_row(3, Fraction(3, 2))
+        nu = lifted_measure(mu, 1, 1, 2)
+        assert d_prime == 9
+        lift = sandwich(mu, "phi", 1.5, 9, log_k, 1)
+        alt = sandwich(nu, "norm", 1.0 / 2, 9, log_k, 1)
         assert lift[0][1] == pytest.approx(alt[0][1], abs=1e-7)
         assert lift[0][2] == pytest.approx(alt[0][2], abs=1e-7)
 
     def test_lift_lower_below_upper(self, rng):
         mu = random_measure(rng, n_atoms=2, d=3, scale=0.5)
-        spec = lift_params(3, Fraction(3, 2))
-        lo = sandwich(mu, "phi", 1.5, spec.d_prime, spec.log_constant, 1)[0][1]
+        d_prime, log_k = lift_row(3, Fraction(3, 2))
+        lo = sandwich(mu, "phi", 1.5, d_prime, log_k, 1)[0][1]
         for n in (1, 2):
             assert lo <= log_sum(mu, "phi", 1.5, n) / n + 1e-9
 
@@ -254,7 +249,7 @@ class TestBounds:
 
         monkeypatch.setattr(_engine, "weighted_sums", spy)
         mu = FiniteMatrixMeasure([(1.0, [[0.5, 0.1, 0.0], [0.0, 0.4, 0.2], [0.1, 0.0, 0.3]])])
-        assert lift_params(3, Fraction(5, 3)).d_prime == 27
+        assert lift_row(3, Fraction(5, 3))[0] == 27
         res = bracket(mu, Fraction(5, 3), 1e-3, budget=WordBudget(max_word_length=27))
         assert res.provenance == "lift-sv-bound"
         assert math.isfinite(res.lower)
