@@ -29,16 +29,17 @@ products as contiguous (d, rows) columns, plus its log-weights.  One
 reduction turns a chunk into partial statistics for every exponent, and the
 partials are merged sequentially in a fixed unit order; forked processes may
 evaluate later slices of the units and send their partials back
-(_split_fold), so every bit is the same for any process count.  Single-level
-lengths keep their chunks on the measure.  A caller that passes ``tables``
-gets, for each longer length, a phi^s slope sketch built in the same pass:
-per unit interval k <= s <= k + 1 of the exponent, the rows' weights
-bucketed by the slope l_{k+1}, a few kilobytes from which held_phi_bounds
-answers any other exponent at that length with a certified lower and upper
-bound, without enumerating the words a second time.  max_norm_word, the
-JSR's log maximum word norm (a value; no word is named), reads levels kept
-without the merge and evaluates only the unit rows that a norm bound cannot
-rule out.
+(_split_fold), so every bit is the same for any process count.  A
+single-level length is one chunk, the level's log-sigma table, which
+LevelCache.sigmas computes once and keeps on the measure.  A caller that
+passes ``tables`` gets, for each longer length, a phi^s slope sketch built
+in the same pass: per unit interval k <= s <= k + 1 of the exponent, the
+rows' weights bucketed by the slope l_{k+1}, a few kilobytes from which
+held_phi_bounds answers any other exponent at that length with a certified
+lower and upper bound, without enumerating the words a second time.
+max_norm_word, the JSR's log maximum word norm (a value; no word is named),
+reads levels kept without the merge, as the JSR's spectral floor does, and
+evaluates only the unit rows that a norm bound cannot rule out.
 
 Singular values take one route per dimension, each row computed on its own,
 so its bits do not depend on the batch, block or worker: d=1 the entry, d=2
@@ -244,19 +245,20 @@ class LevelCache:
             )
         self.levels = {1: (mants, exps, logw, ldet)}
         self.top = 1
-        self.sig_cache = {}
-        self.sigma1_cols = {}
+        self.log_sigmas = {}
 
     def rows(self, m):
         return len(self.levels[m][2])
 
-    def sigma1(self, m):
-        """log sigma_1 of level m's rows, computed once per level."""
-        col = self.sigma1_cols.get(m)
-        if col is None:
-            mats, exps = self.levels[m][:2]
-            col = self.sigma1_cols[m] = _sigma_cols(mats, exps, self.d, top_only=True)[0].copy()
-        return col
+    def sigmas(self, m, top_only=False):
+        """Level m's log-sigma columns (_sigma_cols), computed once;
+        ``top_only``: column 0 alone, (1, rows), which spares d=3 the rest
+        until a caller asks for them."""
+        cols = self.log_sigmas.get(m)
+        if cols is None or (len(cols) < self.d and not top_only):
+            mats, exps, _, ldet = self.levels[m]
+            cols = self.log_sigmas[m] = _sigma_cols(mats, exps, self.d, ldet, top_only)
+        return cols[:1] if top_only else cols
 
     def _combine(self, left, right):
         lm, le, lw, ld = left
@@ -588,7 +590,7 @@ def _sketch_chunk(chunk, d):
     """The d segments of one chunk: segment k holds s = k + t, its rows'
     a = log w + l_1 + ... + l_k and b = l_{k+1}."""
     cols, logw, shift = chunk
-    a = logw if shift is None else logw + shift
+    a = logw + shift
     out = []
     for k in range(d):
         if k:
@@ -642,9 +644,9 @@ def _log_exp_sum(top, e, v):
 
 
 def _suffix(cache, parts, combo):
-    """(mantissa or None, exponent, log-weight, log|det|) of one unit's suffix:
-    the product of one row of each later part, renormalised by a power of two
-    after each step (None without a suffix)."""
+    """(mantissa, exponent, log-weight, log|det|) of one unit's suffix: the
+    product of one row of each later part, renormalised by a power of two
+    after each step."""
     sfx = None
     se = 0
     slw = 0.0
@@ -678,14 +680,11 @@ def _unit_arrays(cache, parts, combo):
     A unit is the batch level times one suffix combination, one row index
     per later part, its products one GEMM of the level's (rows * d, d) stack
     by the suffix.  They are not normalised; its log-weights are the batch
-    level's plus ``shift``, the suffix's summed log-weight (None without a
-    suffix); its log|det| (read by d=2 and 3) adds the suffix's.
+    level's plus ``shift``, the suffix's summed log-weight; its log|det|
+    (read by d=2 and 3) adds the suffix's.
     """
     mats, exps, _, ldet = cache.levels[parts[0]]
     sfx, se, slw, sld = _suffix(cache, parts, combo)
-    ldet = ldet if cache.d in (2, 3) else None
-    if sfx is None:
-        return _sigma_cols(mats, exps, cache.d, ldet, False, sld), None
     return _sigma_cols(_times_suffix(mats, sfx), exps + se, cache.d, ldet, False, sld), slw
 
 
@@ -820,19 +819,13 @@ def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=None, table
     clock.check()  # a held single-level length is one chunk: its only check
     s_list = [float(s) for s in s_values]
     cache = _cache_for(mu, dedup=True)
-    chunks = cache.sig_cache.get(n)
-    if chunks is None:
-        parts = cache.parts_for(n, clock)
-        if len(parts) > 1:
-            acc, segs = _split_fold(cache, parts, kind, s_list, clock, workers, tables is not None)
-            if segs is not None:
-                tables[n] = tuple(_finish_segment(seg) for seg in segs)
-            return np.array([_stats_to_log(a) for a in acc])
-        chunks = cache.sig_cache[n] = [(_unit_arrays(cache, parts, u)[0], cache.levels[n][2], None)
-                                       for u in _plan_units(cache, parts)]
-    acc = [(-math.inf, 0.0)] * len(s_list)
-    for chunk in chunks:
-        acc = [_merge_stats(a, r) for a, r in zip(acc, _chunk_stats(chunk, kind, s_list, cache.d))]
+    parts = cache.parts_for(n, clock)
+    if len(parts) > 1:
+        acc, segs = _split_fold(cache, parts, kind, s_list, clock, workers, tables is not None)
+        if segs is not None:
+            tables[n] = tuple(_finish_segment(seg) for seg in segs)
+    else:
+        acc = _chunk_stats((cache.sigmas(n), cache.levels[n][2], None), kind, s_list, cache.d)
     return np.array([_stats_to_log(a) for a in acc])
 
 
@@ -887,8 +880,9 @@ def max_norm_word(ms, n, budget, clock=None):
     (the suffix rows' sigma_1 summed in place of S's) does.  Units run in
     descending order of that bound, so the best value rises early; the
     result is bit for bit the maximum over every row.  Each level's sigma_1
-    column is computed once.  The pruning reads the running best, so the
-    evaluation runs in-process.
+    column is computed once (LevelCache.sigmas), here or by the JSR's
+    spectral floor.  The pruning reads the running best, so the evaluation
+    runs in-process.
     """
     check_budget(budget, n, ms.n_atoms)
     if clock is None:
@@ -896,13 +890,13 @@ def max_norm_word(ms, n, budget, clock=None):
     clock.check()
     cache = _cache_for(ms, dedup=False)
     parts = cache.parts_for(n, clock)
-    lsig = cache.sigma1(parts[0])
+    lsig = cache.sigmas(parts[0], top_only=True)[0]
     if len(parts) == 1:
         return float(np.max(lsig))
     units = _plan_units(cache, parts)
     ubound = np.full(1, float(np.max(lsig)))
     for part in parts[1:]:  # unit order: later parts vary fastest
-        ubound = (ubound[:, None] + cache.sigma1(part)[None, :]).ravel()
+        ubound = (ubound[:, None] + cache.sigmas(part, top_only=True)).ravel()
     mats, exps = cache.levels[parts[0]][:2]
     best = -math.inf
     for pos in np.argsort(-ubound).tolist():

@@ -306,7 +306,7 @@ def _lower_end(sums, mu, n, lo, hi, tol, lifts):
     have a constant: the largest that fires wins.
     """
     d = mu.dimension
-    for t, params in lifts:
+    for t, params in lifts.items():
         if (lo < t < hi and sums.feasible(mu, n * params[0])
                 and _lower_margin(sums, mu, n, float(t), *params) > 0.0):
             return float(t), 1

@@ -8,13 +8,14 @@ bounds come from the quantified gap between the maxima at lengths n*d and
 n (constant d^(d+1), Bochi's inequality), optionally
 sharpened by the classical spectral-radius floor max rho(A_w)^(1/n) —
 standard theory rather than a power-sum inequality, so it carries its own
-provenance tag.  Atoms equal under == are enumerated once, and words and
-floor products that a norm bound rules out are not evaluated (the results'
-bits are those of evaluating them).  A family that one coordinate order
-makes upper triangular has the exact radius max |a_i,jj| (Jungers, The
-Joint Spectral Radius, 2009, Prop. 1.5), returned without enumeration.  The
-zero-temperature scan maps norm-pressure brackets through x -> exp(x/s),
-whose s -> inf limit is the joint spectral radius.
+provenance tag.  The floor reads the levels that the norm maxima read, so
+each is built once a call.  Atoms equal under == are enumerated once, and
+words and floor products that a norm bound rules out are not evaluated
+(the results' bits are those of evaluating them).  A family that one
+coordinate order makes upper triangular has the exact radius max |a_i,jj|
+(Jungers, The Joint Spectral Radius, 2009, Prop. 1.5), returned without
+enumeration.  The zero-temperature scan maps norm-pressure brackets
+through x -> exp(x/s), whose s -> inf limit is the joint spectral radius.
 """
 
 import math
@@ -59,44 +60,38 @@ def _coerce_set(source):
     return FiniteMatrixMeasure.from_matrices(full._mats[list(first.values())]), full.n_atoms
 
 
-# below this a sum of squares may have lost bits to underflow, so the norm
-# bound of the spectral floor does not prune it
-_SQ_LO = 2.0 ** -900
-
 _FLOOR_CAP = 4096  # the spectral floor's words: each len with n_atoms^len <= it
+_FLOOR_DEPTH = 12  # and len <= this, which stops a one-atom alphabet
 
 
-def _spectral_floor(mats, cap, n_atoms):
-    """max rho(A_w)^(1/len) over all words with n_atoms^len <= cap.
+def _spectral_floor(mu, n_atoms):
+    """max rho(A_w)^(1/len) over the words of _FLOOR_CAP's lengths whose
+    level the engine caches.
 
-    ``mats`` are the distinct atoms of an n_atoms-letter alphabet.  Depth
-    is additionally capped at log2(cap) so one-matrix alphabets terminate;
-    non-finite products (overflow in a long power) are skipped, and so are
-    products that cannot raise the floor: |lambda| <= ||A||_2 <= ||A||_F,
-    and LAPACK's eigenvalues are those of a matrix within a few u ||A|| of
-    A, so eigvals runs only where ||A_w||_F^(1/len) reaches the floor so far
-    less _PRUNE_LOG in log.
+    ``mu`` holds the distinct atoms of an n_atoms-letter alphabet.  The
+    products are the rows of its undeduplicated levels, the ones
+    _engine.max_norm_word reads: a mantissa times a power of two, so none
+    over- or underflows.  eigvals runs on the mantissas and ldexp rescales
+    each rho; a rho past the float range is skipped, and so are rows that
+    cannot raise the floor: |lambda| <= sigma_1, and LAPACK's eigenvalues
+    are those of a matrix within a few u ||A|| of A, so eigvals runs only
+    where the level's cached log sigma_1 / len reaches the log of the floor
+    so far less _PRUNE_LOG.
     """
-    atoms = np.stack(mats)
-    d = atoms.shape[1]
+    cache = _engine._cache_for(mu, dedup=False)
     best = 0.0
-    prods = np.eye(d)[None]
-    length = 0
-    depth_cap = max(1, int(math.log2(cap))) if cap >= 1 else 0
-    while length < depth_cap and n_atoms ** (length + 1) <= cap:
-        length += 1
-        with np.errstate(over="ignore", invalid="ignore"):  # skipped below
-            prods = np.matmul(prods[:, None], atoms[None]).reshape(-1, d, d)
-        finite = prods[np.all(np.isfinite(prods), axis=(1, 2))]
+    for length in range(1, _FLOOR_DEPTH + 1):
+        if n_atoms ** length > _FLOOR_CAP or cache.ensure(length) < length:
+            break
+        mants, exps = cache.levels[length][:2]
         if best > 0.0:
-            with np.errstate(over="ignore", divide="ignore"):
-                sq = np.sum(finite * finite, axis=(1, 2))
-                reach = 0.5 * np.log(sq) / length >= math.log(best) - _engine._PRUNE_LOG
-            finite = finite[reach | (sq < _SQ_LO)]
-        if len(finite) == 0:
-            continue
-        rho = float(np.max(np.abs(np.linalg.eigvals(finite))))
-        if 0.0 < rho < math.inf:  # eigvals of a finite product may overflow
+            lsig = cache.sigmas(length, top_only=True)[0]
+            reach = lsig / length >= math.log(best) - _engine._PRUNE_LOG
+            mants, exps = mants[reach], exps[reach]
+        with np.errstate(over="ignore"):  # skipped below
+            rho = np.ldexp(np.max(np.abs(np.linalg.eigvals(mants)), axis=1), exps)
+        rho = float(np.max(rho, initial=0.0, where=rho < math.inf))
+        if rho > 0.0:
             best = max(best, rho ** (1.0 / length))
     return best
 
@@ -122,26 +117,26 @@ def jsr_bracket(source, eps=None, budget=None, use_spectral_floor=True, workers=
     t0 = time.monotonic()
     diag = pressure._triangular_diagonals(mu._mats)
     if diag is None:
-        return _sweep(mu, n_atoms, eps, budget, use_spectral_floor, _FLOOR_CAP, workers)
+        return _sweep(mu, n_atoms, eps, budget, use_spectral_floor, workers)
     r = float(np.max(diag))  # abs and max round nothing
     return PressureBracket(r, r, 1, pressure._CERTIFIED, n_atoms, time.monotonic() - t0,
                            pressure.PROVENANCE_TRIANGULAR)
 
 
-def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, floor_cap, workers):
+def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, workers):
     """jsr_bracket's enumeration route, on the distinct atoms ``mu`` of an
     n_atoms-letter family (see _coerce_set), any family: the spectral floor
-    (_spectral_floor at cap floor_cap), then pressure._sandwich on the
-    largest word norms (kind "max") with block d and log K = (d + 1) log d,
-    whose steps map through exp (pressure._exp_end).  The run's _Sums starts
-    its clock, meters lengths and counts words at the nominal count, each
-    length once."""
+    (_spectral_floor), then pressure._sandwich on the largest word norms
+    (kind "max") with block d and log K = (d + 1) log d, whose steps map
+    through exp (pressure._exp_end); both read one set of levels.  The run's
+    _Sums starts its clock, meters lengths and counts words at the nominal
+    count, each length once."""
     t0 = time.monotonic()
     d = mu.dimension
     sums = pressure._Sums(budget, workers, n_atoms)
     lo, up, n_used, status, lo_from = 0.0, math.inf, 0, pressure._EXHAUSTED, PROVENANCE_BOCHI
     if use_spectral_floor:
-        floor = _spectral_floor(mu._mats, floor_cap, n_atoms)
+        floor = _spectral_floor(mu, n_atoms)
         if floor > lo:
             lo = floor
             lo_from = PROVENANCE_FLOOR

@@ -29,9 +29,11 @@ rows _lift_rows lists; affinity's lower test reads them too, and every
 bracket that enumerates runs pressure's one sandwich.
 """
 
+import functools
 import math
 import numbers
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -78,9 +80,10 @@ def log_planar_constant(s):
     return math.log(planar_constant(s))
 
 
+@functools.cache
 def _lift_rows(d):
-    """[(t, (d', log K))], t descending: the lift rows of _route, one for each
-    rational 1 < t < d with denominator q <= _Q_CAP whose lift fits
+    """{t: (d', log K)}, read-only, t descending: the lift rows of _route, one
+    for each rational 1 < t < d with denominator q <= _Q_CAP whose lift fits
     linalg._DIM_CAP.  t = k + p/q in lowest terms lifts to
     d' = C(d, k)^(q - p) C(d, k + 1)^p (linalg.lift), with the constant
     K = d'^(2 + (d' + 1)/q) (d' + 1)^((q - 1)/q) of its product inequality.
@@ -95,7 +98,7 @@ def _lift_rows(d):
                 log_k = (2.0 + (d_prime + 1) / q) * math.log(d_prime) + (
                     (q - 1) / q) * math.log(d_prime + 1)
                 rows.append((Fraction(a, q), (d_prime, log_k)))
-    return sorted(rows, reverse=True)
+    return types.MappingProxyType(dict(sorted(rows, reverse=True)))
 
 
 def _route(d, s):
@@ -108,7 +111,7 @@ def _route(d, s):
     if d == 2:
         return 2, log_planar_constant(float(s)), PROVENANCE_PLANAR
     t = Fraction(s) if isinstance(s, numbers.Rational) else Fraction(float(s))
-    row = dict(_lift_rows(d)).get(t)
+    row = _lift_rows(d).get(t)
     return None if row is None else (*row, PROVENANCE_LIFT)
 
 
@@ -178,7 +181,7 @@ def _bracket_irrational(mu, s, eps, budget, workers):
         c = 1.0
         mu_c = mu
     shift = s * math.log(c)  # P(mu_c, t) = P(mu, t) + t*log(c)
-    rows = [(t, row) for t, row in _lift_rows(d)
+    rows = [(t, row) for t, row in _lift_rows(d).items()
             if t >= s and _engine.feasible(budget, row[0], mu.n_atoms)]
     # rows descend, so the last is the least; at s+ = d the determinant
     # closed form is a lower end known up front (mu_c's |det| <= 1, so

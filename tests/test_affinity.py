@@ -260,8 +260,8 @@ def test_each_length_is_enumerated_once_per_run(monkeypatch):
     assert h("0x1.55c8p-1") < res.interval[0] and res.interval[1] < h("0x1.64c0p+0")
     # only small levels stay on the measure once the run returns
     for cache in mu._engine_caches.values():
-        for chunks in cache.sig_cache.values():
-            assert sum(cols.shape[1] for cols, _, _ in chunks) <= _engine._LEVEL_ROWS
+        for cols in cache.log_sigmas.values():
+            assert cols.shape[1] <= _engine._LEVEL_ROWS
 
 
 def test_default_budget_builds_units_only_at_the_lower_tests_lengths(monkeypatch):
@@ -516,7 +516,7 @@ def test_lift_candidates_are_the_admissible_rationals(d, q_max):
     # the lift rows of denominator <= q_max are every a/q in (1, d) with
     # q <= min(q_max, 6) that linalg.lift takes within its dimension cap,
     # in descending order
-    rows = [t for t, _ in svpressure._lift_rows(d) if t.denominator <= q_max]
+    rows = [t for t in svpressure._lift_rows(d) if t.denominator <= q_max]
     if d < 3:
         assert rows == []
         return

@@ -171,3 +171,24 @@ def test_every_module_level_import_and_private_name_is_used():
         if loads[mod][name] <= own and (mod, name) not in uses:
             dead.append(f"{mod}.{name}")
     assert not dead
+
+
+def matrix_products(tree):
+    """Line numbers where ``tree`` forms a matrix product: ``@``, ``@=`` or
+    a call of an attribute named matmul, dot or einsum (np.matmul(a, b),
+    a.dot(b), ...)."""
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)
+            or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("matmul", "dot", "einsum")]
+
+
+def test_only_the_engine_and_linalg_form_matrix_products():
+    # one enumeration engine: a module that multiplies matrices itself is
+    # a second word-product enumerator in the making
+    root = Path(matpress.__file__).parent
+    found = {path.stem: matrix_products(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(root.glob("*.py"))}
+    assert found["_engine"]  # the check sees the engine's own products
+    assert {mod: lines for mod, lines in found.items()
+            if lines and mod not in ("_engine", "linalg")} == {}

@@ -1166,6 +1166,8 @@ def word_table(mu, n):
     order, read from the undeduplicated cache's evaluation units."""
     cache = _engine._cache_for(mu, dedup=False)
     parts = cache.parts_for(n)
+    if len(parts) == 1:
+        return cache.sigmas(n)
     units = _engine._plan_units(cache, parts)
     cols = [_engine._unit_arrays(cache, parts, u)[0] for u in units]
     # unit u holds the words (batch row)(suffix u): index row * len(units) + u
@@ -1220,7 +1222,7 @@ def test_unit_evaluation_matches_level_evaluation(seed, d, kind, n_atoms, n):
             tol = 1e-12 * (1.0 + abs(want_phi[0]))
             assert lo - tol <= want_phi[0] <= hi + tol
         else:
-            assert n in _engine._cache_for(mu, dedup=True).sig_cache
+            assert n in _engine._cache_for(mu, dedup=True).log_sigmas
             assert same_floats(weighted_sums(mu, n, "phi", [1.3, 2.7], budget), want_phi)
     # sums of sigma_1 powers agree to rounding
     for g, w in zip(got, want):
@@ -1247,6 +1249,8 @@ def exhaustive_max_norm_word(mu, n):
     sigma_1 over every unit."""
     cache = _engine._cache_for(mu, dedup=False)
     parts = cache.parts_for(n)
+    if len(parts) == 1:
+        return float(np.max(cache.sigmas(n)[0]))
     best = -math.inf
     for unit in _engine._plan_units(cache, parts):
         best = max(best, float(np.max(_unit_arrays(cache, parts, unit)[0][0])))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, word_products
-from matpress import _engine
+from matpress import _engine, jsr
 from matpress.errors import InvalidInputError
 from matpress.jsr import (
     ScanPoint,
@@ -29,7 +29,7 @@ NILPOTENT = np.array([[0.0, 2.0], [0.0, 0.0]])
 
 def engine_jsr(mats, eps=None, budget=None, use_spectral_floor=True):
     """jsr_bracket's enumeration route, whatever the family."""
-    return _sweep(*_coerce_set(mats), eps, budget or WordBudget(), use_spectral_floor, 4096, 1)
+    return _sweep(*_coerce_set(mats), eps, budget or WordBudget(), use_spectral_floor, 1)
 
 
 def log_max_norm(mats, n):
@@ -92,12 +92,14 @@ class TestRepeatedAtoms:
 
     A, B = GENERIC_MATS
 
-    def test_bracket_is_that_of_the_distinct_atoms(self):
+    def test_bracket_is_that_of_the_distinct_atoms(self, monkeypatch):
         budget = WordBudget(max_word_length=8, max_words=3**8)
         # a floor cap of 27 admits words up to length 3 over three letters,
         # as 8 does over two
-        aab = _sweep(*_coerce_set([self.A, self.A, self.B]), 1e-9, budget, True, 27, 1)
-        ab = _sweep(*_coerce_set([self.A, self.B]), 1e-9, budget, True, 8, 1)
+        monkeypatch.setattr(jsr, "_FLOOR_CAP", 27)
+        aab = _sweep(*_coerce_set([self.A, self.A, self.B]), 1e-9, budget, True, 1)
+        monkeypatch.setattr(jsr, "_FLOOR_CAP", 8)
+        ab = _sweep(*_coerce_set([self.A, self.B]), 1e-9, budget, True, 1)
         assert aab.n_used == 4
         # steps 1-4 read lengths 1, 2, 3, 4, 6, 8, each counted once
         assert aab.words_evaluated == sum(3**m for m in (1, 2, 3, 4, 6, 8))
@@ -180,21 +182,39 @@ class TestLowerBochi:
                     assert lo <= math.exp(log_max_norm(mats, m) / m) + 1e-9
 
 
-def reference_spectral_floor(mats, cap):
-    """The spectral floor word by word, one eigvals call per product."""
+def renormalised(mant, exp):
+    """(mantissa, exponent) of 2^exp * mant with max |entry| in [0.5, 1)."""
+    top = np.max(np.abs(mant))
+    if top == 0.0:
+        return mant, exp
+    e = int(np.frexp(top)[1])
+    return np.ldexp(mant, -e), exp + e
+
+
+def times(a, b):
+    """a @ b with entry (i, k) summing its j terms left to right."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out = out + a[:, j:j + 1] * b[j:j + 1]
+    return out
+
+
+def reference_spectral_floor(mats, cap, depth):
+    """The spectral floor word by word over every copy, each word's product
+    formed left to right and renormalised by a power of two after each
+    letter, one eigvals call per product, its rho rescaled by ldexp."""
     n_atoms = len(mats)
-    d = mats[0].shape[0]
     best = 0.0
-    prods = [np.eye(d)]
+    prods = [(np.eye(mats[0].shape[0]), 0)]
     length = 0
-    depth_cap = max(1, int(math.log2(cap))) if cap >= 1 else 0
-    while length < depth_cap and n_atoms ** (length + 1) <= cap:
+    while length < depth and n_atoms ** (length + 1) <= cap:
         length += 1
-        prods = [p @ m for p in prods for m in mats]
-        for prod in prods:
-            if not np.all(np.isfinite(prod)):
-                continue
-            rho = float(np.max(np.abs(np.linalg.eigvals(prod))))
+        prods = [renormalised(times(p, m), e) for p, e in prods for m in mats]
+        for mant, exp in prods:
+            try:
+                rho = math.ldexp(float(np.max(np.abs(np.linalg.eigvals(mant)))), exp)
+            except OverflowError:
+                continue  # rho is past the float range
             if rho > 0.0:
                 best = max(best, rho ** (1.0 / length))
     return best
@@ -209,14 +229,14 @@ class TestSpectralFloor:
             [np.array([[0.0, 1.0], [0.5, 0.0]])],
             [np.zeros((3, 3)), np.zeros((3, 3))],
             [np.zeros((2, 2)), np.array([[0.6, 0.2], [0.1, 0.4]])],
-            # long powers overflow to inf, and inf * 0 to nan
+            # long powers have a rho past the float range
             [np.array([[1e120, 1e120], [0.0, 1e120]]), np.diag([1e-3, 0.0])],
             [NILPOTENT],
             list(np.diag([1.0, 0.05, 0.01]) @ np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3))),
             [GENERIC_MATS[0], GENERIC_MATS[0], GENERIC_MATS[1]],
             [0.5 * np.eye(3)[[2, 0, 1]], -0.5 * np.eye(3)[[1, 0, 2]]],
             [0.9 * np.linalg.qr(g)[0] for g in np.random.default_rng(5).standard_normal((2, 2, 2))],
-            # squares of these entries underflow, so the norm bound keeps them
+            # products and squares of these entries underflow unscaled
             list(1e-160 * np.random.default_rng(9).uniform(-1.0, 1.0, (2, 2, 2))),
             [np.array([[0.5]]), np.array([[-0.75]]), np.array([[0.0]])],
         ],
@@ -224,25 +244,84 @@ class TestSpectralFloor:
              "nilpotent", "dominated", "repeated_atom", "tied", "orthogonal", "tiny", "d1"],
     )
     @pytest.mark.parametrize("cap", [1, 64, 4096])
-    def test_batched_floor_matches_per_word_loop(self, mats, cap):
-        # the pruned floor over the distinct atoms, its depth metered on the
-        # nominal atom count, against eigvals of every word over every copy
+    def test_batched_floor_matches_per_word_loop(self, mats, cap, monkeypatch):
+        # the pruned floor over the distinct atoms' cached levels, its depth
+        # metered on the nominal atom count, against eigvals of every word
+        # over every copy
+        depth = max(1, int(math.log2(cap)))
+        monkeypatch.setattr(jsr, "_FLOOR_CAP", cap)
+        monkeypatch.setattr(jsr, "_FLOOR_DEPTH", depth)
         mu, n_atoms = _coerce_set(mats)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = _spectral_floor(mu._mats, cap, n_atoms)
-            want = reference_spectral_floor(mats, cap)
+        got = _spectral_floor(mu, n_atoms)
+        want = reference_spectral_floor(mats, cap, depth)
         assert type(got) is float
         assert got.hex() == want.hex()
+
+    def test_floor_stops_at_the_cached_top_level(self, monkeypatch):
+        # with a 16-row cap two atoms cache levels 1 to 3 only
+        monkeypatch.setattr(_engine, "_row_cap", lambda d: 16)
+        mats = list(np.random.default_rng(7).standard_normal((2, 3, 3)))
+        mu, n_atoms = _coerce_set(mats)
+        got = _spectral_floor(mu, n_atoms)
+        assert _engine._cache_for(mu, dedup=False).top == 3
+        assert got.hex() == reference_spectral_floor(mats, 4096, 3).hex()
 
     def test_norm_bound_skips_most_eigvals(self, monkeypatch):
         mats = list(np.random.default_rng(7).standard_normal((2, 3, 3)))
         rows = []
         real = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or real(a))
-        _spectral_floor(mats, 4096, 2)
+        _spectral_floor(FiniteMatrixMeasure.from_matrices(mats), 2)
         # 2 + 4 + ... + 2^12 = 8190 words; lengths after the first run only
-        # the products whose Frobenius norm reaches the floor so far
+        # the products whose cached sigma_1 reaches the floor so far
         assert rows[0] == 2 and sum(rows) < 8190 // 10
+
+
+W3_TRIPLE = [
+    np.array([[0.6, 0.2], [0.1, 0.4]]),
+    np.array([[0.3, -0.2], [0.25, 0.5]]),
+    np.array([[0.45, 0.0], [0.3, 0.2]]),
+]
+
+
+@pytest.mark.parametrize("mats, top, sigma_levels", [
+    # the floor reads levels 1-7 (3^7 <= 4096 words); the sweep reads
+    # lengths 1-6, 8 and 10, which is level 9 times the atoms for the
+    # triple and a level of its own for the two distinct atoms of (A, A, B)
+    (W3_TRIPLE, 9, list(range(1, 10))),
+    ([W3_TRIPLE[0], W3_TRIPLE[0], W3_TRIPLE[1]], 10, [1, 2, 3, 4, 5, 6, 7, 8, 10]),
+], ids=["w3_triple", "aab"])
+def test_floor_and_sweep_build_each_level_and_its_sigma_1_once(
+        mats, top, sigma_levels, monkeypatch):
+    caches, lefts, sigma_rows = [], [], []
+    real_cache, real_product, real_sigma = (
+        _engine._cache_for, _engine._product_rows, _engine._sigma_cols)
+
+    def cache_for(obj, dedup):
+        caches.append(real_cache(obj, dedup))
+        return caches[-1]
+
+    def product_rows(lm, rm):
+        lefts.append(lm)
+        return real_product(lm, rm)
+
+    def sigma_cols(rows, *args, **kwargs):
+        sigma_rows.append(rows)
+        return real_sigma(rows, *args, **kwargs)
+
+    monkeypatch.setattr(_engine, "_cache_for", cache_for)
+    monkeypatch.setattr(_engine, "_product_rows", product_rows)
+    monkeypatch.setattr(_engine, "_sigma_cols", sigma_cols)
+    res = jsr_bracket(mats, eps=1e-3, budget=WordBudget(max_words=3**10))
+    assert res.provenance == "spectral-floor" and res.n_used == 5
+    (cache,) = {id(c): c for c in caches}.values()
+    assert not cache.dedup and cache.top == top
+    level = {id(cache.levels[m][0]): m for m in cache.levels}
+    # level m + 1 is built as level m times the atoms, once
+    assert [level.get(id(rows)) for rows in lefts] == list(range(1, top))
+    # a sigma_1 column per level read, the floor's and the sweep's alike
+    read = [level[id(rows)] for rows in sigma_rows if id(rows) in level]
+    assert sorted(read) == sigma_levels
 
 
 class TestBracket:
@@ -312,8 +391,8 @@ class TestNearTheFloatMaximum:
     BIG = np.full((2, 2), 1e308)
 
     def test_jsr_bracket_keeps_valid_linear_ends(self):
-        # eigvals(BIG) is inf, which the spectral floor skips: otherwise the
-        # clamp lo <= up would certify [inf, inf]
+        # rho(BIG) = 2e308 rescales to inf, which the spectral floor skips:
+        # otherwise the clamp lo <= up would certify [inf, inf]
         res = jsr_bracket([self.BIG], budget=WordBudget(max_words=2**12))
         assert (res.lower, res.upper) == (sys.float_info.max, math.inf)
         assert res.status == "budget_exhausted"

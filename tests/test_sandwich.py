@@ -211,14 +211,14 @@ def reference_irrational(mu, s, eps, budget):
 
 
 def reference_jsr(mats, eps, budget):
-    """jsr._sweep (spectral floor on, floor_cap 4096) before it ran on the
+    """jsr._sweep (spectral floor on) before it ran on the
     sandwich, and the lengths it passed max_norm_word, in order."""
     mu, n_atoms = jsr._coerce_set(mats)
     d = mu.dimension
     clock = _engine.RunClock(budget.wall_clock_cap)
     lo, up, lo_from, n_used, status, lengths = 0.0, math.inf, "bochi-lower-bound", 0, \
         "budget_exhausted", []
-    floor = jsr._spectral_floor(mu._mats, 4096, n_atoms)
+    floor = jsr._spectral_floor(mu, n_atoms)
     if floor > lo:
         lo, lo_from = floor, "spectral-floor"
     try:
@@ -247,11 +247,11 @@ def reference_jsr(mats, eps, budget):
 
 
 def reference_jsr_upper_alone(mats, eps, budget):
-    """jsr._sweep (spectral floor on, floor_cap 4096) where length d never
+    """jsr._sweep (spectral floor on) where length d never
     fits and eps is not met: the floor, and the least max ||A_w||^(1/n)
     over the feasible n."""
     mu, n_atoms = jsr._coerce_set(mats)
-    lo = jsr._spectral_floor(mu._mats, 4096, n_atoms)
+    lo = jsr._spectral_floor(mu, n_atoms)
     lengths = list(itertools.takewhile(
         lambda n: _engine.feasible(budget, n, n_atoms), itertools.count(1)))
     up = math.exp(min(_engine.max_norm_word(mu, n, budget) / n for n in lengths))
@@ -499,7 +499,7 @@ def test_jsr_sweep_matches_the_loop_it_replaced(d, case, max_calls):
     elif case == "block_infeasible":
         eps, budget = 1e-9, WordBudget(max_word_length=d - 1)
 
-    got = jsr._sweep(*jsr._coerce_set(mats), eps, budget, True, 4096, 1)
+    got = jsr._sweep(*jsr._coerce_set(mats), eps, budget, True, 1)
     got_calls = list(max_calls)
     max_calls.clear()
     want, lengths = (reference_jsr_upper_alone if case == "block_infeasible"

@@ -127,7 +127,7 @@ class TestLiftParams:
         assert svpressure._route(3, Fraction(8, 7)) is None
 
     def test_exponent_outside_unit_to_d_is_rejected(self):
-        assert svpressure._lift_rows(2) == []
+        assert svpressure._lift_rows(2) == {}
         assert svpressure._route(3, Fraction(3)) is None
         assert svpressure._route(3, Fraction(7, 2)) is None
 
@@ -147,9 +147,9 @@ def test_lift_rows_are_every_rational_whose_lift_fits(d):
             if math.gcd(a, q) == 1 and math.comb(d, k) ** (q - p) * math.comb(d, k + 1) ** p <= 256:
                 want.append(Fraction(a, q))
     rows = svpressure._lift_rows(d)
-    assert [t for t, _ in rows] == sorted(want, reverse=True)
+    assert list(rows) == sorted(want, reverse=True)
     atom = np.random.default_rng(d).uniform(-1.0, 1.0, (d, d))
-    for t, (d_prime, log_k) in rows:
+    for t, (d_prime, log_k) in rows.items():
         k, p, q = int(t), (t - int(t)).numerator, t.denominator
         assert log_k == (2.0 + (d_prime + 1) / q) * math.log(d_prime) + (
             (q - 1) / q) * math.log(d_prime + 1)
