@@ -308,11 +308,9 @@ def _cache_for(obj, dedup):
     return cache
 
 
-# d=3 rows per _sigma3 call, ~200 numpy calls: their fixed cost against cache,
-# set end to end (one kernel call barely tells sizes apart).  dense3's calls
-# took 0.64 s at 2048 rows, 0.57 at 4096, 0.53 at 8192, 0.52 at 16,384 and
-# 0.60 at 32,768 (one process, 2-vCPU VM, when two-atom units had 32,768
-# rows; they have 16,384 since); no bit depends on the block
+# d=3 rows per _sigma3 call, numpy's per-call cost against cache: dense3's
+# four d=3 calls took 0.142 s at 4096 rows, 0.127 at 8192 and 0.129 at 16,384
+# (in-process medians of 24 alternating rounds, 2-vCPU VM); no bit depends on it
 _BLOCK_ROWS = 8192
 # _top_eig flags 1 + r < _PAIR_GAP (a near-degenerate top pair) unless p <=
 # _SCALAR q, where q is the eigenvalue to 16 u whatever r is.  On rows
@@ -327,73 +325,87 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _MINORS = [(3 * i + k, 3 * j + l, 3 * i + l, 3 * j + k) for i, j in _PAIRS for k, l in _PAIRS]
 
 
-def _top_eig(x):
-    """(exponents, top eigenvalue of X^T X, flagged rows) of a (9, rows) stack
-    of row-major 3x3 matrices X, each first scaled in place by the power of
-    two that puts its max |entry| in [0.5, 1), so no square over- or
-    underflows; the eigenvalue, the scaled X's, is the trigonometric root of
-    the cubic, flagged where it cannot keep its bound."""
-    e = np.frexp(np.maximum(np.max(x, axis=0), -np.min(x, axis=0)))[1]
+def _dot(out, tmp, pairs, op=np.add):  # out = a b op a' b' op ..., left to right
+    (a, b), *rest = pairs
+    np.multiply(a, b, out=out)
+    for a, b in rest:
+        op(out, np.multiply(a, b, out=tmp), out=out)
+    return out
+
+
+def _top_eig(x, s, lam, flag):
+    """Exponents of a (9, rows) stack of row-major 3x3 matrices X, each scaled
+    in place by the power of two that puts its max |entry| in [0.5, 1), so no
+    square over- or underflows.  Row ``lam`` gets the top eigenvalue of the
+    scaled X^T X (the cubic's trigonometric root), row ``flag`` where it cannot
+    keep its bound; ``s``: 10 scratch rows.  Each step rounds as its comment's formula."""
+    g00, g11, g22, g01, g02, g12, tmp, q, p, u = s
+    np.maximum(np.max(x, axis=0, out=g00), np.negative(np.min(x, axis=0, out=u), out=u), out=g00)
+    e = np.frexp(g00, out=(g00, None))[1]
     np.ldexp(x, -e, out=x)
-    a, b, c, d, f, g, h, i, j = x
-    g00 = a * a + d * d + h * h
-    g11 = b * b + f * f + i * i
-    g22 = c * c + g * g + j * j
-    g01 = a * b + d * f + h * i
-    g02 = a * c + d * g + h * j
-    g12 = b * c + f * g + i * j
-    q = (g00 + g11 + g22) / 3.0
-    g00, g11, g22 = g00 - q, g11 - q, g22 - q
-    p = np.sqrt((g00 * g00 + g11 * g11 + g22 * g22
-                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-           + g02 * (g01 * g12 - g11 * g02))
-    r = det / (2.0 * p * p * p)
+    # X^T X: g_kl = x_k x_l + x_k+3 x_l+3 + x_k+6 x_l+6, less q = (g00 + g11 + g22) / 3
+    for g, (k, l) in zip(s, ((0, 0), (1, 1), (2, 2)) + _PAIRS):
+        _dot(g, tmp, zip(x[k::3], x[l::3]))
+    s[:3] -= np.divide(np.add(np.add(g00, g11, out=q), g22, out=q), 3.0, out=q)
+    # p = sqrt((g00^2 + g11^2 + g22^2 + 2 (g01^2 + g02^2 + g12^2)) / 6)
+    _dot(p, tmp, zip(s[:3], s[:3]))
+    p += np.multiply(_dot(u, tmp, zip(s[3:6], s[3:6])), 2.0, out=u)
+    np.sqrt(np.divide(p, 6.0, out=p), out=p)
+    # r = det / (2 p p p), det = g00 (g11 g22 - g12 g12) - g01 (g01 g22 -
+    # g12 g02) + g02 (g01 g12 - g11 g02), in g00's row
+    r = np.multiply(g00, _dot(u, tmp, ((g11, g22), (g12, g12)), np.subtract), out=g00)
+    r -= np.multiply(g01, _dot(u, tmp, ((g01, g22), (g12, g02)), np.subtract), out=u)
+    r += np.multiply(g02, _dot(u, tmp, ((g01, g12), (g11, g02)), np.subtract), out=u)
+    r /= np.multiply(np.multiply(np.multiply(p, 2.0, out=u), p, out=u), p, out=u)
     # (G - qI) / p has eigenvalues 2 cos(phi + 2 pi k / 3), cos(3 phi) = r;
     # fmax maps the 0/0 of a scalar G (p = 0) to r = -1
-    r = np.fmin(np.fmax(r, -1.0), 1.0)
-    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
-    return e, lam, (r < _PAIR_GAP - 1.0) & (p > _SCALAR * q)
+    np.fmin(np.fmax(r, -1.0, out=r), 1.0, out=r)
+    np.cos(np.divide(np.arccos(r, out=u), 3.0, out=u), out=u)
+    np.add(q, np.multiply(np.multiply(p, 2.0, out=tmp), u, out=tmp), out=lam)  # q + 2 p cos
+    np.logical_and(r < _PAIR_GAP - 1.0, p > np.multiply(q, _SCALAR, out=tmp), out=flag)
+    return e
 
 
-def _sigma3(mats, exps, ldet, top_only):
-    """(log-sigma columns, LAPACK mask) of the 3x3 rows 2^exps * mats.
-
+def _sigma3(mats, exps, ldet, cols):
+    """(cols, LAPACK mask), the log-sigma columns of the 3x3 rows 2^exps * mats
+    written into ``cols``: all three, or column 0 alone (with mask row 0 alone).
     Column 0 is log sigma_1(A); column 1 log sigma_1(C) - column 0, at most
     column 0, C the 2x2 minors of A (sigma_1(C) = sigma_1 sigma_2); column 2
     min(ldet - log sigma_1(C), column 1).  Mask row 0 marks where _top_eig
     flags A and column 0 is LAPACK's; row 1 where it flags A or C, or C
-    cancels to zero while A does not, and LAPACK's sigma_1 sigma_2 is used.
-    ``top_only``: column 0 and mask row 0 alone.
-    """
-    x = mats.reshape(-1, 9).T.copy()  # a copy even for one row
+    cancels to zero while A does not, and LAPACK's sigma_1 sigma_2 is used."""
+    m, top_only = len(mats), len(cols) == 1
+    buf = np.empty((19, m))  # rows 0-8 X, 9-18 its scratch; then 10-18 C, 0-9 C's
+    x, tmp, mnr = buf[:9], buf[9], buf[10:]
+    np.copyto(x, mats.reshape(m, 9).T)
+    mask = np.empty((2 - top_only, m), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ea, lam, bad = _top_eig(x)
-        t = ea + exps
-        l1 = 0.5 * np.log(lam)
-        if top_only:
-            cols, bad = (l1 + t * LN2)[None], bad[None]
-        else:
-            mnr = np.stack([x[i] * x[j] - x[k] * x[l] for i, j, k, l in _MINORS])
-            ec, lam_c, bad_c = _top_eig(mnr)
-            if ldet is None:
-                ldet = np.linalg.slogdet(mats)[1] + (3.0 * LN2) * exps
-            l12 = 0.5 * np.log(lam_c)
-            # column 2 holds log sigma_1(C) until sigma_3 replaces it
-            cols = np.stack([l1 + t * LN2, l12 - l1 + (ec + t) * LN2, l12 + (ec + 2 * t) * LN2])
-            bad = np.stack([bad, bad | bad_c | ((lam > 0.0) & (lam_c == 0.0))])
-        rows = bad[-1]
-        if rows.any():  # most blocks flag no row, or a handful
+        t = _top_eig(x, buf[9:], cols[0], mask[0]) + exps
+        if not top_only:
+            for row, (i, j, k, l) in zip(mnr, _MINORS):
+                _dot(row, tmp, ((x[i], x[j]), (x[k], x[l])), np.subtract)
+            ec = _top_eig(mnr, buf[:10], cols[2], mask[1]) + t
+            mask[1] |= mask[0] | ((cols[0] > 0.0) & (cols[2] == 0.0))
+        # column 2 holds log sigma_1(C) until sigma_3 replaces it
+        np.multiply(np.log(cols[::2], out=cols[::2]), 0.5, out=cols[::2])
+        if not top_only:
+            np.subtract(cols[2], cols[0], out=cols[1])
+            cols[1] += np.multiply(ec, LN2, out=tmp)
+            cols[2] += np.multiply(np.add(ec, t, out=ec), LN2, out=tmp)
+        cols[0] += np.multiply(t, LN2, out=tmp)
+        rows = np.flatnonzero(mask[-1])
+        if len(rows):  # most blocks flag no row, or a handful
             sv = np.log(np.linalg.svd(mats[rows], compute_uv=False).T) + exps[rows] * LN2
-            cols[0, bad[0]] = sv[0, bad[0][rows]]
+            cols[0, rows[mask[0, rows]]] = sv[0, mask[0, rows]]
             if not top_only:
                 cols[1:, rows] = sv[1], sv[0] + sv[1]
         if not top_only:
+            ldet = np.linalg.slogdet(mats)[1] + (3.0 * LN2) * exps if ldet is None else ldet
             # sigma_3 <= sigma_2 <= sigma_1 (equal ones may round apart); fmin
             # also takes -inf over the nan of -inf - (-inf) where A or C is 0
             np.fmin(cols[1], cols[0], out=cols[1])
-            np.fmin(ldet - cols[2], cols[1], out=cols[2])
-    return cols, bad
+            np.fmin(np.subtract(ldet, cols[2], out=cols[2]), cols[1], out=cols[2])
+    return cols, mask
 
 
 # the closed 2x2 form squares t, the sum of squared entries: from here down
@@ -420,7 +432,7 @@ def _sigma_cols(mats, exps, d, ldet=None, top_only=False, ldet_shift=0.0):
         for a in range(0, m, _BLOCK_ROWS):
             blk = slice(a, a + _BLOCK_ROWS)
             blk_ldet = None if ldet is None else ldet[blk] + ldet_shift
-            cols[:, blk] = _sigma3(mats[blk], exps[blk], blk_ldet, top_only)[0]
+            _sigma3(mats[blk], exps[blk], blk_ldet, cols[:, blk])
         return cols
     with np.errstate(divide="ignore", invalid="ignore"):
         if d == 1:
@@ -674,18 +686,18 @@ def _times_suffix(mats, sfx):
     return (mats.reshape(-1, mats.shape[1]) @ sfx).reshape(mats.shape)
 
 
-def _unit_arrays(cache, parts, combo):
+def _unit_arrays(cache, parts, combo, top_only=False):
     """(log-sigma columns, log-weight shift) of one evaluation unit.
 
     A unit is the batch level times one suffix combination, one row index
     per later part, its products one GEMM of the level's (rows * d, d) stack
     by the suffix.  They are not normalised; its log-weights are the batch
     level's plus ``shift``, the suffix's summed log-weight; its log|det|
-    (read by d=2 and 3) adds the suffix's.
+    (read by d=2 and 3) adds the suffix's.  ``top_only`` as in _sigma_cols.
     """
     mats, exps, _, ldet = cache.levels[parts[0]]
     sfx, se, slw, sld = _suffix(cache, parts, combo)
-    return _sigma_cols(_times_suffix(mats, sfx), exps + se, cache.d, ldet, False, sld), slw
+    return _sigma_cols(_times_suffix(mats, sfx), exps + se, cache.d, ldet, top_only, sld), slw
 
 
 def _plan_units(cache, parts):
@@ -714,13 +726,13 @@ def check_workers(workers):
     raise InvalidInputError(f"workers must be None or an integer >= 1, got {workers!r}")
 
 
-def _unit_results(cache, parts, units, kind, s_list, clock, sketch):
+def _unit_results(cache, parts, units, kind, s_list, clock, sketch, top_only):
     """Each unit's (_chunk_stats, _sketch_chunk or None without ``sketch``),
     in unit order, the deadline checked before each."""
     logw, d = cache.levels[parts[0]][2], cache.d
     for unit in units:
         clock.check()
-        cols, shift = _unit_arrays(cache, parts, unit)
+        cols, shift = _unit_arrays(cache, parts, unit, top_only and not sketch)
         chunk = (cols, logw, shift)
         yield _chunk_stats(chunk, kind, s_list, d), _sketch_chunk(chunk, d) if sketch else None
 
@@ -750,7 +762,7 @@ def _fork_slice(results):
         os._exit(0)
 
 
-def _split_fold(cache, parts, kind, s_list, clock, workers, sketch):
+def _split_fold(cache, parts, kind, s_list, clock, workers, sketch, top_only):
     """(stats, sketch segments or None) of a level x suffix length, its units
     cut into contiguous slices: one per _SPLIT_WORK of work begun, at most
     ``workers`` (None: the CPUs this process may run on).  This process
@@ -765,7 +777,7 @@ def _split_fold(cache, parts, kind, s_list, clock, workers, sketch):
     work = len(units) * cache.rows(parts[0]) * d * d
     k = max(1, min(workers, len(units), -(-work // _SPLIT_WORK))) if hasattr(os, "fork") else 1
     cuts = [len(units) * i // k for i in range(k + 1)]
-    slices = [_unit_results(cache, parts, units[a:b], kind, s_list, clock, sketch)
+    slices = [_unit_results(cache, parts, units[a:b], kind, s_list, clock, sketch, top_only)
               for a, b in zip(cuts, cuts[1:])]
     acc, segs, children = [(-math.inf, 0.0)] * len(s_list), [_NO_SEGMENT] * d, {}
     try:
@@ -820,12 +832,15 @@ def weighted_sums(mu, n, kind, s_values, budget, clock=None, workers=None, table
     s_list = [float(s) for s in s_values]
     cache = _cache_for(mu, dedup=True)
     parts = cache.parts_for(n, clock)
+    top_only = kind == "norm" or all(s <= 1.0 for s in s_list)  # _chunk_stats: column 0 alone
     if len(parts) > 1:
-        acc, segs = _split_fold(cache, parts, kind, s_list, clock, workers, tables is not None)
+        acc, segs = _split_fold(cache, parts, kind, s_list, clock, workers, tables is not None,
+                                top_only)
         if segs is not None:
             tables[n] = tuple(_finish_segment(seg) for seg in segs)
     else:
-        acc = _chunk_stats((cache.sigmas(n), cache.levels[n][2], None), kind, s_list, cache.d)
+        cols = cache.sigmas(n, top_only)
+        acc = _chunk_stats((cols, cache.levels[n][2], None), kind, s_list, cache.d)
     return np.array([_stats_to_log(a) for a in acc])
 
 

@@ -235,9 +235,9 @@ def test_each_length_is_enumerated_once_per_run(monkeypatch):
     built = []
     real = _engine._unit_arrays
 
-    def spy(cache, parts, unit):
+    def spy(cache, parts, unit, top_only):
         built.append((sum(parts), unit))
-        return real(cache, parts, unit)
+        return real(cache, parts, unit, top_only)
 
     monkeypatch.setattr(_engine, "_unit_arrays", spy)
     res = affinity_dimension(mu, 0.05, budget=WordBudget(max_words=3**10))
@@ -272,9 +272,9 @@ def test_default_budget_builds_units_only_at_the_lower_tests_lengths(monkeypatch
     built = set()
     real = _engine._unit_arrays
 
-    def spy(cache, parts, unit):
+    def spy(cache, parts, unit, top_only):
         built.add(tuple(parts))
-        return real(cache, parts, unit)
+        return real(cache, parts, unit, top_only)
 
     monkeypatch.setattr(_engine, "_unit_arrays", spy)
     res = affinity_dimension(planar_triple(), 0.05)

@@ -9,6 +9,7 @@ import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -316,19 +317,26 @@ def test_long_words_build_no_level_above_the_cap():
 
 
 def test_two_atom_3x3_phi_sum_peak_memory():
-    # n=20 over two 3x3 atoms at phi^1.5: 64 units of 2^14 rows peak at 7.27
-    # MiB of traced memory, against 12.27 MiB for 32 units of 2^15 rows
+    # n=20 over two 3x3 atoms: 64 units of 2^14 rows.  At phi^1.5 they
+    # peaked at 7.28 MiB of traced memory with the kernel's temporaries
+    # (12.27 MiB for 32 units of 2^15 rows) and at 6.50 MiB with its
+    # preallocated rows; sigma_1 alone, a norm sum and max_norm_word, at
+    # 5.93 and 6.00 MiB, against 7.27 and 6.05 with temporaries
     rng = np.random.default_rng(20260817)
-    mu = FiniteMatrixMeasure([(1.0, rng.uniform(-0.9, 0.9, (3, 3))) for _ in range(2)])
-    tracemalloc.start()
-    try:
-        weighted_sums(mu, 20, "phi", [1.5], WordBudget(), workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    (cache,) = mu._engine_caches.values()
-    assert cache.top == 14
-    assert peak < 8 * 2**20
+    atoms = [(1.0, rng.uniform(-0.9, 0.9, (3, 3))) for _ in range(2)]
+    for run in (lambda mu: weighted_sums(mu, 20, "phi", [1.5], WordBudget(), workers=1),
+                lambda mu: weighted_sums(mu, 20, "norm", [1.0], WordBudget(), workers=1),
+                lambda mu: _engine.max_norm_word(mu, 20, WordBudget())):
+        mu = FiniteMatrixMeasure(atoms)
+        tracemalloc.start()
+        try:
+            run(mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (cache,) = mu._engine_caches.values()
+        assert cache.top == 14
+        assert peak < 7.3 * 2**20
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -508,9 +516,9 @@ def test_sigma_cols_match_row_reference(seed, d, dyadic):
         # singular values, and _sigma_cols is the kernel with the scale
         # applied (sigma_3 from the rows' own determinant by default)
         zero = np.zeros(16, dtype=np.int64)
-        sig = np.exp(_sigma3(mats[:16], zero, exact_ldet(mats[:16]), False)[0])
+        sig = np.exp(_sigma3(mats[:16], zero, exact_ldet(mats[:16]), np.empty((3, 16)))[0])
         assert_within_bound(sig, exact_sigmas(mats[:16]))
-        want = _sigma3(mats, exps, None, False)[0].T
+        want = _sigma3(mats, exps, None, np.empty((3, m)))[0].T
     else:
         want = reference_log_sigmas(mats, d) + (exps * LN2)[:, None]
     assert same_floats(got, want.T)
@@ -684,7 +692,7 @@ def test_closed_form_sigmas_match_exact_svd(seed, kind):
     mats = draw_3x3(seed, kind, m)
     ldet = exact_ldet(mats)
     exact = exact_sigmas(mats)
-    cols, flagged = _sigma3(mats, np.zeros(m, dtype=np.int64), ldet, False)
+    cols, flagged = _sigma3(mats, np.zeros(m, dtype=np.int64), ldet, np.empty((3, m)))
     assert flagged.shape == (2, m) and not np.any(np.isnan(cols))
     assert np.all(cols[:-1] >= cols[1:])
     # rows the closed forms keep: every sigma_j within 16 u sigma_1
@@ -767,7 +775,7 @@ def test_closed_form_sigmas_relative_on_graded_rows():
     mats = graded_3x3()
     ldet = exact_ldet(mats)
     exps = np.zeros(len(mats), dtype=np.int64)
-    cols, flagged = _sigma3(mats, exps, ldet, False)
+    cols, flagged = _sigma3(mats, exps, ldet, np.empty((3, len(mats))))
     assert flagged[:, 0].all()  # diag(1, 1, 2^-600): a degenerate top pair
     with mpmath.workdps(400):
         for r, a in enumerate(mats):
@@ -799,7 +807,7 @@ def test_sigma_cols_bits_do_not_depend_on_the_block(monkeypatch):
     mats = mats[rng.permutation(len(mats))]
     exps = rng.integers(-40, 40, len(mats))
     ldet = np.linalg.slogdet(mats)[1]
-    flagged = _sigma3(mats, exps, ldet, False)[1]
+    flagged = _sigma3(mats, exps, ldet, np.empty((3, len(mats))))[1]
     for j in range(2):
         assert len(np.unique(np.flatnonzero(flagged[j]) // 5)) > 3
     assert len(mats) <= _engine._BLOCK_ROWS
@@ -812,6 +820,138 @@ def test_sigma_cols_bits_do_not_depend_on_the_block(monkeypatch):
     monkeypatch.setattr(_engine, "_BLOCK_ROWS", 5)
     for got, w in zip(all_cols(), want):
         assert same_floats(got, w)
+
+
+def reference_top_eig(x):
+    """The closed-form top eigenvalue as written before it took preallocated
+    rows: (exponents, top eigenvalue of X^T X, flagged rows), X scaled in place."""
+    e = np.frexp(np.maximum(np.max(x, axis=0), -np.min(x, axis=0)))[1]
+    np.ldexp(x, -e, out=x)
+    a, b, c, d, f, g, h, i, j = x
+    g00 = a * a + d * d + h * h
+    g11 = b * b + f * f + i * i
+    g22 = c * c + g * g + j * j
+    g01 = a * b + d * f + h * i
+    g02 = a * c + d * g + h * j
+    g12 = b * c + f * g + i * j
+    q = (g00 + g11 + g22) / 3.0
+    g00, g11, g22 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((g00 * g00 + g11 * g11 + g22 * g22
+                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+           + g02 * (g01 * g12 - g11 * g02))
+    r = det / (2.0 * p * p * p)
+    r = np.fmin(np.fmax(r, -1.0), 1.0)
+    lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    return e, lam, (r < _engine._PAIR_GAP - 1.0) & (p > _engine._SCALAR * q)
+
+
+def reference_sigma3(mats, exps, ldet, top_only):
+    """_sigma3 as written with temporaries, np.stack and boolean-mask LAPACK
+    passes: (log-sigma columns, LAPACK mask)."""
+    x = mats.reshape(-1, 9).T.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ea, lam, bad = reference_top_eig(x)
+        t = ea + exps
+        l1 = 0.5 * np.log(lam)
+        if top_only:
+            cols, bad = (l1 + t * LN2)[None], bad[None]
+        else:
+            mnr = np.stack([x[i] * x[j] - x[k] * x[l] for i, j, k, l in _engine._MINORS])
+            ec, lam_c, bad_c = reference_top_eig(mnr)
+            if ldet is None:
+                ldet = np.linalg.slogdet(mats)[1] + (3.0 * LN2) * exps
+            l12 = 0.5 * np.log(lam_c)
+            cols = np.stack([l1 + t * LN2, l12 - l1 + (ec + t) * LN2, l12 + (ec + 2 * t) * LN2])
+            bad = np.stack([bad, bad | bad_c | ((lam > 0.0) & (lam_c == 0.0))])
+        rows = bad[-1]
+        if rows.any():
+            sv = np.log(np.linalg.svd(mats[rows], compute_uv=False).T) + exps[rows] * LN2
+            cols[0, bad[0]] = sv[0, bad[0][rows]]
+            if not top_only:
+                cols[1:, rows] = sv[1], sv[0] + sv[1]
+        if not top_only:
+            np.fmin(cols[1], cols[0], out=cols[1])
+            np.fmin(ldet - cols[2], cols[1], out=cols[2])
+    return cols, bad
+
+
+def draw_kernel_rows(seed, kind, m):
+    if kind == "graded":
+        rows = np.concatenate([graded_3x3(), draw_3x3(seed, "random", m)])
+    elif kind == "repeated":
+        # a few rows, near-degenerate and zero ones among them, many times over
+        few = np.concatenate([draw_3x3(seed, k, 2) for k in ("random", "near_degenerate", "zeros")])
+        rows = few[np.random.default_rng(seed).integers(0, len(few), m)]
+    else:
+        return draw_3x3(seed, kind, m)
+    return rows[np.random.default_rng(seed).permutation(len(rows))[:m]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "dominated", "near_degenerate", "rank1", "rank2", "zeros",
+                     "graded", "repeated"]),
+    st.sampled_from([1, 6, 40]),
+    st.booleans(),
+    st.booleans(),
+)
+@example(0, "near_degenerate", 40, True, False)
+@example(0, "graded", 6, False, False)
+def test_sigma3_keeps_the_reference_kernels_bits(seed, kind, m, with_ldet, top_only):
+    # the preallocated kernel rounds every operation as the one with
+    # temporaries did: the same column bits and mask rows, and LAPACK gets
+    # exactly the flagged rows, or no call when none is flagged
+    mats = draw_kernel_rows(seed, kind, m)
+    exps = np.random.default_rng(seed).integers(-40, 41, m)
+    ldet = np.linalg.slogdet(mats)[1] + 0.5 if with_ldet else None
+    want_cols, want_mask = reference_sigma3(mats, exps, ldet, top_only)
+    svd, given_rows = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        given_rows.append(a.copy())
+        return svd(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", spy):
+        cols, mask = _sigma3(mats, exps, ldet, np.empty((1 if top_only else 3, m)))
+    assert same_floats(cols, want_cols)
+    assert mask.shape == want_mask.shape and np.array_equal(mask, want_mask)
+    flagged = mats[want_mask[-1]]
+    assert [a.tobytes() for a in given_rows] == ([flagged.tobytes()] if len(flagged) else [])
+
+
+def test_sums_that_read_sigma_1_alone_skip_the_minors(monkeypatch):
+    # a d=3 norm sum, or phi at s <= 1, runs _top_eig once per block (A's,
+    # not C's) and keeps the bits of the full columns a slope sketch takes
+    rng = np.random.default_rng(3)
+    atoms = [(w, rng.uniform(-0.9, 0.9, (3, 3))) for w in (0.3, 0.7)]
+    calls, real = [], _engine._top_eig
+
+    def top_eig(*args):
+        calls.append(args[0].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(_engine, "_top_eig", top_eig)
+    for kind, s_list in (("norm", [0.5, 1.0, 2.5]), ("phi", [0.25, 1.0])):
+        for n in (9, 16):  # one level, and level 14 times each length-2 suffix
+            mu, full = FiniteMatrixMeasure(atoms), FiniteMatrixMeasure(atoms)
+            calls.clear()
+            got = weighted_sums(mu, n, kind, s_list, WordBudget(), workers=1)
+            cache = _engine._cache_for(mu, dedup=True)
+            parts = cache.parts_for(n)
+            blocks = -(-cache.rows(parts[0]) // _engine._BLOCK_ROWS)
+            assert len(calls) == len(_engine._plan_units(cache, parts)) * blocks
+            if n == 9:
+                full_cache = _engine._cache_for(full, dedup=True)
+                full_cache.ensure(n)
+                want = _chunk_stats((full_cache.sigmas(n), cache.levels[n][2], None),
+                                    kind, s_list, 3)
+                want = [_engine._stats_to_log(a) for a in want]
+            else:
+                want = weighted_sums(full, n, kind, s_list, WordBudget(), workers=1, tables={})
+            assert same_floats(got, want)
+    assert (len(parts), blocks, cache.rows(2)) == (2, 2, 4)
 
 
 def planar_triple():
@@ -935,10 +1075,10 @@ def test_a_childs_error_is_raised_here(split_sizes, monkeypatch):
     split_sizes.lower_work(1 << 10)
     parent, real = os.getpid(), _engine._unit_arrays
 
-    def unit_arrays(cache, parts, combo):
+    def unit_arrays(cache, parts, combo, top_only):
         if os.getpid() != parent:
             raise ValueError(f"unit {combo} failed")
-        return real(cache, parts, combo)
+        return real(cache, parts, combo, top_only)
 
     monkeypatch.setattr(_engine, "_unit_arrays", unit_arrays)
     with pytest.raises(ValueError) as err:
@@ -995,10 +1135,10 @@ def test_an_expired_clock_stops_every_process(split_sizes, monkeypatch):
     parent, real = os.getpid(), _engine._unit_arrays
     clock = RunClock(600.0)
 
-    def unit_arrays(cache, parts, combo):
+    def unit_arrays(cache, parts, combo, top_only):
         if os.getpid() != parent:
             clock.deadline = time.monotonic() - 1.0
-        return real(cache, parts, combo)
+        return real(cache, parts, combo, top_only)
 
     monkeypatch.setattr(_engine, "_unit_arrays", unit_arrays)
     with pytest.raises(BudgetExhaustedError) as err:
@@ -1014,13 +1154,13 @@ def test_an_error_here_kills_the_children(split_sizes, monkeypatch, error):
     split_sizes.lower_work(1 << 10)
     parent, real, calls = os.getpid(), _engine._unit_arrays, []
 
-    def unit_arrays(cache, parts, combo):
+    def unit_arrays(cache, parts, combo, top_only):
         if os.getpid() != parent:
             time.sleep(20.0)
         calls.append(combo)
         if len(calls) == 2:
             raise error("stopped here")
-        return real(cache, parts, combo)
+        return real(cache, parts, combo, top_only)
 
     monkeypatch.setattr(_engine, "_unit_arrays", unit_arrays)
     t0 = time.monotonic()
