@@ -55,12 +55,8 @@ _EXPORTS = {
     "sv_pressure_bracket": ("svpressure", "bracket"),
     "continuity_at_one": ("svpressure", "continuity_at_one"),
     "planar_constant": ("svpressure", "planar_constant"),
-    "AffinityResult": ("affinity", "AffinityResult"),
     "affinity_dimension": ("affinity", "affinity_dimension"),
     "meets_ambient_dimension": ("affinity", "meets_ambient_dimension"),
-    "solve_determinant_dimension": ("affinity", "solve_determinant_dimension"),
-    "ScanPoint": ("jsr", "ScanPoint"),
-    "ScanResult": ("jsr", "ScanResult"),
     "jsr_bracket": ("jsr", "jsr_bracket"),
     "zero_temperature_scan": ("jsr", "zero_temperature_scan"),
 }

@@ -713,7 +713,8 @@ def _plan_units(cache, parts):
 # faults, pickling and reaping.  In-process medians, one process against two:
 # W3 n=14 with its sketch (243 units x 19,683 rows) 249 -> 169 ms, W3 n=12
 # (27 x 19,683) 26.7 -> 25.1, W3 n=10 (3 x 19,683) 3.4 -> 9.1, W2 n=12 d=3
-# (27 x 19,683) 157 -> 126, the dominated d=3 n=18 (16 x 16,384) 107 -> 60,
+# (27 x 19,683) 147 -> 88 (split slower in 3 of 16 fresh processes),
+# the dominated d=3 n=18 (16 x 16,384) 107 -> 60,
 # W4 n=16 d=3 (4 x 16,384) 18.1 -> 17.9, W1 n=18 norm (16 x 16,384) 8.3 -> 9.5
 _SPLIT_WORK = 1 << 21
 

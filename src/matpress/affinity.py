@@ -27,7 +27,6 @@ tolerances, not a defect.
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,50 +34,13 @@ from . import _engine, linalg, pressure
 from .errors import BudgetExhaustedError, InvalidInputError
 from .errors import InvertedIntervalError
 from .measure import WordBudget
-from .pressure import _ROUNDING, _validate_eps, _validate_mu
+from .pressure import _ROUNDING, PressureBracket, _validate_eps, _validate_mu
 from .svpressure import _lift_rows, _route
 
 __all__ = [
-    "AffinityResult",
     "meets_ambient_dimension",
-    "solve_determinant_dimension",
     "affinity_dimension",
 ]
-
-
-@dataclass(frozen=True)
-class AffinityResult:
-    """Outcome of an affinity-dimension run.
-
-    interval always contains the affinity dimension (up to the rounding of
-    the word products; the power sums' own rounding is allowed for); certified
-    additionally means its width is at most the requested eps.  steps counts
-    closed-form evaluations on the determinant and triangular branches, and
-    otherwise test fires that moved an end, the upper walks at held lengths
-    included.
-    history holds the interval after each step n = 1, 2, ... of the sweep,
-    one entry per step even where no test was left to run.
-    words_evaluated sums the nominal word count N^n of every evaluated
-    exponent at length n, exponents answered from a length's slope sketch
-    or held level included, so it does not fall when either saves the
-    enumeration.
-    """
-
-    interval: tuple
-    branch: str  # "trisection" | "determinant" | "triangular"
-    steps: int
-    status: str  # "certified" | "budget_exhausted"
-    history: tuple = ()
-    words_evaluated: int = 0
-    wall_time: float = 0.0
-
-    @property
-    def width(self):
-        return self.interval[1] - self.interval[0]
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.interval[0] + self.interval[1])
 
 
 def _det_excess(mu):
@@ -198,26 +160,6 @@ def _det_root(mu, excess, dets, tol):
     return _closed_form_root(lambda s: form.bounds(s / d, 0), float(d), None, tol)
 
 
-def solve_determinant_dimension(mu, tol=1e-9):
-    """Root s >= d of sum w_i |det A_i|^(s/d) = 1: the midpoint of the
-    bracket of _det_root, each of whose ends is walked to within tol / 4 of
-    where its rounding-widened test stops holding.
-
-    The bracket is then within tol wide, so the midpoint within tol / 2 of
-    the root, unless the closed form's rounding radius spans more than tol
-    in s, where the pressure is nearly flat (some |det A_i| close to 1);
-    the midpoint is then only within half the bracket's width, which
-    affinity_dimension reports as its interval.  Preconditions: every
-    |det A_i| < 1 and meets_ambient_dimension(mu).
-    """
-    _validate_mu(mu)
-    tol = float(tol)
-    if not (tol > 0.0):
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    lo, hi, _ = _det_root(mu, *_det_excess(mu), tol / 4.0)
-    return 0.5 * (lo + hi)
-
-
 def _slack(mu, value, length):
     """_ROUNDING bound of a log sum ``value`` at word length ``length``: log N
     + 2 W per letter, W the largest |log w_i|."""
@@ -329,7 +271,8 @@ def _lower_end(sums, mu, n, lo, hi, tol, lifts):
 
 
 def affinity_dimension(mu, eps, budget=None, workers=None):
-    """Certified interval of width <= eps around the affinity dimension.
+    """Certified interval of width <= eps around the affinity dimension,
+    as a PressureBracket on the exponent's scale.
 
     Requires every atom's operator norm strictly below 1 (this makes the
     pressure strictly decreasing where finite, so one-sided tests localize
@@ -342,8 +285,20 @@ def affinity_dimension(mu, eps, budget=None, workers=None):
     margins.  Each length is enumerated once: later probes there read the
     side of its slope sketch's bounds that keeps their test conservative.
     Every endpoint is a point where its test fired, so the interval is a
-    valid containment even on budget exhaustion.  Raises
+    valid containment even on budget exhaustion (up to the rounding of the
+    word products; the power sums' own rounding is allowed for).  Raises
     InvertedIntervalError if a test fires at or beyond the opposite end.
+
+    provenance names the branch: "determinant", "triangular" or
+    "trisection" (the sweep).  steps counts the closed-form evaluations, or
+    on the sweep the test fires that moved an end, the upper walks at held
+    lengths included.  On the sweep, n_used is its last step and history
+    holds the interval after each step n = 1, 2, ..., one entry per step
+    even where no test was left to run; words_evaluated sums the nominal
+    word count N^n of every evaluated exponent at length n, exponents
+    answered from a length's slope sketch or held level included, so it
+    does not fall when either saves the enumeration.  The closed forms
+    report n_used 1, one history entry and no words.
     """
     _validate_mu(mu)
     eps = _validate_eps(eps)
@@ -370,8 +325,9 @@ def affinity_dimension(mu, eps, budget=None, workers=None):
         branch = "triangular"
     else:
         return _sweep(mu, eps, budget, workers)
-    status = "certified" if hi - lo <= eps else "budget_exhausted"
-    return AffinityResult((lo, hi), branch, steps, status, ((lo, hi),), 0, time.monotonic() - t0)
+    status = pressure._CERTIFIED if hi - lo <= eps else pressure._EXHAUSTED
+    return PressureBracket(lo, hi, 1, status, 0, time.monotonic() - t0, branch, steps,
+                           ((lo, hi),))
 
 
 def _sweep(mu, eps, budget, workers):
@@ -409,6 +365,6 @@ def _sweep(mu, eps, budget, workers):
             n += 1
     except BudgetExhaustedError:
         history.append((lo, hi))
-    status = "certified" if hi - lo <= eps else "budget_exhausted"
-    return AffinityResult((lo, hi), "trisection", steps, status,
-                          tuple(history), sums.words, time.monotonic() - t0)
+    status = pressure._CERTIFIED if hi - lo <= eps else pressure._EXHAUSTED
+    return PressureBracket(lo, hi, len(history), status, sums.words, time.monotonic() - t0,
+                           "trisection", steps, tuple(history))

@@ -14,8 +14,12 @@ Exit codes: 0 when every requested bracket is certified (or provably
 minus infinity), 2 on honest budget exhaustion (a report is still
 emitted; rerun with a larger budget), 1 on invalid input.
 
-JSON output carries full double precision; infinities are encoded as the
-strings "inf"/"-inf" to stay within strict JSON.
+Every command prints one report of its result record (pressure's
+PressureBracket) in one layout: its ends as "bracket", then its other
+fields.  The scan's record is its JSR bracket, beside a "points" list of
+one such record per exponent; as text, those points come first as CSV
+rows.  JSON output carries full double precision; infinities are encoded
+as the strings "inf"/"-inf" to stay within strict JSON.
 """
 
 import argparse
@@ -169,44 +173,58 @@ def _echo(args, mu):
 _EXIT_OK = {"certified", "minus_infinity"}
 
 
-def _exit_for(status):
-    return 0 if status in _EXIT_OK else 2
+def _fields(rec):
+    # every field of a PressureBracket, its ends as one "bracket" object
+    fields = asdict(rec)
+    return {"bracket": {"lower": fields.pop("lower"), "upper": fields.pop("upper")}, **fields}
 
 
-def _bracket_report(command, args, mu, params, br, out):
-    """Print one bracket's report in ``args.format``; returns the exit code."""
-    report = {
-        "command": command,
-        "input": _echo(args, mu),
-        "parameters": params,
-        "bracket": {"lower": br.lower, "upper": br.upper},
-        "status": br.status,
-        "n_used": br.n_used,
-        "words_evaluated": br.words_evaluated,
-        "wall_time": br.wall_time,
-        "provenance": br.provenance,
-    }
+def _report(command, args, mu, params, rec, out, points=()):
+    """Print the report of one record in ``args.format``; returns the exit
+    code: 0 when every bracket is certified or minus infinity, else 2.
+
+    The scan passes its (s, record) points as well, and its JSR bracket as
+    ``rec``; its exit code follows the points alone.
+    """
+    report = {"command": command, "input": _echo(args, mu), "parameters": params,
+              **_fields(rec), "points": [{"s": s, **_fields(p)} for s, p in points]}
     if args.format == "json":
         print(json.dumps(_json_ready(report), indent=2), file=out)
     else:
-        _print_bracket_text(report, out)
-    return _exit_for(br.status)
+        _print_text(report, out)
+    records = [p for _, p in points] or [rec]
+    return 0 if all(r.status in _EXIT_OK for r in records) else 2
 
 
-def _print_bracket_text(report, out):
+def _print_text(report, out):
+    """The report as lines of text.  A scan prints its points first as CSV
+    rows, each M bracket with its exp(x/s) image, and the rest as comment
+    lines below them."""
     p = report["parameters"]
     pieces = ", ".join(f"{k} = {v}" for k, v in p.items() if v is not None)
-    print(f"command: {report['command']}", file=out)
-    print(f"input: {report['input']['path']} "
-          f"(d={report['input']['d']}, {report['input']['n_atoms']} atoms)", file=out)
-    if pieces:
-        print(pieces, file=out)
     lo, up = report["bracket"]["lower"], report["bracket"]["upper"]
     width = up - lo if math.isfinite(up) and math.isfinite(lo) else math.inf
-    print(f"bracket: [{_fmt(lo)}, {_fmt(up)}]  (width {_fmt(width)})", file=out)
-    print(f"status: {report['status']}  (n = {report['n_used']}, words = "
-          f"{report['words_evaluated']}, {report['wall_time']:.3f} s)", file=out)
-    print(f"provenance: {report['provenance']}", file=out)
+    lines = [
+        f"command: {report['command']}",
+        f"input: {report['input']['path']} "
+        f"(d={report['input']['d']}, {report['input']['n_atoms']} atoms)",
+        *([pieces] if pieces else []),
+        f"{'jsr bracket' if report['points'] else 'bracket'}: [{_fmt(lo)}, {_fmt(up)}]"
+        f"  (width {_fmt(width)})",
+        f"status: {report['status']}  (n = {report['n_used']}, steps = {report['steps']}, "
+        f"words = {report['words_evaluated']}, {report['wall_time']:.3f} s)",
+        f"provenance: {report['provenance']}",
+    ]
+    if report["points"]:
+        from .pressure import _exp_end
+
+        print("s,m_lower,m_upper,radius_lower,radius_upper,status", file=out)
+        for pt in report["points"]:
+            s, m_lo, m_up = pt["s"], pt["bracket"]["lower"], pt["bracket"]["upper"]
+            print(f"{_fmt(s)},{_fmt(m_lo)},{_fmt(m_up)},{_fmt(_exp_end(m_lo / s, False))},"
+                  f"{_fmt(_exp_end(m_up / s, True))},{pt['status']}", file=out)
+        lines = [f"# {line}" for line in lines]
+    print("\n".join(lines), file=out)
 
 
 def _cmd_pressure(args, out):
@@ -214,7 +232,7 @@ def _cmd_pressure(args, out):
 
     mu, s = parse_input(args.input), parse_exponent(args.s)
     br = pressure.bracket(mu, float(s), args.eps, budget=_budget(args), workers=args.workers)
-    return _bracket_report("pressure", args, mu, {"s": str(s), "eps": args.eps}, br, out)
+    return _report("pressure", args, mu, {"s": str(s), "eps": args.eps}, br, out)
 
 
 def _cmd_pradius(args, out):
@@ -223,7 +241,7 @@ def _cmd_pradius(args, out):
     mu, p = parse_input(args.input), parse_exponent(args.p)
     br = pressure.p_radius_bracket(
         mu, float(p), args.eps, budget=_budget(args), workers=args.workers)
-    return _bracket_report("pradius", args, mu, {"p": str(p), "eps": args.eps}, br, out)
+    return _report("pradius", args, mu, {"p": str(p), "eps": args.eps}, br, out)
 
 
 def _cmd_svpressure(args, out):
@@ -231,7 +249,7 @@ def _cmd_svpressure(args, out):
 
     mu, s = parse_input(args.input), parse_exponent(args.s)
     br = svpressure.bracket(mu, s, args.eps, budget=_budget(args), workers=args.workers)
-    return _bracket_report("svpressure", args, mu, {"s": str(s), "eps": args.eps}, br, out)
+    return _report("svpressure", args, mu, {"s": str(s), "eps": args.eps}, br, out)
 
 
 def _cmd_affdim(args, out):
@@ -239,30 +257,7 @@ def _cmd_affdim(args, out):
 
     mu = parse_input(args.input)
     res = affinity.affinity_dimension(mu, args.eps, budget=_budget(args), workers=args.workers)
-    report = {
-        "command": "affdim",
-        "input": _echo(args, mu),
-        "parameters": {"eps": args.eps},
-        "interval": {"lower": res.interval[0], "upper": res.interval[1]},
-        "branch": res.branch,
-        "steps": res.steps,
-        "status": res.status,
-        "history": [list(pair) for pair in res.history],
-        "words_evaluated": res.words_evaluated,
-        "wall_time": res.wall_time,
-    }
-    if args.format == "json":
-        print(json.dumps(_json_ready(report), indent=2), file=out)
-    else:
-        lo, up = res.interval
-        print("command: affdim", file=out)
-        print(f"input: {args.input} (d={mu.dimension}, {mu.n_atoms} atoms)", file=out)
-        print(f"eps = {args.eps}", file=out)
-        print(f"interval: [{_fmt(lo)}, {_fmt(up)}]  (width {_fmt(up - lo)})", file=out)
-        print(f"branch: {res.branch}  steps: {res.steps}", file=out)
-        print(f"status: {res.status}  (words = {res.words_evaluated}, "
-              f"{res.wall_time:.3f} s)", file=out)
-    return _exit_for(res.status)
+    return _report("affdim", args, mu, {"eps": args.eps}, res, out)
 
 
 def _cmd_jsr(args, out):
@@ -271,7 +266,7 @@ def _cmd_jsr(args, out):
     mu = parse_input(args.input)
     br = jsr.jsr_bracket(mu, eps=args.eps, budget=_budget(args),
                          use_spectral_floor=not args.no_spectral_floor, workers=args.workers)
-    return _bracket_report("jsr", args, mu, {"eps": args.eps}, br, out)
+    return _report("jsr", args, mu, {"eps": args.eps}, br, out)
 
 
 def _cmd_scan(args, out):
@@ -279,39 +274,9 @@ def _cmd_scan(args, out):
 
     mu = parse_input(args.input)
     s_list = [float(parse_exponent(part)) for part in args.s.split(",") if part.strip()]
-    result = jsr.zero_temperature_scan(
-        mu, s_list, eps=args.eps, budget=_budget(args), workers=args.workers
-    )
-    if args.format == "json":
-        report = {
-            "command": "scan",
-            "input": _echo(args, mu),
-            "parameters": {"s": s_list, "eps": args.eps},
-            "points": [asdict(pt) for pt in result.points],
-            "jsr": {
-                "lower": result.jsr.lower,
-                "upper": result.jsr.upper,
-                "status": result.jsr.status,
-                "provenance": result.jsr.provenance,
-            },
-        }
-        print(json.dumps(_json_ready(report), indent=2), file=out)
-    else:
-        print("s,m_lower,m_upper,radius_lower,radius_upper,status", file=out)
-        for pt in result.points:
-            print(
-                f"{_fmt(pt.s)},{_fmt(pt.m_lower)},{_fmt(pt.m_upper)},"
-                f"{_fmt(pt.radius_lower)},{_fmt(pt.radius_upper)},{pt.status}",
-                file=out,
-            )
-        print(
-            f"# jsr bracket: [{_fmt(result.jsr.lower)}, {_fmt(result.jsr.upper)}] "
-            f"({result.jsr.status}; {result.jsr.provenance})",
-            file=out,
-        )
-    if all(pt.status in _EXIT_OK for pt in result.points):
-        return 0
-    return 2
+    points, support = jsr.zero_temperature_scan(
+        mu, s_list, eps=args.eps, budget=_budget(args), workers=args.workers)
+    return _report("scan", args, mu, {"s": s_list, "eps": args.eps}, support, out, points)
 
 
 def build_parser():

@@ -14,13 +14,13 @@ words and floor products that a norm bound rules out are not evaluated
 (the results' bits are those of evaluating them).  A family that one
 coordinate order makes upper triangular has the exact radius max |a_i,jj|
 (Jungers, The Joint Spectral Radius, 2009, Prop. 1.5), returned without
-enumeration.  The zero-temperature scan maps norm-pressure brackets
-through x -> exp(x/s), whose s -> inf limit is the joint spectral radius.
+enumeration.  The zero-temperature scan returns norm-pressure brackets
+along growing exponents s; mapped through x -> exp(x/s), their s -> inf
+limit is the joint spectral radius.
 """
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .pressure import PressureBracket
 
 __all__ = [
     "jsr_bracket",
-    "ScanPoint",
-    "ScanResult",
     "zero_temperature_scan",
 ]
 
@@ -135,6 +133,7 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, workers):
     d = mu.dimension
     sums = pressure._Sums(budget, workers, n_atoms)
     lo, up, n_used, status, lo_from = 0.0, math.inf, 0, pressure._EXHAUSTED, PROVENANCE_BOCHI
+    history = []
     if use_spectral_floor:
         floor = _spectral_floor(mu, n_atoms)
         if floor > lo:
@@ -146,6 +145,7 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, workers):
             if log_up == -math.inf:
                 # some power of the whole family vanished: radius is exactly 0
                 lo, up, lo_from, status = 0.0, 0.0, PROVENANCE_BOCHI, pressure._CERTIFIED
+                history.append((lo, up))
                 break
             up, bochi = pressure._exp_end(log_up, True), pressure._exp_end(log_lo, False)
             if bochi > lo:
@@ -153,47 +153,27 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, workers):
             # eigenvalue round-off in the spectral floor can overshoot an
             # exact norm upper by a few ulps; keep lo <= up unconditionally
             lo = min(lo, up)
+            history.append((lo, up))
             if up == lo or (eps is not None and up - lo <= float(eps)):
                 status = pressure._CERTIFIED
                 break
     except BudgetExhaustedError:
         pass
-    return PressureBracket(
-        lo, up, n_used, status, sums.words, time.monotonic() - t0, lo_from
-    )
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """One scanned exponent: norm-pressure bracket and its exp(x/s) image."""
-
-    s: float
-    m_lower: float
-    m_upper: float
-    radius_lower: float
-    radius_upper: float
-    status: str
-    n_used: int
-    words_evaluated: int
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    points: tuple
-    jsr: PressureBracket
+    return PressureBracket(lo, up, n_used, status, sums.words, time.monotonic() - t0,
+                           lo_from, history=tuple(history))
 
 
 _DEFAULT_SCAN_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=None):
-    """Brackets of exp(M(mu,s)/s) along a grid of growing exponents.
+    """(points, jsr): the norm-pressure bracket of each exponent of a
+    growing grid as (s, bracket) pairs, each at tolerance eps, and a
+    jsr_bracket of the support for comparison.
 
-    As s grows these converge to the joint spectral radius of the support
-    from above (for unit-mass measures); the report carries a jsr_bracket
-    of the support for comparison.  Each grid point gets its own
-    norm-pressure bracket at tolerance eps, mapped through x -> exp(x/s);
-    per-point statuses are preserved.
+    Mapped through x -> exp(x/s) (pressure._exp_end on each end), the
+    brackets converge as s grows to the joint spectral radius of the
+    support from above (for unit-mass measures).
     """
     pressure._validate_mu(mu)
     if s_list is None:
@@ -208,16 +188,6 @@ def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=None):
             raise InvalidInputError("scan exponents must be strictly increasing")
     if budget is None:
         budget = WordBudget()
-    points = []
-    for s in s_values:
-        br = pressure.bracket(mu, s, eps, budget=budget, workers=workers)
-        radius_lower = pressure._exp_end(br.lower / s, False)
-        radius_upper = pressure._exp_end(br.upper / s, True)
-        points.append(
-            ScanPoint(
-                s, br.lower, br.upper, radius_lower, radius_upper,
-                br.status, br.n_used, br.words_evaluated,
-            )
-        )
-    support = jsr_bracket(mu, eps=None, budget=budget, workers=workers)
-    return ScanResult(tuple(points), support)
+    points = tuple((s, pressure.bracket(mu, s, eps, budget=budget, workers=workers))
+                   for s in s_values)
+    return points, jsr_bracket(mu, eps=None, budget=budget, workers=workers)

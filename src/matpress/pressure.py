@@ -25,11 +25,11 @@ _triangular_bracket), which pressure, svpressure, affinity and jsr try
 before their enumeration routes.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,15 +84,22 @@ _ROUNDING = 2.0 ** -32
 _TRIANGULAR_ROUNDING = 2.0 ** -49
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PressureBracket:
-    """A certified interval, log scale unless the producing op says otherwise.
+    """A certified interval: the one result record of every bracket.
 
-    status is one of "certified" (width <= requested eps), "minus_infinity"
-    (the quantity is exactly -inf; both endpoints are -inf), or
-    "budget_exhausted" (still a valid containment, just wider than asked).
-    words_evaluated counts nominal words N^n summed over the distinct word
-    lengths actually evaluated.
+    Its scale is the producing op's: log for the pressures, linear for the
+    p-radius and the joint spectral radius, the exponent itself for the
+    affinity dimension.  status is one of "certified" (width <= requested
+    eps), "minus_infinity" (the quantity is exactly -inf; both endpoints are
+    -inf), or "budget_exhausted" (still a valid containment, just wider
+    than asked).  n_used is the last step of the sweep (1 on a closed
+    form), and history its (lower, upper) after each step on the record's
+    own scale, () on a closed form.  words_evaluated counts nominal words
+    N^n summed over the distinct word lengths actually evaluated.
+    provenance names the route or inequality behind the lower end.  steps
+    counts affinity's closed-form evaluations or end-moving test fires, 0
+    elsewhere.
     """
 
     lower: float
@@ -102,6 +109,16 @@ class PressureBracket:
     words_evaluated: int = 0
     wall_time: float = 0.0
     provenance: str = ""
+    steps: int = 0
+    history: tuple = ()
+
+    @property
+    def interval(self):
+        return self.lower, self.upper
+
+    @property
+    def branch(self):  # read by perfbench/checks.py alone, until it reads provenance
+        return self.provenance
 
     @property
     def width(self):
@@ -238,24 +255,27 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance,
     """
     t0 = time.monotonic()
     sums = _Sums(budget, workers)
-    lo, up, n_used, status = lower, math.inf, 0, _EXHAUSTED
+    lo, up, n_used, status, history = lower, math.inf, 0, _EXHAUSTED, []
     try:
         if (block is not None and sums.feasible(mu, block)
                 and sums.get(mu, kind, s, block) == -math.inf):
             lo = up = -math.inf
             n_used, status = block, _MINUS_INF
+            history.append((lo, up))
         else:
             for n_used, lo, up in _sandwich(mu, kind, s, block, log_k, sums, source):
+                lo = max(lo, lower) if up > -math.inf else lo
+                history.append((lo, up))
                 if up == -math.inf:
                     status = _MINUS_INF
                     break
-                lo = max(lo, lower)
                 if up - lo < eps:
                     status = _CERTIFIED
                     break
     except BudgetExhaustedError:
         pass
-    return PressureBracket(lo, up, n_used, status, sums.words, time.monotonic() - t0, provenance)
+    return PressureBracket(lo, up, n_used, status, sums.words, time.monotonic() - t0,
+                           provenance, history=tuple(history))
 
 
 def _exp_end(x, upper):
@@ -388,7 +408,8 @@ def p_radius_bracket(source, p, eps, budget=None, workers=None):
 
     The p-radius of unit-weight atoms (A_1,...,A_N) is
     N^(-1/p) exp(M(mu,p)/p); the M-bracket maps through that monotone
-    transform, so certification (eps on the log-scale M-gap) carries over.
+    transform, so certification (eps on the log-scale M-gap) carries over;
+    so does each history pair.
     ``source`` may be a FiniteMatrixMeasure with unit weights, or an iterable
     of matrices.  A minus_infinity verdict maps to the exact bracket [0, 0].
     """
@@ -404,8 +425,9 @@ def p_radius_bracket(source, p, eps, budget=None, workers=None):
     mb = bracket(mu, p, eps, budget=budget, workers=workers)
     scale = mu.n_atoms ** (-1.0 / p)
 
-    return PressureBracket(
-        scale * _exp_end(mb.lower / p, False), scale * _exp_end(mb.upper / p, True),
-        mb.n_used, mb.status,
-        mb.words_evaluated, mb.wall_time, mb.provenance,
-    )
+    def ends(lo, up):
+        return scale * _exp_end(lo / p, False), scale * _exp_end(up / p, True)
+
+    lower, upper = ends(mb.lower, mb.upper)
+    return dataclasses.replace(mb, lower=lower, upper=upper,
+                               history=tuple(ends(*pair) for pair in mb.history))

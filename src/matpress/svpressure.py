@@ -19,10 +19,11 @@ phi^s in place of ||.||^s.  The bracketing routes depend on (d, s):
   turns phi^s sums into norm sums in dimension d', giving a product
   inequality with explicit constant (lift route);
 * d >= 3, every other s (irrational, a denominator above 6, or a lift
-  above the cap): the upper end at s; the lower end at the least lift
-  rational s+ >= s whose block fits the budget (else the determinant
-  closed form at s+ = d) after rescaling atoms into the unit ball, where
-  phi-monotonicity in s makes the transfer sound.
+  above the cap): the upper end at s; the lower end at the lift rational
+  s+ >= s of least block among those whose block fits the budget, the
+  least such s+ on a tie (else the determinant closed form at s+ = d),
+  after rescaling atoms into the unit ball, where phi-monotonicity in s
+  makes the transfer sound.
 
 The norm, planar and lift rows live in one route table, _route, whose lift
 rows _lift_rows lists; affinity's lower test reads them too, and every
@@ -167,11 +168,13 @@ def bracket(mu, s, eps, budget=None, workers=None):
 
 
 def _bracket_irrational(mu, s, eps, budget, workers):
-    # Upper bounds need nothing special.  Lower bounds transfer from the
-    # least rational s+ >= s among the lift rows whose block fits the
-    # budget, else from s+ = d, after scaling atoms into the unit ball where
-    # phi-monotonicity in the exponent holds; the scaling shifts P by
-    # exactly s*log(c), which the lower end undoes.
+    # Upper bounds need nothing special.  Lower bounds transfer from a lift
+    # row s+ >= s whose block fits the budget, else from s+ = d, after
+    # scaling atoms into the unit ball where phi-monotonicity in the
+    # exponent holds; the scaling shifts P by exactly s*log(c), which the
+    # lower end undoes.  Any such s+ is sound; the row of least block d'
+    # runs the most lower steps under the budget, and the least s+ breaks
+    # ties.
     d = mu.dimension
     max_norm = max(linalg.operator_norm(m) for m in mu._mats)
     if max_norm > 1.0:
@@ -183,10 +186,10 @@ def _bracket_irrational(mu, s, eps, budget, workers):
     shift = s * math.log(c)  # P(mu_c, t) = P(mu, t) + t*log(c)
     rows = [(t, row) for t, row in _lift_rows(d).items()
             if t >= s and _engine.feasible(budget, row[0], mu.n_atoms)]
-    # rows descend, so the last is the least; at s+ = d the determinant
-    # closed form is a lower end known up front (mu_c's |det| <= 1, so
-    # nothing overflows)
-    s_plus, (block, log_k) = rows[-1] if rows else (d, (None, None))
+    # at s+ = d the determinant closed form is a lower end known up front
+    # (mu_c's |det| <= 1, so nothing overflows)
+    s_plus, (block, log_k) = min(rows, key=lambda row: (row[1][0], row[0]),
+                                 default=(d, (None, None)))
     lower = -math.inf if rows else _det_bounds(mu_c, float(d))[0] - shift
     return pressure._bracket(mu, "phi", s, block, log_k, eps, budget, workers,
                              PROVENANCE_LIFT, (mu_c, float(s_plus), shift), lower)

@@ -155,10 +155,11 @@ def test_criterion_08_affinity_moran():
 
 def test_criterion_09_affinity_determinant_branch():
     res = affinity.affinity_dimension(DET4, 1e-7)
-    assert res.branch == "determinant"
+    midpoint = 0.5 * sum(res.interval)
+    assert res.provenance == "determinant"
     assert res.status == "certified"
-    assert abs(res.midpoint - 6.212567) <= 1e-6
-    _pass(9, f"midpoint {res.midpoint:.7f}")
+    assert abs(midpoint - 6.212567) <= 1e-6
+    _pass(9, f"midpoint {midpoint:.7f}")
 
 
 def test_criterion_10_continuity_diagnostic():
@@ -204,12 +205,12 @@ def test_criterion_12_jsr_and_zero_temperature():
     br = jsr.jsr_bracket(DIAG_PAIR)
     assert br.lower - 1e-12 <= 0.5 <= br.upper + 1e-12
 
-    scan = jsr.zero_temperature_scan(DIAG_PAIR, [1, 2, 4, 8, 16, 32, 64], eps=0.5)
+    points, _ = jsr.zero_temperature_scan(DIAG_PAIR, [1, 2, 4, 8, 16, 32, 64], eps=0.5)
 
-    def dist(pt):
-        return max(pt.radius_lower - 0.5, 0.5 - pt.radius_upper, 0.0)
+    def dist(s, br):
+        return max(math.exp(br.lower / s) - 0.5, 0.5 - math.exp(br.upper / s), 0.0)
 
-    dists = [dist(pt) for pt in scan.points]
+    dists = [dist(s, br) for s, br in points]
     for prev, nxt in zip(dists, dists[1:]):
         assert nxt <= prev + 1e-12
     assert dists[-1] <= 0.01
@@ -259,7 +260,7 @@ def test_criterion_14_worker_determinism(tmp_path, capsys, split_sizes, enumerat
         for w in ("1", "4")
     ]
     for key in ("lower", "upper"):
-        a, b = (r["interval"][key] for r in per_workers)
+        a, b = (r["bracket"][key] for r in per_workers)
         assert abs(a - b) <= 1e-10
     assert enumeration_only["weighted_sums"] > 0
     assert split_sizes == []

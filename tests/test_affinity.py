@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from matpress import _engine, affinity, linalg, pressure, svpressure
 from matpress.affinity import (
     _ROUNDING,
-    AffinityResult,
     _det_excess,
     _det_root,
     _lower_margin,
@@ -19,7 +18,6 @@ from matpress.affinity import (
     _upper_margin,
     affinity_dimension,
     meets_ambient_dimension,
-    solve_determinant_dimension,
 )
 from matpress.errors import DimensionCapError, InvalidInputError, InvertedIntervalError
 from matpress.measure import FiniteMatrixMeasure, WordBudget
@@ -69,51 +67,55 @@ class TestMeetsAmbientDimension:
             meets_ambient_dimension(mu)
 
 
+def det_midpoint(mu, tol=1e-9):
+    """The midpoint of _det_root's bracket, each end walked to within tol / 4."""
+    lo, hi, _ = _det_root(mu, *_det_excess(mu), tol / 4.0)
+    return 0.5 * (lo + hi)
+
+
 class TestSolveDeterminantDimension:
+    """The root s >= d of the determinant equation, by _det_root."""
+
     def test_four_copies_of_point_eight(self):
         # 4 * 0.64^(s/2) = 1  =>  s = 2 log 4 / log(1/0.64)
         mu = moran_measure(4, 0.8)
         expect = 2.0 * math.log(4.0) / math.log(1.0 / 0.64)
-        assert solve_determinant_dimension(mu) == pytest.approx(expect, abs=1e-8)
+        assert det_midpoint(mu) == pytest.approx(expect, abs=1e-8)
 
     def test_exact_root_at_ambient_dimension(self):
         mu = FiniteMatrixMeasure([(4.0, 0.5 * np.eye(2))])
-        assert solve_determinant_dimension(mu) == 2.0
+        assert det_midpoint(mu) == 2.0
 
     def test_weight_e_squared_atom(self):
         # e^2 * (e^-1)^(s/2) = 1 has the exact root s = 4
         det_partner = math.exp(-1.0) / 0.7
         mu = FiniteMatrixMeasure([(math.e**2, [[0.7, 0.0], [0.0, det_partner]])])
-        assert solve_determinant_dimension(mu) == pytest.approx(4.0, abs=1e-8)
+        assert det_midpoint(mu) == pytest.approx(4.0, abs=1e-8)
 
     def test_rejects_unit_determinant(self):
         mu = FiniteMatrixMeasure([(0.5, np.eye(2))])
         with pytest.raises(InvalidInputError):
-            solve_determinant_dimension(mu)
+            det_midpoint(mu)
 
     def test_rejects_mass_below_threshold(self):
         mu = FiniteMatrixMeasure([(0.5, 0.5 * np.eye(2))])
         with pytest.raises(InvalidInputError):
-            solve_determinant_dimension(mu)
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(InvalidInputError):
-            solve_determinant_dimension(moran_measure(4, 0.8), tol=0.0)
+            det_midpoint(mu)
 
     def test_rejects_overflowing_determinant(self):
         mu = FiniteMatrixMeasure([(1.0, 1e200 * np.eye(2))])
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="det"):
-            solve_determinant_dimension(mu)
+            det_midpoint(mu)
         mu = FiniteMatrixMeasure([(1.0, 1e200 * np.ones((3, 3)))])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError):
-            solve_determinant_dimension(mu)
+            det_midpoint(mu)
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-18])
     def test_tol_below_float_spacing_returns(self, tol):
         # the root 6.21 has ulp 8.9e-16: the walks stop at adjacent floats
         mu = moran_measure(4, 0.8)
         expect = 2.0 * math.log(4.0) / math.log(1.0 / 0.64)
-        assert solve_determinant_dimension(mu, tol=tol) == pytest.approx(expect, abs=1e-12)
+        assert det_midpoint(mu, tol=tol) == pytest.approx(expect, abs=1e-12)
 
     def test_flat_pressure_widens_the_bracket(self):
         # log 1.2 + s log 0.9999995 falls by 5e-7 per unit s, so the closed
@@ -127,7 +129,7 @@ class TestSolveDeterminantDimension:
             root = -2 * mpmath.log(2 * mpmath.mpf(0.6)) / mpmath.log(det)
             assert mpmath.mpf(lo) <= root <= mpmath.mpf(hi)
         assert hi - lo > 1e-9
-        assert solve_determinant_dimension(mu, tol=1e-9) == 0.5 * (lo + hi)
+        assert det_midpoint(mu, tol=1e-9) == 0.5 * (lo + hi)
         res = affinity_dimension(mu, 1e-9)
         assert res.interval == (lo, hi) and res.status == "budget_exhausted"
 
@@ -137,7 +139,7 @@ class TestSolveDeterminantDimension:
         a = 1.0 - 2.0**-53
         mu = FiniteMatrixMeasure([(1.5, a * np.eye(2)), (1.0, 1e-100 * np.eye(2))])
         with pytest.raises(InvalidInputError, match="cannot be certified"):
-            solve_determinant_dimension(mu)
+            det_midpoint(mu)
 
 
 class TestAffinityDimension:
@@ -145,7 +147,7 @@ class TestAffinityDimension:
         res = sweep(TWO_THIRDS, 1.0)
         assert engine_calls["weighted_sums"] > 0
         assert res.status == "certified"
-        assert res.branch == "trisection"
+        assert res.provenance == "trisection"
         assert res.width <= 1.0
         assert res.interval[0] <= DIM_TWO_THIRDS <= res.interval[1]
 
@@ -177,7 +179,7 @@ class TestAffinityDimension:
         # tol = 1e-17 / 4 is below ulp(1.585) = 2.2e-16: the closed-form
         # walks stop, and the width reports that eps was not reached
         res = affinity_dimension(THREE_HALVES, 1e-17)
-        assert res.branch == "triangular" and res.status == "budget_exhausted"
+        assert res.provenance == "triangular" and res.status == "budget_exhausted"
         assert res.interval[0] <= DIM_THREE_HALVES <= res.interval[1]
 
     def test_budget_exhaustion_keeps_containment(self, engine_calls):
@@ -190,7 +192,7 @@ class TestAffinityDimension:
     def test_determinant_branch_exact_root(self):
         mu = FiniteMatrixMeasure([(4.0, 0.5 * np.eye(2))])
         res = affinity_dimension(mu, 0.5)
-        assert res.branch == "determinant"
+        assert res.provenance == "determinant"
         assert res.status == "certified"
         assert res.interval == (2.0, 2.0)
         assert res.steps == 0
@@ -198,9 +200,9 @@ class TestAffinityDimension:
 
     def test_determinant_branch_criterion_values(self):
         res = affinity_dimension(moran_measure(4, 0.8), 1e-7)
-        assert res.branch == "determinant"
+        assert res.provenance == "determinant"
         assert res.status == "certified"
-        assert res.midpoint == pytest.approx(6.212567, abs=1e-6)
+        assert 0.5 * sum(res.interval) == pytest.approx(6.212567, abs=1e-6)
 
     def test_rejects_expanding_atoms(self):
         with pytest.raises(InvalidInputError):
@@ -213,9 +215,9 @@ class TestAffinityDimension:
             affinity_dimension("nope", 0.5)
 
     def test_result_properties(self):
-        res = AffinityResult((1.0, 2.0), "trisection", 3, "certified")
+        res = pressure.PressureBracket(1.0, 2.0, 4, "certified", provenance="trisection", steps=3)
         assert res.width == 1.0
-        assert res.midpoint == 1.5
+        assert res.interval == (1.0, 2.0)
 
 
 def planar_triple():
@@ -337,7 +339,7 @@ def test_interval_contains_exact_dimension_without_slack(mu, exact, eps, budget,
     mpmath = pytest.importorskip("mpmath")
     res = sweep(mu, eps, budget=budget)
     assert engine_calls["weighted_sums"] > 0
-    assert res.branch == "trisection"
+    assert res.provenance == "trisection"
     with mpmath.workdps(40):
         value = exact(mpmath)
         lo, hi = (mpmath.mpf(x) for x in res.interval)  # floats convert exactly
@@ -351,7 +353,7 @@ def test_triangular_interval_contains_exact_dimension_without_slack(
     mpmath = pytest.importorskip("mpmath")
     res = affinity_dimension(mu, eps, budget=budget)
     assert engine_calls["weighted_sums"] == 0
-    assert res.branch == "triangular" and res.status == "certified"
+    assert res.provenance == "triangular" and res.status == "certified"
     assert 0.0 < res.width <= min(eps, 1e-9)
     with mpmath.workdps(40):
         value = exact(mpmath)

@@ -192,3 +192,76 @@ def test_only_the_engine_and_linalg_form_matrix_products():
     assert found["_engine"]  # the check sees the engine's own products
     assert {mod: lines for mod, lines in found.items()
             if lines and mod not in ("_engine", "linalg")} == {}
+
+
+# not triangular in any coordinate order, contractive, unit weights
+PLANAR = [[[0.6, 0.2], [0.1, 0.4]], [[0.3, -0.2], [0.25, 0.5]]]
+SPATIAL = [[[0.5, 0.2, -0.1], [0.1, 0.4, 0.3], [-0.2, 0.1, 0.5]],
+           [[0.4, -0.3, 0.1], [0.2, 0.3, -0.2], [0.1, 0.2, 0.4]]]
+TRIANGULAR = [[[0.5, 0.1], [0.0, 0.25]], [[0.3, 0.0], [0.0, 0.4]]]
+SMALL = {"budget": matpress.WordBudget(max_words=2**10), "workers": 1}
+
+
+def every_route():
+    """{name: (call returning its records, provenance, whether a sweep)} for
+    every public bracket function on each of its routes."""
+    fam = {name: matpress.FiniteMatrixMeasure.from_matrices(mats)
+           for name, mats in (("planar", PLANAR), ("spatial", SPATIAL),
+                              ("triangular", TRIANGULAR))}
+    moran = matpress.FiniteMatrixMeasure.from_matrices([[[0.8, 0.0], [0.0, 0.8]]] * 4)
+    sv, aff = matpress.sv_pressure_bracket, matpress.affinity_dimension
+
+    def scan():
+        points, support = matpress.zero_temperature_scan(fam["planar"], [1.0, 2.0], 0.1, **SMALL)
+        return [br for _, br in points] + [support]
+
+    return {
+        "pressure": (lambda: [matpress.pressure_bracket(fam["planar"], 1.5, 0.1, **SMALL)],
+                     "norm-power-bound", True),
+        "sv_norm": (lambda: [sv(fam["planar"], 0.5, 0.1, **SMALL)], "norm-power-bound", True),
+        "sv_planar": (lambda: [sv(fam["planar"], 1.5, 0.1, **SMALL)], "planar-sv-bound", True),
+        "sv_lift": (lambda: [sv(fam["spatial"], 2, 0.1, **SMALL)], "lift-sv-bound", True),
+        "sv_irrational": (lambda: [sv(fam["spatial"], 2 ** 0.5, 0.1, **SMALL)],
+                          "lift-sv-bound", True),
+        "sv_determinant": (lambda: [sv(fam["planar"], 2.5, 0.1, **SMALL)],
+                           "determinant-branch", False),
+        "sv_triangular": (lambda: [sv(fam["triangular"], 1.5, 0.1, **SMALL)],
+                          "triangular", False),
+        "p_radius": (lambda: [matpress.p_radius_bracket(fam["planar"], 2.0, 0.1, **SMALL)],
+                     "norm-power-bound", True),
+        "jsr_sweep": (lambda: [matpress.jsr_bracket(fam["planar"], 1e-3, **SMALL)],
+                      "spectral-floor", True),
+        "jsr_triangular": (lambda: [matpress.jsr_bracket(fam["triangular"], 1e-3, **SMALL)],
+                           "triangular", False),
+        "affinity_sweep": (lambda: [aff(fam["planar"], 0.2, **SMALL)], "trisection", True),
+        "affinity_determinant": (lambda: [aff(moran, 0.2, **SMALL)], "determinant", True),
+        "affinity_triangular": (lambda: [aff(fam["triangular"], 0.2, **SMALL)],
+                                "triangular", True),
+        "scan": (scan, None, True),
+    }
+
+
+@pytest.mark.parametrize("route", sorted(every_route()))
+def test_every_public_bracket_returns_the_one_record(route):
+    call, provenance, sweep = every_route()[route]
+    for res in call():
+        assert type(res) is matpress.PressureBracket
+        assert res.interval == (res.lower, res.upper)
+        assert res.provenance == provenance or provenance is None
+        if sweep:  # one history entry per step; affinity's closed forms keep one
+            assert res.history and res.history[-1] == res.interval
+        else:
+            assert res.history == ()
+
+
+def test_the_attributes_the_benchmark_reads_stay():
+    # perfbench/run.py, checks.py and tracing.py read these off the records
+    # of every call they time; tracing.py sums steps as an int
+    routes = every_route()
+    for route in ("affinity_sweep", "affinity_determinant", "jsr_sweep", "pressure"):
+        for res in routes[route][0]():
+            lo, hi = res.interval
+            assert (lo, hi) == (res.lower, res.upper)
+            assert res.branch == res.provenance
+            assert type(res.steps) is int and type(res.n_used) is int
+            assert type(res.words_evaluated) is int and isinstance(res.status, str)

@@ -277,7 +277,7 @@ class TestAffdimCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "command: affdim" in out
-        assert "interval: [" in out
+        assert "bracket: [" in out
         assert "status: certified" in out
 
     def test_determinant_branch_json(self, tmp_path, capsys):
@@ -285,12 +285,12 @@ class TestAffdimCommand:
         code = cli.main(["affdim", path, "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert data["branch"] == "determinant"
+        assert data["provenance"] == "determinant"
         assert data["status"] == "certified"
         # 4 * 0.64^(t/2) = 1; the bisection stops well inside the default eps
         root = 2.0 * math.log(4.0) / math.log(1.0 / 0.64)
-        assert data["interval"]["lower"] - 1e-9 <= root <= data["interval"]["upper"] + 1e-9
-        assert data["interval"]["upper"] - data["interval"]["lower"] <= 1e-9
+        assert data["bracket"]["lower"] - 1e-9 <= root <= data["bracket"]["upper"] + 1e-9
+        assert data["bracket"]["upper"] - data["bracket"]["lower"] <= 1e-9
 
 
 class TestJsrCommand:
@@ -340,7 +340,8 @@ class TestScanCommand:
         assert lines[0] == "s,m_lower,m_upper,radius_lower,radius_upper,status"
         footers = [ln for ln in lines[1:] if ln.startswith("#")]
         rows = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
-        assert len(footers) == 1 and "jsr bracket" in footers[0]
+        assert footers[0] == "# command: scan"
+        assert sum(ln.startswith("# jsr bracket: [") for ln in footers) == 1
         assert [float(r[0]) for r in rows] == [1.0, 2.0, 4.0]
         for row in rows:
             assert row[5] == "certified"
@@ -359,8 +360,8 @@ class TestScanCommand:
         (point,) = data["points"]
         assert point["s"] == 8.0
         assert point["status"] == "budget_exhausted"
-        assert point["m_lower"] <= point["m_upper"]
-        assert data["jsr"]["status"] == "certified"
+        assert point["bracket"]["lower"] <= point["bracket"]["upper"]
+        assert data["status"] == "certified"  # the JSR's
 
 
 class TestMainErrors:
@@ -419,3 +420,36 @@ class TestMainErrors:
     def test_workers_default_to_automatic(self, tmp_path):
         path = write_doc(tmp_path, DIAG_PAIR_DOC)
         assert cli.build_parser().parse_args(["pressure", path, "--s", "1"]).workers is None
+
+
+COMMANDS = [("pressure", ["--s", "1"]), ("pradius", ["--p", "2"]),
+            ("svpressure", ["--s", "3/2"]), ("affdim", []), ("jsr", ["--eps", "0.1"]),
+            ("scan", ["--s", "1,2"])]
+
+
+class TestOnePrinter:
+    """Every command prints its record through one JSON and one text printer."""
+
+    KEYS = {"command", "input", "parameters", "bracket", "status", "n_used", "steps",
+            "history", "words_evaluated", "wall_time", "provenance", "points"}
+
+    def test_json_reports_share_one_key_set(self, tmp_path, capsys):
+        path = write_doc(tmp_path, DIAG_PAIR_DOC)
+        for command, extra in COMMANDS:
+            cli.main([command, path, *extra, "--format", "json"])
+            data = json.loads(capsys.readouterr().out)
+            assert set(data) == self.KEYS, command
+            assert set(data["bracket"]) == {"lower", "upper"}
+            for point in data["points"]:
+                assert set(point) == self.KEYS - {"command", "input", "parameters", "points"} | {"s"}
+            assert (command == "scan") == bool(data["points"])
+
+    def test_text_reports_print_bracket_status_and_provenance(self, tmp_path, capsys):
+        path = write_doc(tmp_path, DIAG_PAIR_DOC)
+        for command, extra in COMMANDS:
+            cli.main([command, path, *extra])
+            out = capsys.readouterr().out
+            lines = [ln.removeprefix("# ") for ln in out.splitlines()]
+            assert f"command: {command}" in lines
+            for head in ("bracket: [", "status: ", "provenance: "):
+                assert sum(head in ln.split("  ")[0] for ln in lines) == 1, (command, head)

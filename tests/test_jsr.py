@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_measure, word_products
-from matpress import _engine, jsr
+from matpress import _engine, jsr, pressure
 from matpress.errors import InvalidInputError
 from matpress.jsr import (
-    ScanPoint,
     _coerce_set,
     _spectral_floor,
     _sweep,
@@ -399,11 +398,15 @@ class TestNearTheFloatMaximum:
 
     def test_scan_keeps_valid_linear_ends(self):
         mu = FiniteMatrixMeasure.from_matrices([self.BIG])
-        out = zero_temperature_scan(mu, [1.0])
-        (p,) = out.points
-        assert math.isfinite(p.m_lower) and math.isfinite(p.m_upper)
-        assert p.radius_lower == math.exp(p.m_lower) and p.radius_upper == math.inf
-        assert (out.jsr.lower, out.jsr.upper) == (sys.float_info.max, math.inf)
+        ((s, p),), support = zero_temperature_scan(mu, [1.0])
+        assert math.isfinite(p.lower) and math.isfinite(p.upper)
+        assert radius(s, p) == (math.exp(p.lower), math.inf)
+        assert (support.lower, support.upper) == (sys.float_info.max, math.inf)
+
+
+def radius(s, br):
+    """A scan point's M bracket mapped through x -> exp(x/s), as printed."""
+    return pressure._exp_end(br.lower / s, False), pressure._exp_end(br.upper / s, True)
 
 
 class TestScan:
@@ -411,37 +414,40 @@ class TestScan:
     # the closed forms' brackets, not the enumeration.
     def test_scalar_atom_upper_is_exact_everywhere(self):
         mu = FiniteMatrixMeasure([(1.0, 0.5 * np.eye(2))])
-        out = zero_temperature_scan(mu)
-        assert [p.s for p in out.points] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-        for p in out.points:
-            assert p.radius_upper == pytest.approx(0.5, rel=1e-12)
-            assert p.radius_lower <= 0.5 <= p.radius_upper + 1e-12
-        assert out.jsr.lower <= 0.5 <= out.jsr.upper
+        points, support = zero_temperature_scan(mu)
+        assert [s for s, _ in points] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        for s, p in points:
+            lo, up = radius(s, p)
+            assert up == pytest.approx(0.5, rel=1e-12)
+            assert lo <= 0.5 <= up + 1e-12
+        assert support.lower <= 0.5 <= support.upper
 
     def test_radius_endpoints_are_the_mapped_m_endpoints(self):
         mu = FiniteMatrixMeasure([(1.0, m) for m in DIAG_MATS])
-        out = zero_temperature_scan(mu, s_list=[1.0, 2.0])
-        for p in out.points:
-            assert p.radius_lower == pytest.approx(math.exp(p.m_lower / p.s), rel=1e-12)
-            assert p.radius_upper == pytest.approx(math.exp(p.m_upper / p.s), rel=1e-12)
+        points, _ = zero_temperature_scan(mu, s_list=[1.0, 2.0])
+        for s, p in points:
+            lo, up = radius(s, p)
+            assert lo == pytest.approx(math.exp(p.lower / s), rel=1e-12)
+            assert up == pytest.approx(math.exp(p.upper / s), rel=1e-12)
 
     def test_sandwich_against_jsr_bounds(self):
         mu = FiniteMatrixMeasure([(1.0, m) for m in DIAG_MATS])
-        out = zero_temperature_scan(mu)
+        points, _ = zero_temperature_scan(mu)
         up1 = math.exp(log_max_norm(DIAG_MATS, 1))
         lo1 = bochi_lower(DIAG_MATS, 1)
         mass = mu.total_mass
-        for p in out.points:
-            assert p.radius_upper >= lo1 - 1e-9
-            assert p.radius_lower <= mass ** (1.0 / p.s) * up1 + 1e-9
+        for s, p in points:
+            lo, up = radius(s, p)
+            assert up >= lo1 - 1e-9
+            assert lo <= mass ** (1.0 / s) * up1 + 1e-9
 
     def test_vanishing_measure_scans_to_zero(self):
         mu = FiniteMatrixMeasure([(1.0, NILPOTENT)])
-        out = zero_temperature_scan(mu, s_list=[1.0, 4.0])
-        for p in out.points:
+        points, support = zero_temperature_scan(mu, s_list=[1.0, 4.0])
+        for s, p in points:
             assert p.status == "minus_infinity"
-            assert p.radius_lower == p.radius_upper == 0.0
-        assert out.jsr.lower == out.jsr.upper == 0.0
+            assert radius(s, p) == (0.0, 0.0)
+        assert support.lower == support.upper == 0.0
 
     def test_rejects_bad_grids(self):
         mu = FiniteMatrixMeasure([(1.0, 0.5 * np.eye(2))])

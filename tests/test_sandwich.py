@@ -165,9 +165,10 @@ def reference_upper_alone(mu, kind, s, budget, provenance):
 def reference_irrational(mu, s, eps, budget):
     """svpressure._bracket_irrational as one loop: the upper end
     at s over the lengths n and, while the block d' fits, n d'; the lower
-    end from mu scaled into the unit ball at the least a/q >= s, q <= 6,
-    whose lift fits the cap and the budget, or where none does, from the
-    determinant closed form at s+ = d."""
+    end from mu scaled into the unit ball at the a/q >= s, q <= 6, whose
+    lift fits the cap and the budget with the least block d' (the least
+    such a/q on a tie), or where none does, from the determinant closed
+    form at s+ = d."""
     d = mu.dimension
     max_norm = max(linalg.operator_norm(m) for m in mu._mats)
     c = 1.0 / max_norm if max_norm > 1.0 else 1.0
@@ -179,7 +180,7 @@ def reference_irrational(mu, s, eps, budget):
             row = svpressure._route(d, Fraction(a, q))
             if row and Fraction(a, q) >= s and _engine.feasible(budget, row[0], mu.n_atoms):
                 fits.append((Fraction(a, q), row))
-    s_plus, row = min(fits, key=lambda item: item[0]) if fits else (d, None)
+    s_plus, row = min(fits, key=lambda item: (item[1][0], item[0])) if fits else (d, None)
     b = row and row[0]
     clock = _engine.RunClock(budget.wall_clock_cap)
     get, words = _cached_sums(budget, clock)
@@ -536,10 +537,10 @@ def test_jsr_evaluates_each_length_once(max_calls):
 @pytest.mark.parametrize(
     "case", ["certifies", "mid_sweep", "nilpotent", "repeated", "block_infeasible"])
 def test_irrational_lower_end_matches_the_loop_it_replaced(s, case, sum_calls):
-    # sqrt 2 takes s+ = 3/2 with d' = 9, 1.95 takes s+ = 2 with d' = 3, and
-    # 2.5 + 1e-9 takes 13/5 with d' = 9; 2.99, and every s at
-    # block_infeasible, take s+ = 3 = d, the determinant closed form, and
-    # sweep the upper end alone
+    # sqrt 2 and 1.95 take s+ = 2 and 2.5 + 1e-9 takes 8/3, each with the
+    # least block of d = 3, d' = 3; 2.99, and every s at block_infeasible,
+    # take s+ = 3 = d, the determinant closed form, and sweep the upper end
+    # alone
     mu, eps, budget = _random(3), 30.0, WordBudget()
     if case == "mid_sweep":
         eps, budget = 1e-3, WordBudget(max_words=2**12)
@@ -559,7 +560,7 @@ def test_irrational_lower_end_matches_the_loop_it_replaced(s, case, sum_calls):
 
     if case == "nilpotent" and s < 2:
         # the length-d' sum of mu at s is read first, and vanishes
-        assert (got.status, got.n_used) == ("minus_infinity", {1.95: 3}.get(s, 9))
+        assert (got.status, got.n_used) == ("minus_infinity", 3)
     if case in ("mid_sweep", "repeated") and s == 1.95:
         # the lower sweep ran past step 1
         assert max(n for _, n, _, exps in got_calls if exps == (2.0,)) > 3
@@ -569,8 +570,9 @@ def test_irrational_lower_end_matches_the_loop_it_replaced(s, case, sum_calls):
 
 def test_irrational_lower_sweep_stops_at_a_vanishing_sum(sum_calls):
     # J^3 of the 4x4 Jordan block has rank 1, so phi^s, 1 < s < 2, vanishes
-    # from length 3 on.  s+ = 2 has block d' = 6, and the length-6 sum of mu
-    # at s, read first, is the exact verdict: no lower sum of mu_c is read
+    # from length 3 on.  s+ = 3 has the least block of d = 4, d' = 4, and the
+    # length-4 sum of mu at s, read first, is the exact verdict: no lower
+    # sum of mu_c is read
     jordan = np.eye(4, k=1)
     mu = FiniteMatrixMeasure([(1.0, jordan), (1.0, 0.5 * jordan)])
     budget = WordBudget(max_words=2**14)
@@ -579,8 +581,8 @@ def test_irrational_lower_sweep_stops_at_a_vanishing_sum(sum_calls):
     sum_calls.clear()
     want = reference_irrational(mu, math.sqrt(2.0), 1e-3, budget)
     assert _fields(got) == tuple(x.hex() if isinstance(x, float) else x for x in want)
-    assert (got.status, got.n_used, got.words_evaluated) == ("minus_infinity", 6, 2**6)
-    assert got_calls == sum_calls == [(2, 6, "phi", (math.sqrt(2.0),))]
+    assert (got.status, got.n_used, got.words_evaluated) == ("minus_infinity", 4, 2**4)
+    assert got_calls == sum_calls == [(2, 4, "phi", (math.sqrt(2.0),))]
 
 
 def test_an_infeasible_lift_block_leaves_the_upper_end_to_sweep_alone(sum_calls):
@@ -612,6 +614,16 @@ def test_an_irrational_exponent_without_a_fitting_lift_reads_the_determinant(sum
     assert (got.lower, got.n_used, got.provenance) == (want, 2, "lift-sv-bound")
     assert got.lower < got.upper
     assert [n for _, n, _, _ in sum_calls] == [1, 2]
+
+
+def test_an_irrational_exponent_takes_the_fitting_lift_row_of_least_block():
+    # s = sqrt 2 on d = 3 under 2^20 words: s+ = 3/2 (d' = 9) leaves two
+    # lower steps and a lower end of -9.389; s+ = 2 (d' = 3) runs six, to
+    # -1.098, with the same upper end.  Any s+ >= s is sound.
+    got = svpressure.bracket(_random(3), math.sqrt(2.0), 1e-3,
+                             budget=WordBudget(max_words=2**20), workers=1)
+    assert (got.provenance, got.n_used, got.status) == ("lift-sv-bound", 6, "budget_exhausted")
+    assert -1.2 <= got.lower < got.upper < 0.72
 
 
 def test_a_mid_sweep_irrational_run_stops_with_its_lower_sweep(sum_calls):

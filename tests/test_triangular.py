@@ -89,7 +89,7 @@ class TestDetection:
         res = jsr.jsr_bracket(mats)
         assert res.lower == res.upper == max(map(abs, entries))
         res = affinity.affinity_dimension(mu, 1e-6)
-        assert res.branch == "triangular" and res.status == "certified"
+        assert res.provenance == "triangular" and res.status == "certified"
         # sum |a|^s = 1 at the dimension
         lo, hi = res.interval
         assert sum(abs(x) ** lo for x in entries) >= 1.0 >= sum(abs(x) ** hi for x in entries)
@@ -102,7 +102,7 @@ class TestDetection:
         assert pressure._triangular_diagonals(mats) is None
         assert pressure.bracket(measure(mats), 1.0, 0.5).provenance == "norm-power-bound"
         assert jsr.jsr_bracket(mats, eps=0.1).provenance != "triangular"
-        assert affinity.affinity_dimension(measure(mats), 0.3).branch == "trisection"
+        assert affinity.affinity_dimension(measure(mats), 0.3).provenance == "trisection"
         assert engine_calls["weighted_sums"] > 0 and engine_calls["max_norm_word"] > 0
 
     def test_negative_zero_counts_as_zero(self):
@@ -166,9 +166,9 @@ class TestRoute:
     def test_scan_and_p_radius_take_the_route(self, engine_calls):
         d2, *_ = rng3_triples()
         mu = measure(d2)
-        scan = jsr.zero_temperature_scan(mu, [1.0, 4.0], eps=1e-6)
-        assert all(p.status == "certified" for p in scan.points)
-        assert scan.jsr.provenance == "triangular"
+        points, support = jsr.zero_temperature_scan(mu, [1.0, 4.0], eps=1e-6)
+        assert all(p.status == "certified" for _, p in points)
+        assert support.provenance == "triangular"
         assert pressure.p_radius_bracket(mu, 2.0, 1e-6).provenance == "triangular"
         assert engine_calls["weighted_sums"] == engine_calls["max_norm_word"] == 0
 
@@ -183,7 +183,7 @@ class TestRoute:
         mu = measure(mats)
         res = affinity.affinity_dimension(mu, 1e-6)
         lo, hi = res.interval
-        assert res.branch == "triangular" and res.status == "certified"
+        assert res.provenance == "triangular" and res.status == "certified"
         assert 0.0 < hi - lo <= 1e-9
         diag = pressure._triangular_diagonals(mats)
         # P >= 0 at lo and P < 0 at hi, each with the rounding radius
@@ -194,7 +194,7 @@ class TestRoute:
 
     def test_determinant_branch_still_runs_first(self):
         mu = measure([0.8 * np.eye(2)] * 4)
-        assert affinity.affinity_dimension(mu, 1e-7).branch == "determinant"
+        assert affinity.affinity_dimension(mu, 1e-7).provenance == "determinant"
         assert svpressure.bracket(mu, 2.5, 0.1).provenance == "determinant-branch"
 
 
@@ -323,14 +323,14 @@ def assert_closed_form_root(mats, weights, eps, max_evaluations):
     lo, hi = res.interval
     assert res.status == "certified" and hi - lo <= min(eps, 1e-9)
     assert res.steps == len(calls) <= max_evaluations
-    if res.branch == "determinant":
+    if res.provenance == "determinant":
         dets = affinity._det_excess(mu)[1]  # the determinants the branch used
         form = pressure._TriangularForm(mu._weights, np.array(dets)[:, None])
         # d is the branch's own exact end; every other end has its sign
         assert lo == d or form.bounds(lo / d, 0)[0] > 0.0
         assert hi == lo == d or form.bounds(hi / d, 0)[1] < 0.0
     else:
-        assert res.branch == "triangular"
+        assert res.provenance == "triangular"
         form = pressure._TriangularForm(mu._weights, pressure._triangular_diagonals(mats))
         assert lo == 0.0 or form.bounds(lo, int(lo))[0] > 0.0
         assert hi == d or form.bounds(hi, int(hi))[1] < 0.0
@@ -351,7 +351,7 @@ def assert_closed_form_root(mats, weights, eps, max_evaluations):
 def test_bench_closed_form_roots(mats, weights, eps, branch):
     mats = np.array(mats)
     res = assert_closed_form_root(mats, weights or [1.0] * len(mats), eps, 12)
-    assert res.branch == branch
+    assert res.provenance == branch
     if weights:  # 4 * |det(0.5 I)| = 1 exactly: the root is d, unprobed
         assert res.interval == (2.0, 2.0) and res.steps == 0
 
