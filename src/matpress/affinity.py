@@ -15,7 +15,8 @@ pressure.  Three routes certify it:
   test read from the run's pressure._Sums: an upper test (a phi^t power
   sum below 1 certifies P(t) < 0, so the dimension is at most t) and a
   lower test (a quantified supermultiplicativity defect certifies
-  P(t) > 0, so it is at least t).
+  P(t) > 0, so it is at least t; for d = 2 also log Phi_m(t) above the
+  connecting-word constant C(t) of pressure._connect_constant).
 
 Both closed forms decrease strictly; two regula falsi walks over one cache
 of their evaluations move each end to a point where the rounding-widened
@@ -187,6 +188,16 @@ def _lower_margin(sums, mu, n, s, block, log_k):
     return ub - log_k - (block - 1) * u - slack
 
 
+def _connect_margin(sums, mu, m, s):
+    # > 0 where log Phi_m(s) - C(s) > slack: then P(s) >= (log Phi_m(s) -
+    # C(s))/m > 0 (pressure._connect_constant); -inf where C has no c1 > 0
+    const = pressure._connect_constant(sums, mu, "held", s)
+    if const is None:
+        return -math.inf
+    low, _ = sums.get(mu, "held", s, m)
+    return low - const - _slack(mu, low, m) if low > -math.inf else -math.inf
+
+
 def _illinois(margin, fire, m_fire, miss, m_miss, tol):
     """(last firing point, fires) of a safeguarded regula falsi on margin.
 
@@ -238,14 +249,18 @@ def _upper_end(sums, mu, n, lo, hi, tol):
     return _illinois(lambda s: _upper_margin(sums, mu, n, s), hi, m_hi, lo, m_lo, tol)
 
 
-def _lower_end(sums, mu, n, lo, hi, tol, lifts):
-    """(lo, fires): the highest point of [lo, hi] found where the lower test
-    fires at length n.
+def _lower_end(sums, mu, n, lo, hi, tol, lifts, connect, block=True):
+    """(lo, fires): the highest point of [lo, hi] found where a lower test
+    fires at length n: the block test (lengths n and n d) where block holds
+    and length n d is feasible, and with connect (d = 2) the
+    connecting-word test, whose margin is the larger of the two.
 
     Where the product-inequality constant is explicit in s (s <= 1 with
-    block d, and 1 < s < 2 for d = 2) the test is walked continuously, to
-    within tol.  For d >= 3 above 1 only the ``lifts`` (_lift_rows)
-    have a constant: the largest that fires wins.
+    block d, and 1 < s <= 2 for d = 2) the test is walked continuously, to
+    within tol.  From lo = 0, where no constant holds, the walk starts by
+    regula falsi when the connecting-word margin's s -> 0 limit is
+    positive, else by bisection.  For d >= 3 above 1 only the ``lifts``
+    (_lift_rows) have a constant: the largest that fires wins.
     """
     d = mu.dimension
     for t, params in lifts.items():
@@ -253,21 +268,36 @@ def _lower_end(sums, mu, n, lo, hi, tol, lifts):
                 and _lower_margin(sums, mu, n, float(t), *params) > 0.0):
             return float(t), 1
     top = hi if d <= 2 else min(hi, 1.0)
-    if top <= lo or not sums.feasible(mu, n * d):
+    block = block and sums.feasible(mu, n * d)
+    if top <= lo or not (block or connect):
         return lo, 0
 
     def margin(s):
-        return _lower_margin(sums, mu, n, s, *_route(d, s)[:2])
+        m = _lower_margin(sums, mu, n, s, *_route(d, s)[:2]) if block else -math.inf
+        return max(m, _connect_margin(sums, mu, n, s)) if connect else m
 
     m_top = margin(top)
     if m_top > 0.0:
         if top == hi:
             raise InvertedIntervalError(f"lower test fires at the certified upper end {hi!r}")
         return top, 1
-    m_lo = margin(lo) if lo > 0.0 else None  # no constant at s = 0
-    if m_lo is not None and not m_lo > 0.0:
-        return lo, 0
+    if lo > 0.0:
+        m_lo = margin(lo)
+        if not m_lo > 0.0:
+            return lo, 0
+    else:  # no constant at s = 0; the limit there steers the first probe only
+        m_lo = _connect_at_zero(mu, n) if connect else None
     return _illinois(margin, lo, m_lo, top, m_top, tol)
+
+
+def _connect_at_zero(mu, n):
+    """The connecting-word margin's limit as s -> 0 where no product of
+    length n vanishes, n log sum w_i - C(0), if positive, else None: a
+    secant start for the walk from the a priori end 0, not a certificate."""
+    total = mu.total_mass
+    value = (n * math.log(total) - math.log(2.0 * max(1.0, total))
+             + math.log(min(1.0, float(np.min(mu._weights)))))
+    return value if value > 0.0 else None
 
 
 def affinity_dimension(mu, eps, budget=None, workers=None):
@@ -298,7 +328,7 @@ def affinity_dimension(mu, eps, budget=None, workers=None):
     word count N^n of every evaluated exponent at length n, exponents
     answered from a length's slope sketch or held level included, so it
     does not fall when either saves the enumeration.  The closed forms
-    report n_used 1, one history entry and no words.
+    report n_used 1, one history entry and N words.
     """
     _validate_mu(mu)
     eps = _validate_eps(eps)
@@ -326,27 +356,31 @@ def affinity_dimension(mu, eps, budget=None, workers=None):
     else:
         return _sweep(mu, eps, budget, workers)
     status = pressure._CERTIFIED if hi - lo <= eps else pressure._EXHAUSTED
-    return PressureBracket(lo, hi, 1, status, 0, time.monotonic() - t0, branch, steps,
+    return PressureBracket(lo, hi, 1, status, mu.n_atoms, time.monotonic() - t0, branch, steps,
                            ((lo, hi),))
 
 
 def _sweep(mu, eps, budget, workers):
     """The interval-refinement route of affinity_dimension, on any family.
 
-    Step n walks the upper end at length n, then the lower end (whose test
-    reads lengths n and n b), then the upper end again at the longest
+    Step n walks the upper end at length n, then the lower end (whose block
+    test reads lengths n and n b), then both ends again at the longest
     length the run holds, from its sketch or held level, enumerating
-    nothing.  An upper test at a length at or below one already walked is
-    skipped: the longer length's test is the tighter in practice, and a
-    skipped test costs no soundness.  One pressure._Sums holds the run's
-    held sums, sketches, clock and word count.
+    nothing: the upper test, and for d = 2 the connecting-word lower test
+    where the run's search certifies c1 > 0 (pressure._connect_constant).
+    A test at a length at or below one already walked is skipped: the
+    longer length's test is the tighter in practice, and a skipped test
+    costs no soundness.  One pressure._Sums holds the run's held sums,
+    sketches, searches, clock and word count.
     """
     t0 = time.monotonic()
     sums = pressure._Sums(budget, workers)
     tol = eps / 64.0
     lo, hi = 0.0, float(mu.dimension)
-    steps, history, n, walked = 0, [], 1, 0
+    steps, history, n, walked, joined = 0, [], 1, 0, 0
     lifts = _lift_rows(mu.dimension)
+    # the phi atoms are a subset of the norm atoms, with c1 no larger
+    connect = mu.dimension == 2 and pressure._connect_parts(sums, mu, False)[0] > 0.0
     try:
         while hi - lo > eps and sums.feasible(mu, n):
             sums.clock.check()
@@ -354,13 +388,17 @@ def _sweep(mu, eps, budget, workers):
                 hi, fires = _upper_end(sums, mu, n, lo, hi, tol)
                 steps += fires
             if hi - lo > eps:
-                lo, fires = _lower_end(sums, mu, n, lo, hi, tol, lifts)
+                lo, fires = _lower_end(sums, mu, n, lo, hi, tol, lifts, connect and n > joined)
                 steps += fires
             longest = max(key[3] for key in sums.store)
             if hi - lo > eps and longest > max(n, walked):
                 hi, fires = _upper_end(sums, mu, longest, lo, hi, tol)
                 steps += fires
                 walked = longest
+            if connect and hi - lo > eps and longest > max(n, joined):
+                lo, fires = _lower_end(sums, mu, longest, lo, hi, tol, {}, True, block=False)
+                steps += fires
+                joined = longest
             history.append((lo, hi))
             n += 1
     except BudgetExhaustedError:

@@ -104,7 +104,10 @@ def jsr_bracket(source, eps=None, budget=None, use_spectral_floor=True, workers=
     budget_exhausted otherwise — the bracket is still valid.  provenance
     names the source of the final lower endpoint.  A triangular family (one
     coordinate order makes every matrix upper triangular) gets the exact
-    [r, r], r = max |a_i,jj|, with provenance "triangular".
+    [r, r], r = max |a_i,jj|, with provenance "triangular".  ``workers`` is
+    validated like every entry point's, but the word-norm maxima never
+    split (_engine.max_norm_word prunes on its running best), so the run
+    opens no process whatever its value.
     """
     mu, n_atoms = _coerce_set(source)
     if budget is None:
@@ -140,7 +143,7 @@ def _sweep(mu, n_atoms, eps, budget, use_spectral_floor, workers):
             lo = floor
             lo_from = PROVENANCE_FLOOR
     try:
-        for n_used, log_lo, log_up in pressure._sandwich(
+        for n_used, log_lo, log_up, _ in pressure._sandwich(
                 mu, "max", 1.0, d, (d + 1) * math.log(d), sums):
             if log_up == -math.inf:
                 # some power of the whole family vanished: radius is exactly 0
@@ -173,7 +176,8 @@ def zero_temperature_scan(mu, s_list=None, eps=0.5, budget=None, workers=None):
 
     Mapped through x -> exp(x/s) (pressure._exp_end on each end), the
     brackets converge as s grows to the joint spectral radius of the
-    support from above (for unit-mass measures).
+    support from above (for unit-mass measures).  ``workers`` reaches the
+    pressure brackets; the jsr_bracket runs in this process.
     """
     pressure._validate_mu(mu)
     if s_list is None:

@@ -95,6 +95,65 @@ def _det(a):
     return float(np.linalg.det(a))
 
 
+# The connecting-word search (_connecting_c1): a box closes once its bound
+# reaches this share of the least centre value seen; the first grid has this
+# many boxes a side; a search that needs more rounds or boxes gives up.
+_C1_SHARE = 0.9
+_C1_GRID = 16
+_C1_ROUNDS = 12
+_C1_BOXES = 2**14
+# the first grid's centres as rows t, t - pi/2, p, p - pi/2 (cos of the
+# second and fourth is sin t and sin p), and the offsets of a box's four
+# children in units of their half-width
+_C1_HALF = math.pi / (2 * _C1_GRID)
+_C1_CENTRES = (2 * np.arange(_C1_GRID) + 1) * _C1_HALF
+_C1_START = np.stack([angle - shift
+                      for angle in (np.repeat(_C1_CENTRES, _C1_GRID), np.tile(_C1_CENTRES, _C1_GRID))
+                      for shift in (0.0, 0.5 * math.pi)])
+_C1_CORNERS = np.array([[-1.0, 1.0, -1.0, 1.0]] * 2 + [[-1.0, -1.0, 1.0, 1.0]] * 2)[:, :, None]
+
+
+def _connecting_c1(mats):
+    """A certified lower bound on c1 = min over unit r, l of max over words
+    |w| <= 1 of |r' A_w l| (A_empty = I) for the 2x2 atoms ``mats``, or 0.0
+    where the search certifies no positive one within its caps (a family
+    with a common invariant line has c1 = 0).
+
+    Branch and bound over the angle box [0, pi]^2, r = (cos t, sin t),
+    l = (cos p, sin p).  Each g_w = r' A_w l moves by at most ||A_w|| (|dt|
+    + |dp|), so a box of half-width h has max_w |g_w| >= max_w (|g_w(centre)|
+    - L_w (2 h + 2^-44)), L_w the closed-form sigma_1 of A_w rounded up.
+    The 2^-44 (512 u) covers the rounding of the centres, of cos (sin t is
+    cos(t - pi/2)), of the four-term product and of the bound itself, and
+    float(pi) < pi.  A box closes once its bound reaches _C1_SHARE of the
+    least centre value seen, which only falls; the others split in four.
+    So every closed box, and the whole square with them, is at least
+    _C1_SHARE times the final least centre value, which is the result.
+    """
+    words = np.concatenate((np.eye(2).reshape(1, 4), mats.reshape(-1, 4)))
+    a, b, c, d = words.T
+    with np.errstate(over="ignore"):
+        lip = (0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) * (1.0 + 2.0**-40))[:, None]
+    if not lip.max() < 2.0**1000:  # near the float range: no search
+        return 0.0
+    h, angles, least, boxes = _C1_HALF, _C1_START, math.inf, 0
+    for _ in range(_C1_ROUNDS):
+        boxes += angles.shape[1]
+        if not angles.shape[1] or boxes > _C1_BOXES:
+            break
+        trig = np.cos(angles)  # rows cos t, sin t, cos p, sin p
+        v = words @ (trig[:2, None] * trig[None, 2:]).reshape(4, -1)
+        np.abs(v, out=v)
+        least = min(least, float(v.max(axis=0).min()))
+        if not least > 0.0:
+            return 0.0
+        v -= lip * (2.0 * h * (1.0 + 2.0**-40) + 2.0**-44)
+        h *= 0.5
+        angles = (angles[:, v.max(axis=0) < _C1_SHARE * least][:, None]
+                  + h * _C1_CORNERS).reshape(4, -1)
+    return _C1_SHARE * least if not angles.shape[1] else 0.0
+
+
 def exterior_power(a, k):
     """k-th exterior power: the C(d,k) x C(d,k) matrix of k x k minors.
 

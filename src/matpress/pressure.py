@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from . import _engine
+from . import _engine, linalg
 from .errors import BudgetExhaustedError, InvalidInputError
 from .measure import FiniteMatrixMeasure, WordBudget
 
@@ -47,6 +47,7 @@ __all__ = [
 
 PROVENANCE_NORM = "norm-power-bound"
 PROVENANCE_TRIANGULAR = "triangular"
+PROVENANCE_CONNECT = "connecting-word"
 
 _CERTIFIED = "certified"
 _MINUS_INF = "minus_infinity"
@@ -96,7 +97,8 @@ class PressureBracket:
     than asked).  n_used is the last step of the sweep (1 on a closed
     form), and history its (lower, upper) after each step on the record's
     own scale, () on a closed form.  words_evaluated counts nominal words
-    N^n summed over the distinct word lengths actually evaluated.
+    N^n summed over the distinct word lengths actually evaluated, and N on
+    every closed form, whose one-step sum reads each atom once.
     provenance names the route or inequality behind the lower end.  steps
     counts affinity's closed-form evaluations or end-moving test fires, 0
     elsewhere.
@@ -185,12 +187,13 @@ class _Sums:
     slope sketch in tables[id(mu)], and then from that sketch
     (_engine.held_phi_bounds).  Lengths are metered (feasible), the run's
     clock starts here, and ``words`` adds N^n once per key at the nominal
-    letter count ``n_atoms`` (None: the measure's own)."""
+    letter count ``n_atoms`` (None: the measure's own).  c1 keeps each
+    connecting-word search of the run (_connect_constant)."""
 
     def __init__(self, budget, workers, n_atoms=None):
         self.budget, self.workers, self.n_atoms = budget, workers, n_atoms
         self.clock = _engine.RunClock(budget.wall_clock_cap)
-        self.store, self.tables, self.words = {}, {}, 0
+        self.store, self.tables, self.words, self.c1 = {}, {}, 0, {}
 
     def feasible(self, mu, n):
         return _engine.feasible(self.budget, n, self.n_atoms or mu.n_atoms)
@@ -213,16 +216,80 @@ class _Sums:
         return self.store[key]
 
 
-def _sandwich(mu, kind, s, block, log_k, sums, source=None):
-    """Yield (n, lower, upper) for n = 1, 2, ... while length n is feasible
-    (sums.feasible, at its nominal count): the running min of (1/m) log S_m
-    over m = n and, while length n*b fits too, m = n*b (log S_m is
-    subadditive, so each is an upper bound), and the running max over the
-    latter steps of (1/n) [log T_nb - log K - (b-1) log T_n] - shift,
-    b = block, log K = log_k, T the sums of source = (measure, exponent,
-    shift), by default (mu, s, 0).  S_m is a power sum, or with kind "max"
-    the largest norm of a length-m word, for which Bochi (Linear Algebra
-    Appl. 368, 2003) gives this form.
+def _connect_constant(sums, mu, kind, s):
+    """C(s), rounded up, with log S_2n >= 2 log S_n - C for the sums of kind
+    "norm", "phi" or affinity's "held" (its upper side) of the 2x2 measure
+    mu at s, so that the pressure is at least (log S_m - C) / m at every m;
+    None where the search certifies no c1 > 0 (linalg._connecting_c1).
+
+    With c1 = min over unit r, l of max over |w| <= 1 of |r' A_w l|, any
+    words u, v have a w with ||A_u A_w A_v|| >= c1 ||A_u|| ||A_v|| (r the
+    top right singular vector of A_u, l the top left one of A_v; Feng,
+    Israel J. Math. 170, 2009).  Each pair (u, v) of length-n words so maps
+    to its own word u w v of length 2n or 2n + 1, whose weight is at least
+    min(1, min w_i) w_u w_v, and S_2n+1 <= S_2n S_1, so
+    S_n^2 <= c1^-e (1 + S_1) S_2n / min(1, min w_i) and
+    C = log(2 max(1, S_1)) + log(1 / min(1, min w_i)) + e log(1 / c1):
+    e = s on norm sums.  phi^s on 1 < s <= 2 is w |det A|^(s-1) ||A||^(2-s)
+    per word (Feng & Shmerkin, GAFA 24, 2014), the norm sum of the
+    invertible atoms at e = 2 - s with weights w |det A|^(s-1), each |det|
+    taken less its rounding bound.  Doubling gives P >= (log S_n - C)/n.
+
+    The _ROUNDING allowance covers S_1's log sum (at m = 1) and the few
+    ulps of each term.
+    """
+    hat = kind != "norm" and s > 1.0
+    c1, logw, logdet, big = _connect_parts(sums, mu, hat)
+    if not c1 > 0.0:
+        return None
+    if hat:
+        logw = logw + (s - 1.0) * logdet
+    log_s1 = sums.get(mu, kind, s, 1)
+    terms = (math.log(2.0) + max(0.0, log_s1[1] if kind == "held" else log_s1),
+             max(0.0, -float(logw.min())), (2.0 - s if hat else s) * -math.log(c1))
+    size = math.log(mu.n_atoms) + 2.0 * max(big, float(np.abs(logw).max()))
+    return sum(terms) + _ROUNDING * (sum(map(abs, terms)) + size + 1.0)
+
+
+def _connect_parts(sums, mu, hat):
+    """(c1, log w_i, log |det A_i| less its rounding bound 4u (|ad| + |bc|),
+    max |log w_i|) of the atoms that the connecting-word bound reads: every
+    atom of the 2x2 measure mu, or with hat those whose determinant is not
+    0; c1 = linalg._connecting_c1, 0 where a |det| may round to 0.  Each
+    search runs once a run (sums.c1)."""
+    key = (id(mu), hat)
+    if key not in sums.c1:
+        logw = np.log(mu._weights)
+        big, keep, logdet = float(np.abs(logw).max()), np.ones(mu.n_atoms, dtype=bool), None
+        if hat:
+            a00, a01, a10, a11 = (mu._mats[:, i, j] for i in (0, 1) for j in (0, 1))
+            det = np.abs(a00 * a11 - a01 * a10)
+            keep = det > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logdet = np.log(det - 2.0**-51 * (np.abs(a00 * a11) + np.abs(a01 * a10)))[keep]
+        if keep.all() and (id(mu), False) in sums.c1:
+            c1 = sums.c1[id(mu), False][0]
+        else:
+            c1 = linalg._connecting_c1(mu._mats[keep]) if keep.any() else 0.0
+        if logdet is not None and not np.all(np.isfinite(logdet)):
+            c1 = 0.0
+        sums.c1[key] = c1, logw[keep], logdet, big
+    return sums.c1[key]
+
+
+def _sandwich(mu, kind, s, block, log_k, sums, source=None, connect=False):
+    """Yield (n, lower, upper, joined) for n = 1, 2, ... while length n is
+    feasible (sums.feasible, at its nominal count): the running min of
+    (1/m) log S_m over m = n and, while length n*b fits too, m = n*b
+    (log S_m is subadditive, so each is an upper bound), and the running max
+    over the latter steps of (1/n) [log T_nb - log K - (b-1) log T_n] -
+    shift, b = block, log K = log_k, T the sums of source = (measure,
+    exponent, shift), by default (mu, s, 0).  S_m is a power sum, or with
+    kind "max" the largest norm of a length-m word, for which Bochi (Linear
+    Algebra Appl. 368, 2003) gives this form.  With connect (d = 2, kinds
+    "norm" and "phi") the lower max also takes (1/m) (log S_m - C) at each
+    of those m, C = _connect_constant; joined is True where that candidate
+    set the lower end.
 
     The sweep ends with the lower one, so the upper end sweeps alone only
     where length b never fits or block is None (no lower source).  A
@@ -230,7 +297,7 @@ def _sandwich(mu, kind, s, block, log_k, sums, source=None):
     that length are exact zeros, so are all longer ones, and M = -inf.
     """
     src, src_s, shift = source or (mu, s, 0.0)
-    lo, up, n = -math.inf, math.inf, 1
+    lo, up, n, joined, const = -math.inf, math.inf, 1, False, None
     paired = block is not None and sums.feasible(mu, block)
     while sums.feasible(mu, n * block if paired else n):
         sums.clock.check()
@@ -238,12 +305,21 @@ def _sandwich(mu, kind, s, block, log_k, sums, source=None):
         if paired:
             up = min(up, sums.get(mu, kind, s, n * block) / (n * block))
         if up == -math.inf:
-            yield n, -math.inf, -math.inf
+            yield n, -math.inf, -math.inf, False
             return
         if paired:
             tn, tnb = sums.get(src, kind, src_s, n), sums.get(src, kind, src_s, n * block)
-            lo = max(lo, (tnb - log_k - (block - 1) * tn) / n - shift)
-        yield n, lo, up
+            cand = (tnb - log_k - (block - 1) * tn) / n - shift
+            if cand > lo:
+                lo, joined = cand, False
+        if connect and n == 1:
+            const = _connect_constant(sums, mu, kind, s)
+        if const is not None:
+            for m in (n, n * block) if paired else (n,):
+                cand = (sums.get(mu, kind, s, m) - const) / m
+                if cand > lo:
+                    lo, joined = cand, True
+        yield n, lo, up, joined
         n += 1
 
 
@@ -252,10 +328,12 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance,
     """One route's sandwich to width < eps, within the budget; a vanishing
     sum, at length block first where that fits, is the exact minus_infinity
     verdict.  source is _sandwich's, and lower a lower end known up front.
+    A 2x2 measure's sandwich also takes the connecting-word candidate, and
+    provenance becomes "connecting-word" where that sets the lower end.
     """
     t0 = time.monotonic()
     sums = _Sums(budget, workers)
-    lo, up, n_used, status, history = lower, math.inf, 0, _EXHAUSTED, []
+    lo, up, n_used, status, history, joined = lower, math.inf, 0, _EXHAUSTED, [], False
     try:
         if (block is not None and sums.feasible(mu, block)
                 and sums.get(mu, kind, s, block) == -math.inf):
@@ -263,7 +341,8 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance,
             n_used, status = block, _MINUS_INF
             history.append((lo, up))
         else:
-            for n_used, lo, up in _sandwich(mu, kind, s, block, log_k, sums, source):
+            for n_used, lo, up, joined in _sandwich(mu, kind, s, block, log_k, sums, source,
+                                                    mu.dimension == 2):
                 lo = max(lo, lower) if up > -math.inf else lo
                 history.append((lo, up))
                 if up == -math.inf:
@@ -275,7 +354,7 @@ def _bracket(mu, kind, s, block, log_k, eps, budget, workers, provenance,
     except BudgetExhaustedError:
         pass
     return PressureBracket(lo, up, n_used, status, sums.words, time.monotonic() - t0,
-                           provenance, history=tuple(history))
+                           PROVENANCE_CONNECT if joined else provenance, history=tuple(history))
 
 
 def _exp_end(x, upper):

@@ -224,7 +224,7 @@ def continuity_at_one(mu, eps, budget=None, workers=None):
         log_k = log_norm_constant(2, 1.0)
         # mu0 has no more atoms than mu, so mu's sweep is the one that stops
         sweeps = [pressure._sandwich(m, "norm", 1.0, 2, log_k, sums) for m in (mu, mu0)]
-        for (_, lo_mu, up_mu), (_, lo_0, up_0) in zip(*sweeps):
+        for (_, lo_mu, up_mu, _), (_, lo_0, up_0, _) in zip(*sweeps):
             if lo_mu > up_0:
                 return DISCONTINUOUS
             if max(up_mu, up_0) - min(lo_mu, lo_0) < eps:

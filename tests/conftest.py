@@ -93,7 +93,8 @@ def sandwich(mu, kind, s, block, log_k, steps):
     the running max and min of the two bound families, on a fresh run."""
     budget = WordBudget()
     sums = pressure._Sums(budget, 1)
-    return list(itertools.islice(pressure._sandwich(mu, kind, s, block, log_k, sums), steps))
+    steps = itertools.islice(pressure._sandwich(mu, kind, s, block, log_k, sums), steps)
+    return [(n, lo, up) for n, lo, up, _ in steps]
 
 
 def norm_sandwich(mu, s, steps):

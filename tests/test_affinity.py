@@ -20,6 +20,7 @@ from matpress.affinity import (
     meets_ambient_dimension,
 )
 from matpress.errors import DimensionCapError, InvalidInputError, InvertedIntervalError
+from matpress.jsr import jsr_bracket
 from matpress.measure import FiniteMatrixMeasure, WordBudget
 
 
@@ -214,6 +215,17 @@ class TestAffinityDimension:
         with pytest.raises(InvalidInputError):
             affinity_dimension("nope", 0.5)
 
+    def test_closed_forms_count_each_atom_once(self):
+        # the rule of every closed form: svpressure's triangular route and
+        # the JSR's read each atom once too
+        tri = FiniteMatrixMeasure.from_matrices([[[0.5, 0.1], [0.0, 0.25]],
+                                                 [[0.3, 0.0], [0.0, 0.4]]])
+        for res in (affinity_dimension(tri, 0.1), svpressure.bracket(tri, 1.5, 0.1),
+                    jsr_bracket(tri.matrices)):
+            assert res.words_evaluated == 2
+        res = affinity_dimension(moran_measure(4, 0.8), 1e-7)
+        assert res.provenance == "determinant" and res.words_evaluated == 4
+
     def test_result_properties(self):
         res = pressure.PressureBracket(1.0, 2.0, 4, "certified", provenance="trisection", steps=3)
         assert res.width == 1.0
@@ -247,17 +259,22 @@ def test_each_length_is_enumerated_once_per_run(monkeypatch):
     assert max(n for n, _ in built) == 10
     # bits of the depth sweep
     h = float.fromhex
-    assert res.status == "budget_exhausted" and res.steps == 12
-    assert res.interval == (h("0x1.5f59d086791bbp-1"), h("0x1.60ed2fbe7cbddp+0"))
+    assert res.status == "budget_exhausted" and res.steps == 16
+    assert res.interval == (h("0x1.143a2dbcfbb74p+0"), h("0x1.60f846d9c0ce7p+0"))
     # the upper end is walked at the longest held length right after each
-    # lower test: length 2n at step n, 10 from step 5 on
+    # lower test: length 2n at step n, 10 from step 5 on; the connecting-word
+    # test walks the lower end there too
     assert res.history == (
-        (0.0, h("0x1.6dd34d7a3c375p+0")),
-        (h("0x1.5b3000c96eecap-5"), h("0x1.68770701b3304p+0")),
-        (h("0x1.628c17fde20bbp-2"), h("0x1.650b677ce32d2p+0")),
-        (h("0x1.16a7646a0875dp-1"), h("0x1.629c638e650c2p+0")),
-    ) + ((h("0x1.5f59d086791bbp-1"), h("0x1.60ed2fbe7cbddp+0")),) * 6
-    assert res.words_evaluated == 534462
+        (h("0x1.1d05b6f084eaep-3"), h("0x1.6dd34d7a3c375p+0")),
+        (h("0x1.3b93ea80b893cp-1"), h("0x1.6876fddeb7c56p+0")),
+        (h("0x1.b8bd3e9a615cap-1"), h("0x1.650b5484b0718p+0")),
+        (h("0x1.0190f0fb5f311p+0"), h("0x1.629c513e17e35p+0")),
+    ) + ((h("0x1.143a2dbcfbb74p+0"), h("0x1.60f846d9c0ce7p+0")),) * 6
+    assert res.words_evaluated == 487887
+    # against the block test alone: the lower end rose; the upper walk, which
+    # starts from the lower end, stopped within its tolerance eps/64 of before
+    assert res.interval[0] >= h("0x1.5f59d086791bbp-1")
+    assert abs(res.interval[1] - h("0x1.60ed2fbe7cbddp+0")) <= 0.05 / 64
     # inside the interval of the 11-probe grid this sweep replaced
     assert h("0x1.55c8p-1") < res.interval[0] and res.interval[1] < h("0x1.64c0p+0")
     # only small levels stay on the measure once the run returns
@@ -411,9 +428,28 @@ def lower_test_constant(d, s):
     return dp, (2.0 + (dp + 1) / q) * math.log(dp) + ((q - 1) / q) * math.log(dp + 1)
 
 
+def connecting_constant(weights, mats, s):
+    """C(s) of the 2x2 connecting-word test, written out from its formula,
+    or None where the certified c1 is 0: log(2 max(1, Phi_1(s))) +
+    log(1/min(1, min w')) + e log(1/c1), with w' = w and e = s up to 1, and
+    above 1 the invertible atoms, w' = w |det|^(s-1) and e = 2 - s."""
+    logw, log_s1 = np.log(weights), brute_log_phi_sum(weights, mats, 1, s)
+    if s > 1.0:
+        dets = np.abs(np.linalg.det(mats))
+        logw = logw[dets > 0.0] + (s - 1.0) * np.log(dets[dets > 0.0])
+        mats = mats[dets > 0.0]
+    c1 = linalg._connecting_c1(mats)
+    if c1 == 0.0:
+        return None
+    e = 2.0 - s if s > 1.0 else s
+    return math.log(2.0) + max(0.0, log_s1) + max(0.0, -float(logw.min())) - e * math.log(c1)
+
+
 def recertifies(weights, mats, lo, hi, max_words):
     """The lower and upper tests, by numpy enumeration and without slack,
-    fire at each endpoint strictly inside (0, d) at some feasible length."""
+    fire at each endpoint strictly inside (0, d) at some feasible length:
+    at the lower end the block test or, for d = 2, the connecting-word
+    test log Phi_n(lo) - C(lo) > 0."""
     n_atoms, d = mats.shape[:2]
     lengths = [n for n in range(1, 64) if n_atoms**n <= max_words]
     ok = True
@@ -421,13 +457,18 @@ def recertifies(weights, mats, lo, hi, max_words):
         ok &= any(brute_log_phi_sum(weights, mats, n, hi) < 0.0 for n in lengths)
     if 0.0 < lo < d:
         block, log_k = lower_test_constant(d, lo)
+        const = connecting_constant(weights, mats, lo) if d == 2 else None
 
         def fires(n):
-            big = brute_log_phi_sum(weights, mats, n * block, lo)
             small = brute_log_phi_sum(weights, mats, n, lo)
+            if const is not None and small - const > 0.0:
+                return True
+            if n * block not in lengths:
+                return False
+            big = brute_log_phi_sum(weights, mats, n * block, lo)
             return big - log_k - (block - 1) * small > 0.0
 
-        ok &= any(fires(n) for n in lengths if n * block in lengths)
+        ok &= any(fires(n) for n in lengths)
     return ok
 
 

@@ -217,9 +217,11 @@ def every_route():
 
     return {
         "pressure": (lambda: [matpress.pressure_bracket(fam["planar"], 1.5, 0.1, **SMALL)],
-                     "norm-power-bound", True),
-        "sv_norm": (lambda: [sv(fam["planar"], 0.5, 0.1, **SMALL)], "norm-power-bound", True),
-        "sv_planar": (lambda: [sv(fam["planar"], 1.5, 0.1, **SMALL)], "planar-sv-bound", True),
+                     "connecting-word", True),
+        "pressure_d3": (lambda: [matpress.pressure_bracket(fam["spatial"], 1.5, 0.1, **SMALL)],
+                        "norm-power-bound", True),
+        "sv_norm": (lambda: [sv(fam["planar"], 0.5, 0.1, **SMALL)], "connecting-word", True),
+        "sv_planar": (lambda: [sv(fam["planar"], 1.5, 0.1, **SMALL)], "connecting-word", True),
         "sv_lift": (lambda: [sv(fam["spatial"], 2, 0.1, **SMALL)], "lift-sv-bound", True),
         "sv_irrational": (lambda: [sv(fam["spatial"], 2 ** 0.5, 0.1, **SMALL)],
                           "lift-sv-bound", True),
@@ -228,7 +230,7 @@ def every_route():
         "sv_triangular": (lambda: [sv(fam["triangular"], 1.5, 0.1, **SMALL)],
                           "triangular", False),
         "p_radius": (lambda: [matpress.p_radius_bracket(fam["planar"], 2.0, 0.1, **SMALL)],
-                     "norm-power-bound", True),
+                     "connecting-word", True),
         "jsr_sweep": (lambda: [matpress.jsr_bracket(fam["planar"], 1e-3, **SMALL)],
                       "spectral-floor", True),
         "jsr_triangular": (lambda: [matpress.jsr_bracket(fam["triangular"], 1e-3, **SMALL)],

@@ -323,6 +323,30 @@ def test_floor_and_sweep_build_each_level_and_its_sigma_1_once(
     assert sorted(read) == sigma_levels
 
 
+def test_a_long_jsr_run_with_workers_opens_no_process(split_sizes, monkeypatch):
+    # max_norm_word prunes on its running best, so it runs in-process: even
+    # with workers=4 and a work rule under which a power sum of the same
+    # length splits, the JSR sweep forks nothing
+    split_sizes.lower_work(1 << 10)
+    rng = np.random.default_rng(3)
+    mats = rng.uniform(-1.0, 1.0, (3, 2, 2))
+    parts = []
+    real = _engine.max_norm_word
+
+    def spy(ms, n, budget, clock=None):
+        parts.append(len(_engine._cache_for(ms, dedup=False).parts_for(n)))
+        return real(ms, n, budget, clock)
+
+    monkeypatch.setattr(_engine, "max_norm_word", spy)
+    budget = WordBudget(max_words=3**12)
+    res = jsr_bracket(mats, eps=1e-12, budget=budget, workers=4)
+    assert res.status == "budget_exhausted" and max(parts) > 1
+    assert split_sizes == []
+    mu = FiniteMatrixMeasure.from_matrices(mats)
+    _engine.weighted_sums(mu, 12, "norm", [1.0], budget, workers=4)
+    assert split_sizes and max(split_sizes) > 1  # a sum at length 12 does split
+
+
 class TestBracket:
     def test_diag_pair_is_pinned_by_the_spectral_floor(self, engine_calls):
         res = engine_jsr(DIAG_MATS)

@@ -15,6 +15,10 @@ sweeps the upper end alone over the feasible lengths, which
 reference_upper_alone restates.  The irrational route kept its own upper
 loop beside a lower sweep at the nearest rational; reference_irrational
 restates it on the one rule that replaced that loop.
+
+On 2x2 families the sandwich also takes the connecting-word candidate
+(log S_m - C)/m at each length m it holds; reference_connect writes C out
+from its formula, and the d = 2 loops take that candidate.
 """
 
 import itertools
@@ -44,12 +48,42 @@ def _cached_sums(budget, clock):
     return get, words
 
 
+def reference_connect(mu, s, planar, log_s1):
+    """C of the connecting-word candidate on 2x2 sums at s, or None where
+    the certified c1 is 0: log(2 max(1, S_1)) + log(1/min(1, min w')) +
+    e log(1/c1), plus 2^-32 (|each term| + log N + 2 max |log w| + 1).  On
+    norm sums w' = w and e = s; on phi^s above 1 only atoms with det != 0
+    count, w' = w (|det| - 2^-51 (|ad| + |bc|))^(s-1) and e = 2 - s."""
+    mats, logw = mu.matrices, np.log(mu.weights)
+    hat = planar and s > 1.0
+    if hat:
+        prods = mats[:, 0, 0] * mats[:, 1, 1], mats[:, 0, 1] * mats[:, 1, 0]
+        det = np.abs(prods[0] - prods[1])
+        keep = det != 0.0
+        low = det - 2.0**-51 * (np.abs(prods[0]) + np.abs(prods[1]))
+        if not np.all(low[keep] > 0.0):
+            return None
+        logw = logw[keep] + (s - 1.0) * np.log(low)[keep]
+        mats = mats[keep]
+    c1 = linalg._connecting_c1(mats)
+    if c1 == 0.0:
+        return None
+    e = 2.0 - s if hat else s
+    a = math.log(2.0) + max(0.0, log_s1)
+    b = max(0.0, -float(logw.min()))
+    c = e * -math.log(c1)
+    big = max(float(np.abs(logw).max()), float(np.abs(np.log(mu.weights)).max()))
+    return a + b + c + 2.0**-32 * (abs(a) + abs(b) + abs(c) + (math.log(mu.n_atoms) + 2.0 * big)
+                                   + 1.0)
+
+
 def reference_norm(mu, s, eps, budget):
     clock = _engine.RunClock(budget.wall_clock_cap)
     get, words = _cached_sums(budget, clock)
     d = mu.dimension
     log_k = pressure.log_norm_constant(d, s)
     lo, up, n_used, status = -math.inf, math.inf, 0, "budget_exhausted"
+    lo_from, const = "norm-power-bound", None
     try:
         if get(mu, "norm", s, d) == -math.inf:
             return (-math.inf, -math.inf, d, "minus_infinity", words[0], "norm-power-bound")
@@ -59,8 +93,13 @@ def reference_norm(mu, s, eps, budget):
             sn = get(mu, "norm", s, n)
             snd = get(mu, "norm", s, n * d)
             up = min(up, sn / n, snd / (n * d))
-            if snd > -math.inf:
-                lo = max(lo, (snd - log_k - (d - 1) * sn) / n)
+            if snd > -math.inf and (snd - log_k - (d - 1) * sn) / n > lo:
+                lo, lo_from = (snd - log_k - (d - 1) * sn) / n, "norm-power-bound"
+            if d == 2 and n == 1:
+                const = reference_connect(mu, s, False, sn)
+            for m, sm in ((n, sn), (n * d, snd)) if const is not None else ():
+                if (sm - const) / m > lo:
+                    lo, lo_from = (sm - const) / m, "connecting-word"
             n_used = n
             if up - lo < eps:
                 status = "certified"
@@ -68,7 +107,7 @@ def reference_norm(mu, s, eps, budget):
             n += 1
     except BudgetExhaustedError:
         pass
-    return (lo, up, n_used, status, words[0], "norm-power-bound")
+    return (lo, up, n_used, status, words[0], lo_from)
 
 
 def reference_planar(mu, s, eps, budget):
@@ -76,6 +115,7 @@ def reference_planar(mu, s, eps, budget):
     get, words = _cached_sums(budget, clock)
     log_kt = svpressure.log_planar_constant(s)
     lo, up, n_used, status = -math.inf, math.inf, 0, "budget_exhausted"
+    lo_from, const = "planar-sv-bound", None
     try:
         if get(mu, "phi", s, 2) == -math.inf:
             return (-math.inf, -math.inf, 2, "minus_infinity", words[0], "planar-sv-bound")
@@ -85,8 +125,13 @@ def reference_planar(mu, s, eps, budget):
             phi_n = get(mu, "phi", s, n)
             phi_2n = get(mu, "phi", s, 2 * n)
             up = min(up, phi_n / n, phi_2n / (2 * n))
-            if phi_2n > -math.inf:
-                lo = max(lo, (phi_2n - log_kt - phi_n) / n)
+            if phi_2n > -math.inf and (phi_2n - log_kt - phi_n) / n > lo:
+                lo, lo_from = (phi_2n - log_kt - phi_n) / n, "planar-sv-bound"
+            if n == 1:
+                const = reference_connect(mu, s, True, phi_n)
+            for m, phi_m in ((n, phi_n), (2 * n, phi_2n)) if const is not None else ():
+                if (phi_m - const) / m > lo:
+                    lo, lo_from = (phi_m - const) / m, "connecting-word"
             n_used = n
             if up - lo < eps:
                 status = "certified"
@@ -94,7 +139,7 @@ def reference_planar(mu, s, eps, budget):
             n += 1
     except BudgetExhaustedError:
         pass
-    return (lo, up, n_used, status, words[0], "planar-sv-bound")
+    return (lo, up, n_used, status, words[0], lo_from)
 
 
 def reference_lift(mu, s, eps, budget):
@@ -153,13 +198,19 @@ def reference_continuity(mu, eps, budget):
 
 def reference_upper_alone(mu, kind, s, budget, provenance):
     """The sweep where length b never fits: the least (1/n) log S_n over the
-    feasible n, with no lower end."""
+    feasible n, with no lower end but, on 2x2 families, the running max of
+    the connecting-word candidates (log S_n - C)/n."""
     get, words = _cached_sums(budget, _engine.RunClock(budget.wall_clock_cap))
-    up, n = math.inf, 0
+    up, n, lo = math.inf, 0, -math.inf
     while _engine.feasible(budget, n + 1, mu.n_atoms):
         n += 1
-        up = min(up, get(mu, kind, s, n) / n)
-    return (-math.inf, up, n, "budget_exhausted", words[0], provenance)
+        sn = get(mu, kind, s, n)
+        up = min(up, sn / n)
+        if n == 1:
+            const = reference_connect(mu, s, kind == "phi", sn) if mu.dimension == 2 else None
+        if const is not None and (sn - const) / n > lo:
+            lo, provenance = (sn - const) / n, "connecting-word"
+    return (lo, up, n, "budget_exhausted", words[0], provenance)
 
 
 def reference_irrational(mu, s, eps, budget):
@@ -347,7 +398,8 @@ def test_sandwich_matches_the_loop_it_replaced(route, case, sum_calls):
     if case == "mid_sweep":
         assert 0 < got.n_used
     if case == "block_infeasible":
-        assert got.lower == -math.inf and math.isfinite(got.upper)
+        # only the connecting-word candidate, at d = 2, needs no length b
+        assert math.isfinite(got.lower) == (d == 2) and math.isfinite(got.upper)
         assert got.n_used == block - 1
 
 
@@ -391,7 +443,7 @@ def test_each_upper_end_is_the_least_mean_of_the_sums_so_far(route, monkeypatch)
 
     monkeypatch.setattr(_engine, "weighted_sums", spy)
     sums = pressure._Sums(budget, 1)
-    for n, lo, up in pressure._sandwich(mu, kind, float(s), block, log_k, sums):
+    for n, lo, up, _ in pressure._sandwich(mu, kind, float(s), block, log_k, sums):
         assert n * block in seen
         assert up == min(v / m for m, v in seen.items())
         assert lo < up
@@ -446,7 +498,7 @@ def test_upper_ends_sit_above_brute_force_lower_candidates(d, planar, seed, s):
         s = 1.0 + s / 2.0
         kind, log_k = "phi", svpressure.log_planar_constant(s)
         res = svpressure.bracket(mu, s, 1e-9, budget=WordBudget(max_word_length=8))
-        assert res.provenance == "planar-sv-bound"
+        assert res.provenance in ("planar-sv-bound", "connecting-word")
     else:
         kind, log_k = "norm", pressure.log_norm_constant(d, s)
         res = pressure.bracket(mu, s, 1e-9, budget=WordBudget(max_word_length=3 * d))

@@ -321,7 +321,7 @@ class TestBracketDispatch:
         assert sv.upper == nm.upper
         assert sv.n_used == nm.n_used
         assert sv.status == nm.status
-        assert sv.provenance == "norm-power-bound"
+        assert sv.provenance == nm.provenance == "connecting-word"
 
     def test_planar_scalar_atom(self, engine_calls):
         mu = FiniteMatrixMeasure([(1.0, 0.5 * np.eye(2))])
